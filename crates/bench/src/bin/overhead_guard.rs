@@ -25,7 +25,7 @@
 //! BDA_OBS_BUDGET_PCT=2 cargo run --release -p bda-bench --bin overhead_guard
 //! ```
 
-use bda_bench::experiments::observed_federation;
+use bda_bench::observed_federation;
 use bda_federation::ExecOptions;
 use bda_obs::{flight, Tracer};
 use std::time::Instant;
@@ -153,7 +153,7 @@ fn main() {
     );
 
     // Trace completeness rides along: every transfer in the metrics has
-    // a matching span (asserts inside f7 would duplicate the run here).
+    // a matching span, and none were dropped.
     let tracer = Tracer::new(7);
     let (_, m) = fed.run_traced(&plan, &tracer).unwrap();
     let trace = tracer.finish();

@@ -7,7 +7,7 @@
 //! cargo run -p bda-bench --bin trace_export -- out/trace.json
 //! ```
 
-use bda_bench::experiments::observed_federation;
+use bda_bench::observed_federation;
 use bda_obs::Tracer;
 
 fn main() {

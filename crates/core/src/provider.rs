@@ -114,8 +114,8 @@ impl fmt::Display for CapabilitySet {
 /// A back-end server: catalog + capabilities + plan execution.
 ///
 /// `execute` and `store` take `&self`: providers are shared across threads
-/// by the simulated cluster, so implementations use interior mutability
-/// for their catalogs.
+/// by the parallel executor and the serving cores, so implementations use
+/// interior mutability for their catalogs.
 pub trait Provider: Send + Sync {
     /// Stable provider name (used for site annotations and metrics).
     fn name(&self) -> &str;

@@ -714,6 +714,14 @@ mod tests {
         assert_eq!(p.report().snapshot_datasets, 5);
         assert_eq!(p.report().wal_records_replayed, 1, "only the tail replays");
         assert_eq!(p.report().datasets.len(), 6);
+        // Compact the recovered state: the next cold start reads the
+        // snapshot plus an empty tail and still sees every dataset.
+        assert_eq!(p.snapshot_now().unwrap(), 6);
+        drop(p);
+        let p = open(&dir);
+        assert_eq!(p.report().snapshot_seq, 6);
+        assert_eq!(p.report().wal_records_replayed, 0);
+        assert_eq!(p.report().datasets.len(), 6);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

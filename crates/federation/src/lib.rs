@@ -7,13 +7,11 @@
 //! ([`planner`], falling back to intent *lowering* where no specialist
 //! exists, desideratum 2) and executed with intermediates flowing
 //! directly server-to-server or, for the baseline, through the
-//! application tier ([`executor`], desideratum 4). A thread-per-provider
-//! message cluster ([`cluster`]) measures expression-tree shipping versus
-//! per-operator round trips. All byte counts come from the real wire
-//! codec; time is charged on a deterministic simulated network
-//! ([`metrics`]).
+//! application tier ([`executor`], desideratum 4). Each fragment ships
+//! to its site as one whole expression tree, never one call per
+//! operator. All byte counts come from the real wire codec; time is
+//! charged on a deterministic simulated network ([`metrics`]).
 
-pub mod cluster;
 pub mod executor;
 pub mod explain;
 pub mod fault;
@@ -22,7 +20,6 @@ pub mod optimize;
 pub mod planner;
 pub mod registry;
 
-pub use cluster::{Cluster, WireStats};
 pub use executor::{
     run_plan, run_plan_traced, ExecOptions, RecoveryPolicy, TransferMode, CALIBRATE_ENV,
 };

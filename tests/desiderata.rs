@@ -4,18 +4,22 @@
 //! 2. Translatability — every operator reaches some back end.
 //! 3. Intent preservation — matmul stays recognizable as matmul.
 //! 4. Server interoperation — intermediates move server-to-server.
+//!
+//! Plus the two framework claims built on them: expression trees ship
+//! whole (F3) and algebraic pushdown cuts cross-server bytes (F5).
 
 use std::sync::Arc;
 
 use bda::core::lower::lower_all;
 use bda::core::recognize::recognize_all;
-use bda::core::{OpKind, Plan, Provider};
+use bda::core::{col, lit, AggExpr, AggFunc, OpKind, Plan, Provider};
 use bda::federation::{
-    translatability, ExecOptions, Federation, Planner, Registry, TransferMode, Translation,
+    translatability, ExecOptions, Federation, Metrics, OptimizerConfig, Planner, Registry,
+    TransferMode, Translation,
 };
 use bda::linalg::LinAlgEngine;
 use bda::relational::RelationalEngine;
-use bda::workloads::random_matrix;
+use bda::workloads::{random_matrix, star_schema, StarSpec};
 
 fn standard() -> Federation {
     bda_bench_setup()
@@ -225,6 +229,92 @@ fn d4_direct_transfers_bypass_the_app_tier() {
         .sum();
     assert_eq!(routed.app_tier_bytes(), intermediates);
     assert!(routed.sim_network_s > direct.sim_network_s);
+}
+
+/// F3: a k-operator pipeline ships as one expression tree, not k calls.
+/// The optimizer is off so the shipped tree keeps all k selects: it grows
+/// with k while the conversation stays one fragment and the same number
+/// of messages.
+#[test]
+fn f3_operator_chains_ship_as_one_fragment() {
+    let fed = standard();
+    let schema = fed.registry().schema_of("sales").unwrap();
+    let opts = ExecOptions {
+        optimizer: OptimizerConfig::disabled(),
+        ..Default::default()
+    };
+    let mut runs = Vec::new();
+    for k in [1usize, 4, 16] {
+        let mut plan = Plan::scan("sales", schema.clone());
+        for i in 0..k {
+            plan = plan.select(col("amount").gt(lit(-(i as f64))));
+        }
+        let (out, m) = fed.run_with(&plan, &opts).unwrap();
+        assert_eq!(m.fragments, 1, "k={k}: {m}");
+        runs.push((out, m));
+    }
+    let (first, m1) = &runs[0];
+    for (out, m) in &runs[1..] {
+        assert_eq!(m.messages, m1.messages, "messages must not grow with k");
+        assert!(m.plan_bytes > m1.plan_bytes, "the whole tree ships");
+        assert!(out.same_bag(first).unwrap());
+    }
+}
+
+/// F5: pushing a selective predicate below the fragment boundary shrinks
+/// what moves between the two sites of a `sales ⋈ customers` join,
+/// without changing the answer.
+#[test]
+fn f5_pushdown_ships_fewer_bytes_between_sites() {
+    let (sales, customers, ..) = star_schema(StarSpec {
+        sales: 2_000,
+        customers: 400,
+        ..StarSpec::default()
+    });
+    let rel1 = RelationalEngine::new("rel1");
+    rel1.store("sales", sales).unwrap();
+    let rel2 = RelationalEngine::new("rel2");
+    rel2.store("customers", customers).unwrap();
+    let mut fed = Federation::new();
+    fed.register(Arc::new(rel1));
+    fed.register(Arc::new(rel2));
+    let reg = fed.registry();
+    // Customer ids are uniform, so this keeps about a tenth of them.
+    let plan = Plan::scan("sales", reg.schema_of("sales").unwrap())
+        .join(
+            Plan::scan("customers", reg.schema_of("customers").unwrap()),
+            vec![("customer_id", "customer_id")],
+        )
+        .select(col("customer_id_r").lt(lit(40i64)))
+        .aggregate(
+            vec!["region"],
+            vec![AggExpr::new(AggFunc::Sum, col("amount"), "total")],
+        );
+    let (optimized, m_opt) = fed.run(&plan).unwrap();
+    let (naive, m_naive) = fed
+        .run_with(
+            &plan,
+            &ExecOptions {
+                optimizer: OptimizerConfig::disabled(),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+    let shipped = |m: &Metrics| -> usize {
+        m.transfers
+            .iter()
+            .filter(|t| t.to != "app")
+            .map(|t| t.bytes)
+            .sum()
+    };
+    assert!(shipped(&m_naive) > 0, "the join must span both sites");
+    assert!(
+        shipped(&m_opt) < shipped(&m_naive),
+        "pushdown must ship fewer bytes: {} vs {}",
+        shipped(&m_opt),
+        shipped(&m_naive)
+    );
+    assert!(optimized.same_bag(&naive).unwrap());
 }
 
 #[test]

@@ -4,29 +4,37 @@
 use std::sync::Arc;
 
 use bda::array::ArrayEngine;
-use bda::core::{col, AggExpr, AggFunc, OpKind, Provider};
-use bda::federation::{ExecOptions, Federation, OptimizerConfig, TransferMode};
+use bda::core::{col, lit, AggExpr, AggFunc, OpKind, Plan, Provider, ReferenceProvider};
+use bda::federation::{ExecOptions, Federation, OptimizerConfig, Planner, TransferMode};
 use bda::graph::GraphEngine;
 use bda::lang::{parse_query, Query};
 use bda::linalg::LinAlgEngine;
 use bda::relational::RelationalEngine;
+use bda::storage::DataSet;
 use bda::workloads::{
     random_graph, random_matrix, sensor_array, star_schema, GraphSpec, SensorSpec, StarSpec,
 };
 
+const STAR: StarSpec = StarSpec {
+    sales: 1_000,
+    customers: 100,
+    products: 20,
+    stores: 5,
+    seed: 2,
+};
+
+/// Load the four star-schema tables into `p`.
+fn store_star(p: &dyn Provider) {
+    let (sales, customers, products, stores) = star_schema(STAR);
+    p.store("sales", sales).unwrap();
+    p.store("customers", customers).unwrap();
+    p.store("products", products).unwrap();
+    p.store("stores", stores).unwrap();
+}
+
 fn federation() -> Federation {
     let rel = RelationalEngine::new("rel");
-    let (sales, customers, products, stores) = star_schema(StarSpec {
-        sales: 1_000,
-        customers: 100,
-        products: 20,
-        stores: 5,
-        seed: 2,
-    });
-    rel.store("sales", sales).unwrap();
-    rel.store("customers", customers).unwrap();
-    rel.store("products", products).unwrap();
-    rel.store("stores", stores).unwrap();
+    store_star(&rel);
 
     let arr = ArrayEngine::new("arr");
     arr.store(
@@ -90,6 +98,70 @@ fn star_schema_rollup_via_bdl() {
         .map(|r| r.get(2).as_float().unwrap())
         .collect();
     assert!(revenues.windows(2).all(|w| w[0] >= w[1]));
+}
+
+/// T3 (portability): one BDL program runs unchanged against swapped back
+/// ends — the relational engine, the reference evaluator, and a second
+/// relational engine under another name — and returns the same bag.
+#[test]
+fn t3_one_program_same_bag_on_swapped_back_ends() {
+    const PROGRAM: &str = "scan sales \
+        | join (scan customers) on customer_id = customer_id \
+        | where amount > 100.0 \
+        | groupby region: sum(amount) as total, count(*) as n \
+        | orderby region";
+    let expected = bdl(&federation(), PROGRAM);
+    assert!(expected.num_rows() > 0);
+    let swapped: [Arc<dyn Provider>; 2] = [
+        Arc::new(ReferenceProvider::new("ref")),
+        Arc::new(RelationalEngine::new("other_rel")),
+    ];
+    for p in swapped {
+        store_star(p.as_ref());
+        let name = p.name().to_string();
+        let mut fed = Federation::new();
+        fed.register(p);
+        let out = bdl(&fed, PROGRAM);
+        assert!(out.same_bag(&expected).unwrap(), "{name} disagrees");
+    }
+}
+
+/// T4 (fused model): the same question asked array-style (dice on the
+/// time dimension, aggregate by sensor) and table-style (untag, where,
+/// groupby) gives the same bag once the array answer is untagged. Both
+/// run on the array engine, where the data lives; only the array form
+/// keeps its output dimension-tagged.
+#[test]
+fn t4_array_and_table_formulations_agree() {
+    let fed = federation();
+    let reg = fed.registry();
+    let sensors = reg.schema_of("sensors").unwrap();
+    let half = sensors.field("t").unwrap().extent().unwrap().1 / 2;
+    let mean = || vec![AggExpr::new(AggFunc::Avg, col("reading"), "mean")];
+    let array_form = Plan::Dice {
+        input: Plan::scan("sensors", sensors.clone()).boxed(),
+        ranges: vec![("t".into(), 0, half)],
+    }
+    .aggregate(vec!["sensor"], mean());
+    let table_form = Plan::UntagDims {
+        input: Plan::scan("sensors", sensors).boxed(),
+    }
+    .select(col("t").ge(lit(0i64)).and(col("t").lt(lit(half))))
+    .aggregate(vec!["sensor"], mean());
+
+    let (a, _) = fed.run(&array_form).unwrap();
+    let (b, _) = fed.run(&table_form).unwrap();
+    assert_eq!(a.num_rows(), 8, "one mean per sensor");
+    assert_eq!(a.schema().ndims(), 1, "array form keeps `sensor` tagged");
+    assert_eq!(b.schema().ndims(), 0, "table form is a plain relation");
+    let a_flat = DataSet::new(a.schema().untagged(), a.chunks().to_vec())
+        .normalized_rows()
+        .unwrap();
+    assert!(a_flat.same_bag(&b.normalized_rows().unwrap()).unwrap());
+
+    let site = |plan: &Plan| Planner::new(reg).place(plan).unwrap().root().site.clone();
+    assert_eq!(site(&array_form), "arr");
+    assert_eq!(site(&table_form), "arr");
 }
 
 #[test]

@@ -4,18 +4,25 @@
 //! workers (and with explicit `exchange`/`merge` markers at arbitrary
 //! partition counts), always agreeing with the reference evaluator. A
 //! maximally parallel run repeated with the same seed must be
-//! byte-identical after canonical ordering, with identical metrics.
+//! byte-identical after canonical ordering, with identical metrics. F8
+//! counts how many independent fragments the pool keeps in flight at
+//! once.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 use proptest::prelude::*;
 
 use bda::core::reference::evaluate;
 use bda::core::{col, lit, AggExpr, AggFunc, Expr, JoinType, Plan, Provider};
 use bda::federation::{ExecOptions, Federation, Metrics};
+use bda::linalg::LinAlgEngine;
 use bda::relational::RelationalEngine;
 use bda::storage::wire::encode_dataset;
-use bda::storage::{DataSet, DataType, Field, Row, Schema, Value};
+use bda::storage::{Column, DataSet, DataType, Field, Row, Schema, Value};
+use bda::workloads::random_matrix;
 
 /// Every worker count the differential property sweeps: sequential, the
 /// even splits, and a prime that never divides the partition count.
@@ -265,6 +272,167 @@ proptest! {
         let (seq, _) = run_with_workers(&fed, &plan, 1);
         prop_assert_eq!(canonical_bytes(&seq), canonical_bytes(&out_a));
     }
+}
+
+// ---------------------------------------------------------------------------
+// F8: independent fragments overlap
+// ---------------------------------------------------------------------------
+
+/// Calls currently inside any [`SlowProvider`] of one federation, and
+/// the most there have ever been at once.
+struct InFlight {
+    now: Mutex<usize>,
+    arrived: Condvar,
+    peak: AtomicUsize,
+    /// How many overlapping calls a held call waits for before it runs.
+    expect: usize,
+}
+
+impl InFlight {
+    fn new(expect: usize) -> Arc<InFlight> {
+        Arc::new(InFlight {
+            now: Mutex::new(0),
+            arrived: Condvar::new(),
+            peak: AtomicUsize::new(0),
+            expect,
+        })
+    }
+}
+
+/// A provider wrapper standing in for a remote engine whose requests
+/// cost real service time: every data-plane call is held until
+/// `expect` calls are in flight together (or a generous timeout passes,
+/// which is all a sequential scheduler ever gets), and the overlap is
+/// counted. Control-plane calls (catalog, capabilities) stay free so
+/// planning is unaffected.
+struct SlowProvider {
+    inner: Arc<dyn Provider>,
+    in_flight: Arc<InFlight>,
+}
+
+impl SlowProvider {
+    fn hold<R>(&self, call: impl FnOnce() -> R) -> R {
+        let f = &self.in_flight;
+        let mut now = f.now.lock().unwrap();
+        *now += 1;
+        f.peak.fetch_max(*now, Ordering::SeqCst);
+        f.arrived.notify_all();
+        let (now, _) = f
+            .arrived
+            .wait_timeout_while(now, Duration::from_secs(5), |n| *n < f.expect)
+            .unwrap();
+        drop(now);
+        let out = call();
+        *f.now.lock().unwrap() -= 1;
+        out
+    }
+}
+
+impl Provider for SlowProvider {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn capabilities(&self) -> bda::core::CapabilitySet {
+        self.inner.capabilities()
+    }
+    fn catalog(&self) -> Vec<(String, Schema)> {
+        self.inner.catalog()
+    }
+    fn execute(&self, plan: &Plan) -> bda::core::Result<DataSet> {
+        self.hold(|| self.inner.execute(plan))
+    }
+    fn store(&self, name: &str, data: DataSet) -> bda::core::Result<()> {
+        self.hold(|| self.inner.store(name, data))
+    }
+    fn remove(&self, name: &str) {
+        self.inner.remove(name)
+    }
+}
+
+/// Four *independent* matmul branches, each pinned to its own slow linalg
+/// site (`la1..la4` hold disjoint `a{i}`/`b{i}` pairs), unioned and
+/// joined against a lookup on `rel`. Sequential dispatch visits the slow
+/// sites one at a time; the parallel scheduler overlaps them.
+fn slow_sites_federation(n: usize, in_flight: &Arc<InFlight>) -> (Federation, Plan) {
+    let mut fed = Federation::new();
+    for i in 1..=4usize {
+        let la = LinAlgEngine::new(format!("la{i}"));
+        la.store(&format!("a{i}"), random_matrix(n, n, i as u64))
+            .unwrap();
+        la.store(&format!("b{i}"), random_matrix(n, n, 10 + i as u64))
+            .unwrap();
+        fed.register(Arc::new(SlowProvider {
+            inner: Arc::new(la),
+            in_flight: Arc::clone(in_flight),
+        }));
+    }
+    let rel = RelationalEngine::new("rel");
+    rel.store(
+        "lookup",
+        DataSet::from_columns(vec![
+            ("row", Column::from((0..n as i64).collect::<Vec<i64>>())),
+            (
+                "weight",
+                Column::from((0..n).map(|i| 1.0 + i as f64).collect::<Vec<f64>>()),
+            ),
+        ])
+        .unwrap(),
+    )
+    .unwrap();
+    fed.register(Arc::new(rel));
+
+    let reg = fed.registry();
+    let branch = |i: usize| {
+        let a = format!("a{i}");
+        let b = format!("b{i}");
+        Plan::UntagDims {
+            input: Plan::scan(&a, reg.schema_of(&a).unwrap())
+                .matmul(Plan::scan(&b, reg.schema_of(&b).unwrap()))
+                .boxed(),
+        }
+    };
+    let plan = branch(1)
+        .union(branch(2))
+        .union(branch(3))
+        .union(branch(4))
+        .join(
+            Plan::scan("lookup", reg.schema_of("lookup").unwrap()),
+            vec![("row", "row")],
+        )
+        .aggregate(
+            vec![],
+            vec![
+                AggExpr::new(AggFunc::Sum, col("v"), "total"),
+                AggExpr::count_star("cells"),
+            ],
+        );
+    (fed, plan)
+}
+
+/// F8: with four workers all four slow sites are busy at once; with one
+/// worker they are visited one at a time. The answer is the same either
+/// way (the float sum up to summation order).
+#[test]
+fn independent_fragments_overlap_on_the_worker_pool() {
+    let mut answers = Vec::new();
+    for (workers, want_peak) in [(1, 1), (4, 4)] {
+        let in_flight = InFlight::new(want_peak);
+        let (fed, plan) = slow_sites_federation(16, &in_flight);
+        let (out, _) = run_with_workers(&fed, &plan, workers);
+        assert_eq!(
+            in_flight.peak.load(Ordering::SeqCst),
+            want_peak,
+            "workers={workers}: slow-site calls in flight at once"
+        );
+        answers.push(out.rows().unwrap().remove(0));
+    }
+    let (seq, par) = (&answers[0], &answers[1]);
+    assert_eq!(seq.get(1), par.get(1), "cell counts must agree");
+    let (a, b) = (
+        seq.get(0).as_float().unwrap(),
+        par.get(0).as_float().unwrap(),
+    );
+    assert!((a - b).abs() <= 1e-9 * (1.0 + a.abs()), "{a} vs {b}");
 }
 
 /// Degenerate partition shapes that property shrinking rarely lands on

@@ -5,7 +5,8 @@
 //! indexes — and every mode must produce the same bag of rows as the
 //! sequential reference evaluator. A second suite pins the load-time
 //! statistics themselves: after any sequence of store/remove/re-store,
-//! each column's zone map reports min/max/null-count *exactly*.
+//! each column's zone map reports min/max/null-count *exactly*. F11
+//! counts what skipping saves on a point query over key-clustered chunks.
 
 use std::collections::HashMap;
 
@@ -13,6 +14,7 @@ use proptest::prelude::*;
 
 use bda::core::reference::evaluate;
 use bda::core::{col, lit, Expr, Plan, Provider};
+use bda::obs::TraceContext;
 use bda::relational::RelationalEngine;
 use bda::storage::stats::ZoneMap;
 use bda::storage::{Column, DataSet, DataType, Field, IndexKind, Row, Schema, Value};
@@ -125,7 +127,10 @@ fn value_eq(a: &Option<Value>, b: &Option<Value>) -> bool {
 /// matches an exact recomputation from the live table.
 fn assert_stats_exact(e: &RelationalEngine, name: &str) {
     let Some(ds) = e.table(name) else {
-        assert!(e.table_stats(name).is_none(), "stats outlived table `{name}`");
+        assert!(
+            e.table_stats(name).is_none(),
+            "stats outlived table `{name}`"
+        );
         return;
     };
     let stats = e.table_stats(name).expect("stored table has stats");
@@ -272,7 +277,9 @@ fn nan_empty_chunk_and_all_null_zone_maps_are_exact() {
     // against it prunes everything without changing the (empty) answer.
     let nulls = DataSet::from_rows(
         t_schema(),
-        &(0..5).map(|_| Row(vec![Value::Null; 3])).collect::<Vec<_>>(),
+        &(0..5)
+            .map(|_| Row(vec![Value::Null; 3]))
+            .collect::<Vec<_>>(),
     )
     .unwrap();
     e.store("nulls", nulls.clone()).unwrap();
@@ -286,6 +293,77 @@ fn nan_empty_chunk_and_all_null_zone_maps_are_exact() {
     assert_eq!(e.execute(&plan).unwrap().num_rows(), 0);
     e.set_stats_enabled(false);
     assert_eq!(e.execute(&plan).unwrap().num_rows(), 0);
+}
+
+/// The pruning decisions a traced execute recorded on its spans. Read
+/// from the spans rather than the process-global `bda_obs::prune`
+/// counters, which other tests in this binary bump concurrently.
+fn traced_prune_events(e: &RelationalEngine, plan: &Plan) -> (DataSet, Vec<String>) {
+    let ctx = TraceContext {
+        trace_id: 0xF11,
+        parent_span: 0,
+    };
+    let (out, spans) = e.execute_traced(plan, &ctx).unwrap();
+    let events = spans
+        .into_iter()
+        .flat_map(|s| s.events)
+        .map(|ev| ev.label)
+        .filter(|l| l.starts_with("pruning:"))
+        .collect();
+    (out, events)
+}
+
+/// F11: on a key-clustered table (256 chunks × 4096 rows, chunk `c`
+/// holding keys `c*4096 .. (c+1)*4096`), a point query's zone maps
+/// disprove every chunk but one, and with a hash index on the key the
+/// index serves the lookup instead. Every mode returns the one row.
+#[test]
+fn point_query_on_clustered_keys_touches_one_chunk() {
+    const CHUNKS: usize = 256;
+    const CHUNK_ROWS: usize = 4096;
+    let chunk = |c: usize| {
+        let base = (c * CHUNK_ROWS) as i64;
+        let keys: Vec<i64> = (0..CHUNK_ROWS as i64).map(|i| base + i).collect();
+        let vals: Vec<f64> = keys.iter().map(|k| (*k % 97) as f64 * 0.5).collect();
+        DataSet::from_columns(vec![("k", Column::from(keys)), ("v", Column::from(vals))]).unwrap()
+    };
+    let mut table = chunk(0);
+    for c in 1..CHUNKS {
+        table.push_chunk(chunk(c).chunks()[0].clone());
+    }
+    let rows = table.num_rows();
+    let e = RelationalEngine::new("rel");
+    e.store("t", table).unwrap();
+
+    let target = ((CHUNKS / 2) * CHUNK_ROWS + 17) as i64;
+    let plan = Plan::scan("t", e.schema_of("t").unwrap()).select(col("k").eq(lit(target)));
+
+    e.set_stats_enabled(false);
+    let (plain, events) = traced_prune_events(&e, &plan);
+    assert!(
+        events.is_empty(),
+        "stats off must scan everything: {events:?}"
+    );
+    assert_eq!(plain.num_rows(), 1);
+
+    e.set_stats_enabled(true);
+    let (zoned, events) = traced_prune_events(&e, &plan);
+    assert_eq!(
+        events,
+        [format!(
+            "pruning: zone-map t chunks {}/{CHUNKS}",
+            CHUNKS - 1
+        )]
+    );
+    assert!(zoned.same_bag(&plain).unwrap());
+
+    e.build_index("t", "k", IndexKind::Hash).unwrap();
+    let (indexed, events) = traced_prune_events(&e, &plan);
+    assert_eq!(
+        events,
+        [format!("pruning: index t.k (hash) candidates 1/{rows}")]
+    );
+    assert!(indexed.same_bag(&plain).unwrap());
 }
 
 #[test]
@@ -304,7 +382,11 @@ fn nan_comparisons_agree_between_pruned_and_plain_paths() {
     .unwrap();
     let lo = DataSet::from_rows(
         t_schema(),
-        &[Row(vec![Value::Int(2), Value::Float(-1.0), Value::from("b")])],
+        &[Row(vec![
+            Value::Int(2),
+            Value::Float(-1.0),
+            Value::from("b"),
+        ])],
     )
     .unwrap();
     ds.push_chunk(lo.chunks()[0].clone());
