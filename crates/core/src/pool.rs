@@ -9,8 +9,9 @@
 //! Worker count resolution, in priority order:
 //!
 //! 1. a thread-local override installed with [`with_workers`] (the
-//!    federation executor uses this so every provider call inside a
-//!    query sees the query's `ExecOptions::workers`),
+//!    federation executor always pins it — at one worker too — so every
+//!    provider call inside a query sees the query's
+//!    `ExecOptions::workers`, never the process default),
 //! 2. the `BDA_WORKERS` environment variable,
 //! 3. `1` (fully sequential; the pool runs closures inline).
 

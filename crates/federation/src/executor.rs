@@ -12,7 +12,6 @@
 
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use bda_core::codec::encode_plan;
@@ -23,7 +22,9 @@ use bda_obs::{flight, progress, SpanGuard, TraceContext, Tracer};
 use bda_storage::wire::encode_dataset;
 use bda_storage::{DataSet, Row, Value};
 
-use crate::metrics::{Metrics, NetConfig};
+use parking_lot::Mutex;
+
+use crate::metrics::Metrics;
 use crate::optimize::{optimize_with_stats, OptimizerConfig};
 use crate::planner::{Fragment, Placement, Planner, APP_SITE, FRAG_PREFIX};
 use crate::registry::Registry;
@@ -101,16 +102,14 @@ pub struct ExecOptions {
     pub transfer: TransferMode,
     /// Logical optimizer configuration.
     pub optimizer: OptimizerConfig,
-    /// Simulated network parameters.
-    pub net: NetConfig,
     /// Fault-tolerance policy.
     pub recovery: RecoveryPolicy,
-    /// Partition-parallel worker count. With `1` the executor runs its
-    /// fragments sequentially and plans carry no `Exchange`/`Merge`
-    /// markers; with `n > 1` independent fragments dispatch onto a pool
-    /// of `n` threads and capable providers run their hot operators over
-    /// `n` partitions. Defaults to the `BDA_WORKERS` environment
-    /// variable (falling back to 1).
+    /// Partition-parallel worker count. With `1` the executor runs every
+    /// fragment inline on the calling thread, in placement order, and
+    /// plans carry no `Exchange`/`Merge` markers; with `n > 1` independent
+    /// fragments dispatch onto a pool of `n` threads and capable providers
+    /// run their hot operators over `n` partitions. Defaults to the
+    /// `BDA_WORKERS` environment variable (falling back to 1).
     pub workers: usize,
     /// Consult the process-global [`bda_obs::profile::CostBook`] of
     /// measured costs during planning (site assignment and
@@ -135,7 +134,6 @@ impl Default for ExecOptions {
         ExecOptions {
             transfer: TransferMode::Direct,
             optimizer: OptimizerConfig::default(),
-            net: NetConfig::default(),
             recovery: RecoveryPolicy::default(),
             workers: pool::workers_from_env(),
             calibrate: calibrate_from_env(),
@@ -162,8 +160,7 @@ pub fn run_plan_traced(
     tracer: &Tracer,
     parent: Option<u64>,
 ) -> Result<(DataSet, Metrics)> {
-    let (optimized, fragments_pruned) =
-        optimize_with_stats(plan, opts.optimizer, &|name| registry.table_stats(name));
+    let (_, fragments_pruned, placement) = plan_and_place(registry, plan, opts)?;
     if fragments_pruned > 0 {
         // A dedicated span (rather than an event on `parent`, which is
         // `None` for top-level queries) so `EXPLAIN ANALYZE`'s pruning
@@ -172,6 +169,20 @@ pub fn run_plan_traced(
         s.event(|| format!("pruning: {fragments_pruned} fragment(s) eliminated by table stats"));
         s.finish();
     }
+    execute_placement_traced(registry, &placement, opts, tracer, parent)
+}
+
+/// The planning pipeline every entry point shares: statistics-aware
+/// optimization, then placement under the options' worker count,
+/// calibration and statistics switches. Returns the optimized plan, the
+/// number of fragments table statistics eliminated, and the placement.
+pub(crate) fn plan_and_place(
+    registry: &Registry,
+    plan: &Plan,
+    opts: &ExecOptions,
+) -> Result<(Plan, usize, Placement)> {
+    let (optimized, pruned) =
+        optimize_with_stats(plan, opts.optimizer, &|name| registry.table_stats(name));
     let costs = opts
         .calibrate
         .then(|| bda_obs::profile::global_costs().clone());
@@ -180,7 +191,7 @@ pub fn run_plan_traced(
         .with_costs(costs)
         .with_stats(opts.optimizer.use_stats)
         .place(&optimized)?;
-    execute_placement_traced(registry, &placement, opts, tracer, parent)
+    Ok((optimized, pruned, placement))
 }
 
 /// Execute an already-fragmented plan.
@@ -215,136 +226,25 @@ pub fn execute_placement_traced(
             "empty placement: no fragments to execute".into(),
         ));
     }
-    let mut metrics = Metrics::default();
-    // (site, name) cleanup list. Fragment outputs the app tier has custody
-    // of live in `cache`, keyed by fragment id; failover re-ships a failed
-    // fragment's inputs from there. Both are shared with the worker pool
-    // when fragments dispatch in parallel.
-    let staged: Mutex<Vec<(String, String)>> = Mutex::new(Vec::new());
-    let cache: Mutex<HashMap<usize, DataSet>> = Mutex::new(HashMap::new());
     let query_span = tracer.start(parent, || "query".into(), "app");
-    let query_id = query_span.id();
+    let exec = Exec {
+        registry,
+        placement,
+        opts,
+        tracer,
+        query_id: query_span.id(),
+        staged: Mutex::new(Vec::new()),
+        cache: Mutex::new(HashMap::new()),
+    };
     // Only the outermost placement on this thread registers on the
     // progress board; app-driven iteration re-enters the executor per
     // round and those inner queries ride the outer query's entry.
     let progress = enter_query(placement, tracer);
-
-    let outcome = if opts.workers <= 1 {
-        (|| -> Result<DataSet> {
-            let last = placement.fragments.len() - 1;
-            progress.set_fragments_total(placement.fragments.len());
-            for (pos, frag) in placement.fragments.iter().enumerate() {
-                metrics.fragments += 1;
-                let frag_started = Instant::now();
-                let mut fspan =
-                    tracer.start(query_id, || format!("fragment:{}", frag.id), &frag.site);
-                // The transfer log accumulates the attempt history of this
-                // fragment's output delivery (push and/or store attempts)
-                // into one `transfer:{id}` span. Root fragments stage
-                // nothing, so they get an inert log.
-                let mut tlog = if pos == last {
-                    TransferLog::inert()
-                } else {
-                    TransferLog::start(tracer, fspan.id(), frag)
-                };
-                if frag.site != APP_SITE
-                    && pos != last
-                    && opts.transfer == TransferMode::RemoteTcp
-                    && try_remote_push(
-                        registry,
-                        frag,
-                        opts,
-                        &mut metrics,
-                        &staged,
-                        tracer,
-                        &mut tlog,
-                    )?
-                {
-                    progress.fragment_done(
-                        frag.id,
-                        &frag.site,
-                        frag_started.elapsed().as_secs_f64(),
-                    );
-                    continue;
-                }
-
-                let out = if frag.site == APP_SITE {
-                    // App-driven control iteration (see planner docs).
-                    run_app_iterate(
-                        registry,
-                        &frag.plan,
-                        opts,
-                        &mut metrics,
-                        tracer,
-                        fspan.id(),
-                        &progress,
-                    )?
-                } else {
-                    execute_fragment(
-                        registry,
-                        placement,
-                        frag,
-                        opts,
-                        &mut metrics,
-                        &cache,
-                        &staged,
-                        tracer,
-                        fspan.id(),
-                    )?
-                };
-                fspan.set_rows(out.num_rows());
-                progress.fragment_done(frag.id, &frag.site, frag_started.elapsed().as_secs_f64());
-
-                if pos == last {
-                    // Root fragment: result returns to the application.
-                    let bytes = encode_dataset(&out).len();
-                    metrics.record_transfer(&opts.net, &frag.site, "app", bytes, false);
-                    let mut rspan = tracer.start(query_id, || "transfer:result".into(), &frag.site);
-                    rspan.set_bytes(bytes as u64);
-                    rspan.set_rows(out.num_rows());
-                    rspan.finish();
-                    return Ok(out);
-                }
-                if opts.recovery.enabled && opts.recovery.failover {
-                    cache.lock().unwrap().insert(frag.id, out.clone());
-                }
-                if let Err(e) = stage_output(
-                    registry,
-                    frag,
-                    out,
-                    opts,
-                    &mut metrics,
-                    &staged,
-                    tracer,
-                    &mut tlog,
-                ) {
-                    if !(opts.recovery.enabled && opts.recovery.failover) {
-                        return Err(e);
-                    }
-                    // The consuming site refused the staged input. Leave
-                    // delivery to the consumer's failover path, which re-ships
-                    // inputs from the app-tier cache onto whichever provider
-                    // ends up running the fragment.
-                }
-            }
-            unreachable!("placement always has a root fragment")
-        })()
-    } else {
-        run_fragments_parallel(
-            registry,
-            placement,
-            opts,
-            &mut metrics,
-            &cache,
-            &staged,
-            tracer,
-            query_id,
-            &progress,
-        )
-    };
+    let mut metrics = Metrics::default();
+    let outcome = exec.run_fragments(&mut metrics, &progress);
 
     // Clean up staged intermediates regardless of success.
-    for (site, name) in staged.into_inner().unwrap() {
+    for (site, name) in exec.staged.into_inner() {
         if let Ok(p) = registry.provider(&site) {
             p.remove(&name);
         }
@@ -352,274 +252,658 @@ pub fn execute_placement_traced(
     leave_query(progress, tracer, outcome).map(|ds| (ds, metrics))
 }
 
-/// Dispatch a placement's fragments onto a pool of `opts.workers` threads,
-/// honouring the dependency edges recorded in [`Fragment::inputs`]. Root
-/// and app-site fragments run inline on the coordinator thread — the root
-/// so its result transfer stays last, app-driven iteration because it
-/// re-enters the executor and must keep riding this thread's progress
-/// entry. Every fragment body (including inline ones) runs under
-/// [`pool::with_workers`], so capable providers execute their
-/// `Exchange`/`Merge`-marked operators partition-parallel too.
-///
-/// Per-fragment [`Metrics`] accumulate into thread-local instances and are
-/// absorbed in **placement order** once every fragment settles, so counters
-/// and the transfer log are identical run-to-run regardless of completion
-/// order. On failure, dispatch stops, in-flight fragments drain, and the
-/// error of the earliest-placed failed fragment surfaces — mirroring what
-/// the sequential loop would have reported.
-#[allow(clippy::too_many_arguments)]
-fn run_fragments_parallel(
-    registry: &Registry,
-    placement: &Placement,
-    opts: &ExecOptions,
-    metrics: &mut Metrics,
-    cache: &Mutex<HashMap<usize, DataSet>>,
-    staged: &Mutex<Vec<(String, String)>>,
-    tracer: &Tracer,
+/// One placement in flight: what every fragment shares — where and how to
+/// run, and the app tier's custody of intermediates. Shared by reference
+/// with the worker pool.
+struct Exec<'a> {
+    registry: &'a Registry,
+    placement: &'a Placement,
+    opts: &'a ExecOptions,
+    tracer: &'a Tracer,
+    /// The placement's `query` span.
     query_id: Option<u64>,
-    progress: &ProgressHandle,
-) -> Result<DataSet> {
-    let frags = &placement.fragments;
-    let n = frags.len();
-    let last = n - 1;
-    progress.set_fragments_total(n);
-    // Fragment ids are planner counters, not positions; map them back.
-    let pos_of: HashMap<usize, usize> = frags.iter().enumerate().map(|(p, f)| (f.id, p)).collect();
-    let deps: Vec<Vec<usize>> = frags
-        .iter()
-        .map(|f| {
-            f.inputs
-                .iter()
-                .filter_map(|id| pos_of.get(id).copied())
-                .collect()
-        })
-        .collect();
-
-    let mut done = vec![false; n];
-    let mut dispatched = vec![false; n];
-    let mut slots: Vec<Option<Metrics>> = (0..n).map(|_| None).collect();
-    let mut failures: Vec<(usize, CoreError)> = Vec::new();
-    let mut root_out: Option<DataSet> = None;
-    let mut in_flight = 0usize;
-
-    let threads = opts.workers.min(n.saturating_sub(1)).max(1);
-    let (job_tx, job_rx) = crossbeam::channel::unbounded::<usize>();
-    let job_rx = Mutex::new(job_rx);
-    type Completion = (usize, f64, Metrics, Result<Option<DataSet>>);
-    let (res_tx, res_rx) = crossbeam::channel::unbounded::<Completion>();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let job_rx = &job_rx;
-            let res_tx = res_tx.clone();
-            scope.spawn(move || loop {
-                // The mutex only serializes job pickup; execution runs
-                // unlocked and therefore concurrently across workers.
-                let job = job_rx.lock().unwrap().recv();
-                let Ok(pos) = job else { break };
-                let started = Instant::now();
-                let (m, result) = pool::with_workers(opts.workers, || {
-                    parallel_fragment_body(
-                        registry, placement, pos, opts, cache, staged, tracer, query_id, None,
-                    )
-                });
-                if res_tx
-                    .send((pos, started.elapsed().as_secs_f64(), m, result))
-                    .is_err()
-                {
-                    break;
-                }
-            });
-        }
-        drop(res_tx);
-
-        loop {
-            if failures.is_empty() {
-                // Launch everything ready, rescanning after each inline
-                // completion (an inline fragment may unblock others).
-                loop {
-                    let mut inline_ran = false;
-                    for pos in 0..n {
-                        if dispatched[pos] || !deps[pos].iter().all(|d| done[*d]) {
-                            continue;
-                        }
-                        dispatched[pos] = true;
-                        if pos == last || frags[pos].site == APP_SITE {
-                            let started = Instant::now();
-                            let (m, result) = pool::with_workers(opts.workers, || {
-                                parallel_fragment_body(
-                                    registry,
-                                    placement,
-                                    pos,
-                                    opts,
-                                    cache,
-                                    staged,
-                                    tracer,
-                                    query_id,
-                                    Some(progress),
-                                )
-                            });
-                            progress.fragment_done(
-                                frags[pos].id,
-                                &frags[pos].site,
-                                started.elapsed().as_secs_f64(),
-                            );
-                            slots[pos] = Some(m);
-                            match result {
-                                Ok(out) => {
-                                    done[pos] = true;
-                                    if pos == last {
-                                        root_out = out;
-                                    }
-                                }
-                                Err(e) => failures.push((pos, e)),
-                            }
-                            inline_ran = true;
-                        } else {
-                            in_flight += 1;
-                            let _ = job_tx.send(pos);
-                        }
-                    }
-                    if !inline_ran || !failures.is_empty() {
-                        break;
-                    }
-                }
-            }
-            if in_flight == 0 {
-                break;
-            }
-            let Ok((pos, secs, m, result)) = res_rx.recv() else {
-                break;
-            };
-            in_flight -= 1;
-            progress.fragment_done(frags[pos].id, &frags[pos].site, secs);
-            slots[pos] = Some(m);
-            match result {
-                Ok(_) => done[pos] = true,
-                Err(e) => failures.push((pos, e)),
-            }
-        }
-        drop(job_tx); // closes the job channel; workers exit their loops
-    });
-
-    for m in slots.into_iter().flatten() {
-        metrics.absorb(m);
-    }
-    if let Some((_, e)) = failures.into_iter().min_by_key(|(p, _)| *p) {
-        return Err(e);
-    }
-    root_out
-        .ok_or_else(|| CoreError::Plan("parallel scheduler finished without a root result".into()))
+    /// `(site, name)` of every staged intermediate, removed after the run.
+    staged: Mutex<Vec<(String, String)>>,
+    /// Fragment outputs the app tier has custody of, keyed by fragment id;
+    /// failover re-ships a failed fragment's inputs from here.
+    cache: Mutex<HashMap<usize, DataSet>>,
 }
 
-/// The per-fragment body of the parallel scheduler: the exact sequence the
-/// sequential loop runs for one fragment (fragment span, transfer log,
-/// RemoteTcp push short-circuit, execute/iterate, failover cache, output
-/// staging), against a thread-local [`Metrics`]. Returns `Some(result)`
-/// only for the root fragment. `progress` is `Some` only on the
-/// coordinator thread, where app-driven iteration reports its rounds.
-#[allow(clippy::too_many_arguments)]
-fn parallel_fragment_body(
-    registry: &Registry,
-    placement: &Placement,
-    pos: usize,
-    opts: &ExecOptions,
-    cache: &Mutex<HashMap<usize, DataSet>>,
-    staged: &Mutex<Vec<(String, String)>>,
-    tracer: &Tracer,
-    query_id: Option<u64>,
-    progress: Option<&ProgressHandle>,
-) -> (Metrics, Result<Option<DataSet>>) {
-    let frags = &placement.fragments;
-    let last = frags.len() - 1;
-    let frag = &frags[pos];
-    let mut metrics = Metrics::default();
-    metrics.fragments += 1;
-    let result = (|| -> Result<Option<DataSet>> {
-        let mut fspan = tracer.start(query_id, || format!("fragment:{}", frag.id), &frag.site);
-        let mut tlog = if pos == last {
+impl Exec<'_> {
+    /// Run the fragments in dependency order (the edges recorded in
+    /// [`Fragment::inputs`]) and return the root fragment's result.
+    ///
+    /// With `workers <= 1` no thread is spawned: every fragment runs inline
+    /// on the calling thread, in placement order. Otherwise fragments whose
+    /// inputs are done dispatch onto a pool of `workers` threads, except
+    /// the root and app-site fragments, which always run inline — the root
+    /// so its result transfer stays last, app-driven iteration because it
+    /// re-enters the executor and must keep riding this thread's progress
+    /// entry. Every fragment runs under [`pool::with_workers`], so capable
+    /// providers execute their `Exchange`/`Merge`-marked operators
+    /// partition-parallel with the query's worker count.
+    ///
+    /// Per-fragment [`Metrics`] are absorbed in **placement order** once
+    /// every fragment settles, so counters and the transfer log are
+    /// identical run-to-run regardless of completion order. On failure,
+    /// dispatch stops, in-flight fragments drain, and the error of the
+    /// earliest-placed failed fragment surfaces.
+    fn run_fragments(&self, metrics: &mut Metrics, progress: &ProgressHandle) -> Result<DataSet> {
+        let frags = &self.placement.fragments;
+        let n = frags.len();
+        let last = n - 1;
+        progress.set_fragments_total(n);
+        // Fragment ids are planner counters, not positions; map them back.
+        let pos_of = |id: &usize| frags.iter().position(|f| f.id == *id);
+        let deps: Vec<Vec<usize>> = frags
+            .iter()
+            .map(|f| f.inputs.iter().filter_map(pos_of).collect())
+            .collect();
+
+        let mut done = vec![false; n];
+        let mut dispatched = vec![false; n];
+        let mut slots: Vec<Option<Metrics>> = (0..n).map(|_| None).collect();
+        let mut failures: Vec<(usize, CoreError)> = Vec::new();
+        let mut root_out: Option<DataSet> = None;
+        let mut in_flight = 0usize;
+
+        let workers = self.opts.workers;
+        let threads = if workers <= 1 { 0 } else { workers.min(last) };
+        let inline = |pos: usize| threads == 0 || pos == last || frags[pos].site == APP_SITE;
+        let run = |pos: usize, progress: Option<&ProgressHandle>| {
+            let started = Instant::now();
+            let mut m = Metrics::default();
+            let result = pool::with_workers(workers, || self.run_fragment(pos, &mut m, progress));
+            (pos, started.elapsed().as_secs_f64(), m, result)
+        };
+        let (job_tx, job_rx) = crossbeam::channel::unbounded::<usize>();
+        let job_rx = Mutex::new(job_rx);
+        let (res_tx, res_rx) = crossbeam::channel::unbounded();
+
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                let (job_rx, res_tx, run) = (&job_rx, res_tx.clone(), &run);
+                scope.spawn(move || loop {
+                    // The mutex only serializes job pickup; execution runs
+                    // unlocked and therefore concurrently across workers.
+                    let job = job_rx.lock().recv();
+                    let Ok(pos) = job else { break };
+                    if res_tx.send(run(pos, None)).is_err() {
+                        break;
+                    }
+                });
+            }
+            drop(res_tx);
+
+            loop {
+                // Queue every ready pool fragment up to the first ready
+                // inline one; once a fragment has failed, only drain.
+                let mut next_inline = None;
+                for pos in 0..n {
+                    if !failures.is_empty() {
+                        break;
+                    }
+                    if dispatched[pos] || !deps[pos].iter().all(|d| done[*d]) {
+                        continue;
+                    }
+                    dispatched[pos] = true;
+                    if inline(pos) {
+                        next_inline = Some(pos);
+                        break;
+                    }
+                    in_flight += 1;
+                    let _ = job_tx.send(pos);
+                }
+                let (pos, secs, m, result) = match next_inline {
+                    Some(pos) => run(pos, Some(progress)),
+                    None if in_flight > 0 => {
+                        let Ok(completion) = res_rx.recv() else { break };
+                        in_flight -= 1;
+                        completion
+                    }
+                    None => break,
+                };
+                progress.fragment_done(frags[pos].id, &frags[pos].site, secs);
+                slots[pos] = Some(m);
+                match result {
+                    Ok(out) => {
+                        done[pos] = true;
+                        if out.is_some() {
+                            root_out = out;
+                        }
+                    }
+                    Err(e) => failures.push((pos, e)),
+                }
+            }
+            drop(job_tx); // closes the job channel; workers exit their loops
+        });
+
+        for m in slots.into_iter().flatten() {
+            metrics.absorb(m);
+        }
+        if let Some((_, e)) = failures.into_iter().min_by_key(|(p, _)| *p) {
+            return Err(e);
+        }
+        root_out.ok_or_else(|| CoreError::Plan("scheduler finished without a root result".into()))
+    }
+
+    /// One fragment, start to finish: fragment span, transfer log,
+    /// RemoteTcp push short-circuit, execute (or app-driven iterate),
+    /// failover cache and output staging, charged to the fragment-local
+    /// `metrics`. Returns `Some(result)` only for the root fragment.
+    /// `progress` is `Some` only on the coordinator thread, where
+    /// app-driven iteration reports its rounds.
+    fn run_fragment(
+        &self,
+        pos: usize,
+        metrics: &mut Metrics,
+        progress: Option<&ProgressHandle>,
+    ) -> Result<Option<DataSet>> {
+        let (opts, tracer) = (self.opts, self.tracer);
+        let is_root = pos == self.placement.fragments.len() - 1;
+        let frag = &self.placement.fragments[pos];
+        metrics.fragments += 1;
+        let mut fspan = tracer.start(
+            self.query_id,
+            || format!("fragment:{}", frag.id),
+            &frag.site,
+        );
+        // The transfer log accumulates the attempt history of this
+        // fragment's output delivery (push and/or store attempts) into one
+        // `transfer:{id}` span. The root stages nothing: its log is inert.
+        let mut tlog = if is_root {
             TransferLog::inert()
         } else {
             TransferLog::start(tracer, fspan.id(), frag)
         };
         if frag.site != APP_SITE
-            && pos != last
+            && !is_root
             && opts.transfer == TransferMode::RemoteTcp
-            && try_remote_push(
-                registry,
-                frag,
-                opts,
-                &mut metrics,
-                staged,
-                tracer,
-                &mut tlog,
-            )?
+            && self.try_remote_push(frag, metrics, &mut tlog)?
         {
             return Ok(None);
         }
         let out = if frag.site == APP_SITE {
-            let inert;
-            let handle = match progress {
-                Some(p) => p,
-                None => {
-                    inert = progress::ProgressTracker::noop();
-                    &inert
-                }
-            };
-            run_app_iterate(
-                registry,
-                &frag.plan,
-                opts,
-                &mut metrics,
-                tracer,
-                fspan.id(),
-                handle,
-            )?
+            // App-driven control iteration (see planner docs).
+            let noop = progress::ProgressTracker::noop();
+            let progress = progress.unwrap_or(&noop);
+            self.run_app_iterate(&frag.plan, metrics, fspan.id(), progress)?
         } else {
-            execute_fragment(
-                registry,
-                placement,
-                frag,
-                opts,
-                &mut metrics,
-                cache,
-                staged,
-                tracer,
-                fspan.id(),
-            )?
+            self.execute_fragment(frag, metrics, fspan.id())?
         };
         fspan.set_rows(out.num_rows());
-        if pos == last {
+        if is_root {
+            // Root fragment: the result returns to the application.
             let bytes = encode_dataset(&out).len();
-            metrics.record_transfer(&opts.net, &frag.site, "app", bytes, false);
-            let mut rspan = tracer.start(query_id, || "transfer:result".into(), &frag.site);
+            metrics.record_transfer(&frag.site, "app", bytes, false);
+            let mut rspan = tracer.start(self.query_id, || "transfer:result".into(), &frag.site);
             rspan.set_bytes(bytes as u64);
             rspan.set_rows(out.num_rows());
             rspan.finish();
             return Ok(Some(out));
         }
-        if opts.recovery.enabled && opts.recovery.failover {
-            cache.lock().unwrap().insert(frag.id, out.clone());
+        let failover = opts.recovery.enabled && opts.recovery.failover;
+        if failover {
+            self.cache.lock().insert(frag.id, out.clone());
         }
-        if let Err(e) = stage_output(
-            registry,
-            frag,
-            out,
-            opts,
-            &mut metrics,
-            staged,
-            tracer,
-            &mut tlog,
-        ) {
-            if !(opts.recovery.enabled && opts.recovery.failover) {
-                return Err(e);
+        match self.stage_output(frag, out, metrics, &mut tlog) {
+            // The consuming site refused the staged input. Leave delivery
+            // to the consumer's failover path, which re-ships inputs from
+            // the app-tier cache onto whichever provider ends up running
+            // the fragment.
+            Err(_) if failover => Ok(None),
+            staged => staged.map(|()| None),
+        }
+    }
+
+    /// Client/app-driven iteration: the fallback when no provider can host an
+    /// `Iterate` node. Each iteration re-enters the federation with the loop
+    /// state inlined as a `Values` literal — so the state crosses the wire
+    /// (inside the shipped plan) every round, which is precisely the cost the
+    /// paper's "control iteration" extension avoids.
+    fn run_app_iterate(
+        &self,
+        plan: &Plan,
+        metrics: &mut Metrics,
+        span: Option<u64>,
+        progress: &ProgressHandle,
+    ) -> Result<DataSet> {
+        let (registry, opts, tracer) = (self.registry, self.opts, self.tracer);
+        let Plan::Iterate {
+            init,
+            body,
+            max_iters,
+            epsilon,
+        } = plan
+        else {
+            return Err(CoreError::Plan(format!(
+                "app-site fragment must be an iterate, got {}",
+                plan.op_kind().name()
+            )));
+        };
+        let (mut cur, m) = run_plan_traced(registry, init, opts, tracer, span)?;
+        metrics.absorb(m);
+        for round in 0..*max_iters {
+            tracer.event(span, || format!("iteration:{}", round + 1));
+            // One span per iteration: the round's fragments nest under it and
+            // its events carry the convergence numbers the `/progress`
+            // endpoint and `EXPLAIN ANALYZE`'s convergence table render.
+            let mut ispan = tracer.start(span, || format!("iteration:{}", round + 1), APP_SITE);
+            let state_rows: Vec<Row> = cur.rows()?;
+            let body_inlined = substitute_state(body, &cur, &state_rows);
+            let (next, m) = run_plan_traced(registry, &body_inlined, opts, tracer, ispan.id())?;
+            metrics.absorb(m);
+            metrics.client_driven_iterations += 1;
+            let rep = report(&cur, &next, *epsilon)?;
+            ispan.set_rows(next.num_rows());
+            ispan.event(|| match rep.delta {
+                Some(d) => format!("delta:{d:.9}"),
+                None => "delta:undefined".into(),
+            });
+            ispan.event(|| format!("rows_changed:{}", rep.rows_changed));
+            ispan.finish();
+            progress.iteration(round + 1, *max_iters, rep.delta, Some(rep.rows_changed));
+            flight::global().record(APP_SITE, || {
+                format!(
+                    "iteration:{} delta:{:?} rows_changed:{}",
+                    round + 1,
+                    rep.delta,
+                    rep.rows_changed
+                )
+            });
+            cur = next;
+            if rep.converged {
+                break;
             }
-            // Leave delivery to the consumer's failover path (see the
-            // sequential loop).
         }
-        Ok(None)
-    })();
-    (metrics, result)
+        Ok(cur)
+    }
+
+    /// Attempt the real server→server push of a non-root fragment's output
+    /// (RemoteTcp mode). Returns `Ok(true)` when the output was delivered,
+    /// `Ok(false)` to fall back to the store-based path — either because
+    /// the providers have no transport, or because the push failed and the
+    /// executor degrades the transfer (counted in `degraded_transfers`).
+    fn try_remote_push(
+        &self,
+        frag: &Fragment,
+        metrics: &mut Metrics,
+        tlog: &mut TransferLog,
+    ) -> Result<bool> {
+        let tracer = self.tracer;
+        let provider = self.registry.provider(&frag.site)?;
+        let dest = self.registry.provider(&frag.dest_site)?;
+        let Some(dest_ep) = dest.endpoint() else {
+            return Ok(false);
+        };
+        let name = format!("{FRAG_PREFIX}{}", frag.id);
+        let plan_bytes = encode_plan(&frag.plan).len();
+        let span = tlog.span_id();
+        let pushed = self.with_retry(
+            &frag.site,
+            Call::Push(frag.id),
+            metrics,
+            &mut |label| tlog.event(label),
+            |metrics| {
+                let before = wire_total(provider.as_ref());
+                let pushed = if tracer.is_enabled() {
+                    let ctx = TraceContext {
+                        trace_id: tracer.trace_id(),
+                        parent_span: span.unwrap_or(0),
+                    };
+                    let anchor = tracer.now_ns();
+                    provider
+                        .execute_push_traced(&frag.plan, &dest_ep, &name, &ctx)
+                        .map(|r| {
+                            r.map(|(bytes, spans)| {
+                                tracer.absorb_remote(spans, span, anchor);
+                                bytes
+                            })
+                        })
+                } else {
+                    provider.execute_push(&frag.plan, &dest_ep, &name)
+                }?;
+                // Only a provider with a transport has shipped the plan.
+                metrics.record_plan_shipment(plan_bytes);
+                metrics.real_wire_bytes += wire_total(provider.as_ref()) - before;
+                Some(pushed)
+            },
+        );
+        match pushed {
+            None => Ok(false),
+            Some(Ok(pushed)) => {
+                // The server-to-server payload is real wire traffic too.
+                metrics.real_wire_bytes += pushed;
+                metrics.record_transfer(&frag.site, &frag.dest_site, pushed as usize, false);
+                self.stage(&frag.dest_site, name);
+                tlog.delivered("push", pushed as usize);
+                Ok(true)
+            }
+            Some(Err(e)) if !self.opts.recovery.enabled => Err(e),
+            Some(Err(_)) => {
+                // Push is unrecoverable here: degrade to the store-based
+                // Direct path (the executor re-runs the fragment below).
+                metrics.degraded_transfers += 1;
+                tlog.event(|| "degrade:direct".into());
+                Ok(false)
+            }
+        }
+    }
+
+    /// Run one non-app fragment with retry and, when that fails for good,
+    /// failover onto another capable provider.
+    fn execute_fragment(
+        &self,
+        frag: &Fragment,
+        metrics: &mut Metrics,
+        span: Option<u64>,
+    ) -> Result<DataSet> {
+        let primary = match self.execute_at(&frag.site, &frag.plan, metrics, span) {
+            Ok(out) => return Ok(out),
+            Err(e) => e,
+        };
+        if !(self.opts.recovery.enabled && self.opts.recovery.failover) {
+            return Err(primary);
+        }
+        self.tracer
+            .event(span, || format!("failed:{}:{primary}", frag.site));
+        flight::global().record(&frag.site, || {
+            format!(
+                "fragment:{}@{} failed permanently: {primary}",
+                frag.id, frag.site
+            )
+        });
+        for candidate in failover_candidates(self.registry, frag) {
+            if self.reship_inputs(frag, &candidate, metrics, span).is_err() {
+                continue;
+            }
+            if let Ok(out) = self.execute_at(&candidate, &frag.plan, metrics, span) {
+                metrics.failovers += 1;
+                self.tracer.event(span, || format!("failover:{candidate}"));
+                flight::global().record(&candidate, || {
+                    format!("failover: fragment:{} {}→{candidate}", frag.id, frag.site)
+                });
+                return Ok(out);
+            }
+        }
+        // No candidate could take over: surface the original failure.
+        Err(primary)
+    }
+
+    /// Ship `plan` to the provider at `site` and execute it under the
+    /// retry ladder ([`Exec::with_retry`]).
+    fn execute_at(
+        &self,
+        site: &str,
+        plan: &Plan,
+        metrics: &mut Metrics,
+        span: Option<u64>,
+    ) -> Result<DataSet> {
+        let tracer = self.tracer;
+        let provider = self.registry.provider(site)?;
+        let plan_bytes = encode_plan(plan).len();
+        self.with_retry(
+            site,
+            Call::Execute,
+            metrics,
+            &mut |label| tracer.event(span, label),
+            |metrics| {
+                // The plan ships to the provider as one expression tree,
+                // once per attempt — retries are not free.
+                metrics.record_plan_shipment(plan_bytes);
+                let before = wire_total(provider.as_ref());
+                // When tracing, the provider call carries the trace context
+                // and returns its internal spans (per-operator timings,
+                // server-side handling), which land under this fragment's
+                // span anchored at the moment the call was issued.
+                let result = if tracer.is_enabled() {
+                    let ctx = TraceContext {
+                        trace_id: tracer.trace_id(),
+                        parent_span: span.unwrap_or(0),
+                    };
+                    let anchor = tracer.now_ns();
+                    provider.execute_traced(plan, &ctx).map(|(ds, spans)| {
+                        tracer.absorb_remote(spans, span, anchor);
+                        ds
+                    })
+                } else {
+                    provider.execute(plan)
+                };
+                metrics.real_wire_bytes += wire_total(provider.as_ref()) - before;
+                Some(result)
+            },
+        )
+        .expect("execute always answers")
+    }
+
+    /// Re-ship a failed-over fragment's staged inputs to its new site.
+    /// Inputs the app tier never saw (RemoteTcp pushes) are recovered by
+    /// re-running their producer fragments.
+    fn reship_inputs(
+        &self,
+        frag: &Fragment,
+        new_site: &str,
+        metrics: &mut Metrics,
+        span: Option<u64>,
+    ) -> Result<()> {
+        let dest = self.registry.provider(new_site)?;
+        for &input in &frag.inputs {
+            // Never hold the cache lock across a provider call: on a miss
+            // the producer re-runs (possibly slowly) and other fragments
+            // must keep making progress.
+            let cached = self.cache.lock().get(&input).cloned();
+            let data = match cached {
+                Some(d) => d,
+                None => {
+                    let producer = self
+                        .placement
+                        .fragments
+                        .iter()
+                        .find(|f| f.id == input)
+                        .ok_or_else(|| {
+                            CoreError::Plan(format!("unknown fragment input {input}"))
+                        })?;
+                    let out = self.execute_at(&producer.site, &producer.plan, metrics, span)?;
+                    self.cache.lock().insert(input, out.clone());
+                    out
+                }
+            };
+            let name = format!("{FRAG_PREFIX}{input}");
+            let bytes = encode_dataset(&data).len();
+            // The recovery hop goes through the app tier by construction.
+            metrics.record_transfer("app", new_site, bytes, true);
+            let mut rspan = self.tracer.start(span, || format!("reship:{input}"), "app");
+            rspan.set_bytes(bytes as u64);
+            let before = wire_total(dest.as_ref());
+            dest.store(&name, data)?;
+            metrics.real_wire_bytes += wire_total(dest.as_ref()) - before;
+            rspan.finish();
+            self.stage(new_site, name);
+        }
+        Ok(())
+    }
+
+    /// Stage a fragment's output at the consuming site, retrying transient
+    /// store failures; a Direct transfer that keeps failing degrades to the
+    /// app-routed path (counted in `degraded_transfers`) before giving up.
+    fn stage_output(
+        &self,
+        frag: &Fragment,
+        out: DataSet,
+        metrics: &mut Metrics,
+        tlog: &mut TransferLog,
+    ) -> Result<()> {
+        let name = format!("{FRAG_PREFIX}{}", frag.id);
+        let bytes = encode_dataset(&out).len();
+        let span = tlog.span_id();
+        let store =
+            |metrics: &mut Metrics| self.store_at(&frag.dest_site, &name, &out, metrics, span);
+        let rung = |via_app| if via_app { "app-routed" } else { "direct" };
+        let via_app = self.opts.transfer == TransferMode::AppRouted;
+        tlog.event(|| format!("attempt:{}", rung(via_app)));
+        let via_app = match store(metrics) {
+            Ok(()) => via_app,
+            Err(e) if !via_app && self.opts.recovery.enabled => {
+                // Degrade Direct → AppRouted: the app tier takes custody of
+                // the intermediate and re-delivers it on the two-hop path.
+                metrics.degraded_transfers += 1;
+                tlog.event(|| format!("error:{e}"));
+                tlog.event(|| "degrade:app-routed".into());
+                tlog.event(|| "attempt:app-routed".into());
+                store(metrics).map_err(|_| e)?;
+                true
+            }
+            Err(e) => return Err(e),
+        };
+        metrics.record_transfer(&frag.site, &frag.dest_site, bytes, via_app);
+        self.stage(&frag.dest_site, name);
+        tlog.delivered(rung(via_app), bytes);
+        Ok(())
+    }
+
+    /// `Provider::store` at `site` under the retry ladder
+    /// ([`Exec::with_retry`]).
+    fn store_at(
+        &self,
+        site: &str,
+        name: &str,
+        data: &DataSet,
+        metrics: &mut Metrics,
+        span: Option<u64>,
+    ) -> Result<()> {
+        let provider = self.registry.provider(site)?;
+        self.with_retry(
+            site,
+            Call::Store(name),
+            metrics,
+            &mut |label| self.tracer.event(span, label),
+            |metrics| {
+                let before = wire_total(provider.as_ref());
+                let result = provider.store(name, data.clone());
+                metrics.real_wire_bytes += wire_total(provider.as_ref()) - before;
+                Some(result)
+            },
+        )
+        .expect("store always answers")
+    }
+
+    /// Record a dataset staged at `site` for removal after the run.
+    fn stage(&self, site: &str, name: String) {
+        self.staged.lock().push((site.to_string(), name));
+    }
+
+    /// The retry rung of the recovery ladder, stated once for every
+    /// provider call the executor makes: `attempt` runs up to
+    /// [`RecoveryPolicy::attempts`] times, sleeping a doubling backoff
+    /// before each retry (counted in `metrics.retries`), for as long as it
+    /// fails transiently. Every failure is flight-recorded and reported to
+    /// `site`'s circuit breaker — a trip is counted, traced and
+    /// flight-recorded too — and a success closes the breaker. Trace events
+    /// go to `trace`.
+    ///
+    /// `attempt` answers `None` when the provider cannot take the call at
+    /// all (a push from a provider without a transport); the ladder then
+    /// stops without touching the breaker.
+    fn with_retry<T>(
+        &self,
+        site: &str,
+        call: Call<'_>,
+        metrics: &mut Metrics,
+        trace: &mut dyn FnMut(&dyn Fn() -> String),
+        mut attempt: impl FnMut(&mut Metrics) -> Option<Result<T>>,
+    ) -> Option<Result<T>> {
+        let health = self.registry.health();
+        let attempts = self.opts.recovery.attempts();
+        let mut backoff = self.opts.recovery.backoff;
+        for n in 1..=attempts {
+            if n > 1 {
+                metrics.retries += 1;
+                match call {
+                    Call::Execute => trace(&|| format!("retry:execute@{site} attempt {n}")),
+                    Call::Store(_) => trace(&|| format!("retry:store@{site} attempt {n}")),
+                    Call::Push(_) => {}
+                }
+                sleep_backoff(&mut backoff);
+            }
+            if let Call::Push(_) = call {
+                trace(&|| "attempt:push".into());
+            }
+            let e = match attempt(metrics)? {
+                Ok(out) => {
+                    health.record_success(site);
+                    return Some(Ok(out));
+                }
+                Err(e) => e,
+            };
+            if let Call::Push(_) = call {
+                trace(&|| format!("error:{e}"));
+            }
+            flight::global().record(site, || match call {
+                Call::Execute => format!("execute@{site} attempt {n} failed: {e}"),
+                Call::Store(name) => format!("store {name}@{site} attempt {n} failed: {e}"),
+                Call::Push(id) => format!("push fragment:{id}@{site} failed: {e}"),
+            });
+            if health.record_failure(site) {
+                metrics.breaker_trips += 1;
+                trace(&|| format!("breaker:trip:{site}"));
+                flight::global().record(site, || format!("breaker trip: {site}"));
+            }
+            if !e.is_transient() || n == attempts {
+                return Some(Err(e));
+            }
+        }
+        unreachable!("the last attempt always returns")
+    }
+}
+
+/// A provider call the retry ladder repeats; it names the call's trace
+/// events and flight-recorder lines.
+#[derive(Clone, Copy)]
+enum Call<'a> {
+    /// `Provider::execute`: retries are traced on the fragment span.
+    Execute,
+    /// `Provider::store` of the named dataset: retries are traced on the
+    /// transfer span.
+    Store(&'a str),
+    /// `Provider::execute_push` of a fragment's output: every attempt and
+    /// error lands in the fragment's transfer log.
+    Push(usize),
+}
+
+/// Providers able to take over `frag` after its pinned site failed for
+/// good: breaker-available, capability-covering, and already holding every
+/// base dataset the fragment scans (staged inputs are re-shipped, base
+/// data is not).
+fn failover_candidates(registry: &Registry, frag: &Fragment) -> Vec<String> {
+    let base_scans: Vec<String> = frag
+        .plan
+        .scanned_datasets()
+        .into_iter()
+        .filter(|d| !d.starts_with(FRAG_PREFIX))
+        .collect();
+    registry
+        .providers()
+        .iter()
+        .filter(|p| p.name() != frag.site)
+        .filter(|p| registry.health().is_available(p.name()))
+        .filter(|p| p.capabilities().supports_plan(&frag.plan))
+        .filter(|p| base_scans.iter().all(|d| p.schema_of(d).is_some()))
+        .map(|p| p.name().to_string())
+        .collect()
+}
+
+/// Sleep the current backoff, then double it for the next retry.
+fn sleep_backoff(backoff: &mut Duration) {
+    if !backoff.is_zero() {
+        std::thread::sleep(*backoff);
+        *backoff = backoff.saturating_mul(2);
+    }
+}
+
+/// Total real transport traffic of a provider (sent + received).
+fn wire_total(p: &dyn bda_core::Provider) -> u64 {
+    let (sent, received) = p.wire_bytes();
+    sent + received
 }
 
 thread_local! {
@@ -758,506 +1042,6 @@ impl TransferLog {
     }
 }
 
-/// Attempt the real server→server push of a non-root fragment's output
-/// (RemoteTcp mode). Returns `Ok(true)` when the output was delivered,
-/// `Ok(false)` to fall back to the store-based path — either because the
-/// providers have no transport, or because the push failed and the
-/// executor degrades the transfer (counted in `degraded_transfers`).
-#[allow(clippy::too_many_arguments)]
-fn try_remote_push(
-    registry: &Registry,
-    frag: &Fragment,
-    opts: &ExecOptions,
-    metrics: &mut Metrics,
-    staged: &Mutex<Vec<(String, String)>>,
-    tracer: &Tracer,
-    tlog: &mut TransferLog,
-) -> Result<bool> {
-    let provider = registry.provider(&frag.site)?;
-    let dest = registry.provider(&frag.dest_site)?;
-    let Some(dest_ep) = dest.endpoint() else {
-        return Ok(false);
-    };
-    let name = format!("{FRAG_PREFIX}{}", frag.id);
-    let plan_bytes = encode_plan(&frag.plan);
-    let attempts = opts.recovery.attempts();
-    let mut backoff = opts.recovery.backoff;
-    for attempt in 0..attempts {
-        if attempt > 0 {
-            metrics.retries += 1;
-            sleep_backoff(&mut backoff);
-        }
-        tlog.event(|| "attempt:push".into());
-        metrics.record_plan_shipment(&opts.net, plan_bytes.len());
-        let before = wire_total(provider.as_ref());
-        let pushed = if tracer.is_enabled() {
-            let ctx = TraceContext {
-                trace_id: tracer.trace_id(),
-                parent_span: tlog.span_id().unwrap_or(0),
-            };
-            let anchor = tracer.now_ns();
-            provider
-                .execute_push_traced(&frag.plan, &dest_ep, &name, &ctx)
-                .map(|r| {
-                    r.map(|(bytes, spans)| {
-                        tracer.absorb_remote(spans, tlog.span_id(), anchor);
-                        bytes
-                    })
-                })
-        } else {
-            provider.execute_push(&frag.plan, &dest_ep, &name)
-        };
-        match pushed {
-            None => {
-                // Provider has no transport: un-count the shipment we
-                // charged optimistically and fall back to store-based.
-                metrics.messages -= 1;
-                metrics.plan_bytes -= plan_bytes.len();
-                metrics.sim_network_s -= opts.net.message_time(plan_bytes.len());
-                return Ok(false);
-            }
-            Some(Ok(pushed)) => {
-                // Client-side traffic (request + ack) plus the
-                // server-to-server payload are all real bytes.
-                metrics.real_wire_bytes += pushed + (wire_total(provider.as_ref()) - before);
-                metrics.record_transfer(
-                    &opts.net,
-                    &frag.site,
-                    &frag.dest_site,
-                    pushed as usize,
-                    false,
-                );
-                registry.health().record_success(&frag.site);
-                staged.lock().unwrap().push((frag.dest_site.clone(), name));
-                tlog.delivered("push", pushed as usize);
-                return Ok(true);
-            }
-            Some(Err(e)) => {
-                metrics.real_wire_bytes += wire_total(provider.as_ref()) - before;
-                tlog.event(|| format!("error:{e}"));
-                flight::global().record(&frag.site, || {
-                    format!("push fragment:{}@{} failed: {e}", frag.id, frag.site)
-                });
-                if registry.health().record_failure(&frag.site) {
-                    metrics.breaker_trips += 1;
-                    tlog.event(|| format!("breaker:trip:{}", frag.site));
-                    flight::global().record(&frag.site, || format!("breaker trip: {}", frag.site));
-                }
-                if opts.recovery.enabled && e.is_transient() && attempt + 1 < attempts {
-                    continue;
-                }
-                if !opts.recovery.enabled {
-                    return Err(e);
-                }
-                // Push is unrecoverable here: degrade to the store-based
-                // Direct path (the executor re-runs the fragment below).
-                metrics.degraded_transfers += 1;
-                tlog.event(|| "degrade:direct".into());
-                return Ok(false);
-            }
-        }
-    }
-    unreachable!("push loop returns from its last attempt")
-}
-
-/// Run one non-app fragment with retry and, when that fails for good,
-/// failover onto another capable provider.
-#[allow(clippy::too_many_arguments)]
-fn execute_fragment(
-    registry: &Registry,
-    placement: &Placement,
-    frag: &Fragment,
-    opts: &ExecOptions,
-    metrics: &mut Metrics,
-    cache: &Mutex<HashMap<usize, DataSet>>,
-    staged: &Mutex<Vec<(String, String)>>,
-    tracer: &Tracer,
-    span: Option<u64>,
-) -> Result<DataSet> {
-    let primary = match execute_at(
-        registry, &frag.site, &frag.plan, opts, metrics, tracer, span,
-    ) {
-        Ok(out) => return Ok(out),
-        Err(e) => e,
-    };
-    if !(opts.recovery.enabled && opts.recovery.failover) {
-        return Err(primary);
-    }
-    tracer.event(span, || format!("failed:{}:{primary}", frag.site));
-    flight::global().record(&frag.site, || {
-        format!(
-            "fragment:{}@{} failed permanently: {primary}",
-            frag.id, frag.site
-        )
-    });
-    for candidate in failover_candidates(registry, frag) {
-        if reship_inputs(
-            registry, placement, frag, &candidate, opts, metrics, cache, staged, tracer, span,
-        )
-        .is_err()
-        {
-            continue;
-        }
-        if let Ok(out) = execute_at(
-            registry, &candidate, &frag.plan, opts, metrics, tracer, span,
-        ) {
-            metrics.failovers += 1;
-            tracer.event(span, || format!("failover:{candidate}"));
-            flight::global().record(&candidate, || {
-                format!("failover: fragment:{} {}→{candidate}", frag.id, frag.site)
-            });
-            return Ok(out);
-        }
-    }
-    // No candidate could take over: surface the original failure.
-    Err(primary)
-}
-
-/// Ship `plan` to the provider at `site` and execute it, retrying
-/// transient failures per the recovery policy. Reports outcomes to the
-/// registry's health board.
-#[allow(clippy::too_many_arguments)]
-fn execute_at(
-    registry: &Registry,
-    site: &str,
-    plan: &Plan,
-    opts: &ExecOptions,
-    metrics: &mut Metrics,
-    tracer: &Tracer,
-    span: Option<u64>,
-) -> Result<DataSet> {
-    let provider = registry.provider(site)?;
-    let plan_bytes = encode_plan(plan);
-    let attempts = opts.recovery.attempts();
-    let mut backoff = opts.recovery.backoff;
-    let mut last_err = None;
-    for attempt in 0..attempts {
-        if attempt > 0 {
-            metrics.retries += 1;
-            tracer.event(span, || {
-                format!("retry:execute@{site} attempt {}", attempt + 1)
-            });
-            sleep_backoff(&mut backoff);
-        }
-        // The plan ships to the provider as one expression tree, once per
-        // attempt — retries are not free.
-        metrics.record_plan_shipment(&opts.net, plan_bytes.len());
-        let before = wire_total(provider.as_ref());
-        // When tracing, the provider call carries the trace context and
-        // returns its internal spans (per-operator timings, server-side
-        // handling), which land under this fragment's span anchored at
-        // the moment the call was issued.
-        let result = if tracer.is_enabled() {
-            let ctx = TraceContext {
-                trace_id: tracer.trace_id(),
-                parent_span: span.unwrap_or(0),
-            };
-            let anchor = tracer.now_ns();
-            provider.execute_traced(plan, &ctx).map(|(ds, spans)| {
-                tracer.absorb_remote(spans, span, anchor);
-                ds
-            })
-        } else {
-            provider.execute(plan)
-        };
-        metrics.real_wire_bytes += wire_total(provider.as_ref()) - before;
-        match result {
-            Ok(out) => {
-                registry.health().record_success(site);
-                return Ok(out);
-            }
-            Err(e) => {
-                flight::global().record(site, || {
-                    format!("execute@{site} attempt {} failed: {e}", attempt + 1)
-                });
-                if registry.health().record_failure(site) {
-                    metrics.breaker_trips += 1;
-                    tracer.event(span, || format!("breaker:trip:{site}"));
-                    flight::global().record(site, || format!("breaker trip: {site}"));
-                }
-                let transient = e.is_transient();
-                last_err = Some(e);
-                if !transient {
-                    break;
-                }
-            }
-        }
-    }
-    Err(last_err.expect("at least one attempt ran"))
-}
-
-/// Providers able to take over `frag` after its pinned site failed for
-/// good: breaker-available, capability-covering, and already holding every
-/// base dataset the fragment scans (staged inputs are re-shipped, base
-/// data is not).
-fn failover_candidates(registry: &Registry, frag: &Fragment) -> Vec<String> {
-    let base_scans: Vec<String> = frag
-        .plan
-        .scanned_datasets()
-        .into_iter()
-        .filter(|d| !d.starts_with(FRAG_PREFIX))
-        .collect();
-    registry
-        .providers()
-        .iter()
-        .filter(|p| p.name() != frag.site)
-        .filter(|p| registry.health().is_available(p.name()))
-        .filter(|p| p.capabilities().supports_plan(&frag.plan))
-        .filter(|p| base_scans.iter().all(|d| p.schema_of(d).is_some()))
-        .map(|p| p.name().to_string())
-        .collect()
-}
-
-/// Re-ship a failed-over fragment's staged inputs to its new site. Inputs
-/// the app tier never saw (RemoteTcp pushes) are recovered by re-running
-/// their producer fragments.
-#[allow(clippy::too_many_arguments)]
-fn reship_inputs(
-    registry: &Registry,
-    placement: &Placement,
-    frag: &Fragment,
-    new_site: &str,
-    opts: &ExecOptions,
-    metrics: &mut Metrics,
-    cache: &Mutex<HashMap<usize, DataSet>>,
-    staged: &Mutex<Vec<(String, String)>>,
-    tracer: &Tracer,
-    span: Option<u64>,
-) -> Result<()> {
-    let dest = registry.provider(new_site)?;
-    for &input in &frag.inputs {
-        // Never hold the cache lock across a provider call: on a miss the
-        // producer re-runs (possibly slowly) and other fragments must keep
-        // making progress.
-        let cached = cache.lock().unwrap().get(&input).cloned();
-        let data = match cached {
-            Some(d) => d,
-            None => {
-                let producer = placement
-                    .fragments
-                    .iter()
-                    .find(|f| f.id == input)
-                    .ok_or_else(|| CoreError::Plan(format!("unknown fragment input {input}")))?;
-                let out = execute_at(
-                    registry,
-                    &producer.site,
-                    &producer.plan,
-                    opts,
-                    metrics,
-                    tracer,
-                    span,
-                )?;
-                cache.lock().unwrap().insert(input, out.clone());
-                out
-            }
-        };
-        let name = format!("{FRAG_PREFIX}{input}");
-        let bytes = encode_dataset(&data).len();
-        // The recovery hop goes through the app tier by construction.
-        metrics.record_transfer(&opts.net, "app", new_site, bytes, true);
-        let mut rspan = tracer.start(span, || format!("reship:{input}"), "app");
-        rspan.set_bytes(bytes as u64);
-        let before = wire_total(dest.as_ref());
-        dest.store(&name, data)?;
-        metrics.real_wire_bytes += wire_total(dest.as_ref()) - before;
-        rspan.finish();
-        staged.lock().unwrap().push((new_site.to_string(), name));
-    }
-    Ok(())
-}
-
-/// Stage a fragment's output at the consuming site, retrying transient
-/// store failures; a Direct transfer that keeps failing degrades to the
-/// app-routed path (counted in `degraded_transfers`) before giving up.
-#[allow(clippy::too_many_arguments)]
-fn stage_output(
-    registry: &Registry,
-    frag: &Fragment,
-    out: DataSet,
-    opts: &ExecOptions,
-    metrics: &mut Metrics,
-    staged: &Mutex<Vec<(String, String)>>,
-    tracer: &Tracer,
-    tlog: &mut TransferLog,
-) -> Result<()> {
-    let name = format!("{FRAG_PREFIX}{}", frag.id);
-    let bytes = encode_dataset(&out).len();
-    let via_app = opts.transfer == TransferMode::AppRouted;
-    let rung = if via_app { "app-routed" } else { "direct" };
-    tlog.event(|| format!("attempt:{rung}"));
-    match store_with_retry(
-        registry,
-        &frag.dest_site,
-        &name,
-        &out,
-        opts,
-        metrics,
-        tracer,
-        tlog.span_id(),
-    ) {
-        Ok(()) => {
-            metrics.record_transfer(&opts.net, &frag.site, &frag.dest_site, bytes, via_app);
-            staged.lock().unwrap().push((frag.dest_site.clone(), name));
-            tlog.delivered(rung, bytes);
-            Ok(())
-        }
-        Err(e) if !via_app && opts.recovery.enabled => {
-            // Degrade Direct → AppRouted: the app tier takes custody of
-            // the intermediate and re-delivers it on the two-hop path.
-            metrics.degraded_transfers += 1;
-            tlog.event(|| format!("error:{e}"));
-            tlog.event(|| "degrade:app-routed".into());
-            tlog.event(|| "attempt:app-routed".into());
-            store_with_retry(
-                registry,
-                &frag.dest_site,
-                &name,
-                &out,
-                opts,
-                metrics,
-                tracer,
-                tlog.span_id(),
-            )
-            .map_err(|_| e)?;
-            metrics.record_transfer(&opts.net, &frag.site, &frag.dest_site, bytes, true);
-            staged.lock().unwrap().push((frag.dest_site.clone(), name));
-            tlog.delivered("app-routed", bytes);
-            Ok(())
-        }
-        Err(e) => Err(e),
-    }
-}
-
-/// `Provider::store` with transient-failure retry and health reporting.
-#[allow(clippy::too_many_arguments)]
-fn store_with_retry(
-    registry: &Registry,
-    site: &str,
-    name: &str,
-    data: &DataSet,
-    opts: &ExecOptions,
-    metrics: &mut Metrics,
-    tracer: &Tracer,
-    span: Option<u64>,
-) -> Result<()> {
-    let provider = registry.provider(site)?;
-    let attempts = opts.recovery.attempts();
-    let mut backoff = opts.recovery.backoff;
-    let mut last_err = None;
-    for attempt in 0..attempts {
-        if attempt > 0 {
-            metrics.retries += 1;
-            tracer.event(span, || {
-                format!("retry:store@{site} attempt {}", attempt + 1)
-            });
-            sleep_backoff(&mut backoff);
-        }
-        let before = wire_total(provider.as_ref());
-        let result = provider.store(name, data.clone());
-        metrics.real_wire_bytes += wire_total(provider.as_ref()) - before;
-        match result {
-            Ok(()) => {
-                registry.health().record_success(site);
-                return Ok(());
-            }
-            Err(e) => {
-                flight::global().record(site, || {
-                    format!("store {name}@{site} attempt {} failed: {e}", attempt + 1)
-                });
-                if registry.health().record_failure(site) {
-                    metrics.breaker_trips += 1;
-                    tracer.event(span, || format!("breaker:trip:{site}"));
-                    flight::global().record(site, || format!("breaker trip: {site}"));
-                }
-                let transient = e.is_transient();
-                last_err = Some(e);
-                if !transient {
-                    break;
-                }
-            }
-        }
-    }
-    Err(last_err.expect("at least one attempt ran"))
-}
-
-/// Sleep the current backoff, then double it for the next retry.
-fn sleep_backoff(backoff: &mut Duration) {
-    if !backoff.is_zero() {
-        std::thread::sleep(*backoff);
-        *backoff = backoff.saturating_mul(2);
-    }
-}
-
-/// Total real transport traffic of a provider (sent + received).
-fn wire_total(p: &dyn bda_core::Provider) -> u64 {
-    let (sent, received) = p.wire_bytes();
-    sent + received
-}
-
-/// Client/app-driven iteration: the fallback when no provider can host an
-/// `Iterate` node. Each iteration re-enters the federation with the loop
-/// state inlined as a `Values` literal — so the state crosses the wire
-/// (inside the shipped plan) every round, which is precisely the cost the
-/// paper's "control iteration" extension avoids.
-fn run_app_iterate(
-    registry: &Registry,
-    plan: &Plan,
-    opts: &ExecOptions,
-    metrics: &mut Metrics,
-    tracer: &Tracer,
-    span: Option<u64>,
-    progress: &ProgressHandle,
-) -> Result<DataSet> {
-    let Plan::Iterate {
-        init,
-        body,
-        max_iters,
-        epsilon,
-    } = plan
-    else {
-        return Err(CoreError::Plan(format!(
-            "app-site fragment must be an iterate, got {}",
-            plan.op_kind().name()
-        )));
-    };
-    let (mut cur, m) = run_plan_traced(registry, init, opts, tracer, span)?;
-    metrics.absorb(m);
-    for round in 0..*max_iters {
-        tracer.event(span, || format!("iteration:{}", round + 1));
-        // One span per iteration: the round's fragments nest under it and
-        // its events carry the convergence numbers the `/progress`
-        // endpoint and `EXPLAIN ANALYZE`'s convergence table render.
-        let mut ispan = tracer.start(span, || format!("iteration:{}", round + 1), APP_SITE);
-        let state_rows: Vec<Row> = cur.rows()?;
-        let body_inlined = substitute_state(body, &cur, &state_rows);
-        let (next, m) = run_plan_traced(registry, &body_inlined, opts, tracer, ispan.id())?;
-        metrics.absorb(m);
-        metrics.client_driven_iterations += 1;
-        let rep = report(&cur, &next, *epsilon)?;
-        ispan.set_rows(next.num_rows());
-        ispan.event(|| match rep.delta {
-            Some(d) => format!("delta:{d:.9}"),
-            None => "delta:undefined".into(),
-        });
-        ispan.event(|| format!("rows_changed:{}", rep.rows_changed));
-        ispan.finish();
-        progress.iteration(round + 1, *max_iters, rep.delta, Some(rep.rows_changed));
-        flight::global().record(APP_SITE, || {
-            format!(
-                "iteration:{} delta:{:?} rows_changed:{}",
-                round + 1,
-                rep.delta,
-                rep.rows_changed
-            )
-        });
-        cur = next;
-        if rep.converged {
-            break;
-        }
-    }
-    Ok(cur)
-}
-
 /// Replace every `IterState` leaf by a `Values` literal of the current
 /// state.
 fn substitute_state(body: &Plan, state: &DataSet, rows: &[Row]) -> Plan {
@@ -1362,7 +1146,7 @@ mod tests {
         assert_eq!(direct.1.app_tier_bytes(), 0);
         assert!(routed.1.app_tier_bytes() > 0);
         assert_eq!(direct.1.data_bytes(), routed.1.data_bytes());
-        assert!(routed.1.sim_network_s > direct.1.sim_network_s);
+        assert!(routed.1.messages > direct.1.messages);
         // Intermediates are cleaned up afterwards.
         assert!(r
             .provider("la")
@@ -1665,6 +1449,54 @@ mod tests {
             "{labels:?}"
         );
         assert!(t.bytes.is_some(), "delivered payload size recorded");
+    }
+
+    #[test]
+    fn store_retries_are_traced_under_the_transfer_span_at_any_worker_count() {
+        use crate::fault::{FaultConfig, FaultyProvider};
+        let base = registry();
+        let schema = |site: &str, name| base.provider(site).unwrap().schema_of(name).unwrap();
+        let plan = Plan::scan("a_rows", schema("rel", "a_rows"))
+            .matmul(Plan::scan("b", schema("la", "b")));
+        let src = [("a_rows", "rel"), ("b", "la")].map(|(name, site)| {
+            let scan = Plan::scan(name, schema(site, name));
+            (
+                name.to_string(),
+                base.provider(site).unwrap().execute(&scan).unwrap(),
+            )
+        });
+        let oracle = evaluate(&plan, &HashMap::from(src)).unwrap();
+        let run = |workers| {
+            // The destination's first two faultable calls are the first
+            // two attempts to stage `a_rows` there; the third succeeds.
+            let mut r = Registry::new();
+            r.register(base.provider("rel").unwrap());
+            let la = base.provider("la").unwrap();
+            let fail_first = FaultConfig {
+                fail_first: 2,
+                ..FaultConfig::default()
+            };
+            r.register(Arc::new(FaultyProvider::new(la, fail_first)));
+            let tracer = Tracer::new(5);
+            let opts = ExecOptions {
+                workers,
+                ..Default::default()
+            };
+            let (out, m) = run_plan_traced(&r, &plan, &opts, &tracer, None).unwrap();
+            assert!(out.same_bag(&oracle).unwrap(), "workers={workers}");
+            assert_eq!(m.retries, 2, "workers={workers}");
+            let trace = tracer.finish();
+            let events = &trace.spans_named("transfer:0")[0].events;
+            let retries = events
+                .iter()
+                .filter(|e| e.label.starts_with("retry:store@la"));
+            assert_eq!(retries.count(), 2, "workers={workers}: {events:?}");
+            m
+        };
+        let (sequential, parallel) = (run(1), run(4));
+        assert_eq!(sequential.retries, parallel.retries);
+        assert_eq!(sequential.messages, parallel.messages);
+        assert_eq!(sequential.transfers, parallel.transfers);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bda_core::{CapabilitySet, CoreError, Plan, Provider};
-use bda_storage::{DataSet, Schema};
+use bda_storage::{DataSet, IndexKind, IndexSpec, Schema, TableStats};
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -105,10 +105,14 @@ impl FaultConfig {
 
 /// Wraps any provider and injects faults per a [`FaultConfig`].
 ///
-/// `catalog`, `schema_of`, `row_count_of` and `remove` pass through
-/// unfaulted: they model the control plane (and cleanup), which the
-/// executor's recovery paths must be able to rely on even while the data
-/// plane misbehaves. A crashed provider *does* refuse everything.
+/// `catalog`, `schema_of`, `row_count_of`, the statistics and index
+/// calls (`table_stats`, `index_specs`, `index_fingerprint`,
+/// `build_index`) and `remove` pass through unfaulted: they model the
+/// control plane (and cleanup), which planning and the executor's
+/// recovery paths must be able to rely on even while the data plane
+/// misbehaves — so a chaos run plans exactly like the clean run it is
+/// compared with. Only the data plane (`execute`, `store`, pushes) is
+/// faulted, and a crashed provider refuses all of it.
 pub struct FaultyProvider {
     inner: Arc<dyn Provider>,
     config: FaultConfig,
@@ -208,6 +212,22 @@ impl Provider for FaultyProvider {
 
     fn row_count_of(&self, name: &str) -> Option<usize> {
         self.inner.row_count_of(name)
+    }
+
+    fn table_stats(&self, name: &str) -> Option<TableStats> {
+        self.inner.table_stats(name)
+    }
+
+    fn build_index(&self, dataset: &str, column: &str, kind: IndexKind) -> Result<()> {
+        self.inner.build_index(dataset, column, kind)
+    }
+
+    fn index_specs(&self, dataset: &str) -> Vec<IndexSpec> {
+        self.inner.index_specs(dataset)
+    }
+
+    fn index_fingerprint(&self, dataset: &str, column: &str) -> Option<u64> {
+        self.inner.index_fingerprint(dataset, column)
     }
 
     fn endpoint(&self) -> Option<String> {
@@ -325,6 +345,50 @@ mod tests {
         assert!(f.store("u", ds).is_err());
         // ... but the control plane still answers (catalog is metadata).
         assert_eq!(f.catalog().len(), 1);
+    }
+
+    #[test]
+    fn statistics_and_indexes_reach_the_planner_unfaulted() {
+        use crate::Federation;
+        use bda_core::{col, lit};
+        use bda_relational::RelationalEngine;
+        let engine = Arc::new(RelationalEngine::new("rel"));
+        let k: Vec<i64> = (0..64).collect();
+        let g: Vec<i64> = k.iter().map(|k| k % 2).collect();
+        let t = DataSet::from_columns(vec![("k", Column::from(k)), ("g", Column::from(g))]);
+        engine.store("t", t.unwrap()).unwrap();
+        engine.build_index("t", "k", IndexKind::Hash).unwrap();
+        let wrapped = Arc::new(FaultyProvider::new(engine.clone(), FaultConfig::default()));
+        let federation = |p: Arc<dyn Provider>| {
+            let mut fed = Federation::new();
+            fed.register(p);
+            fed.options_mut().workers = 4;
+            fed
+        };
+        let (bare, faulty) = (federation(engine.clone()), federation(wrapped.clone()));
+        let stats = |fed: &Federation| format!("{:?}", fed.registry().table_stats("t"));
+        assert!(bare.registry().table_stats("t").is_some());
+        assert_eq!(stats(&faulty), stats(&bare));
+        let specs = |fed: &Federation| fed.registry().provider("rel").unwrap().index_specs("t");
+        assert_eq!(specs(&faulty), specs(&bare));
+        assert_eq!(
+            wrapped.index_fingerprint("t", "k"),
+            engine.index_fingerprint("t", "k")
+        );
+        // Zone maps disprove the first plan's filter; the NDV of `g` caps
+        // the second plan's hash exchange at two partitions.
+        let scan = Plan::scan("t", engine.schema_of("t").unwrap());
+        for (plan, decision) in [
+            (
+                scan.clone().select(col("k").gt(lit(1000i64))),
+                "== pruning ==",
+            ),
+            (scan.clone().join(scan, vec![("g", "g")]), "exchange x2"),
+        ] {
+            let want = bare.explain(&plan).unwrap();
+            assert!(want.contains(decision), "{want}");
+            assert_eq!(faulty.explain(&plan).unwrap(), want);
+        }
     }
 
     #[test]

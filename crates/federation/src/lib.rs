@@ -9,8 +9,9 @@
 //! directly server-to-server or, for the baseline, through the
 //! application tier ([`executor`], desideratum 4). Each fragment ships
 //! to its site as one whole expression tree, never one call per
-//! operator. All byte counts come from the real wire codec; time is
-//! charged on a deterministic simulated network ([`metrics`]).
+//! operator. Every fragment DAG runs through one dependency scheduler,
+//! and every provider call through one retry/breaker ladder. All byte
+//! and message counts come from the real wire codec ([`metrics`]).
 
 pub mod executor;
 pub mod explain;
@@ -28,7 +29,7 @@ pub use fault::{
     disk_faults_from_env, fault_seed_from_env, DiskFaults, FaultConfig, FaultyProvider,
     FAULT_SEED_ENV,
 };
-pub use metrics::{Metrics, NetConfig, TransferRecord};
+pub use metrics::{Metrics, TransferRecord};
 pub use optimize::{optimize, OptimizerConfig};
 pub use planner::{Fragment, Placement, Planner, APP_SITE, FRAG_PREFIX};
 pub use registry::{
@@ -282,19 +283,8 @@ impl Federation {
     /// statistics show up as empty `values` leaves and hash-exchange
     /// partition counts are capped at the key's distinct-value estimate.
     pub fn explain(&self, plan: &Plan) -> Result<String, CoreError> {
-        let (optimized, pruned) =
-            optimize::optimize_with_stats(plan, self.options.optimizer, &|name| {
-                self.registry.table_stats(name)
-            });
-        let costs = self
-            .options
-            .calibrate
-            .then(|| bda_obs::profile::global_costs().clone());
-        let placement = Planner::new(&self.registry)
-            .with_workers(self.options.workers)
-            .with_costs(costs)
-            .with_stats(self.options.optimizer.use_stats)
-            .place(&optimized)?;
+        let (optimized, pruned, placement) =
+            executor::plan_and_place(&self.registry, plan, &self.options)?;
         let mut out = String::new();
         if pruned > 0 {
             out.push_str(&format!(
@@ -394,6 +384,9 @@ mod tests {
                     .schema_of("b")
                     .unwrap(),
             ));
+        // One worker, whatever `BDA_WORKERS` says: a partitioned matmul
+        // reports as `op:merge`.
+        fed.options_mut().workers = 1;
         let s = fed.explain_analyze(&plan, 42).unwrap();
         assert!(s.contains("query @ app"), "{s}");
         assert!(s.contains("fragment:0 @ rel"), "{s}");
@@ -419,6 +412,7 @@ mod tests {
         fed.register(Arc::new(rel));
         let scan = Plan::scan("t", fed.registry().schema_of("t").unwrap());
         let plan = scan.clone().join(scan, vec![("k", "k")]);
+        fed.options_mut().workers = 1;
         let sequential = fed.explain(&plan).unwrap();
         assert!(!sequential.contains("exchange"), "{sequential}");
         fed.options_mut().workers = 4;

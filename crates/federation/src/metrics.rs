@@ -1,37 +1,11 @@
-//! The simulated network and the execution metrics the experiments report.
+//! The execution metrics of one federated run: exact counts of
+//! fragments, messages, plan and data bytes, and recovery events.
 //!
 //! All transfers serialize through the real wire codec, so `bytes` fields
-//! are actual message sizes, not estimates. Time is **simulated**: a
-//! virtual clock charged `latency + bytes / bandwidth` per message, which
-//! makes latency sweeps deterministic and platform-independent.
+//! are actual message sizes, not estimates. Time is not modelled here:
+//! wall time is measured by the tracer's spans and by `bda-bench`.
 
 use std::fmt;
-
-/// Network parameters of the simulated fabric.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NetConfig {
-    /// Per-message latency in (simulated) seconds.
-    pub latency_s: f64,
-    /// Link bandwidth in bytes per (simulated) second.
-    pub bandwidth_bytes_per_s: f64,
-}
-
-impl Default for NetConfig {
-    fn default() -> Self {
-        // A 0.5 ms datacenter RTT-ish latency and ~1 GB/s links.
-        NetConfig {
-            latency_s: 5e-4,
-            bandwidth_bytes_per_s: 1e9,
-        }
-    }
-}
-
-impl NetConfig {
-    /// Simulated wall time to move one `bytes`-sized message.
-    pub fn message_time(&self, bytes: usize) -> f64 {
-        self.latency_s + bytes as f64 / self.bandwidth_bytes_per_s
-    }
-}
 
 /// One recorded transfer.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,8 +29,6 @@ pub struct Metrics {
     pub messages: usize,
     /// Bytes of plan trees shipped to providers.
     pub plan_bytes: usize,
-    /// Simulated seconds spent on the network.
-    pub sim_network_s: f64,
     /// Number of plan fragments executed.
     pub fragments: usize,
     /// Number of iterations driven by the client/app tier (0 when
@@ -64,8 +36,8 @@ pub struct Metrics {
     pub client_driven_iterations: usize,
     /// Actual bytes observed on real transport connections (framed TCP
     /// traffic of remote providers, including direct server-to-server
-    /// pushes). Zero when every provider is in-process; the simulated
-    /// model above is charged either way.
+    /// pushes). Zero when every provider is in-process; the counts above
+    /// are charged either way.
     ///
     /// **Invariant: each wire byte is counted exactly once.** The
     /// executor charges this field from *deltas* of each provider's
@@ -104,19 +76,10 @@ impl Metrics {
             .sum()
     }
 
-    /// Record a transfer and charge the virtual clock.
-    pub fn record_transfer(
-        &mut self,
-        net: &NetConfig,
-        from: &str,
-        to: &str,
-        bytes: usize,
-        via_app: bool,
-    ) {
+    /// Record a transfer.
+    pub fn record_transfer(&mut self, from: &str, to: &str, bytes: usize, via_app: bool) {
         // A hop through the app tier is two messages (server→app, app→server).
-        let hops = if via_app { 2 } else { 1 };
-        self.messages += hops;
-        self.sim_network_s += hops as f64 * net.message_time(bytes);
+        self.messages += if via_app { 2 } else { 1 };
         self.transfers.push(TransferRecord {
             from: from.to_string(),
             to: to.to_string(),
@@ -126,10 +89,9 @@ impl Metrics {
     }
 
     /// Record shipping a plan tree to a provider.
-    pub fn record_plan_shipment(&mut self, net: &NetConfig, bytes: usize) {
+    pub fn record_plan_shipment(&mut self, bytes: usize) {
         self.messages += 1;
         self.plan_bytes += bytes;
-        self.sim_network_s += net.message_time(bytes);
     }
 
     /// Merge another metrics record into this one.
@@ -137,7 +99,6 @@ impl Metrics {
         self.transfers.extend(other.transfers);
         self.messages += other.messages;
         self.plan_bytes += other.plan_bytes;
-        self.sim_network_s += other.sim_network_s;
         self.fragments += other.fragments;
         self.client_driven_iterations += other.client_driven_iterations;
         self.real_wire_bytes += other.real_wire_bytes;
@@ -161,7 +122,6 @@ impl fmt::Display for Metrics {
             self.data_bytes(),
             self.app_tier_bytes()
         )?;
-        writeln!(f, "simulated network time: {:.6}s", self.sim_network_s)?;
         writeln!(f, "real wire bytes: {}", self.real_wire_bytes)?;
         write!(
             f,
@@ -176,27 +136,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn message_time_model() {
-        let net = NetConfig {
-            latency_s: 0.001,
-            bandwidth_bytes_per_s: 1000.0,
-        };
-        assert!((net.message_time(500) - 0.501).abs() < 1e-12);
-    }
-
-    #[test]
     fn app_routed_costs_double() {
-        let net = NetConfig {
-            latency_s: 0.001,
-            bandwidth_bytes_per_s: 1e6,
-        };
         let mut direct = Metrics::default();
-        direct.record_transfer(&net, "a", "b", 1000, false);
+        direct.record_transfer("a", "b", 1000, false);
         let mut routed = Metrics::default();
-        routed.record_transfer(&net, "a", "b", 1000, true);
+        routed.record_transfer("a", "b", 1000, true);
         assert_eq!(direct.messages, 1);
         assert_eq!(routed.messages, 2);
-        assert!(routed.sim_network_s > direct.sim_network_s * 1.99);
         assert_eq!(direct.app_tier_bytes(), 0);
         assert_eq!(routed.app_tier_bytes(), 1000);
         assert_eq!(direct.data_bytes(), routed.data_bytes());
@@ -226,11 +172,10 @@ mod tests {
 
     #[test]
     fn absorb_accumulates() {
-        let net = NetConfig::default();
         let mut a = Metrics::default();
-        a.record_plan_shipment(&net, 100);
+        a.record_plan_shipment(100);
         let mut b = Metrics::default();
-        b.record_transfer(&net, "x", "y", 50, false);
+        b.record_transfer("x", "y", 50, false);
         b.fragments = 2;
         a.absorb(b);
         assert_eq!(a.messages, 2);

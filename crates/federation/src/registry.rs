@@ -433,9 +433,9 @@ fn probe_plan(op: OpKind) -> Option<Plan> {
 }
 
 /// A provider wrapper that hides some of the inner provider's
-/// capabilities. Used by the ablation experiments (e.g. masking `Iterate`
-/// forces the federation into client-driven loops) and by tests that need
-/// a weaker back end than any real engine.
+/// capabilities: a weaker back end than any real engine. Masking
+/// `Iterate`, for instance, forces the federation into client-driven loops
+/// (`tests/iteration.rs` compares them with server-side iteration).
 pub struct MaskedProvider {
     inner: Arc<dyn Provider>,
     removed: Vec<OpKind>,
@@ -445,6 +445,20 @@ impl MaskedProvider {
     /// Wrap `inner`, hiding the `removed` capabilities.
     pub fn new(inner: Arc<dyn Provider>, removed: Vec<OpKind>) -> MaskedProvider {
         MaskedProvider { inner, removed }
+    }
+
+    /// Refuse a plan that uses a hidden capability, as a provider without
+    /// it would.
+    fn check(&self, plan: &Plan) -> Result<()> {
+        let unsupported = self.capabilities().unsupported_in(plan);
+        if unsupported.is_empty() {
+            return Ok(());
+        }
+        let ops: Vec<&str> = unsupported.iter().map(|k| k.name()).collect();
+        Err(CoreError::Unsupported {
+            provider: self.name().to_string(),
+            op: ops.join(", "),
+        })
     }
 }
 
@@ -466,17 +480,7 @@ impl Provider for MaskedProvider {
     }
 
     fn execute(&self, plan: &Plan) -> Result<bda_storage::DataSet> {
-        let unsupported = self.capabilities().unsupported_in(plan);
-        if !unsupported.is_empty() {
-            return Err(CoreError::Unsupported {
-                provider: self.name().to_string(),
-                op: unsupported
-                    .iter()
-                    .map(|k| k.name())
-                    .collect::<Vec<_>>()
-                    .join(", "),
-            });
-        }
+        self.check(plan)?;
         self.inner.execute(plan)
     }
 
@@ -518,9 +522,7 @@ impl Provider for MaskedProvider {
     }
 
     fn execute_push(&self, plan: &Plan, peer_addr: &str, dest_name: &str) -> Option<Result<u64>> {
-        if !self.capabilities().unsupported_in(plan).is_empty() {
-            return None;
-        }
+        self.check(plan).ok()?;
         self.inner.execute_push(plan, peer_addr, dest_name)
     }
 
@@ -533,17 +535,7 @@ impl Provider for MaskedProvider {
         plan: &Plan,
         ctx: &bda_obs::TraceContext,
     ) -> Result<(bda_storage::DataSet, Vec<bda_obs::Span>)> {
-        let unsupported = self.capabilities().unsupported_in(plan);
-        if !unsupported.is_empty() {
-            return Err(CoreError::Unsupported {
-                provider: self.name().to_string(),
-                op: unsupported
-                    .iter()
-                    .map(|k| k.name())
-                    .collect::<Vec<_>>()
-                    .join(", "),
-            });
-        }
+        self.check(plan)?;
         self.inner.execute_traced(plan, ctx)
     }
 
@@ -554,9 +546,7 @@ impl Provider for MaskedProvider {
         dest_name: &str,
         ctx: &bda_obs::TraceContext,
     ) -> Option<Result<(u64, Vec<bda_obs::Span>)>> {
-        if !self.capabilities().unsupported_in(plan).is_empty() {
-            return None;
-        }
+        self.check(plan).ok()?;
         self.inner
             .execute_push_traced(plan, peer_addr, dest_name, ctx)
     }

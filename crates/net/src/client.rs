@@ -11,7 +11,7 @@
 //! idle close — discards it and redials once within the same attempt.
 //! Real wire traffic is counted on atomic counters, which the
 //! federation's metrics read to report actual bytes alongside the
-//! simulated network model.
+//! codec-size byte counts.
 
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,8 +1,8 @@
 //! # `bda-net`: a real TCP transport for the federation
 //!
-//! The rest of the workspace *simulates* the network (deterministic
-//! byte-accounting in `bda-federation`). This crate makes the federation
-//! run **multi-process**: any registered engine can be served behind a
+//! In process, `bda-federation` counts the bytes and messages a transfer
+//! would put on the wire. This crate makes the federation run
+//! **multi-process**: any registered engine can be served behind a
 //! TCP listener ([`serve`] or the `bda-served` binary), and the
 //! application tier reaches it through a [`RemoteProvider`] that
 //! implements `bda_core::Provider` — so remote engines register in a

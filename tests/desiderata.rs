@@ -228,7 +228,7 @@ fn d4_direct_transfers_bypass_the_app_tier() {
         .map(|t| t.bytes)
         .sum();
     assert_eq!(routed.app_tier_bytes(), intermediates);
-    assert!(routed.sim_network_s > direct.sim_network_s);
+    assert!(routed.messages > direct.messages);
 }
 
 /// F3: a k-operator pipeline ships as one expression tree, not k calls.

@@ -10,7 +10,7 @@ use bda::graph::GraphEngine;
 use bda::lang::{parse_query, Query};
 use bda::linalg::LinAlgEngine;
 use bda::relational::RelationalEngine;
-use bda::storage::DataSet;
+use bda::storage::{DataSet, Value};
 use bda::workloads::{
     random_graph, random_matrix, sensor_array, star_schema, GraphSpec, SensorSpec, StarSpec,
 };
@@ -122,8 +122,23 @@ fn t3_one_program_same_bag_on_swapped_back_ends() {
         let mut fed = Federation::new();
         fed.register(p);
         let out = bdl(&fed, PROGRAM);
-        assert!(out.same_bag(&expected).unwrap(), "{name} disagrees");
+        assert!(same_bag_up_to_rounding(&out, &expected), "{name} disagrees");
     }
+}
+
+/// Bag equality up to float rounding: a sum's last bits depend on the
+/// order it adds in, which differs between engines (and between a
+/// partitioned and a sequential aggregate under `BDA_WORKERS > 1`).
+fn same_bag_up_to_rounding(a: &DataSet, b: &DataSet) -> bool {
+    let (x, y) = (a.sorted_rows().unwrap(), b.sorted_rows().unwrap());
+    a.schema() == b.schema()
+        && x.len() == y.len()
+        && x.iter().zip(&y).all(|(rx, ry)| {
+            rx.0.iter().zip(&ry.0).all(|(vx, vy)| match (vx, vy) {
+                (Value::Float(fx), Value::Float(fy)) => (fx - fy).abs() <= 1e-9 * fx.abs().max(1.0),
+                _ => vx == vy,
+            })
+        })
 }
 
 /// T4 (fused model): the same question asked array-style (dice on the

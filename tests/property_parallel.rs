@@ -8,9 +8,10 @@
 //! counts how many independent fragments the pool keeps in flight at
 //! once.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::{self, ThreadId};
 use std::time::Duration;
 
 use proptest::prelude::*;
@@ -286,6 +287,8 @@ struct InFlight {
     peak: AtomicUsize,
     /// How many overlapping calls a held call waits for before it runs.
     expect: usize,
+    /// Every thread a call ran on.
+    threads: Mutex<HashSet<ThreadId>>,
 }
 
 impl InFlight {
@@ -295,6 +298,7 @@ impl InFlight {
             arrived: Condvar::new(),
             peak: AtomicUsize::new(0),
             expect,
+            threads: Mutex::new(HashSet::new()),
         })
     }
 }
@@ -313,6 +317,7 @@ struct SlowProvider {
 impl SlowProvider {
     fn hold<R>(&self, call: impl FnOnce() -> R) -> R {
         let f = &self.in_flight;
+        f.threads.lock().unwrap().insert(thread::current().id());
         let mut now = f.now.lock().unwrap();
         *now += 1;
         f.peak.fetch_max(*now, Ordering::SeqCst);
@@ -433,6 +438,22 @@ fn independent_fragments_overlap_on_the_worker_pool() {
         par.get(0).as_float().unwrap(),
     );
     assert!((a - b).abs() <= 1e-9 * (1.0 + a.abs()), "{a} vs {b}");
+}
+
+/// At one worker the scheduler spawns no thread: every fragment's provider
+/// calls run on the caller's thread. At four, the independent fragments
+/// run on pool threads.
+#[test]
+fn one_worker_runs_every_fragment_on_the_calling_thread() {
+    let caller = thread::current().id();
+    for (workers, expect) in [(1, 1), (4, 4)] {
+        let in_flight = InFlight::new(expect);
+        let (fed, plan) = slow_sites_federation(4, &in_flight);
+        run_with_workers(&fed, &plan, workers);
+        let threads = in_flight.threads.lock().unwrap();
+        let inline = threads.iter().all(|t| *t == caller);
+        assert_eq!(inline, workers == 1, "workers={workers}: {threads:?}");
+    }
 }
 
 /// Degenerate partition shapes that property shrinking rarely lands on

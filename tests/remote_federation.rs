@@ -234,6 +234,9 @@ fn traced_tcp_run_reassembles_one_cross_process_trace() {
     // both server processes, stitched into one tree.
     let (mut fed, _servers) = remote_federation();
     fed.options_mut().transfer = TransferMode::RemoteTcp;
+    // One worker, whatever `BDA_WORKERS` says: a partitioned matmul
+    // reports as `op:merge`.
+    fed.options_mut().workers = 1;
     let plan = join_matmul_plan(&fed);
 
     let tracer = bda::obs::Tracer::new(42);
@@ -287,6 +290,9 @@ fn traced_tcp_run_reassembles_one_cross_process_trace() {
 fn explain_analyze_works_across_real_sockets() {
     let (mut fed, _servers) = remote_federation();
     fed.options_mut().transfer = TransferMode::RemoteTcp;
+    // One worker, whatever `BDA_WORKERS` says: a partitioned matmul
+    // reports as `op:merge`.
+    fed.options_mut().workers = 1;
     let plan = join_matmul_plan(&fed);
     let report = fed.explain_analyze(&plan, 7).unwrap();
     assert!(report.contains("query @ app"), "{report}");
