@@ -11,6 +11,7 @@ use std::collections::{BTreeMap, HashMap};
 use bda_core::agg::{Accumulator, AggExpr};
 use bda_core::eval::{eval_chunk, infer_expr};
 use bda_core::infer::infer_schema;
+use bda_core::provider::trace_op;
 use bda_core::{CoreError, Plan};
 use bda_storage::{Chunk, Column, DataSet, Row, RowsChunk, Value};
 
@@ -21,14 +22,7 @@ pub type Result<T> = std::result::Result<T, CoreError>;
 
 /// Execute a plan against the engine's array map.
 pub fn execute(plan: &Plan, arrays: &BTreeMap<String, DataSet>) -> Result<DataSet> {
-    // Per-operator tracing when a scope is installed (`execute_traced`);
-    // one inert thread-local check otherwise.
-    let mut node = bda_obs::scope::enter(|| format!("op:{}", plan.op_kind().name()));
-    let out = execute_node(plan, arrays);
-    if let (Some(n), Ok(ds)) = (node.as_mut(), &out) {
-        n.rows(ds.num_rows());
-    }
-    out
+    trace_op(plan, || execute_node(plan, arrays))
 }
 
 fn execute_node(plan: &Plan, arrays: &BTreeMap<String, DataSet>) -> Result<DataSet> {

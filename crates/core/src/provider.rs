@@ -116,6 +116,12 @@ impl fmt::Display for CapabilitySet {
 /// `execute` and `store` take `&self`: providers are shared across threads
 /// by the parallel executor and the serving cores, so implementations use
 /// interior mutability for their catalogs.
+///
+/// Tracing is not part of the contract. A traced caller installs the
+/// ambient [`bda_obs::scope`] around a plain `execute`/`execute_push`;
+/// engines open their per-operator spans through it ([`trace_op`]) and
+/// the network client forwards it over the wire. A decorator forwards
+/// `execute` and the trace follows on its own.
 pub trait Provider: Send + Sync {
     /// Stable provider name (used for site annotations and metrics).
     fn name(&self) -> &str;
@@ -211,35 +217,6 @@ pub trait Provider: Send + Sync {
         (0, 0)
     }
 
-    /// [`Provider::execute`] attached to a distributed trace: the
-    /// provider may additionally return spans describing its internal
-    /// work (per-operator timings, server-side handling), expressed in
-    /// the provider's own clock and id space. The caller stitches them
-    /// under `ctx.parent_span` via `Tracer::absorb_remote`. The default
-    /// executes untraced and returns no spans.
-    fn execute_traced(
-        &self,
-        plan: &Plan,
-        ctx: &bda_obs::TraceContext,
-    ) -> Result<(DataSet, Vec<bda_obs::Span>)> {
-        let _ = ctx;
-        Ok((self.execute(plan)?, Vec::new()))
-    }
-
-    /// [`Provider::execute_push`] attached to a distributed trace; the
-    /// returned spans cover this provider's execution and the peer store.
-    fn execute_push_traced(
-        &self,
-        plan: &Plan,
-        peer_addr: &str,
-        dest_name: &str,
-        ctx: &bda_obs::TraceContext,
-    ) -> Option<Result<(u64, Vec<bda_obs::Span>)>> {
-        let _ = ctx;
-        self.execute_push(plan, peer_addr, dest_name)
-            .map(|r| r.map(|bytes| (bytes, Vec::new())))
-    }
-
     /// This provider's own Prometheus exposition, if it serves one. The
     /// fleet view (`/cluster/metrics`) pulls every registered provider's
     /// exposition and merges them under per-instance labels; in-process
@@ -247,6 +224,20 @@ pub trait Provider: Send + Sync {
     fn metrics_text(&self) -> Option<String> {
         None
     }
+}
+
+/// Evaluate one plan node under an `op:{kind}` span of the ambient
+/// [`bda_obs::scope`], recording its output cardinality on success. Every
+/// engine's recursive executor (and the reference evaluator) wraps each
+/// node in this; with no scope installed it is one thread-local check
+/// and `eval` runs bare.
+pub fn trace_op(plan: &Plan, eval: impl FnOnce() -> Result<DataSet>) -> Result<DataSet> {
+    let mut node = bda_obs::scope::enter(|| format!("op:{}", plan.op_kind().name()));
+    let out = eval();
+    if let (Some(n), Ok(ds)) = (node.as_mut(), &out) {
+        n.rows(ds.num_rows());
+    }
+    out
 }
 
 /// A provider backed by the reference evaluator: supports the entire
@@ -330,18 +321,6 @@ impl Provider for ReferenceProvider {
 
     fn row_count_of(&self, name: &str) -> Option<usize> {
         self.data.read(|m| m.get(name).map(|ds| ds.num_rows()))
-    }
-
-    fn execute_traced(
-        &self,
-        plan: &Plan,
-        ctx: &bda_obs::TraceContext,
-    ) -> Result<(DataSet, Vec<bda_obs::Span>)> {
-        let tracer = bda_obs::Tracer::with_trace_id(ctx.trace_id);
-        let out = self
-            .data
-            .read(|m| crate::reference::evaluate_traced(plan, m, &tracer, None, &self.name))?;
-        Ok((out, tracer.take_spans()))
     }
 }
 

@@ -15,6 +15,7 @@ use crate::error::CoreError;
 use crate::eval::eval_row;
 use crate::infer::infer_schema;
 use crate::plan::{GraphOp, JoinType, Plan};
+use crate::provider::trace_op;
 
 /// Result alias.
 pub type Result<T> = std::result::Result<T, CoreError>;
@@ -42,86 +43,16 @@ impl DataSource for EmptySource {
     }
 }
 
-/// Evaluate a plan against a data source.
+/// Evaluate a plan against a data source. Under an installed
+/// [`bda_obs::scope`] every plan node records an `op:{kind}` span, as in
+/// the engines; the result never depends on it.
 pub fn evaluate(plan: &Plan, src: &dyn DataSource) -> Result<DataSet> {
     eval_plan(plan, src, None)
 }
 
-thread_local! {
-    /// The active per-operator trace for this thread, installed by
-    /// [`evaluate_traced`] for the duration of one evaluation.
-    static TRACE: std::cell::RefCell<Option<TraceState>> = const { std::cell::RefCell::new(None) };
-}
-
-struct TraceState {
-    tracer: bda_obs::Tracer,
-    site: String,
-    parents: Vec<u64>,
-}
-
-/// [`evaluate`], recording one `op:{kind}` span per plan node into
-/// `tracer` (with output cardinality on success), rooted under `parent`
-/// and attributed to `site`. With a disabled tracer this is exactly
-/// [`evaluate`].
-pub fn evaluate_traced(
-    plan: &Plan,
-    src: &dyn DataSource,
-    tracer: &bda_obs::Tracer,
-    parent: Option<u64>,
-    site: &str,
-) -> Result<DataSet> {
-    if !tracer.is_enabled() {
-        return evaluate(plan, src);
-    }
-    // Clear the slot even on unwind so a poisoned evaluation can't leak
-    // its trace state into the next one on this thread.
-    struct Reset;
-    impl Drop for Reset {
-        fn drop(&mut self) {
-            TRACE.with(|t| *t.borrow_mut() = None);
-        }
-    }
-    TRACE.with(|t| {
-        *t.borrow_mut() = Some(TraceState {
-            tracer: tracer.clone(),
-            site: site.to_string(),
-            parents: parent.into_iter().collect(),
-        })
-    });
-    let _reset = Reset;
-    eval_plan(plan, src, None)
-}
-
-/// Evaluate one node, opening an `op:{kind}` span when this thread has an
-/// active trace (see [`evaluate_traced`]); a plain recursion otherwise.
+/// Evaluate one node under its `op:{kind}` span (inert when untraced).
 fn eval_plan(plan: &Plan, src: &dyn DataSource, state: Option<&DataSet>) -> Result<DataSet> {
-    let span = TRACE.with(|t| {
-        let mut slot = t.borrow_mut();
-        slot.as_mut().map(|st| {
-            let guard = st.tracer.start(
-                st.parents.last().copied(),
-                || format!("op:{}", plan.op_kind().name()),
-                &st.site,
-            );
-            if let Some(id) = guard.id() {
-                st.parents.push(id);
-            }
-            guard
-        })
-    });
-    let out = eval_node(plan, src, state);
-    if let Some(mut guard) = span {
-        TRACE.with(|t| {
-            if let Some(st) = t.borrow_mut().as_mut() {
-                st.parents.pop();
-            }
-        });
-        if let Ok(ds) = &out {
-            guard.set_rows(ds.num_rows());
-        }
-        guard.finish();
-    }
-    out
+    trace_op(plan, || eval_node(plan, src, state))
 }
 
 fn eval_node(plan: &Plan, src: &dyn DataSource, state: Option<&DataSet>) -> Result<DataSet> {

@@ -576,26 +576,6 @@ impl Provider for DurableProvider {
     fn wire_bytes(&self) -> (u64, u64) {
         self.shared.inner.wire_bytes()
     }
-
-    fn execute_traced(
-        &self,
-        plan: &Plan,
-        ctx: &bda_obs::TraceContext,
-    ) -> Result<(DataSet, Vec<bda_obs::Span>)> {
-        self.shared.inner.execute_traced(plan, ctx)
-    }
-
-    fn execute_push_traced(
-        &self,
-        plan: &Plan,
-        peer_addr: &str,
-        dest_name: &str,
-        ctx: &bda_obs::TraceContext,
-    ) -> Option<Result<(u64, Vec<bda_obs::Span>)>> {
-        self.shared
-            .inner
-            .execute_push_traced(plan, peer_addr, dest_name, ctx)
-    }
 }
 
 /// Convenience for tests and tools: a `CoreError::Durability` check.

@@ -18,7 +18,7 @@ use bda_core::codec::encode_plan;
 use bda_core::convergence::report;
 use bda_core::{pool, CoreError, Plan};
 use bda_obs::progress::ProgressHandle;
-use bda_obs::{flight, progress, SpanGuard, TraceContext, Tracer};
+use bda_obs::{flight, progress, scope, SpanGuard, Tracer};
 use bda_storage::wire::encode_dataset;
 use bda_storage::{DataSet, Row, Value};
 
@@ -212,8 +212,9 @@ pub fn execute_placement(
 /// staged fragment output whose events record every delivery attempt on
 /// the degradation ladder; `reship:{id}` spans for failover re-shipment;
 /// and a `transfer:result` span for the root result's return hop.
-/// Provider-side spans (per-operator timings, server handling) are
-/// absorbed under the owning fragment span.
+/// Each provider call runs under an installed [`bda_obs::scope`], so
+/// provider-side spans (per-operator timings, server handling) nest
+/// under the owning fragment span (a push's under its transfer span).
 pub fn execute_placement_traced(
     registry: &Registry,
     placement: &Placement,
@@ -546,21 +547,10 @@ impl Exec<'_> {
             &mut |label| tlog.event(label),
             |metrics| {
                 let before = wire_total(provider.as_ref());
-                let pushed = if tracer.is_enabled() {
-                    let ctx = TraceContext {
-                        trace_id: tracer.trace_id(),
-                        parent_span: span.unwrap_or(0),
-                    };
-                    let anchor = tracer.now_ns();
-                    provider
-                        .execute_push_traced(&frag.plan, &dest_ep, &name, &ctx)
-                        .map(|r| {
-                            r.map(|(bytes, spans)| {
-                                tracer.absorb_remote(spans, span, anchor);
-                                bytes
-                            })
-                        })
-                } else {
+                // The producer's and the peer's spans land under the
+                // transfer span.
+                let pushed = {
+                    let _scope = scope::install(tracer, &frag.site, span);
                     provider.execute_push(&frag.plan, &dest_ep, &name)
                 }?;
                 // Only a provider with a transport has shipped the plan.
@@ -652,21 +642,10 @@ impl Exec<'_> {
                 // once per attempt — retries are not free.
                 metrics.record_plan_shipment(plan_bytes);
                 let before = wire_total(provider.as_ref());
-                // When tracing, the provider call carries the trace context
-                // and returns its internal spans (per-operator timings,
-                // server-side handling), which land under this fragment's
-                // span anchored at the moment the call was issued.
-                let result = if tracer.is_enabled() {
-                    let ctx = TraceContext {
-                        trace_id: tracer.trace_id(),
-                        parent_span: span.unwrap_or(0),
-                    };
-                    let anchor = tracer.now_ns();
-                    provider.execute_traced(plan, &ctx).map(|(ds, spans)| {
-                        tracer.absorb_remote(spans, span, anchor);
-                        ds
-                    })
-                } else {
+                // The provider's own spans (per-operator timings,
+                // server-side handling) land under this fragment's span.
+                let result = {
+                    let _scope = scope::install(tracer, site, span);
                     provider.execute(plan)
                 };
                 metrics.real_wire_bytes += wire_total(provider.as_ref()) - before;

@@ -246,31 +246,6 @@ impl Provider for FaultyProvider {
     fn wire_bytes(&self) -> (u64, u64) {
         self.inner.wire_bytes()
     }
-
-    fn execute_traced(
-        &self,
-        plan: &Plan,
-        ctx: &bda_obs::TraceContext,
-    ) -> Result<(DataSet, Vec<bda_obs::Span>)> {
-        // Same fault stream as `execute`: the decision is charged to the
-        // shared call counter, so a traced run sees identical faults.
-        self.faultable(self.config.execute_error_rate, "execute")?;
-        self.inner.execute_traced(plan, ctx)
-    }
-
-    fn execute_push_traced(
-        &self,
-        plan: &Plan,
-        peer_addr: &str,
-        dest_name: &str,
-        ctx: &bda_obs::TraceContext,
-    ) -> Option<Result<(u64, Vec<bda_obs::Span>)>> {
-        if let Err(e) = self.faultable(self.config.execute_error_rate, "push") {
-            return Some(Err(e));
-        }
-        self.inner
-            .execute_push_traced(plan, peer_addr, dest_name, ctx)
-    }
 }
 
 #[cfg(test)]

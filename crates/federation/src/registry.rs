@@ -529,27 +529,6 @@ impl Provider for MaskedProvider {
     fn wire_bytes(&self) -> (u64, u64) {
         self.inner.wire_bytes()
     }
-
-    fn execute_traced(
-        &self,
-        plan: &Plan,
-        ctx: &bda_obs::TraceContext,
-    ) -> Result<(bda_storage::DataSet, Vec<bda_obs::Span>)> {
-        self.check(plan)?;
-        self.inner.execute_traced(plan, ctx)
-    }
-
-    fn execute_push_traced(
-        &self,
-        plan: &Plan,
-        peer_addr: &str,
-        dest_name: &str,
-        ctx: &bda_obs::TraceContext,
-    ) -> Option<Result<(u64, Vec<bda_obs::Span>)>> {
-        self.check(plan).ok()?;
-        self.inner
-            .execute_push_traced(plan, peer_addr, dest_name, ctx)
-    }
 }
 
 #[cfg(test)]

@@ -16,6 +16,7 @@ pub mod csr;
 use bda_core::infer::{
     bfs_schema, components_schema, degrees_schema, pagerank_schema, triangles_schema,
 };
+use bda_core::provider::trace_op;
 use bda_core::reference::edge_list;
 use bda_core::{CapabilitySet, CoreError, GraphOp, OpKind, Plan, Provider};
 use bda_storage::{DataSet, Row, Schema, Value};
@@ -53,14 +54,7 @@ impl GraphEngine {
     }
 
     fn eval(&self, plan: &Plan) -> Result<DataSet, CoreError> {
-        // Per-operator tracing when a scope is installed
-        // (`execute_traced`); one inert thread-local check otherwise.
-        let mut node = bda_obs::scope::enter(|| format!("op:{}", plan.op_kind().name()));
-        let out = self.eval_node(plan);
-        if let (Some(n), Ok(ds)) = (node.as_mut(), &out) {
-            n.rows(ds.num_rows());
-        }
-        out
+        trace_op(plan, || self.eval_node(plan))
     }
 
     fn eval_node(&self, plan: &Plan) -> Result<DataSet, CoreError> {
@@ -194,17 +188,6 @@ impl Provider for GraphEngine {
 
     fn row_count_of(&self, name: &str) -> Option<usize> {
         self.datasets.read().get(name).map(|ds| ds.num_rows())
-    }
-
-    fn execute_traced(
-        &self,
-        plan: &Plan,
-        ctx: &bda_obs::TraceContext,
-    ) -> Result<(DataSet, Vec<bda_obs::Span>), CoreError> {
-        let tracer = bda_obs::Tracer::with_trace_id(ctx.trace_id);
-        let _scope = bda_obs::scope::install(&tracer, &self.name, None);
-        let out = self.execute(plan)?;
-        Ok((out, tracer.take_spans()))
     }
 }
 

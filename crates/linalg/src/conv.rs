@@ -13,6 +13,7 @@
 use std::collections::BTreeMap;
 
 use bda_core::infer::infer_schema;
+use bda_core::provider::trace_op;
 use bda_core::{BinOp, CoreError, Plan};
 use bda_storage::{Chunk, Column, DataSet, DenseChunk, DimBox, Schema};
 
@@ -86,14 +87,7 @@ pub fn from_matrix(m: Matrix, out_schema: Schema) -> Result<DataSet> {
 
 /// Execute a plan against the engine's matrix map.
 pub fn execute(plan: &Plan, matrices: &BTreeMap<String, DataSet>) -> Result<DataSet> {
-    // Per-operator tracing when a scope is installed (`execute_traced`);
-    // one inert thread-local check otherwise.
-    let mut node = bda_obs::scope::enter(|| format!("op:{}", plan.op_kind().name()));
-    let out = execute_node(plan, matrices);
-    if let (Some(n), Ok(ds)) = (node.as_mut(), &out) {
-        n.rows(ds.num_rows());
-    }
-    out
+    trace_op(plan, || execute_node(plan, matrices))
 }
 
 fn execute_node(plan: &Plan, matrices: &BTreeMap<String, DataSet>) -> Result<DataSet> {

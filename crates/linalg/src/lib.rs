@@ -103,17 +103,6 @@ impl Provider for LinAlgEngine {
     fn row_count_of(&self, name: &str) -> Option<usize> {
         self.matrices.read().get(name).map(|ds| ds.num_rows())
     }
-
-    fn execute_traced(
-        &self,
-        plan: &Plan,
-        ctx: &bda_obs::TraceContext,
-    ) -> Result<(DataSet, Vec<bda_obs::Span>), CoreError> {
-        let tracer = bda_obs::Tracer::with_trace_id(ctx.trace_id);
-        let _scope = bda_obs::scope::install(&tracer, &self.name, None);
-        let out = self.execute(plan)?;
-        Ok((out, tracer.take_spans()))
-    }
 }
 
 #[cfg(test)]

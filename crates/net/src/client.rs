@@ -19,14 +19,15 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use bda_core::{CapabilitySet, CoreError, Plan, Provider};
-use bda_obs::{Span, TraceContext};
 use bda_storage::{DataSet, Schema};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::frame::{read_message, write_message, FrameError};
-use crate::proto::{decode_response, encode_request, CatalogEntry, Request, Response};
+use crate::proto::{
+    absorb_traced, decode_response, encode_request, trace_wrapped, CatalogEntry, Request, Response,
+};
 use crate::Result;
 
 /// Bounded retry-with-backoff policy for transport failures.
@@ -148,21 +149,6 @@ impl RemoteProvider {
         }
     }
 
-    /// Ship one partition of a partitioned dataset. The server stores it
-    /// under `{name}.p{partition}`, so concurrent partition producers
-    /// never contend on a single staged name and the pieces stay
-    /// individually addressable for scans and cleanup.
-    pub fn store_partition(&self, name: &str, partition: u32, data: DataSet) -> Result<()> {
-        match self.request(&Request::StorePart {
-            name: name.to_string(),
-            partition,
-            data,
-        })? {
-            Response::Ack => Ok(()),
-            other => Err(unexpected("StorePart", &other)),
-        }
-    }
-
     /// Fetch the server's metrics registry rendered in Prometheus text
     /// exposition format (one round trip).
     pub fn metrics_text(&self) -> Result<String> {
@@ -193,39 +179,18 @@ impl RemoteProvider {
             .collect()
     }
 
-    /// Issue `inner` wrapped in [`Request::Traced`]: the server handles
-    /// it while recording spans and sends them back. Returns the inner
-    /// response plus those spans, still in the *server's* clock and id
-    /// space — the caller anchors and remaps them (`absorb_remote`).
-    /// A server-side error inside the wrapper converts to the same
-    /// [`CoreError`] shapes [`RemoteProvider::request`] produces.
-    fn request_traced(&self, inner: Request, ctx: &TraceContext) -> Result<(Response, Vec<Span>)> {
-        let resp = self.request(&Request::Traced {
-            trace_id: ctx.trace_id,
-            parent_span: ctx.parent_span,
-            inner: Box::new(inner),
-        })?;
-        match resp {
-            Response::Traced { spans, inner } => match *inner {
-                Response::Error { msg, transient } if transient => Err(CoreError::transient(
-                    CoreError::Net(format!("remote `{}`: {msg}", self.addr)),
-                )),
-                Response::Error { msg, .. } => Err(CoreError::Remote {
-                    addr: self.addr.clone(),
-                    msg,
-                }),
-                resp => Ok((resp, spans)),
-            },
-            other => Err(unexpected("Traced", &other)),
-        }
-    }
-
     /// Issue one request, retrying transient transport failures with
     /// bounded, jittered exponential backoff. Server-reported *transient*
     /// errors retry too; permanent ones surface immediately as
     /// [`CoreError::Remote`].
+    ///
+    /// Under an installed [`bda_obs::scope`] the request travels as
+    /// [`Request::Traced`], and the spans the server sends back — from
+    /// every attempt, failed ones included — join the scope's trace under
+    /// its current parent, anchored at the attempt's send time.
     pub fn request(&self, req: &Request) -> Result<Response> {
-        let (kind, payload) = encode_request(req);
+        let scope = bda_obs::scope::snapshot();
+        let (kind, payload) = trace_wrapped(encode_request(req), scope.as_ref());
         // A configured tenant tags every outgoing message (wrapping the
         // encoded bytes, never re-encoding an embedded dataset).
         let (kind, payload) = match &self.tenant {
@@ -246,7 +211,9 @@ impl RemoteProvider {
                 std::thread::sleep(delay);
                 backoff = backoff.saturating_mul(2);
             }
-            match self.try_request(kind, &payload) {
+            let anchor = scope.as_ref().map_or(0, |s| s.tracer.now_ns());
+            let reply = self.try_request(kind, &payload);
+            match reply.map(|resp| absorb_traced(resp, scope.as_ref(), anchor)) {
                 Ok(Response::Error { msg, transient }) => {
                     let err = if transient {
                         CoreError::transient(CoreError::Net(format!(
@@ -461,32 +428,6 @@ impl Provider for RemoteProvider {
 
     fn metrics_text(&self) -> Option<String> {
         RemoteProvider::metrics_text(self).ok()
-    }
-
-    fn execute_traced(&self, plan: &Plan, ctx: &TraceContext) -> Result<(DataSet, Vec<Span>)> {
-        match self.request_traced(Request::Execute { plan: plan.clone() }, ctx)? {
-            (Response::DataSet(ds), spans) => Ok((ds, spans)),
-            (other, _) => Err(unexpected("Execute", &other)),
-        }
-    }
-
-    fn execute_push_traced(
-        &self,
-        plan: &Plan,
-        peer_addr: &str,
-        dest_name: &str,
-        ctx: &TraceContext,
-    ) -> Option<Result<(u64, Vec<Span>)>> {
-        let req = Request::ExecutePush {
-            dest_addr: peer_addr.to_string(),
-            dest_name: dest_name.to_string(),
-            plan: plan.clone(),
-        };
-        Some(match self.request_traced(req, ctx) {
-            Ok((Response::Pushed { bytes }, spans)) => Ok((bytes, spans)),
-            Ok((other, _)) => Err(unexpected("ExecutePush", &other)),
-            Err(e) => Err(e),
-        })
     }
 }
 

@@ -18,11 +18,12 @@ use std::time::Duration;
 
 use bda_core::Provider;
 use bda_obs::meter::UsageBook;
-use bda_obs::{MetricsHub, TraceContext, Tracer};
+use bda_obs::{scope, MetricsHub, Tracer};
 
 use crate::frame::{read_message, write_message, HEADER_LEN, MAX_FRAME_PAYLOAD};
 use crate::proto::{
-    decode_request, encode_request, encode_response, CatalogEntry, Request, Response,
+    absorb_traced, decode_request, decode_response, encode_request, encode_response, trace_wrapped,
+    CatalogEntry, Request, Response,
 };
 use crate::Result;
 
@@ -246,32 +247,17 @@ impl RequestHandler {
                 capabilities: engine.capabilities(),
             },
             Request::Execute { plan } => Response::DataSet(engine.execute(plan)?),
-            Request::ExecuteStore { name, plan } => {
-                let out = engine.execute(plan)?;
-                engine.store(name, out)?;
-                Response::Ack
-            }
             Request::ExecutePush {
                 dest_addr,
                 dest_name,
                 plan,
             } => {
                 let out = engine.execute(plan)?;
-                let bytes = push_to_peer(dest_addr, dest_name, out, &Tracer::disabled(), None)?;
+                let bytes = push_to_peer(dest_addr, dest_name, out)?;
                 Response::Pushed { bytes }
             }
             Request::Store { name, data } => {
                 engine.store(name, data.clone())?;
-                Response::Ack
-            }
-            Request::StorePart {
-                name,
-                partition,
-                data,
-            } => {
-                // Partition-tagged staging: each partition is addressable on
-                // its own, so parallel producers never contend on one name.
-                engine.store(&format!("{name}.p{partition}"), data.clone())?;
                 Response::Ack
             }
             Request::Remove { name } => {
@@ -307,17 +293,36 @@ impl RequestHandler {
                     .collect(),
             ),
             Request::Metrics => Response::Text(self.metrics.render()),
-            Request::Traced {
-                trace_id, inner, ..
-            } => {
-                // The client does the stitching: server-side spans go back
-                // rootless (in this server's own id/clock space) and the
-                // client remaps, anchors, and parents them. Errors still
-                // travel inside `Traced` so the spans survive the failure.
+            Request::Traced { trace_id, inner } => {
+                // The same dispatch as untraced, under a `serve:<kind>`
+                // span installed as the scope: the engine's per-operator
+                // spans and a push's peer spans nest under it. The client
+                // does the stitching: spans go back rootless (in this
+                // server's own id/clock space) and the client remaps,
+                // anchors, and parents them. Errors still travel inside
+                // `Traced` so the spans survive the failure.
                 let tracer = Tracer::with_trace_id(*trace_id);
-                let resp = self
-                    .handle_traced(&tracer, inner, tenant)
-                    .unwrap_or_else(|e| Response::from_error(&e));
+                let mut serve = tracer.start(
+                    None,
+                    || format!("serve:{}", request_kind(inner)),
+                    engine.name(),
+                );
+                if let Some(tenant) = tenant {
+                    // Stamp the identity into the span tree so flight
+                    // dumps, traces, and profiles join on the same key.
+                    serve.event(|| format!("tenant:{tenant}"));
+                }
+                let resp = {
+                    let _scope = scope::install(&tracer, engine.name(), serve.id());
+                    self.handle_request_as(inner, tenant)
+                        .unwrap_or_else(|e| Response::from_error(&e))
+                };
+                match &resp {
+                    Response::DataSet(ds) => serve.set_rows(ds.num_rows()),
+                    Response::Pushed { bytes } => serve.set_bytes(*bytes),
+                    _ => {}
+                }
+                serve.finish();
                 Response::Traced {
                     spans: tracer.take_spans(),
                     inner: Box::new(resp),
@@ -344,66 +349,6 @@ impl RequestHandler {
             }
         })
     }
-
-    /// Handle the request inside a [`Request::Traced`] wrapper under a
-    /// `serve:<kind>` span, using the engine's traced entry points so its
-    /// per-operator spans land in the same trace.
-    fn handle_traced(
-        &self,
-        tracer: &Tracer,
-        req: &Request,
-        tenant: Option<&str>,
-    ) -> Result<Response> {
-        let engine = self.engine.as_ref();
-        let mut serve = tracer.start(
-            None,
-            || format!("serve:{}", request_kind(req)),
-            engine.name(),
-        );
-        if let Some(tenant) = tenant {
-            // Stamp the identity into the span tree so flight dumps,
-            // traces, and profiles join on the same key.
-            serve.event(|| format!("tenant:{tenant}"));
-        }
-        let ctx = TraceContext {
-            trace_id: tracer.trace_id(),
-            parent_span: serve.id().unwrap_or(0),
-        };
-        let resp = match req {
-            Request::Execute { plan } => {
-                let anchor = tracer.now_ns();
-                let (out, spans) = engine.execute_traced(plan, &ctx)?;
-                tracer.absorb_remote(spans, serve.id(), anchor);
-                serve.set_rows(out.num_rows());
-                Response::DataSet(out)
-            }
-            Request::ExecuteStore { name, plan } => {
-                let anchor = tracer.now_ns();
-                let (out, spans) = engine.execute_traced(plan, &ctx)?;
-                tracer.absorb_remote(spans, serve.id(), anchor);
-                serve.set_rows(out.num_rows());
-                engine.store(name, out)?;
-                Response::Ack
-            }
-            Request::ExecutePush {
-                dest_addr,
-                dest_name,
-                plan,
-            } => {
-                let anchor = tracer.now_ns();
-                let (out, spans) = engine.execute_traced(plan, &ctx)?;
-                tracer.absorb_remote(spans, serve.id(), anchor);
-                serve.set_rows(out.num_rows());
-                let bytes = push_to_peer(dest_addr, dest_name, out, tracer, serve.id())?;
-                serve.set_bytes(bytes);
-                Response::Pushed { bytes }
-            }
-            // Control-plane work under the serve span, no deeper spans.
-            other => self.handle_request(other)?,
-        };
-        serve.finish();
-        Ok(resp)
-    }
 }
 
 /// The short request-kind label used in metrics and log lines.
@@ -411,10 +356,8 @@ pub(crate) fn request_kind(req: &Request) -> &'static str {
     match req {
         Request::Hello => "hello",
         Request::Execute { .. } => "execute",
-        Request::ExecuteStore { .. } => "execute-store",
         Request::ExecutePush { .. } => "execute-push",
         Request::Store { .. } => "store",
-        Request::StorePart { .. } => "store-part",
         Request::Remove { .. } => "remove",
         Request::BuildIndex { .. } => "build-index",
         Request::IndexInfo { .. } => "index-info",
@@ -485,16 +428,10 @@ fn response_outcome(resp: &Response) -> &'static str {
 
 /// The direct server-to-server hop: open a connection to the peer and
 /// store the dataset there, bypassing the application tier entirely.
-/// Returns the framed bytes sent to the peer. With an enabled `tracer`
-/// the store is wrapped in [`Request::Traced`] so the *peer's* spans
-/// come back and land under `parent` in this trace.
-fn push_to_peer(
-    dest_addr: &str,
-    dest_name: &str,
-    data: bda_storage::DataSet,
-    tracer: &Tracer,
-    parent: Option<u64>,
-) -> Result<u64> {
+/// Returns the framed bytes sent to the peer. Under a trace scope (a
+/// traced push request) the store travels as [`Request::Traced`], so the
+/// *peer's* spans come back and land under the scope's parent.
+fn push_to_peer(dest_addr: &str, dest_name: &str, data: bda_storage::DataSet) -> Result<u64> {
     use bda_core::CoreError;
     let net = |e: std::io::Error| CoreError::Net(format!("push to {dest_addr}: {e}"));
     let addrs: Vec<SocketAddr> = std::net::ToSocketAddrs::to_socket_addrs(dest_addr)
@@ -510,27 +447,15 @@ fn push_to_peer(
         name: dest_name.to_string(),
         data,
     };
-    let req = if tracer.is_enabled() {
-        Request::Traced {
-            trace_id: tracer.trace_id(),
-            parent_span: parent.unwrap_or(0),
-            inner: Box::new(store),
-        }
-    } else {
-        store
-    };
-    let anchor = tracer.now_ns();
-    let (kind, payload) = encode_request(&req);
+    let scope = scope::snapshot();
+    let (kind, payload) = trace_wrapped(encode_request(&store), scope.as_ref());
+    let anchor = scope.as_ref().map_or(0, |s| s.tracer.now_ns());
     let sent = write_message(&mut conn, kind, &payload).map_err(net)?;
     conn.flush().map_err(net)?;
     let (rkind, rpayload, _) =
         read_message(&mut conn).map_err(|e| CoreError::Net(format!("push to {dest_addr}: {e}")))?;
-    let mut resp = crate::proto::decode_response(rkind, &rpayload)?;
-    if let Response::Traced { spans, inner } = resp {
-        tracer.absorb_remote(spans, parent, anchor);
-        resp = *inner;
-    }
-    match resp {
+    let resp = decode_response(rkind, &rpayload)?;
+    match absorb_traced(resp, scope.as_ref(), anchor) {
         Response::Ack => Ok(sent),
         Response::Error { msg, transient } if transient => Err(CoreError::transient(
             CoreError::Net(format!("peer {dest_addr}: {msg}")),

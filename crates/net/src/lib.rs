@@ -122,32 +122,6 @@ mod tests {
     }
 
     #[test]
-    fn store_partition_tags_each_piece_with_its_index() {
-        let engine = Arc::new(ReferenceProvider::new("ref"));
-        let server = serve(Arc::clone(&engine) as Arc<dyn Provider>, "127.0.0.1:0").unwrap();
-        let remote = RemoteProvider::connect(server.addr().to_string()).unwrap();
-
-        let all = sample();
-        let rows = all.rows().unwrap();
-        let left = DataSet::from_rows(all.schema().clone(), &rows[..2]).unwrap();
-        let right = DataSet::from_rows(all.schema().clone(), &rows[2..]).unwrap();
-        remote.store_partition("staged", 0, left).unwrap();
-        remote.store_partition("staged", 1, right).unwrap();
-
-        let mut names: Vec<String> = remote.catalog().into_iter().map(|(n, _)| n).collect();
-        names.sort();
-        assert_eq!(names, vec!["staged.p0", "staged.p1"]);
-        // Each tagged partition scans independently on the server.
-        let p1 = engine
-            .execute(&Plan::scan("staged.p1", sample().schema().clone()))
-            .unwrap();
-        assert_eq!(p1.num_rows(), 2);
-        remote.remove("staged.p0");
-        remote.remove("staged.p1");
-        assert!(remote.catalog().is_empty());
-    }
-
-    #[test]
     fn connect_to_dead_server_errors_after_retries() {
         // Bind then drop a listener so the port is (very likely) closed.
         let port = {
@@ -206,6 +180,20 @@ mod tests {
         );
     }
 
+    /// Run `call` under a trace scope whose parent is a `fragment:0` span,
+    /// returning its result, the trace, and that parent's id.
+    fn under_scope<T>(call: impl FnOnce() -> T) -> (T, bda_obs::Trace, u64) {
+        let tracer = bda_obs::Tracer::new(0xFEED);
+        let parent = tracer.start(None, || "fragment:0".into(), "app");
+        let id = parent.id().unwrap();
+        let out = {
+            let _scope = bda_obs::scope::install(&tracer, "app", Some(id));
+            call()
+        };
+        parent.finish();
+        (out, tracer.finish(), id)
+    }
+
     #[test]
     fn traced_execute_returns_server_side_spans() {
         let engine = Arc::new(ReferenceProvider::new("ref"));
@@ -213,29 +201,16 @@ mod tests {
         let server = serve(engine, "127.0.0.1:0").unwrap();
         let remote = RemoteProvider::connect(server.addr().to_string()).unwrap();
         let plan = Plan::scan("t", sample().schema().clone()).select(col("v").gt(lit(2.0)));
-        let ctx = bda_obs::TraceContext {
-            trace_id: 0xFEED,
-            parent_span: 7,
-        };
-        let (out, spans) = remote.execute_traced(&plan, &ctx).unwrap();
+        let (out, trace, parent) = under_scope(|| remote.execute(&plan).unwrap());
         assert_eq!(out.num_rows(), 2);
-        let serve_span = spans
-            .iter()
-            .find(|s| s.name == "serve:execute")
-            .expect("serve span present");
+        let serve_span = trace.spans_named("serve:execute")[0];
         assert_eq!(serve_span.site, "ref");
         assert_eq!(serve_span.rows, Some(2));
-        // The engine's per-operator spans came along, parented under it.
-        let ops: Vec<&str> = spans
-            .iter()
-            .filter(|s| s.name.starts_with("op:"))
-            .map(|s| s.name.as_str())
-            .collect();
-        assert!(ops.contains(&"op:select"), "{ops:?}");
-        assert!(ops.contains(&"op:scan"), "{ops:?}");
-        for s in spans.iter().filter(|s| s.name.starts_with("op:")) {
-            assert!(s.parent.is_some(), "op spans hang off the serve span");
-        }
+        assert_eq!(serve_span.parent, Some(parent), "absorbed under the scope");
+        // The reference engine's per-operator spans came along under it.
+        let select = trace.spans_named("op:select")[0];
+        assert_eq!(select.parent, Some(serve_span.id));
+        assert_eq!(trace.spans_named("op:scan")[0].parent, Some(select.id));
     }
 
     #[test]
@@ -243,13 +218,11 @@ mod tests {
         let engine = Arc::new(ReferenceProvider::new("ref"));
         let server = serve(engine, "127.0.0.1:0").unwrap();
         let remote = RemoteProvider::connect(server.addr().to_string()).unwrap();
-        let ctx = bda_obs::TraceContext {
-            trace_id: 1,
-            parent_span: 0,
-        };
         let plan = Plan::scan("missing", sample().schema().clone());
-        let err = remote.execute_traced(&plan, &ctx).unwrap_err();
+        let (err, trace, _) = under_scope(|| remote.execute(&plan).unwrap_err());
         assert!(err.to_string().contains("missing"), "{err}");
+        // The failed attempt's spans still made it back.
+        assert_eq!(trace.spans_named("serve:execute").len(), 1);
     }
 
     #[test]

@@ -38,13 +38,6 @@ pub enum Request {
         /// The plan, whose scans resolve in the server's catalog.
         plan: Plan,
     },
-    /// Execute a plan and keep the result server-side under `name`.
-    ExecuteStore {
-        /// Name to store the result under.
-        name: String,
-        /// The plan to execute.
-        plan: Plan,
-    },
     /// Execute a plan and push the result to a *peer* server, storing it
     /// there under `dest_name` — the direct server-to-server transfer of
     /// desideratum 4. The reply reports the pushed payload size.
@@ -61,18 +54,6 @@ pub enum Request {
         /// Name to store under.
         name: String,
         /// The dataset.
-        data: DataSet,
-    },
-    /// Ingest one partition of a partitioned dataset. The server stores
-    /// it under `{name}.p{partition}`, so a partition-parallel producer
-    /// can stream its partitions independently (and a consumer or the
-    /// cleanup path can address them individually).
-    StorePart {
-        /// Logical dataset name the partition belongs to.
-        name: String,
-        /// Zero-based partition index.
-        partition: u32,
-        /// The partition's rows.
         data: DataSet,
     },
     /// Drop a dataset if present.
@@ -105,13 +86,15 @@ pub enum Request {
     Metrics,
     /// A request attached to a distributed trace: the server handles
     /// `inner` while recording spans, and wraps its reply in
-    /// [`Response::Traced`] carrying them back. `Traced` never nests.
+    /// [`Response::Traced`] carrying them back. The client parents them
+    /// itself, so only the trace id travels.
+    ///
+    /// Wrappers nest in one order, each at most once: `Pipelined` ⊃
+    /// `Tenant` ⊃ `Traced` ⊃ a plain request. Decoding refuses any
+    /// other arrangement.
     Traced {
         /// Trace id every server-side span belongs to.
         trace_id: u64,
-        /// The client-side span the server's work conceptually hangs
-        /// under (informational; the client does the stitching).
-        parent_span: u64,
         /// The request to handle.
         inner: Box<Request>,
     },
@@ -119,8 +102,7 @@ pub enum Request {
     /// many of these in flight on one socket, and the server matches its
     /// reply by echoing `tag` in [`Response::Pipelined`]. Replies to
     /// tagged requests may arrive in any order; `Pipelined` is always
-    /// the outermost wrapper (it may carry `Tenant` or `Traced`, never
-    /// another `Pipelined`). The thread-per-connection server also
+    /// the outermost wrapper. The thread-per-connection server also
     /// understands it (serially), so a pipelining client works against
     /// either serving core.
     Pipelined {
@@ -134,9 +116,8 @@ pub enum Request {
     /// `tenant` instead of the connection's peer address (the default
     /// for untagged requests, preserving old↔new compatibility).
     ///
-    /// Wrapper nesting order is fixed: `Pipelined` is always outermost,
-    /// `Tenant` may carry `Traced`, and none of the wrappers nests
-    /// itself. The reply is the inner request's reply — there is no
+    /// `Tenant` sits between `Pipelined` and `Traced` in the wrapper
+    /// order. The reply is the inner request's reply — there is no
     /// tenant response wrapper to echo.
     Tenant {
         /// Tenant identity the request is charged to.
@@ -173,7 +154,8 @@ pub enum Response {
     Text(String),
     /// The reply to a [`Request::Traced`]: the inner response plus the
     /// spans the server recorded while producing it, in the server's own
-    /// clock and id space (the client remaps and anchors them).
+    /// clock and id space (the client remaps and anchors them). Response
+    /// wrappers nest `Pipelined` ⊃ `Traced` ⊃ a plain reply.
     Traced {
         /// Server-side spans.
         spans: Vec<bda_obs::Span>,
@@ -212,11 +194,9 @@ impl Response {
 // Message kinds (the frame `kind` byte). Requests are < 0x80.
 const K_HELLO: u8 = 0x01;
 const K_EXECUTE: u8 = 0x02;
-const K_EXECUTE_STORE: u8 = 0x03;
 const K_EXECUTE_PUSH: u8 = 0x04;
 const K_STORE: u8 = 0x05;
 const K_REMOVE: u8 = 0x06;
-const K_STORE_PART: u8 = 0x09;
 const K_CATALOG: u8 = 0x07;
 const K_METRICS: u8 = 0x08;
 const K_TRACED: u8 = 0x10;
@@ -282,11 +262,6 @@ pub fn encode_request(req: &Request) -> (u8, Vec<u8>) {
             put_block(&mut buf, &encode_plan(plan));
             K_EXECUTE
         }
-        Request::ExecuteStore { name, plan } => {
-            put_string(&mut buf, name);
-            put_block(&mut buf, &encode_plan(plan));
-            K_EXECUTE_STORE
-        }
         Request::ExecutePush {
             dest_addr,
             dest_name,
@@ -301,16 +276,6 @@ pub fn encode_request(req: &Request) -> (u8, Vec<u8>) {
             put_string(&mut buf, name);
             put_block(&mut buf, &encode_dataset(data));
             K_STORE
-        }
-        Request::StorePart {
-            name,
-            partition,
-            data,
-        } => {
-            put_string(&mut buf, name);
-            buf.put_u32_le(*partition);
-            put_block(&mut buf, &encode_dataset(data));
-            K_STORE_PART
         }
         Request::Remove { name } => {
             put_string(&mut buf, name);
@@ -328,17 +293,9 @@ pub fn encode_request(req: &Request) -> (u8, Vec<u8>) {
         }
         Request::Catalog => K_CATALOG,
         Request::Metrics => K_METRICS,
-        Request::Traced {
-            trace_id,
-            parent_span,
-            inner,
-        } => {
-            buf.put_u64_le(*trace_id);
-            buf.put_u64_le(*parent_span);
+        Request::Traced { trace_id, inner } => {
             let (inner_kind, inner_payload) = encode_request(inner);
-            buf.put_u8(inner_kind);
-            put_block(&mut buf, &inner_payload);
-            K_TRACED
+            return encode_traced_wrapped(*trace_id, inner_kind, &inner_payload);
         }
         Request::Pipelined { tag, inner } => {
             buf.put_u64_le(*tag);
@@ -386,6 +343,50 @@ pub fn encode_tenant_wrapped(tenant: &str, inner_kind: u8, inner_payload: &[u8])
     buf.put_u8(inner_kind);
     put_block(&mut buf, inner_payload);
     (K_TENANT, buf.to_vec())
+}
+
+/// Encode a [`Request::Traced`] wrapper around an *already-encoded*
+/// request (see [`encode_tenant_wrapped`]).
+fn encode_traced_wrapped(trace_id: u64, inner_kind: u8, inner_payload: &[u8]) -> (u8, Vec<u8>) {
+    let mut buf = BytesMut::new();
+    buf.put_u64_le(trace_id);
+    buf.put_u8(inner_kind);
+    put_block(&mut buf, inner_payload);
+    (K_TRACED, buf.to_vec())
+}
+
+/// The outbound half of trace propagation: an encoded plain request
+/// travels as [`Request::Traced`] when the caller runs under a trace
+/// `scope`; anything else (untraced, or already wrapped) goes as is.
+pub(crate) fn trace_wrapped(
+    (kind, payload): (u8, Vec<u8>),
+    scope: Option<&bda_obs::scope::Snapshot>,
+) -> (u8, Vec<u8>) {
+    match scope {
+        Some(s) if request_rank(kind) == 0 => {
+            encode_traced_wrapped(s.tracer.trace_id(), kind, &payload)
+        }
+        _ => (kind, payload),
+    }
+}
+
+/// The inbound half: unwrap a [`Response::Traced`], hanging its spans
+/// under `scope`'s current parent, shifted to start at `anchor_ns` on the
+/// scope's clock. Other replies pass through.
+pub(crate) fn absorb_traced(
+    resp: Response,
+    scope: Option<&bda_obs::scope::Snapshot>,
+    anchor_ns: u64,
+) -> Response {
+    match resp {
+        Response::Traced { spans, inner } => {
+            if let Some(s) = scope {
+                s.tracer.absorb_remote(spans, s.parent, anchor_ns);
+            }
+            *inner
+        }
+        other => other,
+    }
 }
 
 /// What a cheap prefix scan of a request frame reveals: the pipelining
@@ -469,10 +470,8 @@ pub fn peek_frame(kind: u8, payload: &[u8]) -> FramePeek {
 pub mod kind {
     pub const HELLO: u8 = super::K_HELLO;
     pub const EXECUTE: u8 = super::K_EXECUTE;
-    pub const EXECUTE_STORE: u8 = super::K_EXECUTE_STORE;
     pub const EXECUTE_PUSH: u8 = super::K_EXECUTE_PUSH;
     pub const STORE: u8 = super::K_STORE;
-    pub const STORE_PART: u8 = super::K_STORE_PART;
     pub const REMOVE: u8 = super::K_REMOVE;
     pub const CATALOG: u8 = super::K_CATALOG;
     pub const METRICS: u8 = super::K_METRICS;
@@ -483,6 +482,46 @@ pub mod kind {
     pub const INDEX_INFO: u8 = super::K_INDEX_INFO;
 }
 
+/// A request kind's place in the wrapper order `Pipelined` ⊃ `Tenant` ⊃
+/// `Traced` ⊃ plain (plain = 0).
+fn request_rank(kind: u8) -> u8 {
+    match kind {
+        K_PIPELINED => 3,
+        K_TENANT => 2,
+        K_TRACED => 1,
+        _ => 0,
+    }
+}
+
+/// A response kind's place in the wrapper order `Pipelined` ⊃ `Traced` ⊃
+/// plain (plain = 0).
+fn response_rank(kind: u8) -> u8 {
+    match kind {
+        K_R_PIPELINED => 2,
+        K_R_TRACED => 1,
+        _ => 0,
+    }
+}
+
+/// Read the `inner kind | block` tail of a wrapper of kind `outer`. The
+/// inner kind must rank strictly below `outer`, so each wrapper appears
+/// at most once and in order — which also caps how deep a crafted frame
+/// can make the decoder recurse.
+fn read_wrapped<'a>(
+    r: &mut Reader<'a>,
+    outer: u8,
+    rank: fn(u8) -> u8,
+    what: &str,
+) -> Result<(u8, &'a [u8])> {
+    let inner_kind = r.u8(what)?;
+    if rank(inner_kind) >= rank(outer) {
+        return Err(corrupt(format!(
+            "{what}: kind {inner_kind:#04x} breaks the wrapper order"
+        )));
+    }
+    Ok((inner_kind, read_block(r, what)?))
+}
+
 /// Decode a request from a frame kind and payload.
 pub fn decode_request(kind: u8, payload: &[u8]) -> Result<Request> {
     let mut r = Reader::new(payload);
@@ -490,10 +529,6 @@ pub fn decode_request(kind: u8, payload: &[u8]) -> Result<Request> {
         K_HELLO => Request::Hello,
         K_EXECUTE => Request::Execute {
             plan: read_plan(&mut r, "execute plan")?,
-        },
-        K_EXECUTE_STORE => Request::ExecuteStore {
-            name: r.string("execute-store name")?,
-            plan: read_plan(&mut r, "execute-store plan")?,
         },
         K_EXECUTE_PUSH => Request::ExecutePush {
             dest_addr: r.string("push dest addr")?,
@@ -503,11 +538,6 @@ pub fn decode_request(kind: u8, payload: &[u8]) -> Result<Request> {
         K_STORE => Request::Store {
             name: r.string("store name")?,
             data: read_dataset(&mut r, "store dataset")?,
-        },
-        K_STORE_PART => Request::StorePart {
-            name: r.string("store-part name")?,
-            partition: r.u32("store-part partition")?,
-            data: read_dataset(&mut r, "store-part dataset")?,
         },
         K_REMOVE => Request::Remove {
             name: r.string("remove name")?,
@@ -527,46 +557,26 @@ pub fn decode_request(kind: u8, payload: &[u8]) -> Result<Request> {
         K_METRICS => Request::Metrics,
         K_TRACED => {
             let trace_id = r.u64("trace id")?;
-            let parent_span = r.u64("parent span")?;
-            let inner_kind = r.u8("traced inner kind")?;
-            if inner_kind == K_TRACED {
-                return Err(corrupt("traced request must not nest"));
-            }
-            if inner_kind == K_TENANT {
-                return Err(corrupt("tenant tag must wrap traced, not nest inside it"));
-            }
-            let inner_payload = read_block(&mut r, "traced inner payload")?;
+            let (k, p) = read_wrapped(&mut r, kind, request_rank, "traced inner")?;
             Request::Traced {
                 trace_id,
-                parent_span,
-                inner: Box::new(decode_request(inner_kind, inner_payload)?),
+                inner: Box::new(decode_request(k, p)?),
             }
         }
         K_PIPELINED => {
             let tag = r.u64("pipeline tag")?;
-            let inner_kind = r.u8("pipelined inner kind")?;
-            if inner_kind == K_PIPELINED {
-                return Err(corrupt("pipelined request must not nest"));
-            }
-            let inner_payload = read_block(&mut r, "pipelined inner payload")?;
+            let (k, p) = read_wrapped(&mut r, kind, request_rank, "pipelined inner")?;
             Request::Pipelined {
                 tag,
-                inner: Box::new(decode_request(inner_kind, inner_payload)?),
+                inner: Box::new(decode_request(k, p)?),
             }
         }
         K_TENANT => {
             let tenant = r.string("tenant id")?;
-            let inner_kind = r.u8("tenant inner kind")?;
-            if inner_kind == K_TENANT {
-                return Err(corrupt("tenant tag must not nest"));
-            }
-            if inner_kind == K_PIPELINED {
-                return Err(corrupt("pipelined must be the outermost wrapper"));
-            }
-            let inner_payload = read_block(&mut r, "tenant inner payload")?;
+            let (k, p) = read_wrapped(&mut r, kind, request_rank, "tenant inner")?;
             Request::Tenant {
                 tenant,
-                inner: Box::new(decode_request(inner_kind, inner_payload)?),
+                inner: Box::new(decode_request(k, p)?),
             }
         }
         other => return Err(corrupt(format!("unknown request kind {other:#04x}"))),
@@ -692,26 +702,18 @@ pub fn decode_response(kind: u8, payload: &[u8]) -> Result<Response> {
             let span_block = read_block(&mut r, "traced spans")?;
             let spans = bda_obs::wire::decode_spans(span_block)
                 .map_err(|e| corrupt(format!("traced spans: {e}")))?;
-            let inner_kind = r.u8("traced inner kind")?;
-            if inner_kind == K_R_TRACED {
-                return Err(corrupt("traced response must not nest"));
-            }
-            let inner_payload = read_block(&mut r, "traced inner payload")?;
+            let (k, p) = read_wrapped(&mut r, kind, response_rank, "traced inner")?;
             Response::Traced {
                 spans,
-                inner: Box::new(decode_response(inner_kind, inner_payload)?),
+                inner: Box::new(decode_response(k, p)?),
             }
         }
         K_R_PIPELINED => {
             let tag = r.u64("pipeline tag")?;
-            let inner_kind = r.u8("pipelined inner kind")?;
-            if inner_kind == K_R_PIPELINED {
-                return Err(corrupt("pipelined response must not nest"));
-            }
-            let inner_payload = read_block(&mut r, "pipelined inner payload")?;
+            let (k, p) = read_wrapped(&mut r, kind, response_rank, "pipelined inner")?;
             Response::Pipelined {
                 tag,
-                inner: Box::new(decode_response(inner_kind, inner_payload)?),
+                inner: Box::new(decode_response(k, p)?),
             }
         }
         K_R_ERROR => {
@@ -760,10 +762,6 @@ mod tests {
         let plan = Plan::scan("t", ds.schema().clone()).limit(2);
         request_round_trip(Request::Hello);
         request_round_trip(Request::Execute { plan: plan.clone() });
-        request_round_trip(Request::ExecuteStore {
-            name: "tmp".into(),
-            plan: plan.clone(),
-        });
         request_round_trip(Request::ExecutePush {
             dest_addr: "127.0.0.1:7401".into(),
             dest_name: "__bda_frag_0".into(),
@@ -771,11 +769,6 @@ mod tests {
         });
         request_round_trip(Request::Store {
             name: "t".into(),
-            data: ds.clone(),
-        });
-        request_round_trip(Request::StorePart {
-            name: "__bda_frag_0".into(),
-            partition: 3,
             data: ds,
         });
         request_round_trip(Request::Remove { name: "t".into() });
@@ -808,7 +801,6 @@ mod tests {
         let plan = Plan::scan("t", ds.schema().clone()).limit(2);
         request_round_trip(Request::Traced {
             trace_id: 0xDEAD_BEEF,
-            parent_span: 7,
             inner: Box::new(Request::Execute { plan }),
         });
         response_round_trip(Response::Text("# HELP x y\nx 1\n".into()));
@@ -832,44 +824,12 @@ mod tests {
     }
 
     #[test]
-    fn traced_never_nests() {
-        let inner = Request::Traced {
-            trace_id: 1,
-            parent_span: 0,
-            inner: Box::new(Request::Catalog),
-        };
-        let (kind, payload) = encode_request(&Request::Traced {
-            trace_id: 2,
-            parent_span: 0,
-            inner: Box::new(inner),
-        });
-        assert!(decode_request(kind, &payload).is_err());
-        let (rkind, rpayload) = encode_response(&Response::Traced {
-            spans: vec![],
-            inner: Box::new(Response::Traced {
-                spans: vec![],
-                inner: Box::new(Response::Ack),
-            }),
-        });
-        assert!(decode_response(rkind, &rpayload).is_err());
-    }
-
-    #[test]
-    fn pipelined_messages_round_trip_and_never_nest() {
+    fn pipelined_messages_round_trip() {
         let ds = sample_dataset();
         let plan = Plan::scan("t", ds.schema().clone()).limit(2);
         request_round_trip(Request::Pipelined {
             tag: 0xABCD_EF01_2345_6789,
-            inner: Box::new(Request::Execute { plan: plan.clone() }),
-        });
-        // Pipelined may carry Traced (outermost wrapper rule).
-        request_round_trip(Request::Pipelined {
-            tag: 7,
-            inner: Box::new(Request::Traced {
-                trace_id: 1,
-                parent_span: 0,
-                inner: Box::new(Request::Execute { plan }),
-            }),
+            inner: Box::new(Request::Execute { plan }),
         });
         response_round_trip(Response::Pipelined {
             tag: 42,
@@ -882,79 +842,58 @@ mod tests {
                 transient: true,
             }),
         });
-        // Nesting is rejected on decode, both directions.
-        let (kind, payload) = encode_request(&Request::Pipelined {
-            tag: 1,
-            inner: Box::new(Request::Pipelined {
-                tag: 2,
-                inner: Box::new(Request::Catalog),
-            }),
-        });
-        assert!(decode_request(kind, &payload).is_err());
-        let (rkind, rpayload) = encode_response(&Response::Pipelined {
-            tag: 1,
-            inner: Box::new(Response::Pipelined {
-                tag: 2,
-                inner: Box::new(Response::Ack),
-            }),
-        });
-        assert!(decode_response(rkind, &rpayload).is_err());
     }
 
     #[test]
-    fn tenant_messages_round_trip_and_respect_nesting_rules() {
-        let ds = sample_dataset();
-        let plan = Plan::scan("t", ds.schema().clone()).limit(2);
-        // Tenant wrapping a plain request.
-        request_round_trip(Request::Tenant {
-            tenant: "acme".into(),
-            inner: Box::new(Request::Execute { plan: plan.clone() }),
-        });
-        // Tenant may carry Traced.
-        request_round_trip(Request::Tenant {
-            tenant: "10.0.0.7".into(),
-            inner: Box::new(Request::Traced {
+    fn wrappers_nest_only_in_order_and_at_most_once() {
+        // `wrap(w, …)` in wrapper order: Traced 0 < Tenant 1 < Pipelined 2
+        // (responses: Traced < Pipelined). A pair decodes exactly when the
+        // outer one comes later in that order.
+        let wrap = |w: usize, inner: Request| match w {
+            0 => Request::Traced {
                 trace_id: 0xBDA,
-                parent_span: 1,
-                inner: Box::new(Request::Catalog),
-            }),
-        });
-        // Pipelined may carry Tenant (outermost wrapper rule).
-        request_round_trip(Request::Pipelined {
-            tag: 9,
-            inner: Box::new(Request::Tenant {
+                inner: Box::new(inner),
+            },
+            1 => Request::Tenant {
                 tenant: "acme".into(),
-                inner: Box::new(Request::Execute { plan }),
-            }),
-        });
-        // Tenant never nests itself.
-        let (kind, payload) = encode_request(&Request::Tenant {
-            tenant: "a".into(),
-            inner: Box::new(Request::Tenant {
-                tenant: "b".into(),
-                inner: Box::new(Request::Catalog),
-            }),
-        });
-        assert!(decode_request(kind, &payload).is_err());
-        // Tenant must wrap Traced, not nest inside it.
-        let (kind, payload) = encode_request(&Request::Traced {
-            trace_id: 1,
-            parent_span: 0,
-            inner: Box::new(Request::Tenant {
-                tenant: "a".into(),
-                inner: Box::new(Request::Catalog),
-            }),
-        });
-        assert!(decode_request(kind, &payload).is_err());
-        // Pipelined must stay outermost: Tenant{Pipelined} is rejected.
-        let (kind, payload) = encode_request(&Request::Tenant {
-            tenant: "a".into(),
-            inner: Box::new(Request::Pipelined {
-                tag: 1,
-                inner: Box::new(Request::Catalog),
-            }),
-        });
-        assert!(decode_request(kind, &payload).is_err());
+                inner: Box::new(inner),
+            },
+            _ => Request::Pipelined {
+                tag: 9,
+                inner: Box::new(inner),
+            },
+        };
+        for outer in 0..3 {
+            for inner in 0..3 {
+                let req = wrap(outer, wrap(inner, Request::Catalog));
+                let (kind, payload) = encode_request(&req);
+                assert_eq!(
+                    decode_request(kind, &payload).is_ok(),
+                    outer > inner,
+                    "{req:?}"
+                );
+            }
+        }
+        request_round_trip(wrap(2, wrap(1, wrap(0, Request::Catalog))));
+
+        let wrap = |w: usize, inner: Response| match w {
+            0 => Response::Traced {
+                spans: vec![],
+                inner: Box::new(inner),
+            },
+            _ => Response::Pipelined {
+                tag: 9,
+                inner: Box::new(inner),
+            },
+        };
+        for outer in 0..2 {
+            for inner in 0..2 {
+                let resp = wrap(outer, wrap(inner, Response::Ack));
+                let (kind, payload) = encode_response(&resp);
+                let ok = decode_response(kind, &payload).is_ok();
+                assert_eq!(ok, outer > inner, "{resp:?}");
+            }
+        }
     }
 
     #[test]
@@ -1011,7 +950,6 @@ mod tests {
                 tenant: "acme".into(),
                 inner: Box::new(Request::Traced {
                     trace_id: 7,
-                    parent_span: 0,
                     inner: Box::new(Request::Execute { plan }),
                 }),
             }),
@@ -1086,7 +1024,11 @@ mod tests {
 
     #[test]
     fn unknown_kinds_are_errors() {
-        assert!(decode_request(0x7E, &[]).is_err());
+        // 0x03 and 0x09 were retired request kinds: refused, not aliased.
+        for kind in [0x03, 0x09, 0x7E] {
+            let err = decode_request(kind, &[]).unwrap_err().to_string();
+            assert!(err.contains("unknown request kind"), "{err}");
+        }
         assert!(decode_response(0x20, &[]).is_err());
     }
 

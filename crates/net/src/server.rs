@@ -94,8 +94,8 @@ pub struct ServeOptions {
     pub metrics: Option<MetricsHub>,
     /// Make the served engine durable: recover prior state from this
     /// data directory before binding, then WAL every acknowledged
-    /// mutation (including `StorePart` staging, which the durability
-    /// layer classifies by name). Disk-fault injection rides in
+    /// mutation (staged fragment outputs excepted: the durability layer
+    /// classifies them by name). Disk-fault injection rides in
     /// [`bda_durability::Options::faults`].
     pub durability: Option<bda_durability::Options>,
     /// Usage book charged per request (tenant-tagged or peer-attributed)

@@ -76,6 +76,90 @@ fn unknown_request_kind_is_reported_not_fatal() {
     }
 }
 
+/// One wrapper message's kind and fixed fields: its encoding around an
+/// empty-payload leaf, minus the trailing leaf kind byte and u32 length.
+fn wrapper_head((kind, payload): (u8, Vec<u8>)) -> (u8, Vec<u8>) {
+    (kind, payload[..payload.len() - 5].to_vec())
+}
+
+/// A frame nesting `depth` wrappers (`level(i)` is the i-th from the
+/// outside) around an empty-payload `leaf` kind, built front to back so
+/// the builder itself never recurses.
+fn nested_frame(depth: usize, leaf: u8, level: impl Fn(usize) -> (u8, Vec<u8>)) -> (u8, Vec<u8>) {
+    let levels: Vec<(u8, Vec<u8>)> = (0..depth).map(level).collect();
+    let mut below: usize = levels.iter().map(|(_, head)| head.len() + 5).sum();
+    let mut payload = Vec::with_capacity(below);
+    for (i, (_, head)) in levels.iter().enumerate() {
+        below -= head.len() + 5;
+        payload.extend_from_slice(head);
+        payload.push(levels.get(i + 1).map_or(leaf, |(k, _)| *k));
+        payload.extend_from_slice(&(below as u32).to_le_bytes());
+    }
+    (levels[0].0, payload)
+}
+
+/// `Traced(Pipelined(Traced(…)))` 10 000 deep is ~130 KB — far under the
+/// message cap — and must be refused by the wrapper order, not recursed
+/// into until a default-sized thread stack overflows and aborts the
+/// process.
+#[test]
+fn deeply_nested_wrapper_frames_are_refused_without_recursing() {
+    use bda_net::proto::{decode_request, decode_response, encode_request, encode_response, kind};
+    use bda_net::{Request, Response};
+    const DEPTH: usize = 10_000;
+
+    let hello = || Box::new(Request::Hello);
+    let traced = wrapper_head(encode_request(&Request::Traced {
+        trace_id: 0,
+        inner: hello(),
+    }));
+    let pipelined = wrapper_head(encode_request(&Request::Pipelined {
+        tag: 0,
+        inner: hello(),
+    }));
+    let (req_kind, req) =
+        nested_frame(DEPTH, kind::HELLO, |i| [&traced, &pipelined][i % 2].clone());
+    let ack = || Box::new(Response::Ack);
+    let r_traced = wrapper_head(encode_response(&Response::Traced {
+        spans: vec![],
+        inner: ack(),
+    }));
+    let r_pipelined = wrapper_head(encode_response(&Response::Pipelined {
+        tag: 0,
+        inner: ack(),
+    }));
+    let ack_kind = encode_response(&Response::Ack).0;
+    let (resp_kind, resp) = nested_frame(DEPTH, ack_kind, |i| {
+        [&r_traced, &r_pipelined][i % 2].clone()
+    });
+
+    // Both decoders, on a thread with the default stack.
+    let frame = req.clone();
+    let decoded = std::thread::spawn(move || {
+        (
+            decode_request(req_kind, &frame).is_err(),
+            decode_response(resp_kind, &resp).is_err(),
+        )
+    })
+    .join()
+    .expect("decoding stays within a default thread stack");
+    assert_eq!(decoded, (true, true));
+
+    // A live server answers the frame with an error (or drops the
+    // connection) and keeps serving.
+    let server = serve(Arc::new(ReferenceProvider::new("ref")), "127.0.0.1:0").unwrap();
+    let mut conn = TcpStream::connect(server.addr()).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    bda_net::frame::write_message(&mut conn, req_kind, &req).unwrap();
+    conn.flush().unwrap();
+    if let Ok((kind, payload, _)) = bda_net::frame::read_message(&mut conn) {
+        let reply = decode_response(kind, &payload).unwrap();
+        assert!(matches!(reply, Response::Error { .. }), "{reply:?}");
+    }
+    let remote = RemoteProvider::connect_with(server.addr().to_string(), fast_opts()).unwrap();
+    assert_eq!(remote.name(), "ref", "Hello still answered");
+}
+
 /// A server that drops and truncates every response produces clean
 /// errors after the client's retries — never a hang.
 #[test]

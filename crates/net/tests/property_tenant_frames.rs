@@ -27,9 +27,8 @@ fn inner_request() -> impl Strategy<Value = Request> {
         Just(Request::Catalog),
         Just(Request::Metrics),
         "[a-z]{0,12}".prop_map(|name| Request::Remove { name }),
-        (any::<u64>(), any::<u64>()).prop_map(|(trace_id, parent_span)| Request::Traced {
+        any::<u64>().prop_map(|trace_id| Request::Traced {
             trace_id,
-            parent_span,
             inner: Box::new(Request::Catalog),
         }),
     ]

@@ -1,9 +1,10 @@
 //! # `bda-obs`: observability for the federation
 //!
-//! A structured, low-overhead tracing and profiling layer. The rest of
-//! the workspace threads a [`Tracer`] through execution: the federated
-//! executor opens *query → fragment → transfer* spans, providers attach
-//! per-operator spans, and `bda-net` propagates the trace id over the
+//! A structured, low-overhead tracing and profiling layer. The federated
+//! executor opens *query → fragment → transfer* spans on a [`Tracer`] and
+//! installs the ambient [`scope`] around each provider call; providers
+//! open per-operator spans through that scope, never through their
+//! signatures, and `bda-net` reads it to propagate the trace id over the
 //! wire so server-side spans reassemble into one cross-process timeline.
 //!
 //! Design constraints (see DESIGN.md, "Observability"):
@@ -116,16 +117,6 @@ impl Span {
     pub fn duration_ns(&self) -> u64 {
         self.end_ns.saturating_sub(self.start_ns)
     }
-}
-
-/// The trace/span identifiers a provider call carries across process
-/// boundaries so server-side spans attach to the client's trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceContext {
-    /// The trace every span on both sides belongs to.
-    pub trace_id: u64,
-    /// The client-side span the server's work hangs under.
-    pub parent_span: u64,
 }
 
 /// A finished trace: every span the tracer recorded (local and absorbed

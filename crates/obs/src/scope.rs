@@ -1,15 +1,23 @@
-//! Thread-local span scope: per-operator tracing for recursive
-//! evaluators without touching their signatures.
+//! Thread-local span scope: the one way a provider call joins a trace.
 //!
-//! An engine's `execute_traced` [`install`]s a scope (tracer + site) for
-//! the current thread; the engine's recursive executor calls [`enter`]
-//! at the top of each plan node. When no scope is installed — the
-//! common, untraced case — `enter` is a single thread-local borrow that
-//! returns `None` and allocates nothing (the name closure never runs).
-//! Nesting comes for free: each [`Node`] pushes itself as the parent for
-//! spans opened deeper in the recursion and pops on drop.
+//! Only code that starts a trace or crosses a process boundary
+//! [`install`]s a scope (tracer + site + parent span) around a plain
+//! `Provider::execute`/`execute_push`: the federation executor around each
+//! fragment call, the protocol server around a traced request. Everything
+//! below reads it. Engines call [`enter`] at the top of each plan node;
+//! the network client takes a [`snapshot`] to decide whether a request
+//! travels traced and where the server's spans hang. Decorators see
+//! nothing, so none can drop its inner engine's spans.
+//!
+//! When no scope is installed — the common, untraced case — `enter` is a
+//! single thread-local borrow that returns `None` and allocates nothing
+//! (the name closure never runs). Nesting comes for free: each [`Node`]
+//! pushes itself as the parent for spans opened deeper in the recursion
+//! and pops on drop, and a nested [`install`] restores the outer scope
+//! when its guard drops.
 
 use std::cell::RefCell;
+use std::marker::PhantomData;
 
 use crate::{SpanGuard, Tracer};
 
@@ -23,12 +31,17 @@ struct State {
     parents: Vec<u64>,
 }
 
-/// The installed scope; dropping it uninstalls.
-pub struct Installed(());
+/// The installed scope; dropping it reinstates whatever scope (or none)
+/// was installed before. Tied to the installing thread.
+pub struct Installed {
+    prev: Option<State>,
+    _thread_bound: PhantomData<*const ()>,
+}
 
 impl Drop for Installed {
     fn drop(&mut self) {
-        SCOPE.with(|s| *s.borrow_mut() = None);
+        let prev = self.prev.take();
+        SCOPE.with(|s| *s.borrow_mut() = prev);
     }
 }
 
@@ -40,14 +53,17 @@ pub fn install(tracer: &Tracer, site: &str, parent: Option<u64>) -> Option<Insta
     if !tracer.is_enabled() {
         return None;
     }
-    SCOPE.with(|s| {
-        *s.borrow_mut() = Some(State {
+    let prev = SCOPE.with(|s| {
+        s.borrow_mut().replace(State {
             tracer: tracer.clone(),
             site: site.to_string(),
             parents: parent.into_iter().collect(),
         })
     });
-    Some(Installed(()))
+    Some(Installed {
+        prev,
+        _thread_bound: PhantomData,
+    })
 }
 
 /// One traced plan node; finishes its span and pops the parent stack on
@@ -94,13 +110,15 @@ pub fn enter(name: impl FnOnce() -> String) -> Option<Node> {
     })
 }
 
-/// A portable copy of the installed scope for handing spans to worker
-/// threads: the tracer, the site, and the current parent span id.
+/// A portable copy of the installed scope: the tracer, the site, and the
+/// current parent span id.
 ///
 /// Partition-parallel kernels capture a snapshot on the coordinating
 /// thread (where the scope is installed) and use it to open
 /// `partition:{i}` spans from pool workers via [`Tracer::start`] —
-/// worker threads never install a full scope of their own.
+/// worker threads never install a full scope of their own. The network
+/// client captures one per request: its trace id rides the wire, and the
+/// server's spans come back under its parent.
 #[derive(Clone)]
 pub struct Snapshot {
     /// The tracer the scope records into.
@@ -161,6 +179,29 @@ mod tests {
         assert_eq!(join.parent, None);
         assert_eq!(join.rows, Some(5));
         assert_eq!(join.site, "rel");
+    }
+
+    #[test]
+    fn nested_install_restores_the_outer_scope() {
+        let (outer_t, inner_t) = (Tracer::new(1), Tracer::new(2));
+        {
+            let _outer = install(&outer_t, "app", Some(7));
+            {
+                let _inner = install(&inner_t, "rel", None);
+                assert_eq!(snapshot().unwrap().site, "rel");
+                // A disabled install leaves the installed scope alone.
+                assert!(install(&Tracer::disabled(), "off", None).is_none());
+                enter(|| "op:scan".into()).unwrap();
+            }
+            let snap = snapshot().expect("outer scope back in place");
+            assert_eq!((snap.site.as_str(), snap.parent), ("app", Some(7)));
+            enter(|| "op:join".into()).unwrap();
+        }
+        assert!(snapshot().is_none());
+        assert_eq!(inner_t.finish().spans_named("op:scan").len(), 1);
+        let outer = outer_t.finish();
+        assert_eq!(outer.spans.len(), 1);
+        assert_eq!(outer.spans_named("op:join")[0].parent, Some(7));
     }
 
     #[test]

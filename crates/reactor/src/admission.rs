@@ -62,7 +62,7 @@ impl Priority {
 pub fn classify(kind_byte: u8) -> Priority {
     match kind_byte {
         kind::HELLO | kind::CATALOG | kind::METRICS => Priority::Ops,
-        kind::STORE | kind::STORE_PART | kind::REMOVE => Priority::Bulk,
+        kind::STORE | kind::REMOVE => Priority::Bulk,
         _ => Priority::Interactive,
     }
 }
@@ -370,10 +370,9 @@ mod tests {
         assert_eq!(classify(kind::CATALOG), Priority::Ops);
         assert_eq!(classify(kind::METRICS), Priority::Ops);
         assert_eq!(classify(kind::EXECUTE), Priority::Interactive);
-        assert_eq!(classify(kind::EXECUTE_STORE), Priority::Interactive);
+        assert_eq!(classify(kind::EXECUTE_PUSH), Priority::Interactive);
         assert_eq!(classify(kind::TRACED), Priority::Interactive);
         assert_eq!(classify(kind::STORE), Priority::Bulk);
-        assert_eq!(classify(kind::STORE_PART), Priority::Bulk);
         assert_eq!(classify(kind::REMOVE), Priority::Bulk);
         assert_eq!(
             classify(0xEE),

@@ -9,6 +9,7 @@ use std::collections::BTreeMap;
 use bda_core::convergence::converged;
 use bda_core::eval::eval_chunk;
 use bda_core::infer::infer_schema;
+use bda_core::provider::trace_op;
 use bda_core::{CoreError, Plan};
 use bda_storage::{Chunk, Column, DataSet, RowsChunk, Schema, Value};
 
@@ -28,14 +29,7 @@ pub fn execute(
     tables: &BTreeMap<String, DataSet>,
     state: Option<&DataSet>,
 ) -> Result<DataSet> {
-    // Per-operator tracing when a scope is installed (`execute_traced`);
-    // one inert thread-local check otherwise.
-    let mut node = bda_obs::scope::enter(|| format!("op:{}", plan.op_kind().name()));
-    let out = execute_node(plan, tables, state);
-    if let (Some(n), Ok(ds)) = (node.as_mut(), &out) {
-        n.rows(ds.num_rows());
-    }
-    out
+    trace_op(plan, || execute_node(plan, tables, state))
 }
 
 fn execute_node(

@@ -71,15 +71,6 @@ impl Provider for LaggyProvider {
     fn row_count_of(&self, name: &str) -> Option<usize> {
         self.inner.row_count_of(name)
     }
-
-    fn execute_traced(
-        &self,
-        plan: &Plan,
-        ctx: &bda_obs::TraceContext,
-    ) -> Result<(DataSet, Vec<bda_obs::Span>), CoreError> {
-        std::thread::sleep(self.delay);
-        self.inner.execute_traced(plan, ctx)
-    }
 }
 
 fn table(n: i64) -> DataSet {

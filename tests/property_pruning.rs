@@ -14,7 +14,7 @@ use proptest::prelude::*;
 
 use bda::core::reference::evaluate;
 use bda::core::{col, lit, Expr, Plan, Provider};
-use bda::obs::TraceContext;
+use bda::obs::{scope, Tracer};
 use bda::relational::RelationalEngine;
 use bda::storage::stats::ZoneMap;
 use bda::storage::{Column, DataSet, DataType, Field, IndexKind, Row, Schema, Value};
@@ -299,12 +299,14 @@ fn nan_empty_chunk_and_all_null_zone_maps_are_exact() {
 /// from the spans rather than the process-global `bda_obs::prune`
 /// counters, which other tests in this binary bump concurrently.
 fn traced_prune_events(e: &RelationalEngine, plan: &Plan) -> (DataSet, Vec<String>) {
-    let ctx = TraceContext {
-        trace_id: 0xF11,
-        parent_span: 0,
+    let tracer = Tracer::new(0xF11);
+    let out = {
+        let _scope = scope::install(&tracer, e.name(), None);
+        e.execute(plan).unwrap()
     };
-    let (out, spans) = e.execute_traced(plan, &ctx).unwrap();
-    let events = spans
+    let events = tracer
+        .finish()
+        .spans
         .into_iter()
         .flat_map(|s| s.events)
         .map(|ev| ev.label)

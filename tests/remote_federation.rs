@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use bda::core::reference::evaluate;
-use bda::core::Provider;
+use bda::core::{col, lit, Provider};
 use bda::federation::{ExecOptions, Federation, TransferMode};
 use bda::lang::Query;
 use bda::linalg::LinAlgEngine;
@@ -284,6 +284,62 @@ fn traced_tcp_run_reassembles_one_cross_process_trace() {
             assert!(trace.span(p).is_some(), "dangling parent in {s:?}");
         }
     }
+}
+
+/// A decorator with no tracing code: it forwards only what the trait
+/// requires, `execute` among it.
+struct ExecuteOnly(RelationalEngine);
+
+impl Provider for ExecuteOnly {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn capabilities(&self) -> bda::core::CapabilitySet {
+        self.0.capabilities()
+    }
+    fn catalog(&self) -> Vec<(String, bda::storage::Schema)> {
+        self.0.catalog()
+    }
+    fn execute(&self, plan: &bda::core::Plan) -> Result<DataSet, bda::core::CoreError> {
+        self.0.execute(plan)
+    }
+    fn store(&self, name: &str, data: DataSet) -> Result<(), bda::core::CoreError> {
+        self.0.store(name, data)
+    }
+    fn remove(&self, name: &str) {
+        self.0.remove(name)
+    }
+}
+
+#[test]
+fn tracing_survives_a_decorator_that_only_forwards_execute() {
+    let wrapped = || {
+        let rel = RelationalEngine::new("rel");
+        rel.store("lookup", lookup_table()).unwrap();
+        Arc::new(ExecuteOnly(rel))
+    };
+    let analyze = |provider: Arc<dyn Provider>| {
+        let mut fed = Federation::new();
+        fed.register(provider);
+        fed.options_mut().workers = 1;
+        let lookup = fed.registry().schema_of("lookup").unwrap();
+        let plan = Query::scan("lookup", lookup).filter(col("weight").gt(lit(2.0)));
+        fed.explain_analyze(plan.plan(), 7).unwrap()
+    };
+
+    // In process: the inner engine's operators nest under the fragment.
+    let report = analyze(wrapped());
+    assert!(report.contains("\n  fragment:0 @ rel"), "{report}");
+    assert!(report.contains("\n    op:select @ rel"), "{report}");
+    assert!(report.contains("\n      op:scan @ rel"), "{report}");
+
+    // Behind a server: under the fragment, the server's `serve:` span.
+    let server = serve(wrapped(), "127.0.0.1:0").unwrap();
+    let remote = RemoteProvider::connect(server.addr().to_string()).unwrap();
+    let report = analyze(Arc::new(remote));
+    assert!(report.contains("\n    serve:execute @ rel"), "{report}");
+    assert!(report.contains("\n      op:select @ rel"), "{report}");
+    assert!(report.contains("\n        op:scan @ rel"), "{report}");
 }
 
 #[test]
