@@ -5,11 +5,19 @@
 //! calls". This codec is that capability: a whole plan tree serializes
 //! into one message, so a pipeline of k operators costs one round trip
 //! instead of k (experiment F3 measures exactly this difference).
+//!
+//! Bytes are written and read through [`bda_storage::wire`]'s
+//! [`Writer`]/[`Reader`] pair, and malformed input is a
+//! [`CoreError::Storage`] wrapping [`StorageError::Corrupt`]. Every plan
+//! node and every expression node takes one level of the reader's nesting
+//! budget ([`bda_storage::wire::MAX_NESTING`]), so a deep message is
+//! refused instead of overflowing the decoding thread's stack.
+//!
+//! Decoders build each node with a struct literal whose fields are read
+//! in the order they are written there, which must be the wire order.
 
-use bytes::{BufMut, BytesMut};
-
-use bda_storage::wire::{decode_schema, decode_value, encode_schema, encode_value, Reader};
-use bda_storage::{Row, StorageError};
+use bda_storage::wire::{decode_schema, decode_value, encode_schema, encode_value, Reader, Writer};
+use bda_storage::{DataType, Row, StorageError};
 
 use crate::agg::{AggExpr, AggFunc};
 use crate::error::CoreError;
@@ -19,257 +27,130 @@ use crate::plan::{GraphOp, JoinType, Plan};
 /// Result alias.
 pub type Result<T> = std::result::Result<T, CoreError>;
 
-fn corrupt(msg: impl Into<String>) -> CoreError {
-    CoreError::Corrupt(msg.into())
-}
-
-fn wire_err(e: StorageError) -> CoreError {
-    CoreError::Corrupt(e.to_string())
-}
-
-fn put_string(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn get_string(r: &mut Reader<'_>, what: &str) -> Result<String> {
-    r.string(what).map_err(wire_err)
-}
-
 // ---------------------------------------------------------------------------
 // Expressions
 // ---------------------------------------------------------------------------
 
 /// Encode an expression.
-pub fn encode_expr(e: &Expr, buf: &mut BytesMut) {
+pub fn encode_expr(e: &Expr, w: &mut Writer) {
     match e {
         Expr::Column(name) => {
-            buf.put_u8(0);
-            put_string(buf, name);
+            w.u8(0);
+            w.str(name);
         }
         Expr::Literal(v) => {
-            buf.put_u8(1);
-            encode_value(v, buf);
+            w.u8(1);
+            encode_value(v, w);
         }
         Expr::Binary { op, left, right } => {
-            buf.put_u8(2);
-            buf.put_u8(bin_tag(*op));
-            encode_expr(left, buf);
-            encode_expr(right, buf);
+            w.u8(2);
+            w.tag(&BinOp::ALL, op);
+            encode_expr(left, w);
+            encode_expr(right, w);
         }
         Expr::Unary { op, input } => {
-            buf.put_u8(3);
-            buf.put_u8(un_tag(*op));
-            encode_expr(input, buf);
+            w.u8(3);
+            w.tag(&UnOp::ALL, op);
+            encode_expr(input, w);
         }
         Expr::Cast { input, to } => {
-            buf.put_u8(4);
-            buf.put_u8(to.wire_tag());
-            encode_expr(input, buf);
+            w.u8(4);
+            w.u8(to.wire_tag());
+            encode_expr(input, w);
         }
         Expr::Coalesce(args) => {
-            buf.put_u8(5);
-            buf.put_u32_le(args.len() as u32);
-            for a in args {
-                encode_expr(a, buf);
-            }
+            w.u8(5);
+            w.list(args, |w, a| encode_expr(a, w));
         }
         Expr::Case {
             branches,
             otherwise,
         } => {
-            buf.put_u8(6);
-            buf.put_u32_le(branches.len() as u32);
-            for (w, t) in branches {
-                encode_expr(w, buf);
-                encode_expr(t, buf);
-            }
-            match otherwise {
-                Some(e) => {
-                    buf.put_u8(1);
-                    encode_expr(e, buf);
-                }
-                None => buf.put_u8(0),
-            }
+            w.u8(6);
+            w.list(branches, |w, (when, then)| {
+                encode_expr(when, w);
+                encode_expr(then, w);
+            });
+            w.opt(otherwise.as_deref(), |w, e| encode_expr(e, w));
         }
     }
 }
 
 /// Decode an expression.
 pub fn decode_expr(r: &mut Reader<'_>) -> Result<Expr> {
-    match r.u8("expr tag").map_err(wire_err)? {
-        0 => Ok(Expr::Column(get_string(r, "column name")?)),
-        1 => Ok(Expr::Literal(decode_value(r).map_err(wire_err)?)),
-        2 => {
-            let op = bin_from_tag(r.u8("binop tag").map_err(wire_err)?)?;
-            let left = Box::new(decode_expr(r)?);
-            let right = Box::new(decode_expr(r)?);
-            Ok(Expr::Binary { op, left, right })
-        }
-        3 => {
-            let op = un_from_tag(r.u8("unop tag").map_err(wire_err)?)?;
-            let input = Box::new(decode_expr(r)?);
-            Ok(Expr::Unary { op, input })
-        }
-        4 => {
-            let to = bda_storage::DataType::from_wire_tag(r.u8("cast tag").map_err(wire_err)?)
-                .ok_or_else(|| corrupt("bad cast dtype"))?;
-            let input = Box::new(decode_expr(r)?);
-            Ok(Expr::Cast { input, to })
-        }
-        5 => {
-            let n = r.u32("coalesce arity").map_err(wire_err)? as usize;
-            check_arity(r, n)?;
-            let mut args = Vec::with_capacity(n.min(256));
-            for _ in 0..n {
-                args.push(decode_expr(r)?);
-            }
-            Ok(Expr::Coalesce(args))
-        }
-        6 => {
-            let n = r.u32("case arity").map_err(wire_err)? as usize;
-            check_arity(r, n)?;
-            let mut branches = Vec::with_capacity(n.min(256));
-            for _ in 0..n {
-                let w = decode_expr(r)?;
-                let t = decode_expr(r)?;
-                branches.push((w, t));
-            }
-            let otherwise = match r.u8("case else flag").map_err(wire_err)? {
-                0 => None,
-                1 => Some(Box::new(decode_expr(r)?)),
-                t => return Err(corrupt(format!("bad case else flag {t}"))),
-            };
-            Ok(Expr::Case {
-                branches,
-                otherwise,
-            })
-        }
-        t => Err(corrupt(format!("bad expr tag {t}"))),
-    }
+    r.nested("expression", |r| {
+        Ok(match r.u8("expr tag")? {
+            0 => Expr::Column(r.string("column name")?),
+            1 => Expr::Literal(decode_value(r)?),
+            2 => Expr::Binary {
+                op: r.tag(&BinOp::ALL, "binop")?,
+                left: Box::new(decode_expr(r)?),
+                right: Box::new(decode_expr(r)?),
+            },
+            3 => Expr::Unary {
+                op: r.tag(&UnOp::ALL, "unop")?,
+                input: Box::new(decode_expr(r)?),
+            },
+            4 => Expr::Cast {
+                to: r.tag(&DataType::ALL, "cast dtype")?,
+                input: Box::new(decode_expr(r)?),
+            },
+            // The smallest expression is two bytes (a null literal).
+            5 => Expr::Coalesce(r.list(2, "coalesce arity", decode_expr)?),
+            6 => Expr::Case {
+                branches: r.list(4, "case arity", |r| {
+                    Ok::<_, CoreError>((decode_expr(r)?, decode_expr(r)?))
+                })?,
+                otherwise: r.opt("case else", |r| decode_expr(r).map(Box::new))?,
+            },
+            t => return Err(StorageError::Corrupt(format!("bad expr tag {t}")).into()),
+        })
+    })
 }
 
-fn check_arity(r: &Reader<'_>, n: usize) -> Result<()> {
-    if n > r.remaining() + 16 {
-        return Err(corrupt(format!("implausible arity {n}")));
-    }
-    Ok(())
-}
-
-fn bin_tag(op: BinOp) -> u8 {
-    BinOp::ALL.iter().position(|&o| o == op).unwrap() as u8
-}
-
-fn bin_from_tag(t: u8) -> Result<BinOp> {
-    BinOp::ALL
-        .get(t as usize)
-        .copied()
-        .ok_or_else(|| corrupt(format!("bad binop tag {t}")))
-}
-
-fn un_tag(op: UnOp) -> u8 {
-    UnOp::ALL.iter().position(|&o| o == op).unwrap() as u8
-}
-
-fn un_from_tag(t: u8) -> Result<UnOp> {
-    UnOp::ALL
-        .get(t as usize)
-        .copied()
-        .ok_or_else(|| corrupt(format!("bad unop tag {t}")))
-}
-
-fn agg_tag(f: AggFunc) -> u8 {
-    AggFunc::ALL.iter().position(|&o| o == f).unwrap() as u8
-}
-
-fn agg_from_tag(t: u8) -> Result<AggFunc> {
-    AggFunc::ALL
-        .get(t as usize)
-        .copied()
-        .ok_or_else(|| corrupt(format!("bad agg tag {t}")))
-}
-
-fn join_tag(j: JoinType) -> u8 {
-    JoinType::ALL.iter().position(|&o| o == j).unwrap() as u8
-}
-
-fn join_from_tag(t: u8) -> Result<JoinType> {
-    JoinType::ALL
-        .get(t as usize)
-        .copied()
-        .ok_or_else(|| corrupt(format!("bad join tag {t}")))
-}
-
-fn encode_agg(a: &AggExpr, buf: &mut BytesMut) {
-    buf.put_u8(agg_tag(a.func));
-    match &a.arg {
-        Some(e) => {
-            buf.put_u8(1);
-            encode_expr(e, buf);
-        }
-        None => buf.put_u8(0),
-    }
-    put_string(buf, &a.name);
+fn encode_agg(a: &AggExpr, w: &mut Writer) {
+    w.tag(&AggFunc::ALL, &a.func);
+    w.opt(a.arg.as_ref(), |w, e| encode_expr(e, w));
+    w.str(&a.name);
 }
 
 fn decode_agg(r: &mut Reader<'_>) -> Result<AggExpr> {
-    let func = agg_from_tag(r.u8("agg tag").map_err(wire_err)?)?;
-    let arg = match r.u8("agg arg flag").map_err(wire_err)? {
-        0 => None,
-        1 => Some(decode_expr(r)?),
-        t => return Err(corrupt(format!("bad agg arg flag {t}"))),
-    };
-    let name = get_string(r, "agg name")?;
-    Ok(AggExpr { func, arg, name })
+    Ok(AggExpr {
+        func: r.tag(&AggFunc::ALL, "agg")?,
+        arg: r.opt("agg arg", decode_expr)?,
+        name: r.string("agg name")?,
+    })
 }
 
-fn encode_rows(rows: &[Row], buf: &mut BytesMut) {
-    buf.put_u32_le(rows.len() as u32);
-    for row in rows {
-        buf.put_u32_le(row.len() as u32);
-        for v in &row.0 {
-            encode_value(v, buf);
-        }
-    }
+fn encode_rows(rows: &[Row], w: &mut Writer) {
+    w.list(rows, |w, row| w.list(&row.0, |w, v| encode_value(v, w)));
 }
 
-fn decode_rows(r: &mut Reader<'_>) -> Result<Vec<Row>> {
-    let n = r.u32("row count").map_err(wire_err)? as usize;
-    check_arity(r, n)?;
-    let mut rows = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        let m = r.u32("row arity").map_err(wire_err)? as usize;
-        check_arity(r, m)?;
-        let mut vals = Vec::with_capacity(m.min(256));
-        for _ in 0..m {
-            vals.push(decode_value(r).map_err(wire_err)?);
-        }
-        rows.push(Row(vals));
-    }
-    Ok(rows)
+/// A row is at least its arity prefix; a value at least its tag byte.
+fn decode_rows(r: &mut Reader<'_>) -> bda_storage::Result<Vec<Row>> {
+    r.list(4, "row count", |r| {
+        r.list(1, "row arity", decode_value).map(Row)
+    })
 }
 
-fn encode_opt_extent(e: &Option<(i64, i64)>, buf: &mut BytesMut) {
-    match e {
-        Some((lo, hi)) => {
-            buf.put_u8(1);
-            buf.put_i64_le(*lo);
-            buf.put_i64_le(*hi);
-        }
-        None => buf.put_u8(0),
-    }
+fn encode_names(names: &[String], w: &mut Writer) {
+    w.list(names, |w, n| w.str(n));
 }
 
-fn decode_opt_extent(r: &mut Reader<'_>) -> Result<Option<(i64, i64)>> {
-    match r.u8("extent flag").map_err(wire_err)? {
-        0 => Ok(None),
-        1 => {
-            let lo = r.i64("extent lo").map_err(wire_err)?;
-            let hi = r.i64("extent hi").map_err(wire_err)?;
-            Ok(Some((lo, hi)))
-        }
-        t => Err(corrupt(format!("bad extent flag {t}"))),
-    }
+fn decode_names(r: &mut Reader<'_>, what: &str) -> bda_storage::Result<Vec<String>> {
+    r.list(4, what, |r| r.string(what))
+}
+
+/// Name pairs (join keys, renames): two string prefixes each.
+fn encode_name_pairs(pairs: &[(String, String)], w: &mut Writer) {
+    w.list(pairs, |w, (a, b)| {
+        w.str(a);
+        w.str(b);
+    });
+}
+
+fn decode_name_pairs(r: &mut Reader<'_>, what: &str) -> bda_storage::Result<Vec<(String, String)>> {
+    r.list(8, what, |r| Ok((r.string(what)?, r.string(what)?)))
 }
 
 // ---------------------------------------------------------------------------
@@ -281,64 +162,55 @@ const PLAN_MAGIC: &[u8; 4] = b"BDAP";
 
 /// Encode a full plan tree into a fresh buffer.
 pub fn encode_plan(plan: &Plan) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(256);
-    buf.put_slice(PLAN_MAGIC);
-    encode_plan_node(plan, &mut buf);
-    buf.to_vec()
+    let mut w = Writer::with_capacity(256);
+    w.bytes(PLAN_MAGIC);
+    encode_plan_node(plan, &mut w);
+    w.into_vec()
 }
 
 /// Decode a plan; consumes the whole input.
 pub fn decode_plan(bytes: &[u8]) -> Result<Plan> {
     let mut r = Reader::new(bytes);
-    let magic = r.bytes(4, "plan magic").map_err(wire_err)?;
-    if magic != PLAN_MAGIC {
-        return Err(corrupt("bad plan magic"));
-    }
+    r.magic(PLAN_MAGIC, "plan magic")?;
     let plan = decode_plan_node(&mut r)?;
-    if r.remaining() != 0 {
-        return Err(corrupt(format!(
-            "{} trailing bytes after plan",
-            r.remaining()
-        )));
-    }
+    r.finish("plan")?;
     Ok(plan)
 }
 
-fn encode_plan_node(plan: &Plan, buf: &mut BytesMut) {
+fn encode_plan_node(plan: &Plan, w: &mut Writer) {
     match plan {
         Plan::Scan { dataset, schema } => {
-            buf.put_u8(0);
-            put_string(buf, dataset);
-            encode_schema(schema, buf);
+            w.u8(0);
+            w.str(dataset);
+            encode_schema(schema, w);
         }
         Plan::Values { schema, rows } => {
-            buf.put_u8(1);
-            encode_schema(schema, buf);
-            encode_rows(rows, buf);
+            w.u8(1);
+            encode_schema(schema, w);
+            encode_rows(rows, w);
         }
         Plan::Range { name, lo, hi } => {
-            buf.put_u8(2);
-            put_string(buf, name);
-            buf.put_i64_le(*lo);
-            buf.put_i64_le(*hi);
+            w.u8(2);
+            w.str(name);
+            w.i64(*lo);
+            w.i64(*hi);
         }
         Plan::IterState { schema } => {
-            buf.put_u8(3);
-            encode_schema(schema, buf);
+            w.u8(3);
+            encode_schema(schema, w);
         }
         Plan::Select { input, predicate } => {
-            buf.put_u8(4);
-            encode_expr(predicate, buf);
-            encode_plan_node(input, buf);
+            w.u8(4);
+            encode_expr(predicate, w);
+            encode_plan_node(input, w);
         }
         Plan::Project { input, exprs } => {
-            buf.put_u8(5);
-            buf.put_u32_le(exprs.len() as u32);
-            for (n, e) in exprs {
-                put_string(buf, n);
-                encode_expr(e, buf);
-            }
-            encode_plan_node(input, buf);
+            w.u8(5);
+            w.list(exprs, |w, (n, e)| {
+                w.str(n);
+                encode_expr(e, w);
+            });
+            encode_plan_node(input, w);
         }
         Plan::Join {
             left,
@@ -347,140 +219,113 @@ fn encode_plan_node(plan: &Plan, buf: &mut BytesMut) {
             join_type,
             suffix,
         } => {
-            buf.put_u8(6);
-            buf.put_u8(join_tag(*join_type));
-            put_string(buf, suffix);
-            buf.put_u32_le(on.len() as u32);
-            for (a, b) in on {
-                put_string(buf, a);
-                put_string(buf, b);
-            }
-            encode_plan_node(left, buf);
-            encode_plan_node(right, buf);
+            w.u8(6);
+            w.tag(&JoinType::ALL, join_type);
+            w.str(suffix);
+            encode_name_pairs(on, w);
+            encode_plan_node(left, w);
+            encode_plan_node(right, w);
         }
         Plan::Aggregate {
             input,
             group_by,
             aggs,
         } => {
-            buf.put_u8(7);
-            buf.put_u32_le(group_by.len() as u32);
-            for g in group_by {
-                put_string(buf, g);
-            }
-            buf.put_u32_le(aggs.len() as u32);
-            for a in aggs {
-                encode_agg(a, buf);
-            }
-            encode_plan_node(input, buf);
+            w.u8(7);
+            encode_names(group_by, w);
+            w.list(aggs, |w, a| encode_agg(a, w));
+            encode_plan_node(input, w);
         }
         Plan::Union { left, right } => {
-            buf.put_u8(8);
-            encode_plan_node(left, buf);
-            encode_plan_node(right, buf);
+            w.u8(8);
+            encode_plan_node(left, w);
+            encode_plan_node(right, w);
         }
         Plan::Distinct { input } => {
-            buf.put_u8(9);
-            encode_plan_node(input, buf);
+            w.u8(9);
+            encode_plan_node(input, w);
         }
         Plan::Sort { input, keys } => {
-            buf.put_u8(10);
-            buf.put_u32_le(keys.len() as u32);
-            for (k, d) in keys {
-                put_string(buf, k);
-                buf.put_u8(*d as u8);
-            }
-            encode_plan_node(input, buf);
+            w.u8(10);
+            w.list(keys, |w, (k, d)| {
+                w.str(k);
+                w.u8(u8::from(*d));
+            });
+            encode_plan_node(input, w);
         }
         Plan::Limit { input, skip, fetch } => {
-            buf.put_u8(11);
-            buf.put_u64_le(*skip as u64);
-            match fetch {
-                Some(n) => {
-                    buf.put_u8(1);
-                    buf.put_u64_le(*n as u64);
-                }
-                None => buf.put_u8(0),
-            }
-            encode_plan_node(input, buf);
+            w.u8(11);
+            w.u64(*skip as u64);
+            w.opt(*fetch, |w, n| w.u64(n as u64));
+            encode_plan_node(input, w);
         }
         Plan::Rename { input, mapping } => {
-            buf.put_u8(12);
-            buf.put_u32_le(mapping.len() as u32);
-            for (a, b) in mapping {
-                put_string(buf, a);
-                put_string(buf, b);
-            }
-            encode_plan_node(input, buf);
+            w.u8(12);
+            encode_name_pairs(mapping, w);
+            encode_plan_node(input, w);
         }
         Plan::Dice { input, ranges } => {
-            buf.put_u8(13);
-            buf.put_u32_le(ranges.len() as u32);
-            for (d, lo, hi) in ranges {
-                put_string(buf, d);
-                buf.put_i64_le(*lo);
-                buf.put_i64_le(*hi);
-            }
-            encode_plan_node(input, buf);
+            w.u8(13);
+            w.list(ranges, |w, (d, lo, hi)| {
+                w.str(d);
+                w.i64(*lo);
+                w.i64(*hi);
+            });
+            encode_plan_node(input, w);
         }
         Plan::SliceAt { input, dim, index } => {
-            buf.put_u8(14);
-            put_string(buf, dim);
-            buf.put_i64_le(*index);
-            encode_plan_node(input, buf);
+            w.u8(14);
+            w.str(dim);
+            w.i64(*index);
+            encode_plan_node(input, w);
         }
         Plan::Permute { input, order } => {
-            buf.put_u8(15);
-            buf.put_u32_le(order.len() as u32);
-            for d in order {
-                put_string(buf, d);
-            }
-            encode_plan_node(input, buf);
+            w.u8(15);
+            encode_names(order, w);
+            encode_plan_node(input, w);
         }
         Plan::Window { input, radii, aggs } => {
-            buf.put_u8(16);
-            buf.put_u32_le(radii.len() as u32);
-            for (d, rad) in radii {
-                put_string(buf, d);
-                buf.put_i64_le(*rad);
-            }
-            buf.put_u32_le(aggs.len() as u32);
-            for a in aggs {
-                encode_agg(a, buf);
-            }
-            encode_plan_node(input, buf);
+            w.u8(16);
+            w.list(radii, |w, (d, rad)| {
+                w.str(d);
+                w.i64(*rad);
+            });
+            w.list(aggs, |w, a| encode_agg(a, w));
+            encode_plan_node(input, w);
         }
         Plan::Fill { input, fill } => {
-            buf.put_u8(17);
-            encode_value(fill, buf);
-            encode_plan_node(input, buf);
+            w.u8(17);
+            encode_value(fill, w);
+            encode_plan_node(input, w);
         }
         Plan::TagDims { input, dims } => {
-            buf.put_u8(18);
-            buf.put_u32_le(dims.len() as u32);
-            for (d, e) in dims {
-                put_string(buf, d);
-                encode_opt_extent(e, buf);
-            }
-            encode_plan_node(input, buf);
+            w.u8(18);
+            w.list(dims, |w, (d, extent)| {
+                w.str(d);
+                w.opt(*extent, |w, (lo, hi)| {
+                    w.i64(lo);
+                    w.i64(hi);
+                });
+            });
+            encode_plan_node(input, w);
         }
         Plan::UntagDims { input } => {
-            buf.put_u8(19);
-            encode_plan_node(input, buf);
+            w.u8(19);
+            encode_plan_node(input, w);
         }
         Plan::MatMul { left, right } => {
-            buf.put_u8(20);
-            encode_plan_node(left, buf);
-            encode_plan_node(right, buf);
+            w.u8(20);
+            encode_plan_node(left, w);
+            encode_plan_node(right, w);
         }
         Plan::ElemWise { op, left, right } => {
-            buf.put_u8(21);
-            buf.put_u8(bin_tag(*op));
-            encode_plan_node(left, buf);
-            encode_plan_node(right, buf);
+            w.u8(21);
+            w.tag(&BinOp::ALL, op);
+            encode_plan_node(left, w);
+            encode_plan_node(right, w);
         }
         Plan::Graph(g) => {
-            buf.put_u8(22);
+            w.u8(22);
             match g {
                 GraphOp::PageRank {
                     edges,
@@ -488,29 +333,29 @@ fn encode_plan_node(plan: &Plan, buf: &mut BytesMut) {
                     max_iters,
                     epsilon,
                 } => {
-                    buf.put_u8(0);
-                    buf.put_u64_le(damping.to_bits());
-                    buf.put_u64_le(*max_iters as u64);
-                    buf.put_u64_le(epsilon.to_bits());
-                    encode_plan_node(edges, buf);
+                    w.u8(0);
+                    w.f64(*damping);
+                    w.u64(*max_iters as u64);
+                    w.f64(*epsilon);
+                    encode_plan_node(edges, w);
                 }
                 GraphOp::ConnectedComponents { edges, max_iters } => {
-                    buf.put_u8(1);
-                    buf.put_u64_le(*max_iters as u64);
-                    encode_plan_node(edges, buf);
+                    w.u8(1);
+                    w.u64(*max_iters as u64);
+                    encode_plan_node(edges, w);
                 }
                 GraphOp::TriangleCount { edges } => {
-                    buf.put_u8(2);
-                    encode_plan_node(edges, buf);
+                    w.u8(2);
+                    encode_plan_node(edges, w);
                 }
                 GraphOp::Degrees { edges } => {
-                    buf.put_u8(3);
-                    encode_plan_node(edges, buf);
+                    w.u8(3);
+                    encode_plan_node(edges, w);
                 }
                 GraphOp::BfsLevels { edges, source } => {
-                    buf.put_u8(4);
-                    buf.put_i64_le(*source);
-                    encode_plan_node(edges, buf);
+                    w.u8(4);
+                    w.i64(*source);
+                    encode_plan_node(edges, w);
                 }
             }
         }
@@ -520,300 +365,172 @@ fn encode_plan_node(plan: &Plan, buf: &mut BytesMut) {
             max_iters,
             epsilon,
         } => {
-            buf.put_u8(23);
-            buf.put_u64_le(*max_iters as u64);
-            match epsilon {
-                Some(e) => {
-                    buf.put_u8(1);
-                    buf.put_u64_le(e.to_bits());
-                }
-                None => buf.put_u8(0),
-            }
-            encode_plan_node(init, buf);
-            encode_plan_node(body, buf);
+            w.u8(23);
+            w.u64(*max_iters as u64);
+            w.opt(*epsilon, Writer::f64);
+            encode_plan_node(init, w);
+            encode_plan_node(body, w);
         }
         Plan::Exchange { input, parts, key } => {
-            buf.put_u8(24);
-            buf.put_u64_le(*parts as u64);
-            match key {
-                Some(k) => {
-                    buf.put_u8(1);
-                    put_string(buf, k);
-                }
-                None => buf.put_u8(0),
-            }
-            encode_plan_node(input, buf);
+            w.u8(24);
+            w.u64(*parts as u64);
+            w.opt(key.as_deref(), Writer::str);
+            encode_plan_node(input, w);
         }
         Plan::Merge { input } => {
-            buf.put_u8(25);
-            encode_plan_node(input, buf);
+            w.u8(25);
+            encode_plan_node(input, w);
         }
     }
 }
 
 fn decode_plan_node(r: &mut Reader<'_>) -> Result<Plan> {
-    let tag = r.u8("plan tag").map_err(wire_err)?;
-    Ok(match tag {
-        0 => Plan::Scan {
-            dataset: get_string(r, "scan dataset")?,
-            schema: decode_schema(r).map_err(wire_err)?,
-        },
-        1 => Plan::Values {
-            schema: decode_schema(r).map_err(wire_err)?,
-            rows: decode_rows(r)?,
-        },
-        2 => Plan::Range {
-            name: get_string(r, "range name")?,
-            lo: r.i64("range lo").map_err(wire_err)?,
-            hi: r.i64("range hi").map_err(wire_err)?,
-        },
-        3 => Plan::IterState {
-            schema: decode_schema(r).map_err(wire_err)?,
-        },
-        4 => {
-            let predicate = decode_expr(r)?;
-            let input = Box::new(decode_plan_node(r)?);
-            Plan::Select { input, predicate }
-        }
-        5 => {
-            let n = r.u32("project arity").map_err(wire_err)? as usize;
-            check_arity(r, n)?;
-            let mut exprs = Vec::with_capacity(n.min(256));
-            for _ in 0..n {
-                let name = get_string(r, "project name")?;
-                let e = decode_expr(r)?;
-                exprs.push((name, e));
-            }
-            let input = Box::new(decode_plan_node(r)?);
-            Plan::Project { input, exprs }
-        }
-        6 => {
-            let join_type = join_from_tag(r.u8("join type").map_err(wire_err)?)?;
-            let suffix = get_string(r, "join suffix")?;
-            let n = r.u32("join key count").map_err(wire_err)? as usize;
-            check_arity(r, n)?;
-            let mut on = Vec::with_capacity(n.min(64));
-            for _ in 0..n {
-                let a = get_string(r, "join left key")?;
-                let b = get_string(r, "join right key")?;
-                on.push((a, b));
-            }
-            let left = Box::new(decode_plan_node(r)?);
-            let right = Box::new(decode_plan_node(r)?);
-            Plan::Join {
-                left,
-                right,
-                on,
-                join_type,
-                suffix,
-            }
-        }
-        7 => {
-            let n = r.u32("group count").map_err(wire_err)? as usize;
-            check_arity(r, n)?;
-            let mut group_by = Vec::with_capacity(n.min(64));
-            for _ in 0..n {
-                group_by.push(get_string(r, "group col")?);
-            }
-            let m = r.u32("agg count").map_err(wire_err)? as usize;
-            check_arity(r, m)?;
-            let mut aggs = Vec::with_capacity(m.min(64));
-            for _ in 0..m {
-                aggs.push(decode_agg(r)?);
-            }
-            let input = Box::new(decode_plan_node(r)?);
-            Plan::Aggregate {
-                input,
-                group_by,
-                aggs,
-            }
-        }
-        8 => {
-            let left = Box::new(decode_plan_node(r)?);
-            let right = Box::new(decode_plan_node(r)?);
-            Plan::Union { left, right }
-        }
-        9 => Plan::Distinct {
-            input: Box::new(decode_plan_node(r)?),
-        },
-        10 => {
-            let n = r.u32("sort key count").map_err(wire_err)? as usize;
-            check_arity(r, n)?;
-            let mut keys = Vec::with_capacity(n.min(64));
-            for _ in 0..n {
-                let k = get_string(r, "sort key")?;
-                let d = r.u8("sort dir").map_err(wire_err)? != 0;
-                keys.push((k, d));
-            }
-            let input = Box::new(decode_plan_node(r)?);
-            Plan::Sort { input, keys }
-        }
-        11 => {
-            let skip = r.u64("limit skip").map_err(wire_err)? as usize;
-            let fetch = match r.u8("limit flag").map_err(wire_err)? {
-                0 => None,
-                1 => Some(r.u64("limit fetch").map_err(wire_err)? as usize),
-                t => return Err(corrupt(format!("bad limit flag {t}"))),
-            };
-            let input = Box::new(decode_plan_node(r)?);
-            Plan::Limit { input, skip, fetch }
-        }
-        12 => {
-            let n = r.u32("rename count").map_err(wire_err)? as usize;
-            check_arity(r, n)?;
-            let mut mapping = Vec::with_capacity(n.min(64));
-            for _ in 0..n {
-                let a = get_string(r, "rename from")?;
-                let b = get_string(r, "rename to")?;
-                mapping.push((a, b));
-            }
-            let input = Box::new(decode_plan_node(r)?);
-            Plan::Rename { input, mapping }
-        }
-        13 => {
-            let n = r.u32("dice count").map_err(wire_err)? as usize;
-            check_arity(r, n)?;
-            let mut ranges = Vec::with_capacity(n.min(64));
-            for _ in 0..n {
-                let d = get_string(r, "dice dim")?;
-                let lo = r.i64("dice lo").map_err(wire_err)?;
-                let hi = r.i64("dice hi").map_err(wire_err)?;
-                ranges.push((d, lo, hi));
-            }
-            let input = Box::new(decode_plan_node(r)?);
-            Plan::Dice { input, ranges }
-        }
-        14 => {
-            let dim = get_string(r, "slice dim")?;
-            let index = r.i64("slice index").map_err(wire_err)?;
-            let input = Box::new(decode_plan_node(r)?);
-            Plan::SliceAt { input, dim, index }
-        }
-        15 => {
-            let n = r.u32("permute count").map_err(wire_err)? as usize;
-            check_arity(r, n)?;
-            let mut order = Vec::with_capacity(n.min(64));
-            for _ in 0..n {
-                order.push(get_string(r, "permute dim")?);
-            }
-            let input = Box::new(decode_plan_node(r)?);
-            Plan::Permute { input, order }
-        }
-        16 => {
-            let n = r.u32("window dim count").map_err(wire_err)? as usize;
-            check_arity(r, n)?;
-            let mut radii = Vec::with_capacity(n.min(64));
-            for _ in 0..n {
-                let d = get_string(r, "window dim")?;
-                let rad = r.i64("window radius").map_err(wire_err)?;
-                radii.push((d, rad));
-            }
-            let m = r.u32("window agg count").map_err(wire_err)? as usize;
-            check_arity(r, m)?;
-            let mut aggs = Vec::with_capacity(m.min(64));
-            for _ in 0..m {
-                aggs.push(decode_agg(r)?);
-            }
-            let input = Box::new(decode_plan_node(r)?);
-            Plan::Window { input, radii, aggs }
-        }
-        17 => {
-            let fill = decode_value(r).map_err(wire_err)?;
-            let input = Box::new(decode_plan_node(r)?);
-            Plan::Fill { input, fill }
-        }
-        18 => {
-            let n = r.u32("tag count").map_err(wire_err)? as usize;
-            check_arity(r, n)?;
-            let mut dims = Vec::with_capacity(n.min(64));
-            for _ in 0..n {
-                let d = get_string(r, "tag dim")?;
-                let e = decode_opt_extent(r)?;
-                dims.push((d, e));
-            }
-            let input = Box::new(decode_plan_node(r)?);
-            Plan::TagDims { input, dims }
-        }
-        19 => Plan::UntagDims {
-            input: Box::new(decode_plan_node(r)?),
-        },
-        20 => {
-            let left = Box::new(decode_plan_node(r)?);
-            let right = Box::new(decode_plan_node(r)?);
-            Plan::MatMul { left, right }
-        }
-        21 => {
-            let op = bin_from_tag(r.u8("elemwise op").map_err(wire_err)?)?;
-            let left = Box::new(decode_plan_node(r)?);
-            let right = Box::new(decode_plan_node(r)?);
-            Plan::ElemWise { op, left, right }
-        }
-        22 => {
-            let gtag = r.u8("graph tag").map_err(wire_err)?;
-            match gtag {
-                0 => {
-                    let damping = f64::from_bits(r.u64("damping").map_err(wire_err)?);
-                    let max_iters = r.u64("max iters").map_err(wire_err)? as usize;
-                    let epsilon = f64::from_bits(r.u64("epsilon").map_err(wire_err)?);
-                    let edges = Box::new(decode_plan_node(r)?);
-                    Plan::Graph(GraphOp::PageRank {
-                        edges,
-                        damping,
-                        max_iters,
-                        epsilon,
-                    })
-                }
-                1 => {
-                    let max_iters = r.u64("max iters").map_err(wire_err)? as usize;
-                    let edges = Box::new(decode_plan_node(r)?);
-                    Plan::Graph(GraphOp::ConnectedComponents { edges, max_iters })
-                }
-                2 => Plan::Graph(GraphOp::TriangleCount {
-                    edges: Box::new(decode_plan_node(r)?),
-                }),
-                3 => Plan::Graph(GraphOp::Degrees {
-                    edges: Box::new(decode_plan_node(r)?),
-                }),
-                4 => {
-                    let source = r.i64("bfs source").map_err(wire_err)?;
-                    Plan::Graph(GraphOp::BfsLevels {
-                        edges: Box::new(decode_plan_node(r)?),
-                        source,
-                    })
-                }
-                t => return Err(corrupt(format!("bad graph tag {t}"))),
-            }
-        }
-        23 => {
-            let max_iters = r.u64("iterate max").map_err(wire_err)? as usize;
-            let epsilon = match r.u8("iterate eps flag").map_err(wire_err)? {
-                0 => None,
-                1 => Some(f64::from_bits(r.u64("iterate eps").map_err(wire_err)?)),
-                t => return Err(corrupt(format!("bad iterate eps flag {t}"))),
-            };
-            let init = Box::new(decode_plan_node(r)?);
-            let body = Box::new(decode_plan_node(r)?);
-            Plan::Iterate {
-                init,
-                body,
-                max_iters,
-                epsilon,
-            }
-        }
-        24 => {
-            let parts = r.u64("exchange parts").map_err(wire_err)? as usize;
-            let key = match r.u8("exchange key flag").map_err(wire_err)? {
-                0 => None,
-                1 => Some(get_string(r, "exchange key")?),
-                t => return Err(corrupt(format!("bad exchange key flag {t}"))),
-            };
-            let input = Box::new(decode_plan_node(r)?);
-            Plan::Exchange { input, parts, key }
-        }
-        25 => Plan::Merge {
-            input: Box::new(decode_plan_node(r)?),
-        },
-        t => return Err(corrupt(format!("bad plan tag {t}"))),
+    r.nested("plan", |r| {
+        let input = |r: &mut Reader<'_>| decode_plan_node(r).map(Box::new);
+        Ok(match r.u8("plan tag")? {
+            0 => Plan::Scan {
+                dataset: r.string("scan dataset")?,
+                schema: decode_schema(r)?,
+            },
+            1 => Plan::Values {
+                schema: decode_schema(r)?,
+                rows: decode_rows(r)?,
+            },
+            2 => Plan::Range {
+                name: r.string("range name")?,
+                lo: r.i64("range lo")?,
+                hi: r.i64("range hi")?,
+            },
+            3 => Plan::IterState {
+                schema: decode_schema(r)?,
+            },
+            4 => Plan::Select {
+                predicate: decode_expr(r)?,
+                input: input(r)?,
+            },
+            5 => Plan::Project {
+                // A name prefix and an expression.
+                exprs: r.list(6, "project arity", |r| {
+                    Ok::<_, CoreError>((r.string("project name")?, decode_expr(r)?))
+                })?,
+                input: input(r)?,
+            },
+            6 => Plan::Join {
+                join_type: r.tag(&JoinType::ALL, "join type")?,
+                suffix: r.string("join suffix")?,
+                on: decode_name_pairs(r, "join keys")?,
+                left: input(r)?,
+                right: input(r)?,
+            },
+            7 => Plan::Aggregate {
+                group_by: decode_names(r, "group cols")?,
+                // An agg tag, arg flag and name prefix.
+                aggs: r.list(6, "agg count", decode_agg)?,
+                input: input(r)?,
+            },
+            8 => Plan::Union {
+                left: input(r)?,
+                right: input(r)?,
+            },
+            9 => Plan::Distinct { input: input(r)? },
+            10 => Plan::Sort {
+                keys: r.list(5, "sort keys", |r| {
+                    Ok::<_, StorageError>((r.string("sort key")?, r.u8("sort dir")? != 0))
+                })?,
+                input: input(r)?,
+            },
+            11 => Plan::Limit {
+                skip: r.u64("limit skip")? as usize,
+                fetch: r.opt("limit", |r| r.u64("limit fetch").map(|n| n as usize))?,
+                input: input(r)?,
+            },
+            12 => Plan::Rename {
+                mapping: decode_name_pairs(r, "rename pairs")?,
+                input: input(r)?,
+            },
+            13 => Plan::Dice {
+                ranges: r.list(20, "dice ranges", |r| {
+                    Ok::<_, StorageError>((
+                        r.string("dice dim")?,
+                        r.i64("dice lo")?,
+                        r.i64("dice hi")?,
+                    ))
+                })?,
+                input: input(r)?,
+            },
+            14 => Plan::SliceAt {
+                dim: r.string("slice dim")?,
+                index: r.i64("slice index")?,
+                input: input(r)?,
+            },
+            15 => Plan::Permute {
+                order: decode_names(r, "permute dims")?,
+                input: input(r)?,
+            },
+            16 => Plan::Window {
+                radii: r.list(12, "window dims", |r| {
+                    Ok::<_, StorageError>((r.string("window dim")?, r.i64("window radius")?))
+                })?,
+                aggs: r.list(6, "window aggs", decode_agg)?,
+                input: input(r)?,
+            },
+            17 => Plan::Fill {
+                fill: decode_value(r)?,
+                input: input(r)?,
+            },
+            18 => Plan::TagDims {
+                dims: r.list(5, "tag dims", |r| {
+                    let d = r.string("tag dim")?;
+                    let extent = r.opt("extent", |r| {
+                        Ok::<_, StorageError>((r.i64("extent lo")?, r.i64("extent hi")?))
+                    })?;
+                    Ok::<_, StorageError>((d, extent))
+                })?,
+                input: input(r)?,
+            },
+            19 => Plan::UntagDims { input: input(r)? },
+            20 => Plan::MatMul {
+                left: input(r)?,
+                right: input(r)?,
+            },
+            21 => Plan::ElemWise {
+                op: r.tag(&BinOp::ALL, "elemwise op")?,
+                left: input(r)?,
+                right: input(r)?,
+            },
+            22 => Plan::Graph(match r.u8("graph tag")? {
+                0 => GraphOp::PageRank {
+                    damping: r.f64("damping")?,
+                    max_iters: r.u64("max iters")? as usize,
+                    epsilon: r.f64("epsilon")?,
+                    edges: input(r)?,
+                },
+                1 => GraphOp::ConnectedComponents {
+                    max_iters: r.u64("max iters")? as usize,
+                    edges: input(r)?,
+                },
+                2 => GraphOp::TriangleCount { edges: input(r)? },
+                3 => GraphOp::Degrees { edges: input(r)? },
+                4 => GraphOp::BfsLevels {
+                    source: r.i64("bfs source")?,
+                    edges: input(r)?,
+                },
+                t => return Err(StorageError::Corrupt(format!("bad graph tag {t}")).into()),
+            }),
+            23 => Plan::Iterate {
+                max_iters: r.u64("iterate max")? as usize,
+                epsilon: r.opt("iterate eps", |r| r.f64("iterate eps"))?,
+                init: input(r)?,
+                body: input(r)?,
+            },
+            24 => Plan::Exchange {
+                parts: r.u64("exchange parts")? as usize,
+                key: r.opt("exchange key", |r| r.string("exchange key"))?,
+                input: input(r)?,
+            },
+            25 => Plan::Merge { input: input(r)? },
+            t => return Err(StorageError::Corrupt(format!("bad plan tag {t}")).into()),
+        })
     })
 }
 
@@ -854,9 +571,9 @@ mod tests {
             col("v").is_null().or(col("v").gt(lit(0.5))),
         ];
         for e in &exprs {
-            let mut buf = BytesMut::new();
-            encode_expr(e, &mut buf);
-            let back = decode_expr(&mut Reader::new(&buf)).unwrap();
+            let mut w = Writer::new();
+            encode_expr(e, &mut w);
+            let back = decode_expr(&mut Reader::new(&w.into_vec())).unwrap();
             assert_eq!(&back, e);
         }
     }

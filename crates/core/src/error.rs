@@ -29,8 +29,6 @@ pub enum CoreError {
         /// The bound that was exceeded.
         max_iters: usize,
     },
-    /// Malformed bytes while decoding a shipped plan.
-    Corrupt(String),
     /// A network transport failed (connection, timeout, framing). These
     /// are *transient* by definition: the protocol's requests are
     /// idempotent, so a retry after a transport fault is always safe.
@@ -96,7 +94,6 @@ impl fmt::Display for CoreError {
                     "iteration did not converge within {max_iters} iterations"
                 )
             }
-            CoreError::Corrupt(msg) => write!(f, "corrupt plan bytes: {msg}"),
             CoreError::Net(msg) => write!(f, "network error: {msg}"),
             CoreError::Remote { addr, msg } => write!(f, "remote `{addr}`: {msg}"),
             CoreError::Transient(inner) => write!(f, "transient: {inner}"),
@@ -140,7 +137,7 @@ mod tests {
         // Semantic errors are permanent.
         assert!(!CoreError::Plan("bad plan".into()).is_transient());
         assert!(!CoreError::UnknownDataset("t".into()).is_transient());
-        assert!(!CoreError::Corrupt("bytes".into()).is_transient());
+        assert!(!CoreError::Storage(StorageError::Corrupt("bytes".into())).is_transient());
         assert!(!CoreError::Durability("wal append failed".into()).is_transient());
         assert!(!CoreError::Remote {
             addr: "127.0.0.1:7401".into(),

@@ -11,9 +11,7 @@
 //! suffix of the log over a snapshot that already contains some of its
 //! effects converges to the same catalog.
 
-use bytes::{BufMut, BytesMut};
-
-use bda_storage::wire::{decode_dataset, encode_dataset, Reader};
+use bda_storage::wire::{decode_dataset, encode_dataset, Reader, Writer};
 use bda_storage::{DataSet, IndexKind, StorageError};
 
 /// Result alias over storage errors (corruption is a [`StorageError`]).
@@ -75,31 +73,30 @@ const TAG_BUILD_INDEX: u8 = 3;
 /// Encode one record payload (without the record header — the WAL frame
 /// adds length, checksum, and sequence number).
 pub fn encode_op(op: &WalOp) -> Vec<u8> {
-    let mut buf = BytesMut::new();
+    let mut w = Writer::new();
+    write_op(op, &mut w);
+    w.into_vec()
+}
+
+/// [`encode_op`] into an existing writer.
+pub(crate) fn write_op(op: &WalOp, w: &mut Writer) {
     match op {
         WalOp::Store { name, data } => {
-            buf.put_u8(TAG_STORE);
-            buf.put_u32_le(name.len() as u32);
-            buf.put_slice(name.as_bytes());
-            let bytes = encode_dataset(data);
-            buf.put_u32_le(bytes.len() as u32);
-            buf.put_slice(&bytes);
+            w.u8(TAG_STORE);
+            w.str(name);
+            w.block(&encode_dataset(data));
         }
         WalOp::Remove { name } => {
-            buf.put_u8(TAG_REMOVE);
-            buf.put_u32_le(name.len() as u32);
-            buf.put_slice(name.as_bytes());
+            w.u8(TAG_REMOVE);
+            w.str(name);
         }
         WalOp::BuildIndex { name, column, kind } => {
-            buf.put_u8(TAG_BUILD_INDEX);
-            buf.put_u32_le(name.len() as u32);
-            buf.put_slice(name.as_bytes());
-            buf.put_u8(kind.as_u8());
-            buf.put_u32_le(column.len() as u32);
-            buf.put_slice(column.as_bytes());
+            w.u8(TAG_BUILD_INDEX);
+            w.str(name);
+            w.u8(kind.as_u8());
+            w.str(column);
         }
     }
-    buf.to_vec()
 }
 
 /// Decode one record payload; the entire input must be consumed.
@@ -108,30 +105,19 @@ pub fn decode_op(payload: &[u8]) -> Result<WalOp> {
     let tag = r.u8("wal op tag")?;
     let name = r.string("wal op name")?;
     let op = match tag {
-        TAG_STORE => {
-            let n = r.u32("wal dataset length")? as usize;
-            let raw = r.bytes(n, "wal dataset bytes")?;
-            WalOp::Store {
-                name,
-                data: decode_dataset(raw)?,
-            }
-        }
+        TAG_STORE => WalOp::Store {
+            name,
+            data: decode_dataset(r.block("wal dataset")?)?,
+        },
         TAG_REMOVE => WalOp::Remove { name },
         TAG_BUILD_INDEX => {
-            let kind_byte = r.u8("wal index kind")?;
-            let kind = IndexKind::from_u8(kind_byte)
-                .ok_or_else(|| StorageError::Corrupt(format!("bad index kind {kind_byte}")))?;
+            let kind = r.tag(&IndexKind::ALL, "wal index kind")?;
             let column = r.string("wal index column")?;
             WalOp::BuildIndex { name, column, kind }
         }
         t => return Err(StorageError::Corrupt(format!("bad wal op tag {t}"))),
     };
-    if r.remaining() != 0 {
-        return Err(StorageError::Corrupt(format!(
-            "{} trailing bytes after wal op",
-            r.remaining()
-        )));
-    }
+    r.finish("wal op")?;
     Ok(op)
 }
 

@@ -16,9 +16,12 @@
 //!   [ u32 LE crc32(name ‖ dataset bytes) ]
 //! ```
 //!
-//! Dataset bytes reuse the columnar `BDA1` wire codec. Each entry
-//! carries its own checksum; the entry count up front makes any
-//! truncation detectable. A snapshot that fails validation is **never**
+//! The file is written and read through `bda_storage::wire`'s
+//! `Writer`/`Reader` pair, and dataset bytes reuse its columnar `BDA1`
+//! codec. Each entry carries its own checksum; the entry count up front
+//! makes any truncation detectable, and a count the file is too short to
+//! hold (each entry takes at least 12 bytes) is refused before anything
+//! is allocated for it. A snapshot that fails validation is **never**
 //! silently skipped: the newest snapshot is the only one recovery will
 //! accept, because falling back to an older one would resurrect deleted
 //! data and roll back acknowledged writes without telling anyone.
@@ -37,8 +40,8 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 use bda_core::CoreError;
-use bda_storage::wire::{decode_dataset, encode_dataset, Reader};
-use bda_storage::{DataSet, IndexKind, IndexSpec};
+use bda_storage::wire::{decode_dataset, encode_dataset, Reader, Writer};
+use bda_storage::{DataSet, IndexKind, IndexSpec, StorageError};
 
 use crate::crc::Hasher;
 use crate::faults::DiskFaults;
@@ -77,29 +80,24 @@ pub fn write_snapshot(
     faults: &DiskFaults,
 ) -> Result<u64> {
     fs::create_dir_all(dir).map_err(|e| dur_err(format!("create {}", dir.display()), e))?;
-    let mut buf = Vec::new();
-    buf.extend_from_slice(SNAP_MAGIC);
-    buf.extend_from_slice(&covered_seq.to_le_bytes());
-    buf.extend_from_slice(&(datasets.len() as u32).to_le_bytes());
-    for (name, data) in datasets {
+    let mut w = Writer::new();
+    w.bytes(SNAP_MAGIC);
+    w.u64(covered_seq);
+    w.list(datasets, |w, (name, data)| {
         let bytes = encode_dataset(data);
-        buf.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        buf.extend_from_slice(name.as_bytes());
-        buf.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&bytes);
+        w.str(name);
+        w.block(&bytes);
         let mut h = Hasher::new();
         h.update(name.as_bytes());
         h.update(&bytes);
-        buf.extend_from_slice(&h.finish().to_le_bytes());
-    }
-    buf.extend_from_slice(&(indexes.len() as u32).to_le_bytes());
-    for (name, spec) in indexes {
-        buf.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        buf.extend_from_slice(name.as_bytes());
-        buf.push(spec.kind.as_u8());
-        buf.extend_from_slice(&(spec.column.len() as u32).to_le_bytes());
-        buf.extend_from_slice(spec.column.as_bytes());
-    }
+        w.u32(h.finish());
+    });
+    w.list(indexes, |w, (name, spec)| {
+        w.str(name);
+        w.u8(spec.kind.as_u8());
+        w.str(&spec.column);
+    });
+    let buf = w.into_vec();
     let tmp = dir.join(format!("snap-{covered_seq:020}.tmp"));
     let final_path = snapshot_path(dir, covered_seq);
     let mut file =
@@ -164,75 +162,51 @@ pub fn load_latest(dir: &Path) -> Result<Option<Snapshot>> {
     File::open(&path)
         .and_then(|mut f| f.read_to_end(&mut bytes))
         .map_err(|e| dur_err(format!("read {}", path.display()), e))?;
-    parse_snapshot(&bytes, seq).map(Some).map_err(|msg| {
+    parse_snapshot(&bytes, seq).map(Some).map_err(|e| {
         CoreError::Durability(format!(
-            "snapshot {} is corrupt ({msg}); refusing to start from damaged state — \
+            "snapshot {} is corrupt ({e}); refusing to start from damaged state — \
              restore the file or move it aside to rebuild from a replica",
             path.display()
         ))
     })
 }
 
-fn parse_snapshot(bytes: &[u8], expect_seq: u64) -> std::result::Result<Snapshot, String> {
-    if bytes.len() < 20 {
-        return Err(format!(
-            "only {} bytes, shorter than the header",
-            bytes.len()
-        ));
-    }
-    if &bytes[..8] != SNAP_MAGIC {
-        return Err("bad magic".into());
-    }
-    let covered_seq = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
+fn parse_snapshot(bytes: &[u8], expect_seq: u64) -> bda_storage::Result<Snapshot> {
+    let mut r = Reader::new(bytes);
+    r.magic(SNAP_MAGIC, "snapshot magic")?;
+    let covered_seq = r.u64("snapshot seq")?;
     if covered_seq != expect_seq {
-        return Err(format!(
+        return Err(StorageError::Corrupt(format!(
             "file named for seq {expect_seq} claims seq {covered_seq}"
-        ));
+        )));
     }
-    let count = u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize;
-    let mut r = Reader::new(&bytes[20..]);
-    let mut datasets = Vec::with_capacity(count);
-    for i in 0..count {
-        let entry = (|| -> std::result::Result<(String, DataSet), String> {
-            let name = r.string("snapshot entry name").map_err(|e| e.to_string())?;
-            let n = r.u32("snapshot entry length").map_err(|e| e.to_string())? as usize;
-            let raw = r
-                .bytes(n, "snapshot entry bytes")
-                .map_err(|e| e.to_string())?
-                .to_vec();
-            let stored_crc = r.u32("snapshot entry crc").map_err(|e| e.to_string())?;
-            let mut h = Hasher::new();
-            h.update(name.as_bytes());
-            h.update(&raw);
-            if h.finish() != stored_crc {
-                return Err(format!("checksum mismatch on dataset {name:?}"));
-            }
-            let data = decode_dataset(&raw).map_err(|e| e.to_string())?;
-            Ok((name, data))
-        })()
-        .map_err(|e| format!("entry {i} of {count}: {e}"))?;
-        datasets.push(entry);
-    }
-    // Optional index trailer; pre-trailer snapshots end right here.
+    // An entry is at least its name prefix, length prefix and checksum.
+    let datasets = r.list(12, "snapshot entries", |r| {
+        let name = r.string("snapshot entry name")?;
+        let raw = r.block("snapshot entry bytes")?;
+        let stored_crc = r.u32("snapshot entry crc")?;
+        let mut h = Hasher::new();
+        h.update(name.as_bytes());
+        h.update(raw);
+        if h.finish() != stored_crc {
+            return Err(StorageError::Corrupt(format!(
+                "checksum mismatch on dataset {name:?}"
+            )));
+        }
+        Ok((name, decode_dataset(raw)?))
+    })?;
+    // Optional index trailer; pre-trailer snapshots end right here. A spec
+    // is at least its name prefix, kind byte and column prefix.
     let mut indexes = Vec::new();
     if r.remaining() != 0 {
-        let n = r.u32("snapshot index count").map_err(|e| e.to_string())? as usize;
-        for i in 0..n {
-            let entry = (|| -> std::result::Result<(String, IndexSpec), String> {
-                let name = r.string("snapshot index dataset").map_err(|e| e.to_string())?;
-                let kind_byte = r.u8("snapshot index kind").map_err(|e| e.to_string())?;
-                let kind = IndexKind::from_u8(kind_byte)
-                    .ok_or_else(|| format!("bad index kind {kind_byte}"))?;
-                let column = r.string("snapshot index column").map_err(|e| e.to_string())?;
-                Ok((name, IndexSpec { column, kind }))
-            })()
-            .map_err(|e| format!("index spec {i} of {n}: {e}"))?;
-            indexes.push(entry);
-        }
+        indexes = r.list(9, "snapshot index specs", |r| {
+            let name = r.string("snapshot index dataset")?;
+            let kind = r.tag(&IndexKind::ALL, "snapshot index kind")?;
+            let column = r.string("snapshot index column")?;
+            Ok((name, IndexSpec { column, kind }))
+        })?;
     }
-    if r.remaining() != 0 {
-        return Err(format!("{} trailing bytes after last entry", r.remaining()));
-    }
+    r.finish("last entry")?;
     Ok(Snapshot {
         covered_seq,
         datasets,
@@ -344,7 +318,14 @@ mod tests {
         // A file ending right after the last entry (the format before the
         // index trailer) must still load.
         let dir = tmp();
-        write_snapshot(&dir, 9, &[("a".to_string(), ds(2))], &[], &DiskFaults::default()).unwrap();
+        write_snapshot(
+            &dir,
+            9,
+            &[("a".to_string(), ds(2))],
+            &[],
+            &DiskFaults::default(),
+        )
+        .unwrap();
         let path = snapshot_path(&dir, 9);
         let bytes = fs::read(&path).unwrap();
         // Strip the empty trailer (its u32 count).
@@ -361,7 +342,9 @@ mod tests {
         write_snapshot(
             &dir,
             2,
-            &[("a".to_string(), ds(4))], &[], &DiskFaults {
+            &[("a".to_string(), ds(4))],
+            &[],
+            &DiskFaults {
                 truncate_snapshot: true,
                 ..DiskFaults::default()
             },
@@ -376,7 +359,14 @@ mod tests {
     #[test]
     fn bit_flip_in_entry_is_refused() {
         let dir = tmp();
-        write_snapshot(&dir, 5, &[("a".to_string(), ds(4))], &[], &DiskFaults::default()).unwrap();
+        write_snapshot(
+            &dir,
+            5,
+            &[("a".to_string(), ds(4))],
+            &[],
+            &DiskFaults::default(),
+        )
+        .unwrap();
         let path = snapshot_path(&dir, 5);
         let mut bytes = fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
@@ -391,11 +381,20 @@ mod tests {
     fn newer_corrupt_snapshot_shadows_older_good_one() {
         // Policy: never silently fall back to an older snapshot.
         let dir = tmp();
-        write_snapshot(&dir, 2, &[("a".to_string(), ds(1))], &[], &DiskFaults::default()).unwrap();
+        write_snapshot(
+            &dir,
+            2,
+            &[("a".to_string(), ds(1))],
+            &[],
+            &DiskFaults::default(),
+        )
+        .unwrap();
         write_snapshot(
             &dir,
             6,
-            &[("a".to_string(), ds(2))], &[], &DiskFaults {
+            &[("a".to_string(), ds(2))],
+            &[],
+            &DiskFaults {
                 truncate_snapshot: true,
                 ..DiskFaults::default()
             },

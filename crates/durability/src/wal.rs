@@ -38,10 +38,12 @@ use std::path::{Path, PathBuf};
 
 use bda_core::CoreError;
 use bda_obs::MetricsHub;
+use bda_storage::wire::{Reader, Writer};
+use bda_storage::StorageError;
 
-use crate::crc::Hasher;
+use crate::crc::crc32;
 use crate::faults::{AppendFate, DiskFaults, FaultState};
-use crate::record::{decode_op, encode_op, WalOp};
+use crate::record::{decode_op, write_op, WalOp};
 use crate::Result;
 
 /// Segment file magic.
@@ -177,10 +179,13 @@ fn read_segment(
             reason: "segment shorter than its header".into(),
         });
     }
-    if &bytes[..8] != SEG_MAGIC {
+    let mut header = Reader::new(&bytes);
+    if header.magic(SEG_MAGIC, "segment magic").is_err() {
         return Err(corrupt(0, "bad segment magic"));
     }
-    let first_seq = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
+    let first_seq = header
+        .u64("segment first seq")
+        .map_err(|e| corrupt(8, &e.to_string()))?;
     if *first_expected_seq != 0 && first_seq != *first_expected_seq {
         return Err(corrupt(
             8,
@@ -253,31 +258,33 @@ enum RecordParse {
 /// Try to parse the record at `pos`; `expected` is the required sequence
 /// number (0 = any).
 fn parse_record(bytes: &[u8], pos: u64, expected: u64) -> RecordParse {
-    let len = bytes.len() as u64;
-    if len - pos < REC_HEADER {
+    // `len | crc | seq | payload`, where the crc covers `seq ‖ payload`.
+    let record = &bytes[pos as usize..];
+    let mut r = Reader::new(record);
+    let header = (|| {
+        Ok::<_, StorageError>((
+            r.u32("record length")?,
+            r.u32("record crc")?,
+            r.u64("record seq")?,
+        ))
+    })();
+    let Ok((payload_len, stored_crc, seq)) = header else {
         return RecordParse::Bad {
-            reason: format!("{} trailing bytes, less than a record header", len - pos),
+            reason: format!("{} trailing bytes, less than a record header", record.len()),
             next_hint: None,
         };
-    }
-    let p = pos as usize;
-    let payload_len = u32::from_le_bytes(bytes[p..p + 4].try_into().unwrap()) as u64;
-    let stored_crc = u32::from_le_bytes(bytes[p + 4..p + 8].try_into().unwrap());
-    let seq = u64::from_le_bytes(bytes[p + 8..p + 16].try_into().unwrap());
-    if len - pos - REC_HEADER < payload_len {
+    };
+    let payload_len = u64::from(payload_len);
+    let Ok(payload) = r.bytes(payload_len as usize, "record payload") else {
         return RecordParse::Bad {
             reason: format!(
                 "record claims {payload_len} payload bytes, only {} remain",
-                len - pos - REC_HEADER
+                r.remaining()
             ),
             next_hint: None,
         };
-    }
-    let payload = &bytes[p + 16..p + 16 + payload_len as usize];
-    let mut h = Hasher::new();
-    h.update(&bytes[p + 8..p + 16]);
-    h.update(payload);
-    if h.finish() != stored_crc {
+    };
+    if crc32(&record[8..REC_HEADER as usize + payload.len()]) != stored_crc {
         return RecordParse::Bad {
             reason: format!("checksum mismatch on record seq {seq}"),
             next_hint: Some(pos + REC_HEADER + payload_len),
@@ -454,15 +461,17 @@ impl Wal {
     /// On error nothing was committed and no sequence number was spent.
     pub fn append(&mut self, op: &WalOp) -> Result<(u64, u64)> {
         let seq = self.next_seq;
-        let payload = encode_op(op);
-        let mut rec = Vec::with_capacity(REC_HEADER as usize + payload.len());
-        rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        let mut h = Hasher::new();
-        h.update(&seq.to_le_bytes());
-        h.update(&payload);
-        rec.extend_from_slice(&h.finish().to_le_bytes());
-        rec.extend_from_slice(&seq.to_le_bytes());
-        rec.extend_from_slice(&payload);
+        // `len | crc | seq | payload`: the crc covers `seq ‖ payload`, so
+        // that part is encoded first and framed after.
+        let mut body = Writer::new();
+        body.u64(seq);
+        write_op(op, &mut body);
+        let body = body.into_vec();
+        let mut rec = Writer::with_capacity(REC_HEADER as usize + body.len());
+        rec.u32((body.len() - 8) as u32);
+        rec.u32(crc32(&body));
+        rec.bytes(&body);
+        let rec = rec.into_vec();
         match self.faults.decide() {
             AppendFate::Write => {}
             AppendFate::Tear => {
@@ -549,8 +558,10 @@ fn create_segment(dir: &Path, index: u64, first_seq: u64) -> Result<File> {
         .write(true)
         .open(&path)
         .map_err(|e| dur_err(format!("create {}", path.display()), e))?;
-    file.write_all(SEG_MAGIC)
-        .and_then(|_| file.write_all(&first_seq.to_le_bytes()))
+    let mut header = Writer::with_capacity(SEG_HEADER as usize);
+    header.bytes(SEG_MAGIC);
+    header.u64(first_seq);
+    file.write_all(&header.into_vec())
         .and_then(|_| file.sync_data())
         .map_err(|e| dur_err(format!("write header {}", path.display()), e))?;
     sync_dir(dir)?;

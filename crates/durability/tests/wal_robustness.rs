@@ -14,6 +14,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bda_durability::record::{decode_op, encode_op, WalOp};
+use bda_durability::snapshot::load_latest;
 use bda_durability::wal::{replay_dir, FsyncPolicy, Wal};
 use bda_durability::DiskFaults;
 use bda_obs::MetricsHub;
@@ -83,6 +84,23 @@ fn assert_prefix(dir: &Path, want: &[WalOp]) {
         assert_eq!(*seq, i as u64 + 1, "sequence numbers are consecutive");
         assert!(same_op(got, expected), "record {i} mismatch: {got:?}");
     }
+}
+
+/// A snapshot header whose entry count (2³²−1) the 20-byte file cannot
+/// hold is refused as corrupt, before anything is allocated for it.
+#[test]
+fn snapshot_count_beyond_the_file_is_refused_loudly() {
+    let dir = tmp();
+    let mut bytes = b"BDASNAP1".to_vec();
+    bytes.extend_from_slice(&1u64.to_le_bytes());
+    bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+    fs::write(dir.join(format!("snap-{:020}.snap", 1)), &bytes).unwrap();
+    let err = load_latest(&dir).unwrap_err().to_string();
+    assert!(
+        err.contains("snapshot") && err.contains("is corrupt"),
+        "{err}"
+    );
+    fs::remove_dir_all(&dir).unwrap();
 }
 
 fn name_strategy() -> impl Strategy<Value = String> {

@@ -968,7 +968,6 @@ fn attach_note(e: CoreError, note: &str) -> CoreError {
         CoreError::Plan(m) => CoreError::Plan(format!("{m} [{note}]")),
         CoreError::Expr(m) => CoreError::Expr(format!("{m} [{note}]")),
         CoreError::Lower(m) => CoreError::Lower(format!("{m} [{note}]")),
-        CoreError::Corrupt(m) => CoreError::Corrupt(format!("{m} [{note}]")),
         CoreError::Net(m) => CoreError::Net(format!("{m} [{note}]")),
         CoreError::Remote { addr, msg } => CoreError::Remote {
             addr,

@@ -694,8 +694,7 @@ mod tests {
 
     #[test]
     fn stats_disprove_selection_fragment() {
-        let stats_of =
-            |name: &str| (name == "t").then(|| TableStats::of(&src()["t"]).unwrap());
+        let stats_of = |name: &str| (name == "t").then(|| TableStats::of(&src()["t"]).unwrap());
         let cfg = OptimizerConfig {
             use_stats: true,
             ..OptimizerConfig::default()

@@ -500,12 +500,7 @@ impl Provider for MaskedProvider {
         self.inner.table_stats(name)
     }
 
-    fn build_index(
-        &self,
-        dataset: &str,
-        column: &str,
-        kind: bda_storage::IndexKind,
-    ) -> Result<()> {
+    fn build_index(&self, dataset: &str, column: &str, kind: bda_storage::IndexKind) -> Result<()> {
         self.inner.build_index(dataset, column, kind)
     }
 

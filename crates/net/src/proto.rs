@@ -3,17 +3,34 @@
 //! Payloads reuse the existing wire codecs end to end: plans travel as
 //! `bda_core::codec` expression trees (`BDAP` magic) and datasets as
 //! `bda_storage::wire` blocks (`BDA1` magic), each embedded with a `u32`
-//! length prefix. Strings are `u32` length + UTF-8, matching
-//! [`bda_storage::wire::Reader::string`]. Decoding is fully checked and
-//! returns [`CoreError`] on malformed input — these bytes arrive off a
-//! socket.
-
-use bytes::{BufMut, BytesMut};
+//! length prefix. Every payload is written and read through
+//! [`bda_storage::wire`]'s [`Writer`]/[`Reader`] pair, and decoding is
+//! fully checked: malformed input — these bytes arrive off a socket — is
+//! a [`CoreError::Storage`] wrapping a corrupt-data error.
+//!
+//! A [`Response::Traced`] carries the server's spans as one block, laid
+//! out as (all integers little-endian):
+//!
+//! ```text
+//! u32 span_count
+//! per span:
+//!   u64 id
+//!   u8  has_parent, [u64 parent]
+//!   u32 name_len,  name bytes (UTF-8)
+//!   u32 site_len,  site bytes (UTF-8)
+//!   u64 start_ns, u64 end_ns
+//!   u8  has_rows,  [u64 rows]
+//!   u8  has_bytes, [u64 bytes]
+//!   u32 event_count
+//!   per event: u64 at_ns, u32 label_len, label bytes
+//! ```
 
 use bda_core::codec::{decode_plan, encode_plan};
 use bda_core::{CapabilitySet, CoreError, OpKind, Plan};
-use bda_storage::wire::{decode_dataset, encode_dataset, Reader};
-use bda_storage::{DataSet, Schema};
+use bda_obs::{Span, SpanEvent};
+use bda_storage::wire::{decode_dataset, decode_schema, encode_dataset, encode_schema};
+use bda_storage::wire::{Reader, Writer};
+use bda_storage::{DataSet, IndexKind, Schema, StorageError};
 
 use crate::Result;
 
@@ -214,52 +231,17 @@ const K_R_TRACED: u8 = 0x87;
 const K_R_PIPELINED: u8 = 0x88;
 const K_R_ERROR: u8 = 0xFF;
 
-fn put_string(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn put_block(buf: &mut BytesMut, block: &[u8]) {
-    buf.put_u32_le(block.len() as u32);
-    buf.put_slice(block);
-}
-
-fn read_block<'a>(r: &mut Reader<'a>, what: &str) -> Result<&'a [u8]> {
-    let n = r.u32(what)?;
-    let n = r.checked_len(n, what)?;
-    Ok(r.bytes(n, what)?)
-}
-
-fn read_plan(r: &mut Reader<'_>, what: &str) -> Result<Plan> {
-    decode_plan(read_block(r, what)?)
-}
-
-fn read_dataset(r: &mut Reader<'_>, what: &str) -> Result<DataSet> {
-    Ok(decode_dataset(read_block(r, what)?)?)
-}
-
-fn corrupt(msg: impl Into<String>) -> CoreError {
-    CoreError::Corrupt(msg.into())
-}
-
-/// Reject trailing garbage so framing bugs surface as errors.
-fn finish(r: &Reader<'_>, what: &str) -> Result<()> {
-    if r.remaining() != 0 {
-        return Err(corrupt(format!(
-            "{} trailing bytes after {what} payload",
-            r.remaining()
-        )));
-    }
-    Ok(())
+fn corrupt(msg: String) -> CoreError {
+    StorageError::Corrupt(msg).into()
 }
 
 /// Encode a request as `(frame kind, payload)`.
 pub fn encode_request(req: &Request) -> (u8, Vec<u8>) {
-    let mut buf = BytesMut::new();
+    let mut w = Writer::new();
     let kind = match req {
         Request::Hello => K_HELLO,
         Request::Execute { plan } => {
-            put_block(&mut buf, &encode_plan(plan));
+            w.block(&encode_plan(plan));
             K_EXECUTE
         }
         Request::ExecutePush {
@@ -267,52 +249,56 @@ pub fn encode_request(req: &Request) -> (u8, Vec<u8>) {
             dest_name,
             plan,
         } => {
-            put_string(&mut buf, dest_addr);
-            put_string(&mut buf, dest_name);
-            put_block(&mut buf, &encode_plan(plan));
+            w.str(dest_addr);
+            w.str(dest_name);
+            w.block(&encode_plan(plan));
             K_EXECUTE_PUSH
         }
         Request::Store { name, data } => {
-            put_string(&mut buf, name);
-            put_block(&mut buf, &encode_dataset(data));
+            w.str(name);
+            w.block(&encode_dataset(data));
             K_STORE
         }
         Request::Remove { name } => {
-            put_string(&mut buf, name);
+            w.str(name);
             K_REMOVE
         }
         Request::BuildIndex { name, column, kind } => {
-            put_string(&mut buf, name);
-            put_string(&mut buf, column);
-            buf.put_u8(kind.as_u8());
+            w.str(name);
+            w.str(column);
+            w.u8(kind.as_u8());
             K_BUILD_INDEX
         }
         Request::IndexInfo { name } => {
-            put_string(&mut buf, name);
+            w.str(name);
             K_INDEX_INFO
         }
         Request::Catalog => K_CATALOG,
         Request::Metrics => K_METRICS,
         Request::Traced { trace_id, inner } => {
-            let (inner_kind, inner_payload) = encode_request(inner);
-            return encode_traced_wrapped(*trace_id, inner_kind, &inner_payload);
+            let (k, p) = encode_request(inner);
+            return wrap(K_TRACED, |w| w.u64(*trace_id), k, &p);
         }
         Request::Pipelined { tag, inner } => {
-            buf.put_u64_le(*tag);
-            let (inner_kind, inner_payload) = encode_request(inner);
-            buf.put_u8(inner_kind);
-            put_block(&mut buf, &inner_payload);
-            K_PIPELINED
+            let (k, p) = encode_request(inner);
+            return wrap(K_PIPELINED, |w| w.u64(*tag), k, &p);
         }
         Request::Tenant { tenant, inner } => {
-            put_string(&mut buf, tenant);
-            let (inner_kind, inner_payload) = encode_request(inner);
-            buf.put_u8(inner_kind);
-            put_block(&mut buf, &inner_payload);
-            K_TENANT
+            let (k, p) = encode_request(inner);
+            return encode_tenant_wrapped(tenant, k, &p);
         }
     };
-    (kind, buf.to_vec())
+    (kind, w.into_vec())
+}
+
+/// The layout every wrapper shares: the wrapper's own fields (`head`),
+/// then the inner message's kind byte and its payload as a block.
+fn wrap(kind: u8, head: impl FnOnce(&mut Writer), inner_kind: u8, inner: &[u8]) -> (u8, Vec<u8>) {
+    let mut w = Writer::with_capacity(inner.len() + 32);
+    head(&mut w);
+    w.u8(inner_kind);
+    w.block(inner);
+    (kind, w.into_vec())
 }
 
 /// Cheap peek at a [`Request::Pipelined`] wrapper: `(tag, inner kind)`
@@ -322,11 +308,11 @@ pub fn encode_request(req: &Request) -> (u8, Vec<u8>) {
 /// full decoding happens on an executor worker. `None` when `kind` is
 /// not a pipelined request or the prefix is malformed.
 pub fn peek_pipelined(kind: u8, payload: &[u8]) -> Option<(u64, u8)> {
-    if kind != K_PIPELINED || payload.len() < 9 {
+    if kind != K_PIPELINED {
         return None;
     }
-    let tag = u64::from_le_bytes(payload[..8].try_into().expect("8-byte prefix"));
-    Some((tag, payload[8]))
+    let mut r = Reader::new(payload);
+    Some((r.u64("pipeline tag").ok()?, r.u8("pipelined inner").ok()?))
 }
 
 /// Whether `kind` is the [`Request::Pipelined`] frame kind.
@@ -338,21 +324,7 @@ pub fn is_pipelined_kind(kind: u8) -> bool {
 /// request, so a client tagging every outgoing message never clones the
 /// inner payload (which may embed a large dataset).
 pub fn encode_tenant_wrapped(tenant: &str, inner_kind: u8, inner_payload: &[u8]) -> (u8, Vec<u8>) {
-    let mut buf = BytesMut::new();
-    put_string(&mut buf, tenant);
-    buf.put_u8(inner_kind);
-    put_block(&mut buf, inner_payload);
-    (K_TENANT, buf.to_vec())
-}
-
-/// Encode a [`Request::Traced`] wrapper around an *already-encoded*
-/// request (see [`encode_tenant_wrapped`]).
-fn encode_traced_wrapped(trace_id: u64, inner_kind: u8, inner_payload: &[u8]) -> (u8, Vec<u8>) {
-    let mut buf = BytesMut::new();
-    buf.put_u64_le(trace_id);
-    buf.put_u8(inner_kind);
-    put_block(&mut buf, inner_payload);
-    (K_TRACED, buf.to_vec())
+    wrap(K_TENANT, |w| w.str(tenant), inner_kind, inner_payload)
 }
 
 /// The outbound half of trace propagation: an encoded plain request
@@ -364,7 +336,7 @@ pub(crate) fn trace_wrapped(
 ) -> (u8, Vec<u8>) {
     match scope {
         Some(s) if request_rank(kind) == 0 => {
-            encode_traced_wrapped(s.tracer.trace_id(), kind, &payload)
+            wrap(K_TRACED, |w| w.u64(s.tracer.trace_id()), kind, &payload)
         }
         _ => (kind, payload),
     }
@@ -422,42 +394,29 @@ pub fn peek_frame(kind: u8, payload: &[u8]) -> FramePeek {
         kind,
         tenant: None,
     };
-    let mut payload = payload;
+    let mut r = Reader::new(payload);
     if kind == K_PIPELINED {
         // Layout: tag u64 | inner kind u8 | u32 block len | inner payload.
-        let Some((tag, inner_kind)) = peek_pipelined(kind, payload) else {
+        let (Ok(tag), Ok(inner_kind), Ok(len)) = (
+            r.u64("pipeline tag"),
+            r.u8("pipelined inner"),
+            r.u32("pipelined inner"),
+        ) else {
             return peek;
         };
-        if payload.len() < 13 {
-            return peek;
-        }
         peek.tag = Some(tag);
         peek.kind = inner_kind;
-        let len = u32::from_le_bytes(payload[9..13].try_into().expect("4-byte len")) as usize;
-        let Some(inner) = 13usize
-            .checked_add(len)
-            .and_then(|end| payload.get(13..end))
-        else {
+        let Ok(inner) = r.bytes(len as usize, "pipelined inner") else {
             return peek;
         };
-        payload = inner;
+        r = Reader::new(inner);
     }
     if peek.kind == K_TENANT {
         // Layout: u32 len | UTF-8 tenant | inner kind u8 | …
-        if payload.len() < 4 {
-            return peek;
-        }
-        let len = u32::from_le_bytes(payload[..4].try_into().expect("4-byte len")) as usize;
-        let Some(raw) = payload.get(4..4 + len) else {
+        let (Ok(tenant), Ok(inner_kind)) = (r.string("tenant id"), r.u8("tenant inner")) else {
             return peek;
         };
-        let Ok(tenant) = std::str::from_utf8(raw) else {
-            return peek;
-        };
-        let Some(&inner_kind) = payload.get(4 + len) else {
-            return peek;
-        };
-        peek.tenant = Some(tenant.to_string());
+        peek.tenant = Some(tenant);
         peek.kind = inner_kind;
     }
     peek
@@ -503,23 +462,24 @@ fn response_rank(kind: u8) -> u8 {
     }
 }
 
-/// Read the `inner kind | block` tail of a wrapper of kind `outer`. The
-/// inner kind must rank strictly below `outer`, so each wrapper appears
-/// at most once and in order — which also caps how deep a crafted frame
-/// can make the decoder recurse.
-fn read_wrapped<'a>(
-    r: &mut Reader<'a>,
+/// Read the `inner kind | block` tail of a wrapper of kind `outer` and
+/// decode the inner message. The inner kind must rank strictly below
+/// `outer`, so each wrapper appears at most once and in order — which
+/// also caps how deep a crafted frame can make the decoder recurse.
+fn read_wrapped<T>(
+    r: &mut Reader<'_>,
     outer: u8,
     rank: fn(u8) -> u8,
     what: &str,
-) -> Result<(u8, &'a [u8])> {
+    decode: fn(u8, &[u8]) -> Result<T>,
+) -> Result<Box<T>> {
     let inner_kind = r.u8(what)?;
     if rank(inner_kind) >= rank(outer) {
         return Err(corrupt(format!(
             "{what}: kind {inner_kind:#04x} breaks the wrapper order"
         )));
     }
-    Ok((inner_kind, read_block(r, what)?))
+    Ok(Box::new(decode(inner_kind, r.block(what)?)?))
 }
 
 /// Decode a request from a frame kind and payload.
@@ -528,127 +488,145 @@ pub fn decode_request(kind: u8, payload: &[u8]) -> Result<Request> {
     let req = match kind {
         K_HELLO => Request::Hello,
         K_EXECUTE => Request::Execute {
-            plan: read_plan(&mut r, "execute plan")?,
+            plan: decode_plan(r.block("execute plan")?)?,
         },
         K_EXECUTE_PUSH => Request::ExecutePush {
             dest_addr: r.string("push dest addr")?,
             dest_name: r.string("push dest name")?,
-            plan: read_plan(&mut r, "push plan")?,
+            plan: decode_plan(r.block("push plan")?)?,
         },
         K_STORE => Request::Store {
             name: r.string("store name")?,
-            data: read_dataset(&mut r, "store dataset")?,
+            data: decode_dataset(r.block("store dataset")?)?,
         },
         K_REMOVE => Request::Remove {
             name: r.string("remove name")?,
         },
-        K_BUILD_INDEX => {
-            let name = r.string("build-index name")?;
-            let column = r.string("build-index column")?;
-            let kind_byte = r.u8("build-index kind")?;
-            let kind = bda_storage::IndexKind::from_u8(kind_byte)
-                .ok_or_else(|| corrupt(format!("bad index kind {kind_byte}")))?;
-            Request::BuildIndex { name, column, kind }
-        }
+        K_BUILD_INDEX => Request::BuildIndex {
+            name: r.string("build-index name")?,
+            column: r.string("build-index column")?,
+            kind: r.tag(&IndexKind::ALL, "build-index kind")?,
+        },
         K_INDEX_INFO => Request::IndexInfo {
             name: r.string("index-info name")?,
         },
         K_CATALOG => Request::Catalog,
         K_METRICS => Request::Metrics,
-        K_TRACED => {
-            let trace_id = r.u64("trace id")?;
-            let (k, p) = read_wrapped(&mut r, kind, request_rank, "traced inner")?;
-            Request::Traced {
-                trace_id,
-                inner: Box::new(decode_request(k, p)?),
-            }
-        }
-        K_PIPELINED => {
-            let tag = r.u64("pipeline tag")?;
-            let (k, p) = read_wrapped(&mut r, kind, request_rank, "pipelined inner")?;
-            Request::Pipelined {
-                tag,
-                inner: Box::new(decode_request(k, p)?),
-            }
-        }
-        K_TENANT => {
-            let tenant = r.string("tenant id")?;
-            let (k, p) = read_wrapped(&mut r, kind, request_rank, "tenant inner")?;
-            Request::Tenant {
-                tenant,
-                inner: Box::new(decode_request(k, p)?),
-            }
-        }
+        K_TRACED => Request::Traced {
+            trace_id: r.u64("trace id")?,
+            inner: read_wrapped(&mut r, kind, request_rank, "traced inner", decode_request)?,
+        },
+        K_PIPELINED => Request::Pipelined {
+            tag: r.u64("pipeline tag")?,
+            inner: read_wrapped(
+                &mut r,
+                kind,
+                request_rank,
+                "pipelined inner",
+                decode_request,
+            )?,
+        },
+        K_TENANT => Request::Tenant {
+            tenant: r.string("tenant id")?,
+            inner: read_wrapped(&mut r, kind, request_rank, "tenant inner", decode_request)?,
+        },
         other => return Err(corrupt(format!("unknown request kind {other:#04x}"))),
     };
-    finish(&r, "request")?;
+    r.finish("request payload")?;
     Ok(req)
+}
+
+fn encode_spans(spans: &[Span], w: &mut Writer) {
+    w.list(spans, |w, s| {
+        w.u64(s.id);
+        w.opt(s.parent, Writer::u64);
+        w.str(&s.name);
+        w.str(&s.site);
+        w.u64(s.start_ns);
+        w.u64(s.end_ns);
+        w.opt(s.rows, Writer::u64);
+        w.opt(s.bytes, Writer::u64);
+        w.list(&s.events, |w, e| {
+            w.u64(e.at_ns);
+            w.str(&e.label);
+        });
+    });
+}
+
+fn decode_spans(r: &mut Reader<'_>) -> bda_storage::Result<Vec<Span>> {
+    // A span is at least 39 bytes: id, two timestamps, three option flags
+    // and three length prefixes; an event at least its timestamp and
+    // label prefix.
+    r.list(39, "span count", |r| {
+        Ok(Span {
+            id: r.u64("span id")?,
+            parent: r.opt("span parent", |r| r.u64("span parent"))?,
+            name: r.string("span name")?,
+            site: r.string("span site")?,
+            start_ns: r.u64("span start")?,
+            end_ns: r.u64("span end")?,
+            rows: r.opt("span rows", |r| r.u64("span rows"))?,
+            bytes: r.opt("span bytes", |r| r.u64("span bytes"))?,
+            events: r.list(12, "span events", |r| {
+                Ok(SpanEvent {
+                    at_ns: r.u64("event time")?,
+                    label: r.string("event label")?,
+                })
+            })?,
+        })
+    })
 }
 
 /// Encode a response as `(frame kind, payload)`.
 pub fn encode_response(resp: &Response) -> (u8, Vec<u8>) {
-    let mut buf = BytesMut::new();
+    let mut w = Writer::new();
     let kind = match resp {
         Response::Hello { name, capabilities } => {
-            put_string(&mut buf, name);
+            w.str(name);
             let ops: Vec<OpKind> = capabilities.iter().collect();
-            buf.put_u32_le(ops.len() as u32);
-            for op in ops {
-                put_string(&mut buf, op.name());
-            }
+            w.list(&ops, |w, op| w.str(op.name()));
             K_R_HELLO
         }
         Response::DataSet(ds) => {
-            put_block(&mut buf, &encode_dataset(ds));
+            w.block(&encode_dataset(ds));
             K_R_DATASET
         }
         Response::Ack => K_R_ACK,
         Response::Pushed { bytes } => {
-            buf.put_u64_le(*bytes);
+            w.u64(*bytes);
             K_R_PUSHED
         }
         Response::Catalog(entries) => {
-            buf.put_u32_le(entries.len() as u32);
-            for e in entries {
-                put_string(&mut buf, &e.name);
-                let mut sbuf = BytesMut::new();
-                bda_storage::wire::encode_schema(&e.schema, &mut sbuf);
-                put_block(&mut buf, &sbuf);
-                match e.rows {
-                    Some(n) => {
-                        buf.put_u8(1);
-                        buf.put_u64_le(n);
-                    }
-                    None => buf.put_u8(0),
-                }
-            }
+            w.list(entries, |w, e| {
+                w.str(&e.name);
+                let mut schema = Writer::new();
+                encode_schema(&e.schema, &mut schema);
+                w.block(&schema.into_vec());
+                w.opt(e.rows, Writer::u64);
+            });
             K_R_CATALOG
         }
         Response::Text(text) => {
-            put_string(&mut buf, text);
+            w.str(text);
             K_R_TEXT
         }
         Response::Traced { spans, inner } => {
-            put_block(&mut buf, &bda_obs::wire::encode_spans(spans));
-            let (inner_kind, inner_payload) = encode_response(inner);
-            buf.put_u8(inner_kind);
-            put_block(&mut buf, &inner_payload);
-            K_R_TRACED
+            let mut block = Writer::new();
+            encode_spans(spans, &mut block);
+            let (k, p) = encode_response(inner);
+            return wrap(K_R_TRACED, |w| w.block(&block.into_vec()), k, &p);
         }
         Response::Pipelined { tag, inner } => {
-            buf.put_u64_le(*tag);
-            let (inner_kind, inner_payload) = encode_response(inner);
-            buf.put_u8(inner_kind);
-            put_block(&mut buf, &inner_payload);
-            K_R_PIPELINED
+            let (k, p) = encode_response(inner);
+            return wrap(K_R_PIPELINED, |w| w.u64(*tag), k, &p);
         }
         Response::Error { msg, transient } => {
-            buf.put_u8(u8::from(*transient));
-            put_string(&mut buf, msg);
+            w.u8(u8::from(*transient));
+            w.str(msg);
             K_R_ERROR
         }
     };
-    (kind, buf.to_vec())
+    (kind, w.into_vec())
 }
 
 /// Decode a response from a frame kind and payload.
@@ -657,79 +635,55 @@ pub fn decode_response(kind: u8, payload: &[u8]) -> Result<Response> {
     let resp = match kind {
         K_R_HELLO => {
             let name = r.string("hello name")?;
-            let n = r.u32("hello op count")?;
-            let n = r.checked_len(n, "hello op count")?;
-            let mut ops = Vec::with_capacity(n);
-            for _ in 0..n {
+            let ops = r.list(4, "hello op count", |r| {
                 let op_name = r.string("hello op")?;
-                let op = OpKind::ALL
+                OpKind::ALL
                     .iter()
                     .copied()
                     .find(|k| k.name() == op_name)
-                    .ok_or_else(|| corrupt(format!("unknown operator `{op_name}`")))?;
-                ops.push(op);
-            }
+                    .ok_or_else(|| corrupt(format!("unknown operator `{op_name}`")))
+            })?;
             Response::Hello {
                 name,
                 capabilities: CapabilitySet::from_ops(&ops),
             }
         }
-        K_R_DATASET => Response::DataSet(read_dataset(&mut r, "result dataset")?),
+        K_R_DATASET => Response::DataSet(decode_dataset(r.block("result dataset")?)?),
         K_R_ACK => Response::Ack,
         K_R_PUSHED => Response::Pushed {
             bytes: r.u64("pushed bytes")?,
         },
-        K_R_CATALOG => {
-            let n = r.u32("catalog count")?;
-            let n = r.checked_len(n, "catalog count")?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let name = r.string("catalog name")?;
-                let sblock = read_block(&mut r, "catalog schema")?;
-                let mut sr = Reader::new(sblock);
-                let schema = bda_storage::wire::decode_schema(&mut sr)?;
-                let rows = match r.u8("catalog rows flag")? {
-                    0 => None,
-                    1 => Some(r.u64("catalog rows")?),
-                    other => return Err(corrupt(format!("bad rows flag {other}"))),
-                };
-                entries.push(CatalogEntry { name, schema, rows });
-            }
-            Response::Catalog(entries)
-        }
+        // An entry is at least a name prefix, a schema block prefix and
+        // a rows flag.
+        K_R_CATALOG => Response::Catalog(r.list(9, "catalog count", |r| {
+            Ok::<_, StorageError>(CatalogEntry {
+                name: r.string("catalog name")?,
+                schema: r.within("catalog schema", decode_schema)?,
+                rows: r.opt("catalog rows", |r| r.u64("catalog rows"))?,
+            })
+        })?),
         K_R_TEXT => Response::Text(r.string("text payload")?),
-        K_R_TRACED => {
-            let span_block = read_block(&mut r, "traced spans")?;
-            let spans = bda_obs::wire::decode_spans(span_block)
-                .map_err(|e| corrupt(format!("traced spans: {e}")))?;
-            let (k, p) = read_wrapped(&mut r, kind, response_rank, "traced inner")?;
-            Response::Traced {
-                spans,
-                inner: Box::new(decode_response(k, p)?),
-            }
-        }
-        K_R_PIPELINED => {
-            let tag = r.u64("pipeline tag")?;
-            let (k, p) = read_wrapped(&mut r, kind, response_rank, "pipelined inner")?;
-            Response::Pipelined {
-                tag,
-                inner: Box::new(decode_response(k, p)?),
-            }
-        }
-        K_R_ERROR => {
-            let transient = match r.u8("error transient flag")? {
-                0 => false,
-                1 => true,
-                other => return Err(corrupt(format!("bad transient flag {other}"))),
-            };
-            Response::Error {
-                msg: r.string("error message")?,
-                transient,
-            }
-        }
+        K_R_TRACED => Response::Traced {
+            spans: r.within("traced spans", decode_spans)?,
+            inner: read_wrapped(&mut r, kind, response_rank, "traced inner", decode_response)?,
+        },
+        K_R_PIPELINED => Response::Pipelined {
+            tag: r.u64("pipeline tag")?,
+            inner: read_wrapped(
+                &mut r,
+                kind,
+                response_rank,
+                "pipelined inner",
+                decode_response,
+            )?,
+        },
+        K_R_ERROR => Response::Error {
+            transient: r.tag(&[false, true], "error transient flag")?,
+            msg: r.string("error message")?,
+        },
         other => return Err(corrupt(format!("unknown response kind {other:#04x}"))),
     };
-    finish(&r, "response")?;
+    r.finish("response payload")?;
     Ok(resp)
 }
 
@@ -821,6 +775,44 @@ mod tests {
             }],
             inner: Box::new(Response::DataSet(ds)),
         });
+    }
+
+    #[test]
+    fn traced_spans_reject_truncation_garbage_and_hostile_counts() {
+        let span = |id, parent| bda_obs::Span {
+            id,
+            parent,
+            name: "op:join".into(),
+            site: "rel".into(),
+            start_ns: 10,
+            end_ns: 4_000,
+            rows: Some(12),
+            bytes: None,
+            events: vec![bda_obs::SpanEvent {
+                at_ns: 100,
+                label: "retry:1".into(),
+            }],
+        };
+        let (kind, payload) = encode_response(&Response::Traced {
+            spans: vec![span(1, None), span(2, Some(1))],
+            inner: Box::new(Response::Ack),
+        });
+        for cut in 0..payload.len() {
+            assert!(decode_response(kind, &payload[..cut]).is_err(), "cut {cut}");
+        }
+        let mut extended = payload.clone();
+        extended.push(0);
+        assert!(decode_response(kind, &extended).is_err());
+        // Layout: u32 block length, u32 span count, u64 id, then the
+        // parent option flag of span 1.
+        let mut bad_flag = payload.clone();
+        bad_flag[4 + 4 + 8] = 7;
+        assert!(decode_response(kind, &bad_flag).is_err());
+        // A count the block cannot hold fails before any allocation.
+        let mut hostile = payload;
+        hostile[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = decode_response(kind, &hostile).unwrap_err().to_string();
+        assert!(err.contains("implausible length"), "{err}");
     }
 
     #[test]

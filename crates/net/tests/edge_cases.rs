@@ -8,8 +8,10 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use bda_core::{CapabilitySet, CoreError, Plan, Provider, ReferenceProvider};
+use bda_core::codec::{decode_expr, decode_plan, encode_expr, encode_plan};
+use bda_core::{lit, CapabilitySet, CoreError, Plan, Provider, ReferenceProvider};
 use bda_net::{serve, serve_with_faults, NetFaults, RemoteOptions, RemoteProvider, RetryPolicy};
+use bda_storage::wire::{Reader, Writer, MAX_NESTING};
 use bda_storage::{Column, DataSet, Schema};
 
 fn sample() -> DataSet {
@@ -158,6 +160,119 @@ fn deeply_nested_wrapper_frames_are_refused_without_recursing() {
     }
     let remote = RemoteProvider::connect_with(server.addr().to_string(), fast_opts()).unwrap();
     assert_eq!(remote.name(), "ref", "Hello still answered");
+}
+
+/// A one-row relation for the predicate chains below to filter.
+fn one_row() -> Plan {
+    let ds = sample();
+    Plan::Values {
+        schema: ds.schema().clone(),
+        rows: ds.rows().unwrap()[..1].to_vec(),
+    }
+}
+
+/// `Not(Not(…(true)))`, `depth` negations deep, built by splicing bytes:
+/// `(one Not head, the leaf)`, taken from the encoding of one negation.
+fn not_chain_parts() -> (Vec<u8>, Vec<u8>) {
+    let mut w = Writer::new();
+    encode_expr(&lit(true).not(), &mut w);
+    let one = w.into_vec();
+    let mut w = Writer::new();
+    encode_expr(&lit(true), &mut w);
+    let leaf = w.into_vec();
+    assert_eq!(one[one.len() - leaf.len()..], leaf[..]);
+    (one[..one.len() - leaf.len()].to_vec(), leaf)
+}
+
+fn not_chain(depth: usize) -> Vec<u8> {
+    let (head, leaf) = not_chain_parts();
+    let mut bytes = head.repeat(depth);
+    bytes.extend_from_slice(&leaf);
+    bytes
+}
+
+/// The plan `Select(not_chain(depth), one_row())` as plan bytes, spliced
+/// so that neither building nor encoding it recurses `depth` times.
+fn not_chain_plan(depth: usize) -> Vec<u8> {
+    let shallow = encode_plan(&one_row().select(lit(true)));
+    let (_, leaf) = not_chain_parts();
+    // Magic and the Select tag, then the predicate, then the input.
+    let at = shallow.windows(leaf.len()).position(|w| w == leaf).unwrap();
+    let mut bytes = shallow[..at].to_vec();
+    bytes.extend_from_slice(&not_chain(depth));
+    bytes.extend_from_slice(&shallow[at + leaf.len()..]);
+    bytes
+}
+
+/// The `Execute` payload shipping `plan` bytes: one length-prefixed block.
+fn execute_payload(plan: &[u8]) -> Vec<u8> {
+    let mut payload = (plan.len() as u32).to_le_bytes().to_vec();
+    payload.extend_from_slice(plan);
+    payload
+}
+
+/// A 10⁵-deep unary chain is a few hundred KB, far under any size cap.
+/// Decoding it must stop at the nesting bound with an error instead of
+/// recursing until a default-sized thread stack overflows and aborts
+/// the process — bare, and inside a plan.
+#[test]
+fn deep_expression_chains_are_refused_without_overflowing_the_stack() {
+    const DEPTH: usize = 100_000;
+    let expr = not_chain(DEPTH);
+    let plan = not_chain_plan(DEPTH);
+    let decoded = std::thread::spawn(move || {
+        let bare = decode_expr(&mut Reader::new(&expr)).map(|_| ());
+        let in_plan = decode_plan(&plan).map(|_| ());
+        (bare, in_plan)
+    })
+    .join()
+    .expect("decoding stays within a default thread stack");
+    for err in [decoded.0.unwrap_err(), decoded.1.unwrap_err()] {
+        assert!(err.to_string().contains("nests deeper"), "{err}");
+    }
+}
+
+/// A live server answers a 5 000-deep chain (a 10 KB frame) with an
+/// error and keeps serving; a chain exactly at the nesting bound decodes,
+/// type-checks and executes on the server's connection thread.
+#[test]
+fn deep_plans_get_an_error_reply_and_the_bound_itself_is_served() {
+    use bda_net::proto::{decode_response, kind};
+    use bda_net::Response;
+
+    let engine = Arc::new(ReferenceProvider::new("ref"));
+    let server = serve(engine, "127.0.0.1:0").unwrap();
+    let mut conn = TcpStream::connect(server.addr()).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let payload = execute_payload(&not_chain_plan(5_000));
+    bda_net::frame::write_message(&mut conn, kind::EXECUTE, &payload).unwrap();
+    conn.flush().unwrap();
+    let (reply_kind, reply, _) = bda_net::frame::read_message(&mut conn).unwrap();
+    match decode_response(reply_kind, &reply).unwrap() {
+        Response::Error { msg, transient } => {
+            assert!(msg.contains("nests deeper"), "{msg}");
+            assert!(!transient);
+        }
+        other => panic!("expected an error response, got {other:?}"),
+    }
+    let remote = RemoteProvider::connect_with(server.addr().to_string(), fast_opts()).unwrap();
+    assert_eq!(remote.name(), "ref", "Hello still answered");
+
+    // The Select, the negations and the literal leaf each take a level.
+    let at_bound = |depth: usize| {
+        let predicate = (0..depth).fold(lit(true), |e, _| e.not());
+        one_row().select(predicate)
+    };
+    let plan = at_bound(MAX_NESTING - 2);
+    assert_eq!(encode_plan(&plan), not_chain_plan(MAX_NESTING - 2));
+    let out = remote.execute(&plan).unwrap();
+    // An even number of negations of `true` keeps the row.
+    assert_eq!(
+        out.num_rows(),
+        usize::from((MAX_NESTING - 2).is_multiple_of(2))
+    );
+    let err = remote.execute(&at_bound(MAX_NESTING - 1)).unwrap_err();
+    assert!(err.to_string().contains("nests deeper"), "{err}");
 }
 
 /// A server that drops and truncates every response produces clean

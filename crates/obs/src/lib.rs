@@ -20,8 +20,9 @@
 //!   counted in [`Trace::dropped`], never unbounded growth.
 //!
 //! Exports: [`Trace::to_chrome_json`] renders a `chrome://tracing`
-//! timeline; [`MetricsHub::render`] produces Prometheus text format;
-//! [`wire`] is the span codec `bda-net` embeds in its protocol.
+//! timeline; [`MetricsHub::render`] produces Prometheus text format.
+//! Spans cross the wire in `bda-net`'s protocol, which owns their byte
+//! layout, so this crate stays free of any codec dependency.
 //!
 //! The *live* layer (this crate's newer half) turns those artifacts into
 //! an operator-facing surface: [`http`] is a dependency-free HTTP/1.1
@@ -44,7 +45,6 @@ pub mod progress;
 pub mod prune;
 pub mod scope;
 pub mod store;
-pub mod wire;
 
 pub use flight::FlightRecorder;
 pub use http::{serve_ops, ClusterSource, Health, HealthSource, OpsHandle, OpsOptions};

@@ -74,7 +74,10 @@ pub fn render_prometheus() -> String {
         c.chunks_considered
     ));
     out.push_str("# TYPE bda_prune_chunks_pruned_total counter\n");
-    out.push_str(&format!("bda_prune_chunks_pruned_total {}\n", c.chunks_pruned));
+    out.push_str(&format!(
+        "bda_prune_chunks_pruned_total {}\n",
+        c.chunks_pruned
+    ));
     out.push_str("# TYPE bda_prune_fragments_pruned_total counter\n");
     out.push_str(&format!(
         "bda_prune_fragments_pruned_total {}\n",

@@ -258,8 +258,14 @@ fn kill_nine_rebuilds_indexes_byte_for_byte() {
     let mut specs = remote.index_specs("t");
     specs.sort_by(|a, b| a.column.cmp(&b.column));
     assert_eq!(specs.len(), 2, "both index specs must survive kill -9");
-    assert_eq!((specs[0].column.as_str(), specs[0].kind), ("k", IndexKind::Hash));
-    assert_eq!((specs[1].column.as_str(), specs[1].kind), ("v", IndexKind::Sorted));
+    assert_eq!(
+        (specs[0].column.as_str(), specs[0].kind),
+        ("k", IndexKind::Hash)
+    );
+    assert_eq!(
+        (specs[1].column.as_str(), specs[1].kind),
+        ("v", IndexKind::Sorted)
+    );
     assert_eq!(remote.index_fingerprint("t", "k"), Some(want_k));
     assert_eq!(remote.index_fingerprint("t", "v"), Some(want_v));
     std::fs::remove_dir_all(&dir).unwrap();

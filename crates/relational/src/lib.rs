@@ -58,7 +58,12 @@ impl RelationalEngine {
     }
 
     /// Recompute one table's metadata and publish a fresh snapshot.
-    fn publish_meta(&self, name: &str, data: &DataSet, specs: &[IndexSpec]) -> Result<(), CoreError> {
+    fn publish_meta(
+        &self,
+        name: &str,
+        data: &DataSet,
+        specs: &[IndexSpec],
+    ) -> Result<(), CoreError> {
         let computed = Arc::new(TableMeta::compute(data, specs)?);
         let mut metas = self.metas.write();
         let mut next = (**metas).clone();
@@ -294,8 +299,7 @@ mod tests {
         let hi = DataSet::from_columns(vec![("k", Column::from(vec![100i64, 200]))]).unwrap();
         ds.push_chunk(hi.chunks()[0].clone());
         e.store("t", ds).unwrap();
-        let plan =
-            Plan::scan("t", e.schema_of("t").unwrap()).select(col("k").gt(lit(50i64)));
+        let plan = Plan::scan("t", e.schema_of("t").unwrap()).select(col("k").gt(lit(50i64)));
         e.set_stats_enabled(true);
         let pruned = e.execute(&plan).unwrap();
         e.set_stats_enabled(false);

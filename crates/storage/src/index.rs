@@ -42,6 +42,9 @@ pub enum IndexKind {
 }
 
 impl IndexKind {
+    /// Every kind, indexed by its wire byte.
+    pub const ALL: [IndexKind; 2] = [IndexKind::Hash, IndexKind::Sorted];
+
     /// Stable wire byte.
     pub fn as_u8(self) -> u8 {
         match self {
@@ -52,11 +55,7 @@ impl IndexKind {
 
     /// Inverse of [`IndexKind::as_u8`].
     pub fn from_u8(b: u8) -> Option<IndexKind> {
-        match b {
-            0 => Some(IndexKind::Hash),
-            1 => Some(IndexKind::Sorted),
-            _ => None,
-        }
+        IndexKind::ALL.get(b as usize).copied()
     }
 
     /// Human-readable name (`hash` / `sorted`).
@@ -262,7 +261,11 @@ mod tests {
         assert_eq!(idx.lookup(CmpOp::Eq, &Value::Int(7)), Some(vec![]));
         // Int/Float grouping equality: 5.0 finds the Int(5) rows.
         assert_eq!(idx.lookup(CmpOp::Eq, &Value::Float(5.0)), Some(vec![0, 3]));
-        assert_eq!(idx.lookup(CmpOp::Gt, &Value::Int(0)), None, "hash has no ranges");
+        assert_eq!(
+            idx.lookup(CmpOp::Gt, &Value::Int(0)),
+            None,
+            "hash has no ranges"
+        );
     }
 
     #[test]
@@ -314,7 +317,11 @@ mod tests {
         let b = SecondaryIndex::build(&table(), spec(IndexKind::Hash)).unwrap();
         assert_eq!(a.fingerprint(), b.fingerprint());
         let c = SecondaryIndex::build(&table(), spec(IndexKind::Sorted)).unwrap();
-        assert_ne!(a.fingerprint(), c.fingerprint(), "kind is part of the digest");
+        assert_ne!(
+            a.fingerprint(),
+            c.fingerprint(),
+            "kind is part of the digest"
+        );
         let mut bigger = table();
         bigger.push_chunk(table().chunks()[0].clone());
         let d = SecondaryIndex::build(&bigger, spec(IndexKind::Hash)).unwrap();

@@ -49,8 +49,8 @@ pub use dense::{DenseChunk, DimBox};
 pub use error::StorageError;
 pub use index::{IndexKind, IndexSpec, SecondaryIndex};
 pub use row::Row;
-pub use stats::{ChunkStats, CmpOp, TableStats, ZoneMap};
 pub use schema::{Field, Role, Schema};
+pub use stats::{ChunkStats, CmpOp, TableStats, ZoneMap};
 pub use types::DataType;
 pub use value::Value;
 

@@ -300,10 +300,7 @@ impl TableStats {
 
     /// The merged zone map for a named column.
     pub fn column(&self, name: &str) -> Option<&ZoneMap> {
-        self.columns
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, z)| z)
+        self.columns.iter().find(|(n, _)| n == name).map(|(_, z)| z)
     }
 }
 
@@ -335,7 +332,14 @@ mod tests {
     fn all_null_zone_disproves_every_comparison() {
         let z = zone(vec![None, None]);
         assert!(z.min.is_none() && z.max.is_none());
-        for op in [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge] {
+        for op in [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ] {
             assert!(!z.may_match_cmp(op, &Value::Float(0.0)), "{op:?}");
         }
         assert!(z.may_match_is_null());

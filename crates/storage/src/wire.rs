@@ -1,16 +1,28 @@
 //! The wire codec: a compact hand-rolled binary encoding for every storage
-//! type.
+//! type, and the one [`Reader`]/[`Writer`] pair every byte format in the
+//! workspace is written and read through.
 //!
 //! Every inter-server transfer in the federation layer serializes through
 //! this module, so the byte counts the experiments report (desideratum 4,
 //! "Server Interoperation") are the bytes this codec actually produces —
-//! not estimates.
+//! not estimates. Plans (`bda_core::codec`), protocol messages and span
+//! lists (`bda_net::proto`), WAL records, WAL segment headers and
+//! snapshots (`bda_durability`) use the same pair.
 //!
-//! Format notes: little-endian fixed-width integers, `u32` length prefixes,
-//! one-byte type tags. Decoding is fully checked and returns
-//! [`StorageError::Corrupt`] on malformed input, never panics.
-
-use bytes::{BufMut, BytesMut};
+//! Format notes: little-endian fixed-width integers, `u32` length prefixes
+//! on strings and embedded blocks, one-byte type tags, and one flag byte
+//! (`0` absent, `1` present) before an optional value.
+//!
+//! Decoding is fully checked and returns [`StorageError::Corrupt`] on
+//! malformed input; it never panics or aborts. The limits that make that
+//! true live in the [`Reader`], not in each format:
+//! - every read checks the bytes it needs against the bytes remaining;
+//! - a claimed element count must fit the remaining bytes at each
+//!   element's minimum encoded size ([`Reader::checked_len`]), so a length
+//!   prefix cannot demand an allocation larger than its input;
+//! - nesting is bounded by [`MAX_NESTING`] ([`Reader::nested`]), so a deep
+//!   message cannot overflow the stack of the thread decoding it;
+//! - [`Reader::finish`] rejects trailing bytes.
 
 use crate::bitmap::Bitmap;
 use crate::chunk::{Chunk, RowsChunk};
@@ -23,16 +35,34 @@ use crate::types::DataType;
 use crate::value::Value;
 use crate::Result;
 
+/// How deep one message may nest: each plan node and each expression node
+/// inside it takes one level. Decoding recurses once per level, and so do
+/// schema inference, every evaluator and `Drop` on the decoded tree; a
+/// chain at the bound decodes, type-checks and executes on a default
+/// 2 MiB thread stack in a debug build. Legitimate plans nest far less
+/// (the workloads and test suites stay under 25 levels). Protobuf's
+/// default recursion limit is also 100.
+pub const MAX_NESTING: usize = 100;
+
+fn corrupt(msg: String) -> StorageError {
+    StorageError::Corrupt(msg)
+}
+
 /// A checked, position-tracking reader over a byte slice.
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Reader<'a> {
     /// Wrap a byte slice.
     pub fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
+        Reader {
+            buf,
+            pos: 0,
+            depth: 0,
+        }
     }
 
     /// Bytes not yet consumed.
@@ -40,88 +70,272 @@ impl<'a> Reader<'a> {
         self.buf.len() - self.pos
     }
 
-    fn need(&self, n: usize, what: &str) -> Result<()> {
-        if self.remaining() < n {
-            Err(StorageError::Corrupt(format!(
-                "unexpected end of input reading {what}: need {n} bytes at offset {}, have {}",
-                self.pos,
-                self.remaining()
-            )))
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Read one byte.
-    pub fn u8(&mut self, what: &str) -> Result<u8> {
-        self.need(1, what)?;
-        let v = self.buf[self.pos];
-        self.pos += 1;
-        Ok(v)
-    }
-
-    /// Read a little-endian u32.
-    pub fn u32(&mut self, what: &str) -> Result<u32> {
-        self.need(4, what)?;
-        let v = u32::from_le_bytes(self.buf[self.pos..self.pos + 4].try_into().unwrap());
-        self.pos += 4;
-        Ok(v)
-    }
-
-    /// Read a little-endian u64.
-    pub fn u64(&mut self, what: &str) -> Result<u64> {
-        self.need(8, what)?;
-        let v = u64::from_le_bytes(self.buf[self.pos..self.pos + 8].try_into().unwrap());
-        self.pos += 8;
-        Ok(v)
-    }
-
-    /// Read a little-endian i64.
-    pub fn i64(&mut self, what: &str) -> Result<i64> {
-        Ok(self.u64(what)? as i64)
-    }
-
-    /// Read a little-endian f64.
-    pub fn f64(&mut self, what: &str) -> Result<f64> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-
     /// Read `n` raw bytes.
+    #[inline]
     pub fn bytes(&mut self, n: usize, what: &str) -> Result<&'a [u8]> {
-        self.need(n, what)?;
+        if self.remaining() < n {
+            return Err(self.short(n, what));
+        }
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
     }
 
-    /// Read a length-prefixed UTF-8 string.
-    pub fn string(&mut self, what: &str) -> Result<String> {
-        let n = self.u32(what)? as usize;
-        let raw = self.bytes(n, what)?;
-        String::from_utf8(raw.to_vec())
-            .map_err(|_| StorageError::Corrupt(format!("invalid UTF-8 in {what}")))
+    #[cold]
+    fn short(&self, n: usize, what: &str) -> StorageError {
+        corrupt(format!(
+            "unexpected end of input reading {what}: need {n} bytes at offset {}, have {}",
+            self.pos,
+            self.remaining()
+        ))
     }
 
-    /// A sanity bound on decoded collection lengths: no single collection
-    /// may claim more elements than there are remaining bytes (every
-    /// element costs at least one byte in this format). Guards against
-    /// allocation bombs from corrupt length prefixes.
-    pub fn checked_len(&self, n: u32, what: &str) -> Result<usize> {
+    #[inline]
+    fn array<const N: usize>(&mut self, what: &str) -> Result<[u8; N]> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.bytes(N, what)?);
+        Ok(out)
+    }
+
+    /// Read one byte.
+    #[inline]
+    pub fn u8(&mut self, what: &str) -> Result<u8> {
+        Ok(self.array::<1>(what)?[0])
+    }
+
+    /// Read a little-endian u32.
+    #[inline]
+    pub fn u32(&mut self, what: &str) -> Result<u32> {
+        Ok(u32::from_le_bytes(self.array(what)?))
+    }
+
+    /// Read a little-endian u64.
+    #[inline]
+    pub fn u64(&mut self, what: &str) -> Result<u64> {
+        Ok(u64::from_le_bytes(self.array(what)?))
+    }
+
+    /// Read a little-endian i64.
+    #[inline]
+    pub fn i64(&mut self, what: &str) -> Result<i64> {
+        Ok(i64::from_le_bytes(self.array(what)?))
+    }
+
+    /// Read a little-endian f64.
+    #[inline]
+    pub fn f64(&mut self, what: &str) -> Result<f64> {
+        Ok(f64::from_bits(self.u64(what)?))
+    }
+
+    /// Read a `u32`-length-prefixed block of raw bytes.
+    pub fn block(&mut self, what: &str) -> Result<&'a [u8]> {
+        let n = self.u32(what)? as usize;
+        self.bytes(n, what)
+    }
+
+    /// Decode the next block with `read`, which must consume it whole.
+    pub fn within<T>(
+        &mut self,
+        what: &str,
+        read: impl FnOnce(&mut Reader<'a>) -> Result<T>,
+    ) -> Result<T> {
+        let mut inner = Reader::new(self.block(what)?);
+        let out = read(&mut inner)?;
+        inner.finish(what)?;
+        Ok(out)
+    }
+
+    /// Read a length-prefixed UTF-8 string.
+    pub fn string(&mut self, what: &str) -> Result<String> {
+        let raw = self.block(what)?;
+        String::from_utf8(raw.to_vec()).map_err(|_| corrupt(format!("invalid UTF-8 in {what}")))
+    }
+
+    /// Read a one-byte index into `table` (the encoding [`Writer::tag`]
+    /// writes).
+    pub fn tag<T: Copy>(&mut self, table: &[T], what: &str) -> Result<T> {
+        let t = self.u8(what)?;
+        table
+            .get(t as usize)
+            .copied()
+            .ok_or_else(|| corrupt(format!("bad {what} tag {t}")))
+    }
+
+    /// Read a flag byte, then the value `read` decodes when it is `1`.
+    pub fn opt<T, E: From<StorageError>>(
+        &mut self,
+        what: &str,
+        read: impl FnOnce(&mut Self) -> std::result::Result<T, E>,
+    ) -> std::result::Result<Option<T>, E> {
+        match self.u8(what)? {
+            0 => Ok(None),
+            1 => read(self).map(Some),
+            t => Err(corrupt(format!("bad {what} flag {t}")).into()),
+        }
+    }
+
+    /// Read a `u32` count, then that many elements with `read`. `min_size`
+    /// is the fewest bytes one element can take (see
+    /// [`Reader::checked_len`]).
+    pub fn list<T, E: From<StorageError>>(
+        &mut self,
+        min_size: usize,
+        what: &str,
+        mut read: impl FnMut(&mut Self) -> std::result::Result<T, E>,
+    ) -> std::result::Result<Vec<T>, E> {
+        let n = self.u32(what)?;
+        let n = self.checked_len(n, min_size, what)?;
+        let mut out = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            out.push(read(self)?);
+        }
+        Ok(out)
+    }
+
+    /// Read `expected.len()` bytes and require them to equal `expected`.
+    pub fn magic(&mut self, expected: &[u8], what: &str) -> Result<()> {
+        if self.bytes(expected.len(), what)? != expected {
+            return Err(corrupt(format!("bad {what}")));
+        }
+        Ok(())
+    }
+
+    /// Require the input to be fully consumed.
+    pub fn finish(&self, what: &str) -> Result<()> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(corrupt(format!("{n} trailing bytes after {what}"))),
+        }
+    }
+
+    /// Admit a claimed element count only if the remaining bytes can hold
+    /// that many elements of at least `min_size` encoded bytes each, so a
+    /// corrupt length prefix fails here instead of reserving memory for
+    /// elements that are not there.
+    pub fn checked_len(&self, n: u32, min_size: usize, what: &str) -> Result<usize> {
         let n = n as usize;
-        // Bools are the densest element at 1 byte each; bitmap words are 8.
-        if n > self.remaining().saturating_mul(64).saturating_add(64) {
-            return Err(StorageError::Corrupt(format!(
+        if n.saturating_mul(min_size) > self.remaining() {
+            return Err(corrupt(format!(
                 "implausible length {n} for {what} with {} bytes remaining",
                 self.remaining()
             )));
         }
         Ok(n)
     }
+
+    /// Decode one nesting level with `read`, refusing to go deeper than
+    /// [`MAX_NESTING`] levels.
+    pub fn nested<T, E: From<StorageError>>(
+        &mut self,
+        what: &str,
+        read: impl FnOnce(&mut Self) -> std::result::Result<T, E>,
+    ) -> std::result::Result<T, E> {
+        if self.depth == MAX_NESTING {
+            return Err(corrupt(format!("{what} nests deeper than {MAX_NESTING} levels")).into());
+        }
+        self.depth += 1;
+        let out = read(self);
+        self.depth -= 1;
+        out
+    }
 }
 
-fn put_string(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+/// The encoding twin of [`Reader`]: appends the same layouts to a growable
+/// buffer and hands it over with [`Writer::into_vec`].
+#[derive(Debug, Default)]
+pub struct Writer {
+    buf: Vec<u8>,
+}
+
+impl Writer {
+    /// An empty writer.
+    pub fn new() -> Writer {
+        Writer::default()
+    }
+
+    /// An empty writer with room for `n` bytes.
+    pub fn with_capacity(n: usize) -> Writer {
+        Writer {
+            buf: Vec::with_capacity(n),
+        }
+    }
+
+    /// The bytes written so far.
+    pub fn into_vec(self) -> Vec<u8> {
+        self.buf
+    }
+
+    /// Write raw bytes, without a length prefix.
+    #[inline]
+    pub fn bytes(&mut self, b: &[u8]) {
+        self.buf.extend_from_slice(b);
+    }
+
+    /// Write one byte.
+    #[inline]
+    pub fn u8(&mut self, v: u8) {
+        self.buf.push(v);
+    }
+
+    /// Write a little-endian u32.
+    #[inline]
+    pub fn u32(&mut self, v: u32) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// Write a little-endian u64.
+    #[inline]
+    pub fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// Write a little-endian i64.
+    #[inline]
+    pub fn i64(&mut self, v: i64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// Write a little-endian f64.
+    #[inline]
+    pub fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+
+    /// Write a `u32`-length-prefixed block of raw bytes.
+    pub fn block(&mut self, b: &[u8]) {
+        self.u32(b.len() as u32);
+        self.bytes(b);
+    }
+
+    /// Write a length-prefixed UTF-8 string.
+    pub fn str(&mut self, s: &str) {
+        self.block(s.as_bytes());
+    }
+
+    /// Write `v`'s one-byte index in `table` (read back by [`Reader::tag`]).
+    pub fn tag<T: PartialEq>(&mut self, table: &[T], v: &T) {
+        let t = table.iter().position(|x| x == v);
+        self.u8(t.expect("the table lists every variant") as u8);
+    }
+
+    /// Write a `u32` count, then each of `items` with `write`.
+    pub fn list<T>(&mut self, items: &[T], mut write: impl FnMut(&mut Self, &T)) {
+        self.u32(items.len() as u32);
+        for item in items {
+            write(self, item);
+        }
+    }
+
+    /// Write a flag byte, then `v` with `write` when it is present.
+    pub fn opt<T>(&mut self, v: Option<T>, write: impl FnOnce(&mut Self, T)) {
+        match v {
+            Some(v) => {
+                self.u8(1);
+                write(self, v);
+            }
+            None => self.u8(0),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -129,24 +343,24 @@ fn put_string(buf: &mut BytesMut, s: &str) {
 // ---------------------------------------------------------------------------
 
 /// Encode a scalar value.
-pub fn encode_value(v: &Value, buf: &mut BytesMut) {
+pub fn encode_value(v: &Value, w: &mut Writer) {
     match v {
-        Value::Null => buf.put_u8(0),
+        Value::Null => w.u8(0),
         Value::Int(x) => {
-            buf.put_u8(1);
-            buf.put_i64_le(*x);
+            w.u8(1);
+            w.i64(*x);
         }
         Value::Float(x) => {
-            buf.put_u8(2);
-            buf.put_u64_le(x.to_bits());
+            w.u8(2);
+            w.f64(*x);
         }
         Value::Bool(x) => {
-            buf.put_u8(3);
-            buf.put_u8(*x as u8);
+            w.u8(3);
+            w.u8(u8::from(*x));
         }
         Value::Str(x) => {
-            buf.put_u8(4);
-            put_string(buf, x);
+            w.u8(4);
+            w.str(x);
         }
     }
 }
@@ -159,7 +373,7 @@ pub fn decode_value(r: &mut Reader<'_>) -> Result<Value> {
         2 => Ok(Value::Float(r.f64("float value")?)),
         3 => Ok(Value::Bool(r.u8("bool value")? != 0)),
         4 => Ok(Value::Str(r.string("string value")?)),
-        t => Err(StorageError::Corrupt(format!("bad value tag {t}"))),
+        t => Err(corrupt(format!("bad value tag {t}"))),
     }
 }
 
@@ -167,63 +381,39 @@ pub fn decode_value(r: &mut Reader<'_>) -> Result<Value> {
 // Schema
 // ---------------------------------------------------------------------------
 
-fn encode_opt_i64(v: Option<i64>, buf: &mut BytesMut) {
-    match v {
-        Some(x) => {
-            buf.put_u8(1);
-            buf.put_i64_le(x);
-        }
-        None => buf.put_u8(0),
-    }
-}
-
-fn decode_opt_i64(r: &mut Reader<'_>, what: &str) -> Result<Option<i64>> {
-    match r.u8(what)? {
-        0 => Ok(None),
-        1 => Ok(Some(r.i64(what)?)),
-        t => Err(StorageError::Corrupt(format!(
-            "bad option tag {t} in {what}"
-        ))),
-    }
-}
-
 /// Encode a schema.
-pub fn encode_schema(s: &Schema, buf: &mut BytesMut) {
-    buf.put_u32_le(s.len() as u32);
-    for f in s.fields() {
-        put_string(buf, &f.name);
-        buf.put_u8(f.dtype.wire_tag());
+pub fn encode_schema(s: &Schema, w: &mut Writer) {
+    w.list(s.fields(), |w, f| {
+        w.str(&f.name);
+        w.u8(f.dtype.wire_tag());
         match f.role {
-            Role::Value => buf.put_u8(0),
+            Role::Value => w.u8(0),
             Role::Dimension { lo, hi } => {
-                buf.put_u8(1);
-                encode_opt_i64(lo, buf);
-                encode_opt_i64(hi, buf);
+                w.u8(1);
+                w.opt(lo, Writer::i64);
+                w.opt(hi, Writer::i64);
             }
         }
-    }
+    });
 }
 
 /// Decode a schema.
 pub fn decode_schema(r: &mut Reader<'_>) -> Result<Schema> {
-    let raw = r.u32("schema field count")?;
-    let n = r.checked_len(raw, "schema fields")?;
-    let mut fields = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
+    // A field is at least its name prefix, dtype and role bytes.
+    let fields = r.list(6, "schema fields", |r| {
         let name = r.string("field name")?;
-        let dtype = DataType::from_wire_tag(r.u8("field dtype")?)
-            .ok_or_else(|| StorageError::Corrupt("bad dtype tag".into()))?;
+        let dtype = r.tag(&DataType::ALL, "field dtype")?;
         let role = match r.u8("field role")? {
             0 => Role::Value,
             1 => Role::Dimension {
-                lo: decode_opt_i64(r, "dim lo")?,
-                hi: decode_opt_i64(r, "dim hi")?,
+                lo: r.opt("dim lo", |r| r.i64("dim lo"))?,
+                hi: r.opt("dim hi", |r| r.i64("dim hi"))?,
             },
-            t => return Err(StorageError::Corrupt(format!("bad role tag {t}"))),
+            t => return Err(corrupt(format!("bad role tag {t}"))),
         };
-        fields.push(Field { name, dtype, role });
-    }
-    Schema::new(fields).map_err(|e| StorageError::Corrupt(format!("invalid schema on wire: {e}")))
+        Ok(Field { name, dtype, role })
+    })?;
+    Schema::new(fields).map_err(|e| corrupt(format!("invalid schema on wire: {e}")))
 }
 
 // ---------------------------------------------------------------------------
@@ -231,8 +421,8 @@ pub fn decode_schema(r: &mut Reader<'_>) -> Result<Schema> {
 // ---------------------------------------------------------------------------
 
 /// Encode a bitmap.
-pub fn encode_bitmap(bm: &Bitmap, buf: &mut BytesMut) {
-    buf.put_u32_le(bm.len() as u32);
+pub fn encode_bitmap(bm: &Bitmap, w: &mut Writer) {
+    w.u32(bm.len() as u32);
     // Re-pack via push to avoid exposing the word representation.
     let mut word = 0u64;
     let mut nbits = 0;
@@ -242,21 +432,22 @@ pub fn encode_bitmap(bm: &Bitmap, buf: &mut BytesMut) {
         }
         nbits += 1;
         if nbits == 64 {
-            buf.put_u64_le(word);
+            w.u64(word);
             word = 0;
             nbits = 0;
         }
     }
     if nbits > 0 {
-        buf.put_u64_le(word);
+        w.u64(word);
     }
 }
 
 /// Decode a bitmap.
 pub fn decode_bitmap(r: &mut Reader<'_>) -> Result<Bitmap> {
-    let raw = r.u32("bitmap length")?;
-    let len = r.checked_len(raw, "bitmap")?;
-    let nwords = len.div_ceil(64);
+    let len = r.u32("bitmap length")?;
+    // One 8-byte word per 64 bits.
+    let nwords = r.checked_len(len.div_ceil(64), 8, "bitmap words")?;
+    let len = len as usize;
     let mut bm = Bitmap::filled(len, false);
     let mut i = 0usize;
     for _ in 0..nwords {
@@ -275,60 +466,39 @@ pub fn decode_bitmap(r: &mut Reader<'_>) -> Result<Bitmap> {
 }
 
 /// Encode a column.
-pub fn encode_column(c: &Column, buf: &mut BytesMut) {
-    buf.put_u8(c.dtype().wire_tag());
-    buf.put_u32_le(c.len() as u32);
-    match c.validity() {
-        Some(bm) => {
-            buf.put_u8(1);
-            encode_bitmap(bm, buf);
-        }
-        None => buf.put_u8(0),
-    }
+pub fn encode_column(c: &Column, w: &mut Writer) {
+    w.u8(c.dtype().wire_tag());
+    w.u32(c.len() as u32);
+    w.opt(c.validity(), |w, bm| encode_bitmap(bm, w));
     match c {
-        Column::Int64(d, _) => {
-            for &v in d {
-                buf.put_i64_le(v);
-            }
-        }
-        Column::Float64(d, _) => {
-            for &v in d {
-                buf.put_u64_le(v.to_bits());
-            }
-        }
-        Column::Bool(d, _) => {
-            for &v in d {
-                buf.put_u8(v as u8);
-            }
-        }
-        Column::Utf8(d, _) => {
-            for v in d {
-                put_string(buf, v);
-            }
-        }
+        Column::Int64(d, _) => d.iter().for_each(|&v| w.i64(v)),
+        Column::Float64(d, _) => d.iter().for_each(|&v| w.f64(v)),
+        Column::Bool(d, _) => d.iter().for_each(|&v| w.u8(u8::from(v))),
+        Column::Utf8(d, _) => d.iter().for_each(|v| w.str(v)),
     }
 }
 
 /// Decode a column.
 pub fn decode_column(r: &mut Reader<'_>) -> Result<Column> {
-    let dtype = DataType::from_wire_tag(r.u8("column dtype")?)
-        .ok_or_else(|| StorageError::Corrupt("bad column dtype tag".into()))?;
+    let dtype = r.tag(&DataType::ALL, "column dtype")?;
     let raw = r.u32("column length")?;
-    let len = r.checked_len(raw, "column")?;
-    let validity = match r.u8("validity flag")? {
-        0 => None,
-        1 => {
-            let bm = decode_bitmap(r)?;
-            if bm.len() != len {
-                return Err(StorageError::Corrupt(format!(
-                    "validity length {} != column length {len}",
-                    bm.len()
-                )));
-            }
-            Some(bm)
-        }
-        t => return Err(StorageError::Corrupt(format!("bad validity flag {t}"))),
+    // The smallest encoding of one slot: the value itself, or a string's
+    // length prefix.
+    let slot = match dtype {
+        DataType::Int64 | DataType::Float64 => 8,
+        DataType::Bool => 1,
+        DataType::Utf8 => 4,
     };
+    let len = r.checked_len(raw, slot, "column")?;
+    let validity = r.opt("validity", decode_bitmap)?;
+    if let Some(bm) = &validity {
+        if bm.len() != len {
+            return Err(corrupt(format!(
+                "validity length {} != column length {len}",
+                bm.len()
+            )));
+        }
+    }
     Ok(match dtype {
         DataType::Int64 => {
             let mut d = Vec::with_capacity(len);
@@ -361,95 +531,73 @@ pub fn decode_column(r: &mut Reader<'_>) -> Result<Column> {
     })
 }
 
+/// Encode a column list: a count, then each column.
+fn encode_columns(cols: &[Column], w: &mut Writer) {
+    w.list(cols, |w, c| encode_column(c, w));
+}
+
+/// Decode a column list; a column is at least its dtype tag, length and
+/// validity flag.
+fn decode_columns(r: &mut Reader<'_>, what: &str) -> Result<Vec<Column>> {
+    r.list(6, what, decode_column)
+}
+
 // ---------------------------------------------------------------------------
 // Chunks & DataSet
 // ---------------------------------------------------------------------------
 
 /// Encode a coordinate-list chunk.
-pub fn encode_rows_chunk(c: &RowsChunk, buf: &mut BytesMut) {
-    buf.put_u32_le(c.columns().len() as u32);
-    for col in c.columns() {
-        encode_column(col, buf);
-    }
+pub fn encode_rows_chunk(c: &RowsChunk, w: &mut Writer) {
+    encode_columns(c.columns(), w);
 }
 
 /// Decode a coordinate-list chunk.
 pub fn decode_rows_chunk(r: &mut Reader<'_>) -> Result<RowsChunk> {
-    let raw = r.u32("column count")?;
-    let n = r.checked_len(raw, "rows chunk columns")?;
-    let mut cols = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        cols.push(decode_column(r)?);
-    }
-    RowsChunk::new(cols).map_err(|e| StorageError::Corrupt(format!("bad rows chunk: {e}")))
+    let cols = decode_columns(r, "rows chunk columns")?;
+    RowsChunk::new(cols).map_err(|e| corrupt(format!("bad rows chunk: {e}")))
 }
 
 /// Encode a box.
-pub fn encode_box(b: &DimBox, buf: &mut BytesMut) {
-    buf.put_u32_le(b.ndims() as u32);
+pub fn encode_box(b: &DimBox, w: &mut Writer) {
+    w.u32(b.ndims() as u32);
     for d in 0..b.ndims() {
-        buf.put_i64_le(b.lo[d]);
-        buf.put_i64_le(b.hi[d]);
+        w.i64(b.lo[d]);
+        w.i64(b.hi[d]);
     }
 }
 
 /// Decode a box.
 pub fn decode_box(r: &mut Reader<'_>) -> Result<DimBox> {
-    let raw = r.u32("box rank")?;
-    let n = r.checked_len(raw, "box")?;
-    let mut lo = Vec::with_capacity(n.min(64));
-    let mut hi = Vec::with_capacity(n.min(64));
-    for _ in 0..n {
-        lo.push(r.i64("box lo")?);
-        hi.push(r.i64("box hi")?);
-    }
-    DimBox::new(lo, hi).map_err(|e| StorageError::Corrupt(format!("bad box: {e}")))
+    let dims = r.list(16, "box rank", |r| Ok((r.i64("box lo")?, r.i64("box hi")?)))?;
+    let (lo, hi) = dims.into_iter().unzip();
+    DimBox::new(lo, hi).map_err(|e| corrupt(format!("bad box: {e}")))
 }
 
 /// Encode a dense chunk.
-pub fn encode_dense_chunk(c: &DenseChunk, buf: &mut BytesMut) {
-    encode_box(c.bounds(), buf);
-    buf.put_u32_le(c.columns().len() as u32);
-    for col in c.columns() {
-        encode_column(col, buf);
-    }
-    match c.present() {
-        Some(bm) => {
-            buf.put_u8(1);
-            encode_bitmap(bm, buf);
-        }
-        None => buf.put_u8(0),
-    }
+pub fn encode_dense_chunk(c: &DenseChunk, w: &mut Writer) {
+    encode_box(c.bounds(), w);
+    encode_columns(c.columns(), w);
+    w.opt(c.present(), |w, bm| encode_bitmap(bm, w));
 }
 
 /// Decode a dense chunk.
 pub fn decode_dense_chunk(r: &mut Reader<'_>) -> Result<DenseChunk> {
     let bounds = decode_box(r)?;
-    let raw = r.u32("dense column count")?;
-    let n = r.checked_len(raw, "dense columns")?;
-    let mut cols = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        cols.push(decode_column(r)?);
-    }
-    let present = match r.u8("present flag")? {
-        0 => None,
-        1 => Some(decode_bitmap(r)?),
-        t => return Err(StorageError::Corrupt(format!("bad present flag {t}"))),
-    };
-    DenseChunk::new(bounds, cols, present)
-        .map_err(|e| StorageError::Corrupt(format!("bad dense chunk: {e}")))
+    let cols = decode_columns(r, "dense columns")?;
+    let present = r.opt("present", decode_bitmap)?;
+    DenseChunk::new(bounds, cols, present).map_err(|e| corrupt(format!("bad dense chunk: {e}")))
 }
 
 /// Encode a chunk.
-pub fn encode_chunk(c: &Chunk, buf: &mut BytesMut) {
+pub fn encode_chunk(c: &Chunk, w: &mut Writer) {
     match c {
         Chunk::Rows(rc) => {
-            buf.put_u8(0);
-            encode_rows_chunk(rc, buf);
+            w.u8(0);
+            encode_rows_chunk(rc, w);
         }
         Chunk::Dense(dc) => {
-            buf.put_u8(1);
-            encode_dense_chunk(dc, buf);
+            w.u8(1);
+            encode_dense_chunk(dc, w);
         }
     }
 }
@@ -459,7 +607,7 @@ pub fn decode_chunk(r: &mut Reader<'_>) -> Result<Chunk> {
     match r.u8("chunk tag")? {
         0 => Ok(Chunk::Rows(decode_rows_chunk(r)?)),
         1 => Ok(Chunk::Dense(decode_dense_chunk(r)?)),
-        t => Err(StorageError::Corrupt(format!("bad chunk tag {t}"))),
+        t => Err(corrupt(format!("bad chunk tag {t}"))),
     }
 }
 
@@ -468,36 +616,21 @@ const DATASET_MAGIC: &[u8; 4] = b"BDA1";
 
 /// Encode a whole dataset into a fresh buffer.
 pub fn encode_dataset(ds: &DataSet) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(64 + ds.estimated_bytes());
-    buf.put_slice(DATASET_MAGIC);
-    encode_schema(ds.schema(), &mut buf);
-    buf.put_u32_le(ds.chunks().len() as u32);
-    for c in ds.chunks() {
-        encode_chunk(c, &mut buf);
-    }
-    buf.to_vec()
+    let mut w = Writer::with_capacity(64 + ds.estimated_bytes());
+    w.bytes(DATASET_MAGIC);
+    encode_schema(ds.schema(), &mut w);
+    w.list(ds.chunks(), |w, c| encode_chunk(c, w));
+    w.into_vec()
 }
 
 /// Decode a dataset; the entire input must be consumed.
 pub fn decode_dataset(bytes: &[u8]) -> Result<DataSet> {
     let mut r = Reader::new(bytes);
-    let magic = r.bytes(4, "magic")?;
-    if magic != DATASET_MAGIC {
-        return Err(StorageError::Corrupt("bad dataset magic".into()));
-    }
+    r.magic(DATASET_MAGIC, "dataset magic")?;
     let schema = decode_schema(&mut r)?;
-    let raw = r.u32("chunk count")?;
-    let n = r.checked_len(raw, "chunks")?;
-    let mut chunks = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        chunks.push(decode_chunk(&mut r)?);
-    }
-    if r.remaining() != 0 {
-        return Err(StorageError::Corrupt(format!(
-            "{} trailing bytes after dataset",
-            r.remaining()
-        )));
-    }
+    // A chunk is at least its tag and column count.
+    let chunks = r.list(5, "chunks", decode_chunk)?;
+    r.finish("dataset")?;
     Ok(DataSet::new(schema, chunks))
 }
 
@@ -515,6 +648,12 @@ mod tests {
         .unwrap()
     }
 
+    fn encoded(write: impl FnOnce(&mut Writer)) -> Vec<u8> {
+        let mut w = Writer::new();
+        write(&mut w);
+        w.into_vec()
+    }
+
     #[test]
     fn value_roundtrip() {
         let vals = [
@@ -526,8 +665,7 @@ mod tests {
             Value::from("héllo"),
         ];
         for v in &vals {
-            let mut buf = BytesMut::new();
-            encode_value(v, &mut buf);
+            let buf = encoded(|w| encode_value(v, w));
             let mut r = Reader::new(&buf);
             let back = decode_value(&mut r).unwrap();
             assert_eq!(&back, v);
@@ -543,8 +681,7 @@ mod tests {
             Field::value("v", DataType::Float64),
         ])
         .unwrap();
-        let mut buf = BytesMut::new();
-        encode_schema(&s, &mut buf);
+        let buf = encoded(|w| encode_schema(&s, w));
         let back = decode_schema(&mut Reader::new(&buf)).unwrap();
         assert_eq!(back, s);
     }
@@ -556,8 +693,7 @@ mod tests {
             &[Value::from("a"), Value::Null, Value::from("c")],
         )
         .unwrap();
-        let mut buf = BytesMut::new();
-        encode_column(&c, &mut buf);
+        let buf = encoded(|w| encode_column(&c, w));
         let back = decode_column(&mut Reader::new(&buf)).unwrap();
         assert_eq!(back, c);
     }
@@ -619,20 +755,45 @@ mod tests {
 
     #[test]
     fn implausible_length_rejected_without_allocation() {
-        // A column claiming u32::MAX slots in a tiny buffer must fail fast.
-        let mut buf = BytesMut::new();
-        buf.put_u8(DataType::Int64.wire_tag());
-        buf.put_u32_le(u32::MAX);
-        buf.put_u8(0);
+        // A column claiming u32::MAX i64 slots must fail fast, in a tiny
+        // buffer and in a 70 MiB one: 8 bytes per slot cannot fit, and
+        // reserving the claim would take 32 GiB.
+        let mut buf = encoded(|w| {
+            w.u8(DataType::Int64.wire_tag());
+            w.u32(u32::MAX);
+            w.u8(0);
+        });
         assert!(decode_column(&mut Reader::new(&buf)).is_err());
+        buf.resize(70 << 20, 0);
+        assert!(decode_column(&mut Reader::new(&buf)).is_err());
+    }
+
+    #[test]
+    fn nesting_stops_at_the_bound() {
+        fn descend(r: &mut Reader<'_>) -> Result<usize> {
+            r.nested("probe", |r| match r.u8("probe")? {
+                0 => Ok(1),
+                _ => Ok(1 + descend(r)?),
+            })
+        }
+        let chain = |depth: usize| {
+            let mut bytes = vec![1; depth - 1];
+            bytes.push(0);
+            bytes
+        };
+        assert_eq!(
+            descend(&mut Reader::new(&chain(MAX_NESTING))),
+            Ok(MAX_NESTING)
+        );
+        let err = descend(&mut Reader::new(&chain(MAX_NESTING + 1))).unwrap_err();
+        assert!(err.to_string().contains("nests deeper"), "{err}");
     }
 
     #[test]
     fn bitmap_roundtrip_cross_word() {
         let bits: Vec<bool> = (0..130).map(|i| i % 7 == 0).collect();
         let bm = Bitmap::from_bools(&bits);
-        let mut buf = BytesMut::new();
-        encode_bitmap(&bm, &mut buf);
+        let buf = encoded(|w| encode_bitmap(&bm, w));
         let back = decode_bitmap(&mut Reader::new(&buf)).unwrap();
         assert_eq!(back, bm);
     }

@@ -1,7 +1,13 @@
-//! Decoder robustness: the wire codecs must never panic, whatever bytes
-//! arrive — corrupt input from a misbehaving peer yields `Err`, not UB or
-//! aborts. (Encoding round-trips are covered in `property_equivalence`;
-//! this file is pure failure injection.)
+//! Decoder robustness: the wire codecs must never panic or abort, whatever
+//! bytes arrive — corrupt input from a misbehaving peer yields `Err`, not
+//! UB, a stack overflow or a failed allocation. Every codec reads through
+//! `bda_storage::wire::Reader`, which holds the limits: reads checked
+//! against the bytes remaining, element counts checked against the bytes
+//! they need, and nesting bounded by `MAX_NESTING`. Random bytes rarely
+//! reach those limits, so the inputs that used to abort (a 10⁵-deep
+//! chain, a column or snapshot claiming 2³²−1 elements) are pinned by
+//! targeted tests next to each codec. (Encoding round-trips are covered
+//! in `property_equivalence`; this file is pure failure injection.)
 
 use proptest::prelude::*;
 
