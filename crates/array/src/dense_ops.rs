@@ -7,6 +7,8 @@
 
 use bda_core::agg::{Accumulator, AggExpr};
 use bda_core::eval::{binary_scalar, eval_chunk, infer_expr};
+use bda_core::partition::bands;
+use bda_core::pool::run_partitions;
 use bda_core::{BinOp, CoreError};
 use bda_storage::{Bitmap, Chunk, Column, DataSet, DenseChunk, DimBox, Schema, Value};
 
@@ -293,27 +295,13 @@ pub fn elemwise_dense(
     let vol = l.bounds().volume();
     let out_t = out_schema.values()[0].dtype;
 
-    // Fast path: f64 ⊕ f64, fully present, no nulls, arithmetic op.
-    let fully_present = l.present().is_none() && r.present().is_none();
-    if fully_present && op.is_arithmetic() && op != BinOp::Mod {
-        if let (Ok(a), Ok(b)) = (l.columns()[0].f64_data(), r.columns()[0].f64_data()) {
-            if l.columns()[0].validity().is_none() && r.columns()[0].validity().is_none() {
-                let data: Vec<f64> = a
-                    .iter()
-                    .zip(b)
-                    .map(|(x, y)| match op {
-                        BinOp::Add => x + y,
-                        BinOp::Sub => x - y,
-                        BinOp::Mul => x * y,
-                        BinOp::Div => x / y,
-                        _ => unreachable!(),
-                    })
-                    .collect();
-                let out_chunk =
-                    DenseChunk::new(l.bounds().clone(), vec![Column::from(data)], None)?;
-                return Ok(DataSet::new(out_schema, vec![Chunk::Dense(out_chunk)]));
-            }
-        }
+    if let Some((a, b)) = f64_operands(op, &l, &r) {
+        let out_chunk = DenseChunk::new(
+            l.bounds().clone(),
+            vec![Column::from(f64_op(op, a, b))],
+            None,
+        )?;
+        return Ok(DataSet::new(out_schema, vec![Chunk::Dense(out_chunk)]));
     }
 
     // General path: per-cell scalar semantics; output present where both
@@ -341,13 +329,47 @@ pub fn elemwise_dense(
     Ok(DataSet::new(out_schema, vec![Chunk::Dense(out_chunk)]))
 }
 
+/// The operands of the f64 fast path: both sides fully present with
+/// null-free `f64` values, under an arithmetic op other than `%`. `None`
+/// sends the caller down the per-cell path.
+fn f64_operands<'a>(
+    op: BinOp,
+    l: &'a DenseChunk,
+    r: &'a DenseChunk,
+) -> Option<(&'a [f64], &'a [f64])> {
+    let (lc, rc) = (&l.columns()[0], &r.columns()[0]);
+    if l.present().is_some()
+        || r.present().is_some()
+        || !op.is_arithmetic()
+        || op == BinOp::Mod
+        || lc.null_count() > 0
+        || rc.null_count() > 0
+    {
+        return None;
+    }
+    Some((lc.f64_data().ok()?, rc.f64_data().ok()?))
+}
+
+/// `a ⊕ b` cell by cell, for the ops [`f64_operands`] admits.
+fn f64_op(op: BinOp, a: &[f64], b: &[f64]) -> Vec<f64> {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| match op {
+            BinOp::Add => x + y,
+            BinOp::Sub => x - y,
+            BinOp::Mul => x * y,
+            BinOp::Div => x / y,
+            _ => unreachable!("gated on arithmetic non-mod op"),
+        })
+        .collect()
+}
+
 /// Partition-parallel element-wise combination: band-split the flat
-/// cell index space into `parts` contiguous ranges, compute each band on
-/// the worker pool (recording a `partition:{i}` span each), and
-/// reassemble in band order. The output is bitwise identical to
-/// [`elemwise_dense`] because every cell runs the same scalar code; only
-/// the fully-dense f64 fast path is banded — anything else falls back to
-/// the sequential kernel.
+/// cell index space into `parts` contiguous ranges, compute each band as
+/// a traced partition ([`run_partitions`]), and reassemble in band
+/// order. The output is bitwise identical to [`elemwise_dense`] because
+/// every cell runs the same scalar code; only the f64 fast path is
+/// banded — anything else falls back to the sequential kernel.
 pub fn elemwise_dense_partitioned(
     op: BinOp,
     left: &DataSet,
@@ -364,63 +386,16 @@ pub fn elemwise_dense_partitioned(
             r.bounds()
         )));
     }
-    let fully_present = l.present().is_none() && r.present().is_none();
-    let fast = fully_present
-        && op.is_arithmetic()
-        && op != BinOp::Mod
-        && l.columns()[0].f64_data().is_ok()
-        && r.columns()[0].f64_data().is_ok()
-        && l.columns()[0].validity().is_none()
-        && r.columns()[0].validity().is_none();
-    if !fast || parts <= 1 {
+    let Some((a, b)) = f64_operands(op, &l, &r).filter(|_| parts > 1) else {
         return elemwise_dense(op, left, right, out_schema);
-    }
-
-    let a = l.columns()[0].f64_data().expect("checked above");
-    let b = r.columns()[0].f64_data().expect("checked above");
+    };
     let vol = l.bounds().volume();
-    let parts = parts.clamp(1, vol.max(1));
-    let base = vol / parts;
-    let extra = vol % parts;
-    let mut bands = Vec::with_capacity(parts);
-    let mut start = 0;
-    for i in 0..parts {
-        let len = base + usize::from(i < extra);
-        bands.push((start, start + len));
-        start += len;
-    }
-
-    let snap = bda_obs::scope::snapshot();
-    let tasks: Vec<Box<dyn FnOnce() -> Vec<f64> + Send + '_>> = bands
+    let tasks: Vec<_> = bands(vol, parts.clamp(1, vol.max(1)))
         .into_iter()
-        .enumerate()
-        .map(|(i, (s, e))| {
-            let snap = snap.clone();
-            Box::new(move || {
-                let mut guard = snap.as_ref().map(|sc| {
-                    sc.tracer
-                        .start(sc.parent, || format!("partition:{i}"), &sc.site)
-                });
-                let band: Vec<f64> = a[s..e]
-                    .iter()
-                    .zip(&b[s..e])
-                    .map(|(x, y)| match op {
-                        BinOp::Add => x + y,
-                        BinOp::Sub => x - y,
-                        BinOp::Mul => x * y,
-                        BinOp::Div => x / y,
-                        _ => unreachable!("gated on arithmetic non-mod op"),
-                    })
-                    .collect();
-                if let Some(g) = guard.as_mut() {
-                    g.set_rows(band.len());
-                }
-                band
-            }) as Box<dyn FnOnce() -> Vec<f64> + Send + '_>
-        })
+        .map(|(s, e)| move || f64_op(op, &a[s..e], &b[s..e]))
         .collect();
     let mut data = Vec::with_capacity(vol);
-    for band in bda_core::pool::run_with(bda_core::pool::workers(), tasks) {
+    for band in run_partitions(tasks, |band: &Vec<f64>| Some(band.len())) {
         data.extend(band);
     }
     let out_chunk = DenseChunk::new(l.bounds().clone(), vec![Column::from(data)], None)?;
@@ -719,6 +694,30 @@ mod tests {
         let ours = elemwise_dense(BinOp::Add, &s, &s, schema).unwrap();
         let oracle = evaluate(&plan, &src("x", &s)).unwrap();
         assert!(ours.same_bag(&oracle).unwrap());
+    }
+
+    #[test]
+    fn partitioned_elemwise_matches_sequential_for_any_band_count() {
+        let m = m44();
+        let s = sparse_1d();
+        for (ds, name) in [(&m, "m"), (&s, "x")] {
+            for op in [BinOp::Add, BinOp::Div, BinOp::Ge] {
+                let plan = Plan::scan(name, ds.schema().clone())
+                    .elemwise(op, Plan::scan(name, ds.schema().clone()));
+                let schema = infer_schema(&plan).unwrap();
+                let seq = elemwise_dense(op, ds, ds, schema.clone()).unwrap();
+                for parts in [1, 2, 3, 7, 64] {
+                    let par = bda_core::pool::with_workers(4, || {
+                        elemwise_dense_partitioned(op, ds, ds, parts, schema.clone())
+                    })
+                    .unwrap();
+                    assert!(
+                        par.same_bag(&seq).unwrap(),
+                        "{name} op {op:?} parts {parts}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

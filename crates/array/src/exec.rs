@@ -1,19 +1,20 @@
 //! Plan dispatch for the array engine.
 //!
 //! Dimension-aware operators route to the dense kernels in
-//! [`crate::dense_ops`]; the scalar relational core (select / project /
-//! aggregate / union / distinct / limit) runs over the coordinate-list
-//! view. Joins, sorts, matmul, graph ops and iteration are rejected —
+//! [`crate::dense_ops`]; leaves and the scalar relational core (select /
+//! project / aggregate / union / distinct / limit) are the shared
+//! [`bda_core::engine`] kernels over the coordinate-list view. Only the
+//! retagging arm is the engine's own: it re-densifies under the new
+//! schema. Joins, sorts, matmul, graph ops and iteration are rejected —
 //! they belong to other providers.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
-use bda_core::agg::{Accumulator, AggExpr};
-use bda_core::eval::{eval_chunk, infer_expr};
+use bda_core::engine;
 use bda_core::infer::infer_schema;
 use bda_core::provider::trace_op;
 use bda_core::{CoreError, Plan};
-use bda_storage::{Chunk, Column, DataSet, Row, RowsChunk, Value};
+use bda_storage::{Chunk, DataSet};
 
 use crate::dense_ops;
 
@@ -28,27 +29,9 @@ pub fn execute(plan: &Plan, arrays: &BTreeMap<String, DataSet>) -> Result<DataSe
 fn execute_node(plan: &Plan, arrays: &BTreeMap<String, DataSet>) -> Result<DataSet> {
     let out_schema = infer_schema(plan)?;
     match plan {
-        Plan::Scan { dataset, schema } => {
-            let ds = arrays
-                .get(dataset)
-                .ok_or_else(|| CoreError::UnknownDataset(dataset.clone()))?;
-            if ds.schema() != schema {
-                return Err(CoreError::Plan(format!(
-                    "scan `{dataset}`: bound schema {} does not match stored schema {}",
-                    schema,
-                    ds.schema()
-                )));
-            }
-            Ok(ds.clone())
-        }
-        Plan::Values { schema, rows } => {
-            DataSet::from_rows(schema.clone(), rows).map_err(Into::into)
-        }
-        Plan::Range { lo, hi, .. } => {
-            let col = Column::from((*lo..*hi).collect::<Vec<i64>>());
-            let chunk = RowsChunk::new(vec![col])?;
-            Ok(DataSet::new(out_schema, vec![Chunk::Rows(chunk)]))
-        }
+        Plan::Scan { dataset, schema } => engine::scan(arrays, dataset, schema),
+        Plan::Values { schema, rows } => engine::values(schema, rows),
+        Plan::Range { lo, hi, .. } => engine::range(*lo, *hi, out_schema),
         // --- native dense operators ---------------------------------------
         Plan::Dice { input, ranges } => {
             let in_ds = execute(input, arrays)?;
@@ -103,93 +86,36 @@ fn execute_node(plan: &Plan, arrays: &BTreeMap<String, DataSet>) -> Result<DataS
                 else {
                     unreachable!("guarded by matches!");
                 };
-                let l = execute(li, arrays)?;
-                let r = execute(ri, arrays)?;
-                dense_ops::elemwise_dense_partitioned(*op, &l, &r, *parts, out_schema)
+                // The fused operator records its own `op:` span, so the
+                // `partition:{i}` spans nest under `op:elemwise`.
+                trace_op(input, || {
+                    let l = execute(li, arrays)?;
+                    let r = execute(ri, arrays)?;
+                    dense_ops::elemwise_dense_partitioned(*op, &l, &r, *parts, out_schema)
+                })
             }
             _ => execute(input, arrays),
         },
         // --- scalar relational core over the coordinate view --------------
         Plan::Select { input, predicate } => {
-            let in_ds = execute(input, arrays)?;
-            let in_schema = in_ds.schema().clone();
-            let chunk = in_ds.to_rows_chunk()?;
-            let mask_col = eval_chunk(predicate, &in_schema, &chunk)?;
-            let data = mask_col
-                .bool_data()
-                .map_err(|e| CoreError::Plan(format!("predicate not bool: {e}")))?;
-            let mask: Vec<bool> = match mask_col.validity() {
-                None => data.to_vec(),
-                Some(bm) => data
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &b)| b && bm.get(i))
-                    .collect(),
-            };
-            Ok(DataSet::new(
-                out_schema,
-                vec![Chunk::Rows(chunk.filter(&mask))],
-            ))
+            engine::select(&execute(input, arrays)?, predicate, out_schema)
         }
         Plan::Project { input, exprs } => {
-            let in_ds = execute(input, arrays)?;
-            let in_schema = in_ds.schema().clone();
-            let chunk = in_ds.to_rows_chunk()?;
-            let mut cols = Vec::with_capacity(exprs.len());
-            for (i, (_, e)) in exprs.iter().enumerate() {
-                let c = eval_chunk(e, &in_schema, &chunk)?;
-                let want = out_schema.field_at(i).dtype;
-                cols.push(if c.dtype() == want { c } else { c.cast(want) });
-            }
-            Ok(DataSet::new(
-                out_schema,
-                vec![Chunk::Rows(RowsChunk::new(cols)?)],
-            ))
+            engine::project(&execute(input, arrays)?, exprs, out_schema)
         }
         Plan::Aggregate {
             input,
             group_by,
             aggs,
-        } => {
-            let in_ds = execute(input, arrays)?;
-            aggregate_fallback(&in_ds, group_by, aggs, out_schema)
-        }
-        Plan::Union { left, right } => {
-            let l = execute(left, arrays)?;
-            let r = execute(right, arrays)?;
-            let mut chunk = l.to_rows_chunk()?;
-            chunk.extend(&r.to_rows_chunk()?)?;
-            Ok(DataSet::new(out_schema, vec![Chunk::Rows(chunk)]))
-        }
-        Plan::Distinct { input } => {
-            let in_ds = execute(input, arrays)?;
-            let chunk = in_ds.to_rows_chunk()?;
-            let mut seen = std::collections::HashSet::with_capacity(chunk.len());
-            let mut keep = Vec::new();
-            for i in 0..chunk.len() {
-                if seen.insert(chunk.row(i)) {
-                    keep.push(i);
-                }
-            }
-            Ok(DataSet::new(
-                out_schema,
-                vec![Chunk::Rows(chunk.take(&keep))],
-            ))
-        }
+        } => engine::aggregate(&execute(input, arrays)?, group_by, aggs, out_schema),
+        Plan::Union { left, right } => engine::union(
+            &execute(left, arrays)?,
+            &execute(right, arrays)?,
+            out_schema,
+        ),
+        Plan::Distinct { input } => engine::distinct(&execute(input, arrays)?, out_schema),
         Plan::Limit { input, skip, fetch } => {
-            let in_ds = execute(input, arrays)?;
-            let chunk = in_ds.to_rows_chunk()?;
-            let n = chunk.len();
-            let start = (*skip).min(n);
-            let end = match fetch {
-                Some(f) => (start + f).min(n),
-                None => n,
-            };
-            let idx: Vec<usize> = (start..end).collect();
-            Ok(DataSet::new(
-                out_schema,
-                vec![Chunk::Rows(chunk.take(&idx))],
-            ))
+            engine::limit(&execute(input, arrays)?, *skip, *fetch, out_schema)
         }
         Plan::Rename { input, .. } | Plan::UntagDims { input } | Plan::TagDims { input, .. } => {
             let in_ds = execute(input, arrays)?;
@@ -208,85 +134,6 @@ fn execute_node(plan: &Plan, arrays: &BTreeMap<String, DataSet>) -> Result<DataS
             op: other.op_kind().name().into(),
         }),
     }
-}
-
-/// Row-hash aggregation (the array engine's relational ops are serviceable,
-/// not fast — mirroring how array stores treat non-array workloads).
-fn aggregate_fallback(
-    input: &DataSet,
-    group_by: &[String],
-    aggs: &[AggExpr],
-    out_schema: bda_storage::Schema,
-) -> Result<DataSet> {
-    let in_schema = input.schema().clone();
-    let chunk = input.to_rows_chunk()?;
-    let key_idx: Vec<usize> = group_by
-        .iter()
-        .map(|g| in_schema.index_of(g))
-        .collect::<std::result::Result<_, bda_storage::StorageError>>()?;
-    let mut arg_cols: Vec<Option<Column>> = Vec::new();
-    let mut arg_types = Vec::new();
-    for a in aggs {
-        match &a.arg {
-            Some(e) => {
-                arg_types.push(infer_expr(e, &in_schema)?);
-                arg_cols.push(Some(eval_chunk(e, &in_schema, &chunk)?));
-            }
-            None => {
-                arg_types.push(None);
-                arg_cols.push(None);
-            }
-        }
-    }
-    let mut groups: HashMap<Row, Vec<Accumulator>> = HashMap::new();
-    let mut order = Vec::new();
-    for i in 0..chunk.len() {
-        let key = Row(key_idx.iter().map(|&k| chunk.column(k).get(i)).collect());
-        let accs = groups.entry(key.clone()).or_insert_with(|| {
-            order.push(key);
-            aggs.iter()
-                .zip(&arg_types)
-                .map(|(a, t)| Accumulator::new(a.func, *t))
-                .collect()
-        });
-        for (acc, arg) in accs.iter_mut().zip(&arg_cols) {
-            let v = match arg {
-                Some(c) => c.get(i),
-                None => Value::Bool(true),
-            };
-            acc.update(&v)?;
-        }
-    }
-    if group_by.is_empty() && groups.is_empty() {
-        let accs = aggs
-            .iter()
-            .zip(&arg_types)
-            .map(|(a, t)| Accumulator::new(a.func, *t))
-            .collect();
-        groups.insert(Row::new(), accs);
-        order.push(Row::new());
-    }
-    let mut cols: Vec<Column> = out_schema
-        .fields()
-        .iter()
-        .map(|f| Column::new_empty(f.dtype))
-        .collect();
-    for key in &order {
-        for (ci, v) in key.0.iter().enumerate() {
-            cols[ci].push(v).map_err(CoreError::from)?;
-        }
-        for (ai, acc) in groups[key].iter().enumerate() {
-            let ci = group_by.len() + ai;
-            let v = acc.finish();
-            let v = match (&v, out_schema.field_at(ci).dtype) {
-                (Value::Int(x), bda_storage::DataType::Float64) => Value::Float(*x as f64),
-                _ => v,
-            };
-            cols[ci].push(&v).map_err(CoreError::from)?;
-        }
-    }
-    let chunk = RowsChunk::new(cols).map_err(CoreError::from)?;
-    Ok(DataSet::new(out_schema, vec![Chunk::Rows(chunk)]))
 }
 
 #[cfg(test)]

@@ -5,10 +5,12 @@
 //! operators — `Dice` (with box pruning), `SliceAt`, `Permute`, `Window`
 //! stencils, `Fill` densification and cell-wise `ElemWise` — executed
 //! directly on dense buffers. It also runs the scalar relational core
-//! (select/project/aggregate/union/distinct/limit) so diced-and-reduced
-//! results can be post-processed in place, but it has **no** join, sort,
-//! matmul, graph or iteration support: those belong to other providers,
-//! which is what makes multi-server planning (desideratum 4) necessary.
+//! (select/project/aggregate/union/distinct/limit) — the same
+//! [`bda_core::engine`] kernels the relational engine runs — so
+//! diced-and-reduced results can be post-processed in place, but it has
+//! **no** join, sort, matmul, graph or iteration support: those belong to
+//! other providers, which is what makes multi-server planning
+//! (desideratum 4) necessary.
 //!
 //! Restriction: the dense operators require every dimension to carry a
 //! bounded extent (the engine stores arrays as dense boxes). Plans over
@@ -18,15 +20,14 @@
 pub mod dense_ops;
 pub mod exec;
 
+use bda_core::engine::Datasets;
 use bda_core::{CapabilitySet, CoreError, OpKind, Plan, Provider};
 use bda_storage::{DataSet, Schema};
-use parking_lot::RwLock;
-use std::collections::BTreeMap;
 
 /// The array engine.
 pub struct ArrayEngine {
     name: String,
-    arrays: RwLock<BTreeMap<String, DataSet>>,
+    arrays: Datasets,
     /// Tile side length for the chunk grid; `None` stores arrays as one
     /// dense box.
     chunk_side: Option<usize>,
@@ -37,7 +38,7 @@ impl ArrayEngine {
     pub fn new(name: impl Into<String>) -> ArrayEngine {
         ArrayEngine {
             name: name.into(),
-            arrays: RwLock::new(BTreeMap::new()),
+            arrays: Datasets::new(),
             chunk_side: None,
         }
     }
@@ -48,7 +49,7 @@ impl ArrayEngine {
         assert!(chunk_side > 0, "chunk side must be positive");
         ArrayEngine {
             name: name.into(),
-            arrays: RwLock::new(BTreeMap::new()),
+            arrays: Datasets::new(),
             chunk_side: Some(chunk_side),
         }
     }
@@ -97,25 +98,11 @@ impl Provider for ArrayEngine {
     }
 
     fn catalog(&self) -> Vec<(String, Schema)> {
-        self.arrays
-            .read()
-            .iter()
-            .map(|(n, ds)| (n.clone(), ds.schema().clone()))
-            .collect()
+        self.arrays.catalog()
     }
 
     fn execute(&self, plan: &Plan) -> Result<DataSet, CoreError> {
-        let unsupported = self.capabilities().unsupported_in(plan);
-        if !unsupported.is_empty() {
-            return Err(CoreError::Unsupported {
-                provider: self.name.clone(),
-                op: unsupported
-                    .iter()
-                    .map(|k| k.name())
-                    .collect::<Vec<_>>()
-                    .join(", "),
-            });
-        }
+        self.capabilities().check(&self.name, plan)?;
         let arrays = self.arrays.read();
         exec::execute(plan, &arrays)
     }
@@ -131,16 +118,16 @@ impl Provider for ArrayEngine {
         } else {
             data
         };
-        self.arrays.write().insert(name.to_string(), stored);
+        self.arrays.insert(name, stored);
         Ok(())
     }
 
     fn remove(&self, name: &str) {
-        self.arrays.write().remove(name);
+        self.arrays.remove(name);
     }
 
     fn row_count_of(&self, name: &str) -> Option<usize> {
-        self.arrays.read().get(name).map(|ds| ds.num_rows())
+        self.arrays.row_count_of(name)
     }
 }
 

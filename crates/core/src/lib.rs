@@ -27,12 +27,16 @@
 //!   expression trees, not as sequences of remote calls.
 //! * [`provider`] — the `Provider` trait and capability model that back
 //!   ends implement.
+//! * [`engine`] — the substrate every engine shares: the dataset map,
+//!   the leaf scans and the scalar relational kernels.
 //! * [`partition`] / [`pool`] — deterministic dataset partitioning and
-//!   the scoped worker pool behind partition-parallel kernels.
+//!   the scoped worker pool (with its traced partition runner) behind
+//!   partition-parallel kernels.
 
 pub mod agg;
 pub mod codec;
 pub mod convergence;
+pub mod engine;
 pub mod error;
 pub mod eval;
 pub mod expr;

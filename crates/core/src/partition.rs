@@ -174,18 +174,10 @@ impl Partitioner {
                 }
             }
             Partitioner::Block { .. } => {
-                let n = chunk.len();
-                // Near-equal contiguous blocks: the first `n % parts`
-                // blocks get one extra row.
-                let base = n / parts;
-                let extra = n % parts;
-                let mut start = 0;
-                for (b, bucket) in buckets.iter_mut().enumerate() {
-                    let len = base + usize::from(b < extra);
-                    for i in start..start + len {
+                for (bucket, (start, end)) in buckets.iter_mut().zip(bands(chunk.len(), parts)) {
+                    for i in start..end {
                         bucket.push_row(&chunk.row(i))?;
                     }
-                    start += len;
                 }
             }
         }
@@ -195,6 +187,22 @@ impl Partitioner {
             .map(|b| DataSet::new(schema.clone(), vec![Chunk::Rows(b)]))
             .collect())
     }
+}
+
+/// `parts` near-equal contiguous bands `[start, end)` covering `0..len`:
+/// the first `len % parts` bands are one longer. Bands may be empty when
+/// `parts > len`; callers that want no empty band clamp `parts` first.
+pub fn bands(len: usize, parts: usize) -> Vec<(usize, usize)> {
+    let base = len / parts;
+    let extra = len % parts;
+    let mut out = Vec::with_capacity(parts);
+    let mut start = 0;
+    for b in 0..parts {
+        let end = start + base + usize::from(b < extra);
+        out.push((start, end));
+        start = end;
+    }
+    out
 }
 
 /// Concatenate partition outputs back into one dataset, one chunk per

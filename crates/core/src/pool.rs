@@ -14,6 +14,9 @@
 //!    `ExecOptions::workers`, never the process default),
 //! 2. the `BDA_WORKERS` environment variable,
 //! 3. `1` (fully sequential; the pool runs closures inline).
+//!
+//! Every partition-parallel kernel runs through [`run_partitions`], which
+//! adds the `partition:{i}` span each partition records.
 
 use std::cell::Cell;
 use std::sync::Mutex;
@@ -114,6 +117,38 @@ pub fn run_with<T: Send>(workers: usize, tasks: Vec<Box<dyn FnOnce() -> T + Send
         .into_iter()
         .map(|s| s.expect("pool worker panicked; result missing"))
         .collect()
+}
+
+/// Run one task per partition on [`workers`] threads, each under a
+/// `partition:{i}` span of the ambient [`bda_obs::scope`] (captured
+/// here, so the spans nest under the caller's open operator span even on
+/// pool threads). `rows` reads the cardinality a partition's span
+/// records off its output. Outputs come back in partition order, so a
+/// partitioned kernel's result never depends on the worker count.
+pub fn run_partitions<'a, T: Send + 'a>(
+    tasks: Vec<impl FnOnce() -> T + Send + 'a>,
+    rows: fn(&T) -> Option<usize>,
+) -> Vec<T> {
+    let snap = bda_obs::scope::snapshot();
+    let traced: Vec<Box<dyn FnOnce() -> T + Send + 'a>> = tasks
+        .into_iter()
+        .enumerate()
+        .map(|(i, task)| {
+            let snap = snap.clone();
+            Box::new(move || {
+                let mut span = snap.as_ref().map(|s| {
+                    s.tracer
+                        .start(s.parent, || format!("partition:{i}"), &s.site)
+                });
+                let out = task();
+                if let (Some(span), Some(n)) = (span.as_mut(), rows(&out)) {
+                    span.set_rows(n);
+                }
+                out
+            }) as Box<dyn FnOnce() -> T + Send + 'a>
+        })
+        .collect();
+    run_with(workers(), traced)
 }
 
 #[cfg(test)]

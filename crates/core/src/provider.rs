@@ -11,6 +11,7 @@ use std::fmt;
 
 use bda_storage::{DataSet, IndexKind, IndexSpec, Schema, TableStats};
 
+use crate::engine::Datasets;
 use crate::error::CoreError;
 use crate::plan::{OpKind, Plan};
 
@@ -76,16 +77,27 @@ impl CapabilitySet {
         plan.op_kinds().iter().all(|k| self.supports(*k))
     }
 
-    /// The operator kinds in `plan` that this set does *not* cover.
-    pub fn unsupported_in(&self, plan: &Plan) -> Vec<OpKind> {
-        let mut out: Vec<OpKind> = plan
+    /// Refuse `plan` unless this set covers every node of it: the
+    /// `Unsupported` error names `provider` and every missing kind.
+    pub fn check(&self, provider: &str, plan: &Plan) -> Result<()> {
+        let mut missing: Vec<OpKind> = plan
             .op_kinds()
             .into_iter()
             .filter(|k| !self.supports(*k))
             .collect();
-        out.sort();
-        out.dedup();
-        out
+        if missing.is_empty() {
+            return Ok(());
+        }
+        missing.sort();
+        missing.dedup();
+        Err(CoreError::Unsupported {
+            provider: provider.to_string(),
+            op: missing
+                .iter()
+                .map(|k| k.name())
+                .collect::<Vec<_>>()
+                .join(", "),
+        })
     }
 
     /// Iterate over the kinds.
@@ -245,31 +257,7 @@ pub fn trace_op(plan: &Plan, eval: impl FnOnce() -> Result<DataSet>) -> Result<D
 /// as the portability baseline, and as the federation's fallback site.
 pub struct ReferenceProvider {
     name: String,
-    data: parking_lot_free_lock::Lock<std::collections::HashMap<String, DataSet>>,
-}
-
-/// Minimal internal RwLock wrapper so `bda-core` does not need a lock
-/// dependency (engine crates use `parking_lot`; the reference provider is
-/// cold-path only).
-mod parking_lot_free_lock {
-    use std::sync::RwLock;
-
-    #[derive(Default)]
-    pub struct Lock<T>(RwLock<T>);
-
-    impl<T> Lock<T> {
-        pub fn new(v: T) -> Lock<T> {
-            Lock(RwLock::new(v))
-        }
-
-        pub fn read<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-            f(&self.0.read().expect("reference provider lock poisoned"))
-        }
-
-        pub fn write<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-            f(&mut self.0.write().expect("reference provider lock poisoned"))
-        }
-    }
+    data: Datasets,
 }
 
 impl ReferenceProvider {
@@ -277,7 +265,7 @@ impl ReferenceProvider {
     pub fn new(name: impl Into<String>) -> ReferenceProvider {
         ReferenceProvider {
             name: name.into(),
-            data: parking_lot_free_lock::Lock::new(Default::default()),
+            data: Datasets::new(),
         }
     }
 }
@@ -292,35 +280,24 @@ impl Provider for ReferenceProvider {
     }
 
     fn catalog(&self) -> Vec<(String, Schema)> {
-        self.data.read(|m| {
-            let mut out: Vec<(String, Schema)> = m
-                .iter()
-                .map(|(n, ds)| (n.clone(), ds.schema().clone()))
-                .collect();
-            out.sort_by(|a, b| a.0.cmp(&b.0));
-            out
-        })
+        self.data.catalog()
     }
 
     fn execute(&self, plan: &Plan) -> Result<DataSet> {
-        self.data.read(|m| crate::reference::evaluate(plan, m))
+        crate::reference::evaluate(plan, &*self.data.read())
     }
 
     fn store(&self, name: &str, data: DataSet) -> Result<()> {
-        self.data.write(|m| {
-            m.insert(name.to_string(), data);
-        });
+        self.data.insert(name, data);
         Ok(())
     }
 
     fn remove(&self, name: &str) {
-        self.data.write(|m| {
-            m.remove(name);
-        });
+        self.data.remove(name);
     }
 
     fn row_count_of(&self, name: &str) -> Option<usize> {
-        self.data.read(|m| m.get(name).map(|ds| ds.num_rows()))
+        self.data.row_count_of(name)
     }
 }
 
@@ -344,7 +321,7 @@ mod tests {
     }
 
     #[test]
-    fn supports_plan_and_unsupported_in() {
+    fn supports_plan_and_check() {
         let schema = bda_storage::Schema::new(vec![bda_storage::Field::value(
             "k",
             bda_storage::DataType::Int64,
@@ -353,9 +330,19 @@ mod tests {
         let plan = Plan::scan("t", schema.clone()).select(col("k").gt(lit(0i64)));
         let caps = CapabilitySet::from_ops(&[OpKind::Scan, OpKind::Select]);
         assert!(caps.supports_plan(&plan));
-        let bigger = plan.distinct();
+        assert!(caps.check("p", &plan).is_ok());
+        let bigger = plan
+            .distinct()
+            .union(Plan::scan("t", schema).distinct().limit(1));
         assert!(!caps.supports_plan(&bigger));
-        assert_eq!(caps.unsupported_in(&bigger), vec![OpKind::Distinct]);
+        // Every missing kind once, in kind order, joined by ", ".
+        match caps.check("p", &bigger) {
+            Err(CoreError::Unsupported { provider, op }) => {
+                assert_eq!(provider, "p");
+                assert_eq!(op, "union, distinct, limit");
+            }
+            other => panic!("expected Unsupported, got {other:?}"),
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! arrays, CSR graphs); the reference evaluator is the oracle they are
 //! property-tested against. It favours obviousness over speed everywhere.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use bda_storage::{DataSet, DataType, Row, Schema, Value};
 
@@ -27,6 +27,15 @@ pub trait DataSource {
 }
 
 impl DataSource for HashMap<String, DataSet> {
+    fn dataset(&self, name: &str) -> Result<DataSet> {
+        self.get(name)
+            .cloned()
+            .ok_or_else(|| CoreError::UnknownDataset(name.to_string()))
+    }
+}
+
+/// The map behind an engine's [`crate::engine::Datasets`] read guard.
+impl DataSource for BTreeMap<String, DataSet> {
     fn dataset(&self, name: &str) -> Result<DataSet> {
         self.get(name)
             .cloned()
@@ -73,7 +82,13 @@ fn eval_node(plan: &Plan, src: &dyn DataSource, state: Option<&DataSet>) -> Resu
             DataSet::from_rows(schema.clone(), rows).map_err(Into::into)
         }
         Plan::Range { lo, hi, .. } => {
-            let rows: Vec<Row> = (*lo..*hi).map(|i| Row(vec![Value::Int(i)])).collect();
+            // Reserved fallibly: a range too large to hold is a plan
+            // error, not an aborted process.
+            let len = usize::try_from(hi.abs_diff(*lo)).unwrap_or(usize::MAX);
+            let mut rows: Vec<Row> = Vec::new();
+            rows.try_reserve_exact(len)
+                .map_err(|e| CoreError::Plan(format!("range [{lo}, {hi}) of {len} rows: {e}")))?;
+            rows.extend((*lo..*hi).map(|i| Row(vec![Value::Int(i)])));
             DataSet::from_rows(out_schema, &rows).map_err(Into::into)
         }
         Plan::IterState { .. } => state

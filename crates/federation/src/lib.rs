@@ -384,9 +384,6 @@ mod tests {
                     .schema_of("b")
                     .unwrap(),
             ));
-        // One worker, whatever `BDA_WORKERS` says: a partitioned matmul
-        // reports as `op:merge`.
-        fed.options_mut().workers = 1;
         let s = fed.explain_analyze(&plan, 42).unwrap();
         assert!(s.contains("query @ app"), "{s}");
         assert!(s.contains("fragment:0 @ rel"), "{s}");

@@ -450,15 +450,7 @@ impl MaskedProvider {
     /// Refuse a plan that uses a hidden capability, as a provider without
     /// it would.
     fn check(&self, plan: &Plan) -> Result<()> {
-        let unsupported = self.capabilities().unsupported_in(plan);
-        if unsupported.is_empty() {
-            return Ok(());
-        }
-        let ops: Vec<&str> = unsupported.iter().map(|k| k.name()).collect();
-        Err(CoreError::Unsupported {
-            provider: self.name().to_string(),
-            op: ops.join(", "),
-        })
+        self.capabilities().check(self.name(), plan)
     }
 }
 

@@ -13,6 +13,7 @@
 
 pub mod csr;
 
+use bda_core::engine::{self, Datasets};
 use bda_core::infer::{
     bfs_schema, components_schema, degrees_schema, pagerank_schema, triangles_schema,
 };
@@ -20,15 +21,13 @@ use bda_core::provider::trace_op;
 use bda_core::reference::edge_list;
 use bda_core::{CapabilitySet, CoreError, GraphOp, OpKind, Plan, Provider};
 use bda_storage::{DataSet, Row, Schema, Value};
-use parking_lot::RwLock;
-use std::collections::BTreeMap;
 
 pub use csr::CsrGraph;
 
 /// The graph engine.
 pub struct GraphEngine {
     name: String,
-    datasets: RwLock<BTreeMap<String, DataSet>>,
+    datasets: Datasets,
 }
 
 impl GraphEngine {
@@ -36,7 +35,7 @@ impl GraphEngine {
     pub fn new(name: impl Into<String>) -> GraphEngine {
         GraphEngine {
             name: name.into(),
-            datasets: RwLock::new(BTreeMap::new()),
+            datasets: Datasets::new(),
         }
     }
 
@@ -59,23 +58,8 @@ impl GraphEngine {
 
     fn eval_node(&self, plan: &Plan) -> Result<DataSet, CoreError> {
         match plan {
-            Plan::Scan { dataset, schema } => {
-                let map = self.datasets.read();
-                let ds = map
-                    .get(dataset)
-                    .ok_or_else(|| CoreError::UnknownDataset(dataset.clone()))?;
-                if ds.schema() != schema {
-                    return Err(CoreError::Plan(format!(
-                        "scan `{dataset}`: bound schema {} does not match stored schema {}",
-                        schema,
-                        ds.schema()
-                    )));
-                }
-                Ok(ds.clone())
-            }
-            Plan::Values { schema, rows } => {
-                DataSet::from_rows(schema.clone(), rows).map_err(Into::into)
-            }
+            Plan::Scan { dataset, schema } => engine::scan(&self.datasets.read(), dataset, schema),
+            Plan::Values { schema, rows } => engine::values(schema, rows),
             Plan::Graph(g) => {
                 bda_core::infer_schema(plan)?;
                 let edges = self.eval(g.edges())?;
@@ -155,39 +139,25 @@ impl Provider for GraphEngine {
     }
 
     fn catalog(&self) -> Vec<(String, Schema)> {
-        self.datasets
-            .read()
-            .iter()
-            .map(|(n, ds)| (n.clone(), ds.schema().clone()))
-            .collect()
+        self.datasets.catalog()
     }
 
     fn execute(&self, plan: &Plan) -> Result<DataSet, CoreError> {
-        let unsupported = self.capabilities().unsupported_in(plan);
-        if !unsupported.is_empty() {
-            return Err(CoreError::Unsupported {
-                provider: self.name.clone(),
-                op: unsupported
-                    .iter()
-                    .map(|k| k.name())
-                    .collect::<Vec<_>>()
-                    .join(", "),
-            });
-        }
+        self.capabilities().check(&self.name, plan)?;
         self.eval(plan)
     }
 
     fn store(&self, name: &str, data: DataSet) -> Result<(), CoreError> {
-        self.datasets.write().insert(name.to_string(), data);
+        self.datasets.insert(name, data);
         Ok(())
     }
 
     fn remove(&self, name: &str) {
-        self.datasets.write().remove(name);
+        self.datasets.remove(name);
     }
 
     fn row_count_of(&self, name: &str) -> Option<usize> {
-        self.datasets.read().get(name).map(|ds| ds.num_rows())
+        self.datasets.row_count_of(name)
     }
 }
 

@@ -9,10 +9,18 @@
 //!   (A sparse algebraic result that *omits* zero cells and a dense one
 //!   that *stores* them are `Fill(0.0)`-equivalent; the experiments
 //!   normalize with `Fill` before comparing.)
+//!
+//! Leaves are the shared [`bda_core::engine`] kernels. A fused
+//! `Merge(op(Exchange..))` arm records the operator's own `op:` span,
+//! splits the left matrix into row bands ([`bands`]) and runs each band
+//! as a traced partition ([`run_partitions`]).
 
 use std::collections::BTreeMap;
 
+use bda_core::engine;
 use bda_core::infer::infer_schema;
+use bda_core::partition::bands;
+use bda_core::pool::run_partitions;
 use bda_core::provider::trace_op;
 use bda_core::{BinOp, CoreError, Plan};
 use bda_storage::{Chunk, Column, DataSet, DenseChunk, DimBox, Schema};
@@ -93,22 +101,8 @@ pub fn execute(plan: &Plan, matrices: &BTreeMap<String, DataSet>) -> Result<Data
 fn execute_node(plan: &Plan, matrices: &BTreeMap<String, DataSet>) -> Result<DataSet> {
     let out_schema = infer_schema(plan)?;
     match plan {
-        Plan::Scan { dataset, schema } => {
-            let ds = matrices
-                .get(dataset)
-                .ok_or_else(|| CoreError::UnknownDataset(dataset.clone()))?;
-            if ds.schema() != schema {
-                return Err(CoreError::Plan(format!(
-                    "scan `{dataset}`: bound schema {} does not match stored schema {}",
-                    schema,
-                    ds.schema()
-                )));
-            }
-            Ok(ds.clone())
-        }
-        Plan::Values { schema, rows } => {
-            bda_storage::DataSet::from_rows(schema.clone(), rows).map_err(Into::into)
-        }
+        Plan::Scan { dataset, schema } => engine::scan(matrices, dataset, schema),
+        Plan::Values { schema, rows } => engine::values(schema, rows),
         Plan::MatMul { left, right } => {
             let (a, _) = to_matrix(&execute(left, matrices)?)?;
             let (b, _) = to_matrix(&execute(right, matrices)?)?;
@@ -184,6 +178,8 @@ fn execute_node(plan: &Plan, matrices: &BTreeMap<String, DataSet>) -> Result<Dat
         // A bare Exchange is a planner marker with bag-identity
         // semantics; the block split happens in the Merge(op(..)) arm.
         Plan::Exchange { input, .. } => execute(input, matrices),
+        // A fused operator records its own `op:` span around the kernel,
+        // so its `partition:{i}` spans nest under it, not under `op:merge`.
         Plan::Merge { input } => match input.as_ref() {
             Plan::MatMul { left, right } if matches!(left.as_ref(), Plan::Exchange { .. }) => {
                 let Plan::Exchange {
@@ -196,19 +192,21 @@ fn execute_node(plan: &Plan, matrices: &BTreeMap<String, DataSet>) -> Result<Dat
                     Plan::Exchange { input, .. } => input.as_ref(),
                     other => other,
                 };
-                let (a, _) = to_matrix(&execute(li, matrices)?)?;
-                let (b, _) = to_matrix(&execute(ri, matrices)?)?;
-                if a.cols() != b.rows() {
-                    return Err(CoreError::Plan(format!(
-                        "matmul inner dimension mismatch: {} vs {}",
-                        a.cols(),
-                        b.rows()
-                    )));
-                }
-                from_matrix(
-                    block_parallel(&a, *parts, |band| band.matmul(&b)),
-                    out_schema,
-                )
+                trace_op(input, || {
+                    let (a, _) = to_matrix(&execute(li, matrices)?)?;
+                    let (b, _) = to_matrix(&execute(ri, matrices)?)?;
+                    if a.cols() != b.rows() {
+                        return Err(CoreError::Plan(format!(
+                            "matmul inner dimension mismatch: {} vs {}",
+                            a.cols(),
+                            b.rows()
+                        )));
+                    }
+                    from_matrix(
+                        block_parallel(&a, *parts, |(s, e)| a.row_band(s, e).matmul(&b)),
+                        out_schema,
+                    )
+                })
             }
             Plan::ElemWise { op, left, right }
                 if matches!(
@@ -237,18 +235,19 @@ fn execute_node(plan: &Plan, matrices: &BTreeMap<String, DataSet>) -> Result<Dat
                         })
                     }
                 };
-                let (a, _) = to_matrix(&execute(li, matrices)?)?;
-                let (b, _) = to_matrix(&execute(ri, matrices)?)?;
-                if (a.rows(), a.cols()) != (b.rows(), b.cols()) {
-                    return Err(CoreError::Plan("elemwise shape mismatch".into()));
-                }
-                let offsets = band_offsets(a.rows(), *parts);
-                from_matrix(
-                    block_parallel_with(&a, &offsets, |(s, e)| {
-                        a.row_band(s, e).zip_with(&b.row_band(s, e), f)
-                    }),
-                    out_schema,
-                )
+                trace_op(input, || {
+                    let (a, _) = to_matrix(&execute(li, matrices)?)?;
+                    let (b, _) = to_matrix(&execute(ri, matrices)?)?;
+                    if (a.rows(), a.cols()) != (b.rows(), b.cols()) {
+                        return Err(CoreError::Plan("elemwise shape mismatch".into()));
+                    }
+                    from_matrix(
+                        block_parallel(&a, *parts, |(s, e)| {
+                            a.row_band(s, e).zip_with(&b.row_band(s, e), f)
+                        }),
+                        out_schema,
+                    )
+                })
             }
             _ => execute(input, matrices),
         },
@@ -259,58 +258,22 @@ fn execute_node(plan: &Plan, matrices: &BTreeMap<String, DataSet>) -> Result<Dat
     }
 }
 
-/// Near-equal contiguous row bands `[start, end)` covering `rows`.
-fn band_offsets(rows: usize, parts: usize) -> Vec<(usize, usize)> {
-    let parts = parts.clamp(1, rows.max(1));
-    let base = rows / parts;
-    let extra = rows % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for b in 0..parts {
-        let len = base + usize::from(b < extra);
-        out.push((start, start + len));
-        start += len;
-    }
-    out
-}
-
-/// Row-block a matrix, run `kernel` per band on the worker pool (with a
-/// `partition:{i}` span each), and concatenate the output bands. Because
-/// each output row is produced by the same scalar code on the same
-/// inputs as the sequential kernel, the result is bitwise identical for
-/// any partition/worker count.
-fn block_parallel(a: &Matrix, parts: usize, kernel: impl Fn(Matrix) -> Matrix + Sync) -> Matrix {
-    let offsets = band_offsets(a.rows(), parts);
-    block_parallel_with(a, &offsets, |(s, e)| kernel(a.row_band(s, e)))
-}
-
-fn block_parallel_with(
+/// Split `a`'s rows into `parts` near-equal bands, run `kernel` on each
+/// band's `[start, end)` as a traced partition ([`run_partitions`]), and
+/// stack the output bands. Because each output row is produced by the
+/// same scalar code on the same inputs as the sequential kernel, the
+/// result is bitwise identical for any partition/worker count.
+fn block_parallel(
     a: &Matrix,
-    offsets: &[(usize, usize)],
+    parts: usize,
     kernel: impl Fn((usize, usize)) -> Matrix + Sync,
 ) -> Matrix {
-    use bda_core::pool;
-    let snap = bda_obs::scope::snapshot();
     let kernel = &kernel;
-    let tasks: Vec<Box<dyn FnOnce() -> Matrix + Send + '_>> = offsets
-        .iter()
-        .enumerate()
-        .map(|(i, &(s, e))| {
-            let snap = snap.clone();
-            Box::new(move || {
-                let mut guard = snap.as_ref().map(|sc| {
-                    sc.tracer
-                        .start(sc.parent, || format!("partition:{i}"), &sc.site)
-                });
-                let out = kernel((s, e));
-                if let Some(g) = guard.as_mut() {
-                    g.set_rows(out.rows() * out.cols());
-                }
-                out
-            }) as Box<dyn FnOnce() -> Matrix + Send + '_>
-        })
+    let tasks: Vec<_> = bands(a.rows(), parts.clamp(1, a.rows().max(1)))
+        .into_iter()
+        .map(|band| move || kernel(band))
         .collect();
-    let bands = pool::run_with(pool::workers(), tasks);
+    let bands = run_partitions(tasks, |m: &Matrix| Some(m.rows() * m.cols()));
     let cols = bands.first().map(Matrix::cols).unwrap_or(0);
     let mut data = Vec::with_capacity(a.rows() * cols);
     for band in bands {

@@ -15,17 +15,16 @@
 pub mod conv;
 pub mod matrix;
 
+use bda_core::engine::Datasets;
 use bda_core::{CapabilitySet, CoreError, OpKind, Plan, Provider};
 use bda_storage::{DataSet, Schema};
-use parking_lot::RwLock;
-use std::collections::BTreeMap;
 
 pub use matrix::{axpy, l1_norm, l2_norm, power_iteration, Matrix};
 
 /// The linear-algebra engine.
 pub struct LinAlgEngine {
     name: String,
-    matrices: RwLock<BTreeMap<String, DataSet>>,
+    matrices: Datasets,
 }
 
 impl LinAlgEngine {
@@ -33,7 +32,7 @@ impl LinAlgEngine {
     pub fn new(name: impl Into<String>) -> LinAlgEngine {
         LinAlgEngine {
             name: name.into(),
-            matrices: RwLock::new(BTreeMap::new()),
+            matrices: Datasets::new(),
         }
     }
 
@@ -64,25 +63,11 @@ impl Provider for LinAlgEngine {
     }
 
     fn catalog(&self) -> Vec<(String, Schema)> {
-        self.matrices
-            .read()
-            .iter()
-            .map(|(n, ds)| (n.clone(), ds.schema().clone()))
-            .collect()
+        self.matrices.catalog()
     }
 
     fn execute(&self, plan: &Plan) -> Result<DataSet, CoreError> {
-        let unsupported = self.capabilities().unsupported_in(plan);
-        if !unsupported.is_empty() {
-            return Err(CoreError::Unsupported {
-                provider: self.name.clone(),
-                op: unsupported
-                    .iter()
-                    .map(|k| k.name())
-                    .collect::<Vec<_>>()
-                    .join(", "),
-            });
-        }
+        self.capabilities().check(&self.name, plan)?;
         let matrices = self.matrices.read();
         conv::execute(plan, &matrices)
     }
@@ -92,16 +77,16 @@ impl Provider for LinAlgEngine {
         // densify at ingest so execution can assume the layout.
         conv::check_matrix_schema(data.schema())?;
         let dense = data.to_dense()?;
-        self.matrices.write().insert(name.to_string(), dense);
+        self.matrices.insert(name, dense);
         Ok(())
     }
 
     fn remove(&self, name: &str) {
-        self.matrices.write().remove(name);
+        self.matrices.remove(name);
     }
 
     fn row_count_of(&self, name: &str) -> Option<usize> {
-        self.matrices.read().get(name).map(|ds| ds.num_rows())
+        self.matrices.row_count_of(name)
     }
 }
 

@@ -275,6 +275,59 @@ fn deep_plans_get_an_error_reply_and_the_bound_itself_is_served() {
     assert!(err.to_string().contains("nests deeper"), "{err}");
 }
 
+/// `Range{0, i64::MAX}` passes type checking (lo < hi) but can never be
+/// materialized: its row buffer overflows any capacity.
+fn oversized_range() -> Plan {
+    Plan::Range {
+        name: "i".into(),
+        lo: 0,
+        hi: i64::MAX,
+    }
+}
+
+/// Every engine that runs `Range`, and the reference evaluator, refuse an
+/// oversized range with a plan error instead of aborting on allocation.
+#[test]
+fn oversized_range_is_a_plan_error_in_every_engine() {
+    let engines: [Arc<dyn Provider>; 3] = [
+        Arc::new(bda_relational::RelationalEngine::new("rel")),
+        Arc::new(bda_array::ArrayEngine::new("arr")),
+        Arc::new(ReferenceProvider::new("ref")),
+    ];
+    for engine in engines {
+        match engine.execute(&oversized_range()) {
+            Err(CoreError::Plan(msg)) => assert!(msg.contains("range [0, "), "{msg}"),
+            other => panic!("{}: expected a plan error, got {other:?}", engine.name()),
+        }
+    }
+}
+
+/// A tiny `Execute` frame carrying an oversized range gets a `Plan`
+/// error reply — not a dropped connection — and the server keeps serving.
+#[test]
+fn oversized_range_gets_an_error_reply_and_the_server_keeps_serving() {
+    use bda_net::proto::{decode_response, kind};
+    use bda_net::Response;
+
+    let engine = Arc::new(bda_relational::RelationalEngine::new("rel"));
+    let server = serve(engine, "127.0.0.1:0").unwrap();
+    let mut conn = TcpStream::connect(server.addr()).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let payload = execute_payload(&encode_plan(&oversized_range()));
+    bda_net::frame::write_message(&mut conn, kind::EXECUTE, &payload).unwrap();
+    conn.flush().unwrap();
+    let (reply_kind, reply, _) = bda_net::frame::read_message(&mut conn).unwrap();
+    match decode_response(reply_kind, &reply).unwrap() {
+        Response::Error { msg, transient } => {
+            assert!(msg.starts_with("plan error: range [0, "), "{msg}");
+            assert!(!transient);
+        }
+        other => panic!("expected an error response, got {other:?}"),
+    }
+    let remote = RemoteProvider::connect_with(server.addr().to_string(), fast_opts()).unwrap();
+    assert_eq!(remote.name(), "rel", "Hello still answered");
+}
+
 /// A server that drops and truncates every response produces clean
 /// errors after the client's retries — never a hang.
 #[test]

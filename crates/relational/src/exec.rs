@@ -1,24 +1,26 @@
-//! Plan execution: dispatch and the simple columnar operators.
+//! Plan execution: dispatch, plus the operators only this engine has.
 //!
-//! Inputs are normalized to a single coordinate-list chunk, then each
-//! operator works on columns (masks, gathers, vectorized expression
-//! evaluation) rather than materialized rows.
+//! Leaves and the scalar relational core (select / project / aggregate /
+//! union / distinct / limit) are the shared [`bda_core::engine`] kernels;
+//! this module adds statistics-driven selection, joins, sort, dimension
+//! retagging and `Dice` over the coordinate list, control iteration, and
+//! the partition-fused `Merge(op(Exchange..))` arms.
 
 use std::collections::BTreeMap;
 
 use bda_core::convergence::converged;
+use bda_core::engine;
 use bda_core::eval::eval_chunk;
 use bda_core::infer::infer_schema;
 use bda_core::provider::trace_op;
 use bda_core::{CoreError, Plan};
-use bda_storage::{Chunk, Column, DataSet, RowsChunk, Schema, Value};
+use bda_storage::{Chunk, DataSet, RowsChunk, Schema, Value};
 
-use crate::aggregate::aggregate_exec;
 use crate::join::hash_join;
 use crate::parallel::{
     merge_aggregate_pattern, merge_join_pattern, partitioned_aggregate, partitioned_hash_join,
 };
-use crate::sort::{distinct_exec, sort_exec};
+use crate::sort::sort_exec;
 
 /// Result alias.
 pub type Result<T> = std::result::Result<T, CoreError>;
@@ -39,27 +41,9 @@ fn execute_node(
 ) -> Result<DataSet> {
     let out_schema = infer_schema(plan)?;
     match plan {
-        Plan::Scan { dataset, schema } => {
-            let ds = tables
-                .get(dataset)
-                .ok_or_else(|| CoreError::UnknownDataset(dataset.clone()))?;
-            if ds.schema() != schema {
-                return Err(CoreError::Plan(format!(
-                    "scan `{dataset}`: bound schema {} does not match stored schema {}",
-                    schema,
-                    ds.schema()
-                )));
-            }
-            Ok(ds.clone())
-        }
-        Plan::Values { schema, rows } => {
-            DataSet::from_rows(schema.clone(), rows).map_err(Into::into)
-        }
-        Plan::Range { lo, hi, .. } => {
-            let col = Column::from((*lo..*hi).collect::<Vec<i64>>());
-            let chunk = RowsChunk::new(vec![col])?;
-            Ok(DataSet::new(out_schema, vec![Chunk::Rows(chunk)]))
-        }
+        Plan::Scan { dataset, schema } => engine::scan(tables, dataset, schema),
+        Plan::Values { schema, rows } => engine::values(schema, rows),
+        Plan::Range { lo, hi, .. } => engine::range(*lo, *hi, out_schema),
         Plan::IterState { .. } => state
             .cloned()
             .ok_or_else(|| CoreError::Plan("iter_state outside of iterate".into())),
@@ -74,26 +58,10 @@ fn execute_node(
                     return Ok(out);
                 }
             }
-            let in_schema = in_ds.schema().clone();
-            let chunk = in_ds.to_rows_chunk()?;
-            let mask_col = eval_chunk(predicate, &in_schema, &chunk)?;
-            let mask = truth_mask(&mask_col)?;
-            let filtered = chunk.filter(&mask);
-            Ok(DataSet::new(out_schema, vec![Chunk::Rows(filtered)]))
+            engine::select(&in_ds, predicate, out_schema)
         }
         Plan::Project { input, exprs } => {
-            let in_ds = execute(input, tables, state)?;
-            let in_schema = in_ds.schema().clone();
-            let chunk = in_ds.to_rows_chunk()?;
-            let mut cols = Vec::with_capacity(exprs.len());
-            for (i, (_, e)) in exprs.iter().enumerate() {
-                let c = eval_chunk(e, &in_schema, &chunk)?;
-                cols.push(cast_to(c, out_schema.field_at(i).dtype));
-            }
-            Ok(DataSet::new(
-                out_schema,
-                vec![Chunk::Rows(RowsChunk::new(cols)?)],
-            ))
+            engine::project(&execute(input, tables, state)?, exprs, out_schema)
         }
         Plan::Join {
             left,
@@ -110,39 +78,19 @@ fn execute_node(
             input,
             group_by,
             aggs,
-        } => {
-            let in_ds = execute(input, tables, state)?;
-            aggregate_exec(&in_ds, group_by, aggs, out_schema)
-        }
-        Plan::Union { left, right } => {
-            let l = execute(left, tables, state)?;
-            let r = execute(right, tables, state)?;
-            let mut chunk = l.to_rows_chunk()?;
-            chunk.extend(&r.to_rows_chunk()?)?;
-            Ok(DataSet::new(out_schema, vec![Chunk::Rows(chunk)]))
-        }
-        Plan::Distinct { input } => {
-            let in_ds = execute(input, tables, state)?;
-            distinct_exec(&in_ds, out_schema)
-        }
+        } => engine::aggregate(&execute(input, tables, state)?, group_by, aggs, out_schema),
+        Plan::Union { left, right } => engine::union(
+            &execute(left, tables, state)?,
+            &execute(right, tables, state)?,
+            out_schema,
+        ),
+        Plan::Distinct { input } => engine::distinct(&execute(input, tables, state)?, out_schema),
         Plan::Sort { input, keys } => {
             let in_ds = execute(input, tables, state)?;
             sort_exec(&in_ds, keys, out_schema)
         }
         Plan::Limit { input, skip, fetch } => {
-            let in_ds = execute(input, tables, state)?;
-            let chunk = in_ds.to_rows_chunk()?;
-            let n = chunk.len();
-            let start = (*skip).min(n);
-            let end = match fetch {
-                Some(f) => (start + f).min(n),
-                None => n,
-            };
-            let indices: Vec<usize> = (start..end).collect();
-            Ok(DataSet::new(
-                out_schema,
-                vec![Chunk::Rows(chunk.take(&indices))],
-            ))
+            engine::limit(&execute(input, tables, state)?, *skip, *fetch, out_schema)
         }
         Plan::Rename { input, .. } | Plan::UntagDims { input } => {
             let in_ds = execute(input, tables, state)?;
@@ -181,14 +129,20 @@ fn execute_node(
         // semantics: the partition routing happens inside the matching
         // Merge(op(Exchange..)) kernel, not here.
         Plan::Exchange { input, .. } => execute(input, tables, state),
+        // A fused operator records its own `op:` span around the kernel,
+        // so its `partition:{i}` spans nest under it, not under `op:merge`.
         Plan::Merge { input } => {
             if let Some((li, ri, on, join_type, parts)) = merge_join_pattern(input) {
-                let l = execute(li, tables, state)?;
-                let r = execute(ri, tables, state)?;
-                partitioned_hash_join(&l, &r, on, join_type, parts, out_schema)
+                trace_op(input, || {
+                    let l = execute(li, tables, state)?;
+                    let r = execute(ri, tables, state)?;
+                    partitioned_hash_join(&l, &r, on, join_type, parts, out_schema)
+                })
             } else if let Some((ei, group_by, aggs, parts)) = merge_aggregate_pattern(input) {
-                let in_ds = execute(ei, tables, state)?;
-                partitioned_aggregate(&in_ds, group_by, aggs, parts, out_schema)
+                trace_op(input, || {
+                    let in_ds = execute(ei, tables, state)?;
+                    partitioned_aggregate(&in_ds, group_by, aggs, parts, out_schema)
+                })
             } else {
                 execute(input, tables, state)
             }
@@ -287,7 +241,7 @@ fn pruned_select(
             base = end;
         }
         let mask_col = eval_chunk(predicate, schema, &candidates)?;
-        let mask = truth_mask(&mask_col)?;
+        let mask = engine::truth_mask(&mask_col)?;
         let filtered = candidates.filter(&mask);
         bda_obs::prune::record_index_hit();
         prune_event(|| {
@@ -324,7 +278,7 @@ fn pruned_select(
         kept.extend(&in_ds.chunks()[ci].to_rows(schema)?)?;
     }
     let mask_col = eval_chunk(predicate, schema, &kept)?;
-    let mask = truth_mask(&mask_col)?;
+    let mask = engine::truth_mask(&mask_col)?;
     let filtered = kept.filter(&mask);
     prune_event(|| format!("pruning: zone-map {dataset} chunks {pruned}/{considered}"));
     Ok(Some(DataSet::new(
@@ -339,32 +293,6 @@ fn pruned_select(
 fn prune_event(label: impl FnOnce() -> String) {
     if let Some(s) = bda_obs::scope::snapshot() {
         s.tracer.event(s.parent, label);
-    }
-}
-
-/// A boolean column interpreted as a filter mask: `true` where the slot is
-/// a valid `true`.
-pub fn truth_mask(col: &Column) -> Result<Vec<bool>> {
-    let data = col
-        .bool_data()
-        .map_err(|e| CoreError::Plan(format!("predicate did not yield bool: {e}")))?;
-    Ok(match col.validity() {
-        None => data.to_vec(),
-        Some(bm) => data
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| b && bm.get(i))
-            .collect(),
-    })
-}
-
-/// Cast a column when projection inference widened the type (e.g. int
-/// expression stored into a float column); identity otherwise.
-fn cast_to(c: Column, to: bda_storage::DataType) -> Column {
-    if c.dtype() == to {
-        c
-    } else {
-        c.cast(to)
     }
 }
 
@@ -407,7 +335,7 @@ mod tests {
     use super::*;
     use bda_core::reference::evaluate;
     use bda_core::{col, lit, AggExpr, AggFunc};
-    use bda_storage::Row;
+    use bda_storage::{Column, Row};
     use std::collections::HashMap;
 
     fn tables() -> BTreeMap<String, DataSet> {
@@ -506,16 +434,6 @@ mod tests {
         let out = execute(&p, &BTreeMap::new(), None).unwrap();
         let x = out.rows().unwrap()[0].get(0).as_float().unwrap();
         assert_eq!(x, 1.0);
-    }
-
-    #[test]
-    fn truth_mask_handles_nulls() {
-        let c = Column::from_values(
-            bda_storage::DataType::Bool,
-            &[Value::Bool(true), Value::Null, Value::Bool(false)],
-        )
-        .unwrap();
-        assert_eq!(truth_mask(&c).unwrap(), vec![true, false, false]);
     }
 
     #[test]

@@ -8,13 +8,13 @@
 //! operators — those reach it only in lowered form, which is exactly what
 //! experiments F1/F4 exercise.
 
-pub mod aggregate;
 pub mod exec;
 pub mod join;
 pub mod meta;
 pub mod parallel;
 pub mod sort;
 
+use bda_core::engine::Datasets;
 use bda_core::{CapabilitySet, CoreError, OpKind, Plan, Provider};
 use bda_storage::{DataSet, IndexKind, IndexSpec, Schema, TableStats};
 use meta::{MetaMap, TableMeta};
@@ -26,7 +26,7 @@ use std::sync::Arc;
 /// The relational engine.
 pub struct RelationalEngine {
     name: String,
-    tables: RwLock<BTreeMap<String, DataSet>>,
+    tables: Datasets,
     /// Load-time metadata per table (zone maps, table stats, indexes).
     metas: RwLock<MetaMap>,
     /// Gates *use* of statistics at query time (metadata is always
@@ -40,7 +40,7 @@ impl RelationalEngine {
     pub fn new(name: impl Into<String>) -> RelationalEngine {
         RelationalEngine {
             name: name.into(),
-            tables: RwLock::new(BTreeMap::new()),
+            tables: Datasets::new(),
             metas: RwLock::new(Arc::new(BTreeMap::new())),
             stats_enabled: AtomicBool::new(bda_core::stats_from_env()),
         }
@@ -124,25 +124,11 @@ impl Provider for RelationalEngine {
     }
 
     fn catalog(&self) -> Vec<(String, Schema)> {
-        self.tables
-            .read()
-            .iter()
-            .map(|(n, ds)| (n.clone(), ds.schema().clone()))
-            .collect()
+        self.tables.catalog()
     }
 
     fn execute(&self, plan: &Plan) -> Result<DataSet, CoreError> {
-        let unsupported = self.capabilities().unsupported_in(plan);
-        if !unsupported.is_empty() {
-            return Err(CoreError::Unsupported {
-                provider: self.name.clone(),
-                op: unsupported
-                    .iter()
-                    .map(|k| k.name())
-                    .collect::<Vec<_>>()
-                    .join(", "),
-            });
-        }
+        self.capabilities().check(&self.name, plan)?;
         let tables = self.tables.read();
         // Statistics reach the recursive executor through a thread-local
         // snapshot; when disabled nothing is installed and every scan
@@ -163,12 +149,12 @@ impl Provider for RelationalEngine {
             .map(|m| m.specs())
             .unwrap_or_default();
         self.publish_meta(name, &data, &specs)?;
-        self.tables.write().insert(name.to_string(), data);
+        self.tables.insert(name, data);
         Ok(())
     }
 
     fn remove(&self, name: &str) {
-        self.tables.write().remove(name);
+        self.tables.remove(name);
         self.drop_meta(name);
     }
 
@@ -213,7 +199,7 @@ impl Provider for RelationalEngine {
     }
 
     fn row_count_of(&self, name: &str) -> Option<usize> {
-        self.tables.read().get(name).map(|ds| ds.num_rows())
+        self.tables.row_count_of(name)
     }
 }
 

@@ -8,14 +8,15 @@
 //! pure function of the input and the partition count — never of the
 //! worker count — so results are byte-identical under any parallelism.
 //!
-//! Each partition records a `partition:{i}` span (via the scope snapshot
-//! mechanism) so `EXPLAIN ANALYZE` can show the parallel fan-out.
+//! The partitions run through [`pool::run_partitions`], which records a
+//! `partition:{i}` span each under the fused operator's `op:` span, so
+//! `EXPLAIN ANALYZE` shows the parallel fan-out per operator.
 
+use bda_core::engine::aggregate;
 use bda_core::partition::{merge_partitions, Partitioner};
 use bda_core::{pool, AggExpr, JoinType, Plan};
 use bda_storage::{DataSet, Schema};
 
-use crate::aggregate::aggregate_exec;
 use crate::exec::Result;
 use crate::join::hash_join;
 
@@ -71,33 +72,15 @@ pub fn merge_aggregate_pattern(merged: &Plan) -> Option<(&Plan, &[String], &[Agg
     Some((ei, group_by, aggs, *parts))
 }
 
-/// Run per-partition kernels on the worker pool, recording a
-/// `partition:{i}` span per task under the currently open scope span,
-/// and concatenate the outputs in partition order.
+/// Run per-partition kernels as traced partitions and concatenate the
+/// outputs in partition order.
 fn run_partitioned(
     out_schema: Schema,
-    tasks: Vec<Box<dyn FnOnce() -> Result<DataSet> + Send + '_>>,
+    tasks: Vec<impl FnOnce() -> Result<DataSet> + Send>,
 ) -> Result<DataSet> {
-    let snap = bda_obs::scope::snapshot();
-    let traced: Vec<Box<dyn FnOnce() -> Result<DataSet> + Send + '_>> = tasks
-        .into_iter()
-        .enumerate()
-        .map(|(i, task)| {
-            let snap = snap.clone();
-            Box::new(move || {
-                let mut guard = snap.as_ref().map(|s| {
-                    s.tracer
-                        .start(s.parent, || format!("partition:{i}"), &s.site)
-                });
-                let out = task();
-                if let (Some(g), Ok(ds)) = (guard.as_mut(), &out) {
-                    g.set_rows(ds.num_rows());
-                }
-                out
-            }) as Box<dyn FnOnce() -> Result<DataSet> + Send + '_>
-        })
-        .collect();
-    let outs = pool::run_with(pool::workers(), traced);
+    let outs = pool::run_partitions(tasks, |out: &Result<DataSet>| {
+        out.as_ref().ok().map(DataSet::num_rows)
+    });
     merge_partitions(out_schema, outs.into_iter().collect::<Result<Vec<_>>>()?)
 }
 
@@ -127,14 +110,12 @@ pub fn partitioned_hash_join(
         let r = Partitioner::hash_keys(&r_keys, parts).split(right)?;
         (l, r)
     };
-    let tasks: Vec<Box<dyn FnOnce() -> Result<DataSet> + Send + '_>> = l_parts
+    let tasks: Vec<_> = l_parts
         .into_iter()
         .zip(r_parts)
         .map(|(l, r)| {
-            let on = on.to_vec();
             let schema = out_schema.clone();
-            Box::new(move || hash_join(&l, &r, &on, join_type, schema))
-                as Box<dyn FnOnce() -> Result<DataSet> + Send + '_>
+            move || hash_join(&l, &r, on, join_type, schema)
         })
         .collect();
     run_partitioned(out_schema, tasks)
@@ -154,12 +135,11 @@ pub fn partitioned_aggregate(
     let parts = parts.max(1);
     let keys: Vec<&str> = group_by.iter().map(String::as_str).collect();
     let in_parts = Partitioner::hash_keys(&keys, parts).split(input)?;
-    let tasks: Vec<Box<dyn FnOnce() -> Result<DataSet> + Send + '_>> = in_parts
+    let tasks: Vec<_> = in_parts
         .into_iter()
         .map(|p| {
             let schema = out_schema.clone();
-            Box::new(move || aggregate_exec(&p, group_by, aggs, schema))
-                as Box<dyn FnOnce() -> Result<DataSet> + Send + '_>
+            move || aggregate(&p, group_by, aggs, schema)
         })
         .collect();
     run_partitioned(out_schema, tasks)
@@ -306,7 +286,7 @@ mod tests {
             Field::value("s", DataType::Int64),
         ])
         .unwrap();
-        let seq = aggregate_exec(&input, &group_by, &aggs, out_schema.clone()).unwrap();
+        let seq = aggregate(&input, &group_by, &aggs, out_schema.clone()).unwrap();
         for parts in [1, 3, 5, 11] {
             let par = pool::with_workers(4, || {
                 partitioned_aggregate(&input, &group_by, &aggs, parts, out_schema.clone())

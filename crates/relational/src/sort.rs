@@ -1,8 +1,6 @@
-//! Sort, distinct: permutation-based columnar implementations.
+//! Sort: a permutation-based columnar implementation.
 
-use std::collections::HashSet;
-
-use bda_storage::{Chunk, DataSet, Row, Schema};
+use bda_storage::{Chunk, DataSet, Schema};
 
 use crate::exec::Result;
 
@@ -31,24 +29,10 @@ pub fn sort_exec(input: &DataSet, keys: &[(String, bool)], out_schema: Schema) -
     ))
 }
 
-/// Duplicate elimination preserving first-occurrence order.
-pub fn distinct_exec(input: &DataSet, out_schema: Schema) -> Result<DataSet> {
-    let chunk = input.to_rows_chunk()?;
-    let mut seen: HashSet<Row> = HashSet::with_capacity(chunk.len());
-    let mut keep: Vec<usize> = Vec::new();
-    for i in 0..chunk.len() {
-        if seen.insert(chunk.row(i)) {
-            keep.push(i);
-        }
-    }
-    let out = chunk.take(&keep);
-    Ok(DataSet::new(out_schema, vec![Chunk::Rows(out)]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bda_storage::{Column, Value};
+    use bda_storage::{Column, Row, Value};
 
     fn data() -> DataSet {
         DataSet::from_columns(vec![
@@ -95,38 +79,5 @@ mod tests {
                 Value::from("third")
             ]
         );
-    }
-
-    #[test]
-    fn distinct_keeps_first_occurrence() {
-        let ds = DataSet::from_columns(vec![("k", Column::from(vec![3i64, 1, 3, 1, 2]))]).unwrap();
-        let out = distinct_exec(&ds, ds.schema().clone()).unwrap();
-        let ks: Vec<Value> = out
-            .rows()
-            .unwrap()
-            .iter()
-            .map(|r| r.get(0).clone())
-            .collect();
-        assert_eq!(ks, vec![Value::Int(3), Value::Int(1), Value::Int(2)]);
-    }
-
-    #[test]
-    fn distinct_handles_nulls_and_floats() {
-        let ds = DataSet::from_rows(
-            bda_storage::Schema::new(vec![bda_storage::Field::value(
-                "x",
-                bda_storage::DataType::Float64,
-            )])
-            .unwrap(),
-            &[
-                Row(vec![Value::Null]),
-                Row(vec![Value::Float(1.0)]),
-                Row(vec![Value::Null]),
-                Row(vec![Value::Float(1.0)]),
-            ],
-        )
-        .unwrap();
-        let out = distinct_exec(&ds, ds.schema().clone()).unwrap();
-        assert_eq!(out.num_rows(), 2);
     }
 }

@@ -1,14 +1,15 @@
 //! Property-based equivalence: random data and random plans must agree
-//! across (a) the reference oracle, (b) the relational engine, (c) the
-//! optimizer, and (d) the wire codec.
+//! across (a) the reference oracle, (b) the relational and array
+//! engines, (c) the optimizer, and (d) the wire codec.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 
+use bda::array::ArrayEngine;
 use bda::core::codec::{decode_plan, encode_plan};
 use bda::core::reference::evaluate;
-use bda::core::{col, lit, AggExpr, AggFunc, Expr, JoinType, Plan, Provider};
+use bda::core::{col, lit, AggExpr, AggFunc, CoreError, Expr, JoinType, Plan, Provider};
 use bda::federation::{optimize, OptimizerConfig};
 use bda::relational::RelationalEngine;
 use bda::storage::wire::{decode_dataset, encode_dataset};
@@ -41,6 +42,20 @@ prop_compose! {
     fn arb_table()(rows in prop::collection::vec(arb_row(), 0..25)) -> DataSet {
         DataSet::from_rows(t_schema(), &rows).unwrap()
     }
+}
+
+/// [`arb_table`], with the empty table drawn often enough that global
+/// aggregates over no rows are exercised on every run.
+fn arb_table_or_empty() -> impl Strategy<Value = DataSet> {
+    prop_oneof![
+        1 => Just(DataSet::from_rows(t_schema(), &[]).unwrap()),
+        4 => arb_table(),
+    ]
+}
+
+/// Put an aggregate's output columns back in `t`'s `(k, v, s)` order.
+fn as_t(p: Plan) -> Plan {
+    p.project(vec![("k", col("k")), ("v", col("v")), ("s", col("s"))])
 }
 
 /// Random boolean predicates over the `t` schema.
@@ -92,19 +107,43 @@ fn arb_pipeline() -> impl Strategy<Value = Plan> {
                 vec![("k", "k")],
                 JoinType::Anti
             )),
-            inner.clone().prop_map(|p| p.project(vec![
-                ("k", col("k")),
-                ("v", col("v")),
-                ("s", col("s"))
-            ])),
+            inner.clone().prop_map(as_t),
+            // Aggregates reshaped back into `t`'s schema: grouped (keys
+            // may be null) and global (one row even over no input).
+            // Sums of halves are exact, so row order cannot perturb them.
+            inner.clone().prop_map(|p| as_t(p.aggregate(
+                vec!["k", "s"],
+                vec![AggExpr::new(AggFunc::Sum, col("v"), "v")]
+            ))),
+            inner.clone().prop_map(|p| as_t(p.aggregate(
+                vec!["s"],
+                vec![
+                    AggExpr::count_star("k"),
+                    AggExpr::new(AggFunc::Max, col("v"), "v")
+                ]
+            ))),
+            inner.clone().prop_map(|p| p.aggregate(
+                vec![],
+                vec![
+                    AggExpr::count_star("k"),
+                    AggExpr::new(AggFunc::Sum, col("v"), "v"),
+                    AggExpr::new(AggFunc::Min, col("s"), "s")
+                ]
+            )),
         ]
     })
 }
 
-fn engine_with(ds: &DataSet) -> RelationalEngine {
-    let e = RelationalEngine::new("rel");
-    e.store("t", ds.clone()).unwrap();
-    e
+/// The engines under test, each holding `ds` as `t`.
+fn engines_with(ds: &DataSet) -> [Box<dyn Provider>; 2] {
+    let engines: [Box<dyn Provider>; 2] = [
+        Box::new(RelationalEngine::new("rel")),
+        Box::new(ArrayEngine::new("arr")),
+    ];
+    for e in &engines {
+        e.store("t", ds.clone()).unwrap();
+    }
+    engines
 }
 
 fn oracle_src(ds: &DataSet) -> HashMap<String, DataSet> {
@@ -131,13 +170,25 @@ fn compatible(plan: &Plan, a: &DataSet, b: &DataSet) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// An engine whose capabilities cover the plan matches the
+    /// reference; one that does not refuses it as `Unsupported`.
     #[test]
-    fn relational_engine_matches_reference(ds in arb_table(), plan in arb_pipeline()) {
-        let engine = engine_with(&ds);
-        let ours = engine.execute(&plan).unwrap();
+    fn engines_match_reference_or_refuse(ds in arb_table_or_empty(), plan in arb_pipeline()) {
         let oracle = evaluate(&plan, &oracle_src(&ds)).unwrap();
-        prop_assert_eq!(ours.schema(), oracle.schema());
-        prop_assert!(compatible(&plan, &ours, &oracle), "plan:\n{}", plan);
+        for engine in engines_with(&ds) {
+            let name = engine.name().to_string();
+            if engine.capabilities().supports_plan(&plan) {
+                let ours = engine.execute(&plan).unwrap();
+                prop_assert_eq!(ours.schema(), oracle.schema());
+                prop_assert!(compatible(&plan, &ours, &oracle), "{}: plan:\n{}", name, plan);
+            } else {
+                let err = engine.execute(&plan).unwrap_err();
+                prop_assert!(
+                    matches!(err, CoreError::Unsupported { .. }),
+                    "{}: {} for plan:\n{}", name, err, plan
+                );
+            }
+        }
     }
 
     #[test]

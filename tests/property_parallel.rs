@@ -506,3 +506,78 @@ fn degenerate_partition_shapes_survive_the_sweep() {
         }
     }
 }
+
+/// Each partition-fused operator records its own `op:<op>` span around
+/// the kernel, so at four workers its `partition:{i}` spans nest under
+/// that span (itself under `op:merge`) — the shape EXPLAIN ANALYZE's
+/// parallelism table and the calibration book read per operator class.
+#[test]
+fn fused_operators_trace_their_partitions_under_their_own_span() {
+    use bda::array::ArrayEngine;
+    use bda::core::{pool, BinOp};
+    use bda::obs::{scope, Tracer};
+    use bda::storage::dataset::matrix_dataset;
+
+    let rel = RelationalEngine::new("rel");
+    let rows: Vec<Row> = (0..40)
+        .map(|i| {
+            Row(vec![
+                Value::Int(i % 6),
+                Value::Float(i as f64),
+                Value::from("a"),
+            ])
+        })
+        .collect();
+    rel.store("t", DataSet::from_rows(t_schema(), &rows).unwrap())
+        .unwrap();
+    let la = LinAlgEngine::new("la");
+    let arr = ArrayEngine::new("arr");
+    let m = matrix_dataset(8, 8, (0..64).map(f64::from).collect()).unwrap();
+    la.store("m", m.clone()).unwrap();
+    arr.store("m", m.clone()).unwrap();
+
+    let t = || Plan::scan("t", t_schema()).exchange(4, Some("k"));
+    let mm = || Plan::scan("m", m.schema().clone());
+    let cases: [(&dyn Provider, Plan, &str); 4] = [
+        (
+            &la,
+            mm().exchange(4, None).matmul(mm()).merge(),
+            "op:matmul",
+        ),
+        (&rel, t().join(t(), vec![("k", "k")]).merge(), "op:join"),
+        (
+            &rel,
+            t().aggregate(vec!["k"], vec![AggExpr::new(AggFunc::Sum, col("v"), "sv")])
+                .merge(),
+            "op:aggregate",
+        ),
+        (
+            &arr,
+            mm().exchange(4, None)
+                .elemwise(BinOp::Add, mm().exchange(4, None))
+                .merge(),
+            "op:elemwise",
+        ),
+    ];
+    for (engine, plan, op) in cases {
+        let tracer = Tracer::new(0x6);
+        {
+            let _scope = scope::install(&tracer, engine.name(), None);
+            pool::with_workers(4, || engine.execute(&plan)).unwrap();
+        }
+        let trace = tracer.finish();
+        let parent_name =
+            |id: Option<u64>| id.and_then(|id| trace.span(id)).map(|s| s.name.as_str());
+        let parts: Vec<_> = trace
+            .spans
+            .iter()
+            .filter(|s| s.name.starts_with("partition:"))
+            .collect();
+        assert!(parts.len() > 1, "{op}: {:?}", trace.spans);
+        for p in parts {
+            assert_eq!(parent_name(p.parent), Some(op), "{}", p.name);
+            let fused = trace.span(p.parent.unwrap()).unwrap();
+            assert_eq!(parent_name(fused.parent), Some("op:merge"), "{op}");
+        }
+    }
+}

@@ -234,9 +234,6 @@ fn traced_tcp_run_reassembles_one_cross_process_trace() {
     // both server processes, stitched into one tree.
     let (mut fed, _servers) = remote_federation();
     fed.options_mut().transfer = TransferMode::RemoteTcp;
-    // One worker, whatever `BDA_WORKERS` says: a partitioned matmul
-    // reports as `op:merge`.
-    fed.options_mut().workers = 1;
     let plan = join_matmul_plan(&fed);
 
     let tracer = bda::obs::Tracer::new(42);
@@ -346,9 +343,6 @@ fn tracing_survives_a_decorator_that_only_forwards_execute() {
 fn explain_analyze_works_across_real_sockets() {
     let (mut fed, _servers) = remote_federation();
     fed.options_mut().transfer = TransferMode::RemoteTcp;
-    // One worker, whatever `BDA_WORKERS` says: a partitioned matmul
-    // reports as `op:merge`.
-    fed.options_mut().workers = 1;
     let plan = join_matmul_plan(&fed);
     let report = fed.explain_analyze(&plan, 7).unwrap();
     assert!(report.contains("query @ app"), "{report}");
