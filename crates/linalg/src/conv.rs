@@ -8,7 +8,14 @@
 //! * Absent cells and null values read as `0.0`; results are fully dense.
 //!   (A sparse algebraic result that *omits* zero cells and a dense one
 //!   that *stores* them are `Fill(0.0)`-equivalent; the experiments
-//!   normalize with `Fill` before comparing.)
+//!   normalize with `Fill` before comparing.) The one exception is an
+//!   `ElemWise` whose operands cover different boxes: like the reference
+//!   evaluator it joins cells on their coordinates, so only the boxes'
+//!   overlap is present in its result.
+//! * Dense data stays dense: [`to_matrix`] copies the value column of a
+//!   dataset that already is one dense chunk over its schema's box once,
+//!   and [`from_matrix`] wraps a kernel's buffer without a copy. Only
+//!   other layouts are densified through coordinate rows.
 //!
 //! Leaves are the shared [`bda_core::engine`] kernels. A fused
 //! `Merge(op(Exchange..))` arm records the operator's own `op:` span,
@@ -23,7 +30,7 @@ use bda_core::partition::bands;
 use bda_core::pool::run_partitions;
 use bda_core::provider::trace_op;
 use bda_core::{BinOp, CoreError, Plan};
-use bda_storage::{Chunk, Column, DataSet, DenseChunk, DimBox, Schema};
+use bda_storage::{Bitmap, Chunk, Column, DataSet, DenseChunk, DimBox, Schema};
 
 use crate::matrix::Matrix;
 
@@ -55,6 +62,10 @@ pub fn check_matrix_schema(schema: &Schema) -> Result<()> {
 
 /// Convert a matrix dataset into a dense [`Matrix`] plus the box origin
 /// (`lo` per axis). Absent/null cells become `0.0`.
+///
+/// [`DataSet::to_dense`] returns already-dense data (every stored matrix
+/// and every kernel result) as is, and its value column is then copied
+/// once.
 pub fn to_matrix(ds: &DataSet) -> Result<(Matrix, [i64; 2])> {
     check_matrix_schema(ds.schema())?;
     let dense = ds.to_dense()?;
@@ -63,33 +74,117 @@ pub fn to_matrix(ds: &DataSet) -> Result<(Matrix, [i64; 2])> {
         _ => return Err(CoreError::Plan("expected one dense chunk".into())),
     };
     let b = chunk.bounds();
-    let (rows, cols) = (b.extent(0), b.extent(1));
     let col = &chunk.columns()[0];
     let raw = col.f64_data().map_err(CoreError::from)?;
-    let mut data = vec![0.0f64; rows * cols];
-    for (idx, slot) in data.iter_mut().enumerate() {
-        if chunk.is_present(idx) && col.is_valid(idx) {
-            *slot = raw[idx];
-        }
-    }
-    Ok((Matrix::from_vec(rows, cols, data), [b.lo[0], b.lo[1]]))
+    let data = match (chunk.present(), col.validity()) {
+        (None, None) => raw.to_vec(),
+        _ => raw
+            .iter()
+            .enumerate()
+            .map(|(idx, &x)| {
+                if chunk.is_present(idx) && col.is_valid(idx) {
+                    x
+                } else {
+                    0.0
+                }
+            })
+            .collect(),
+    };
+    Ok((
+        Matrix::from_vec(b.extent(0), b.extent(1), data),
+        [b.lo[0], b.lo[1]],
+    ))
+}
+
+/// The box spanned by a (2-D, bounded) matrix schema.
+fn schema_box(schema: &Schema) -> Result<DimBox> {
+    check_matrix_schema(schema)?;
+    let dims = schema.dimensions();
+    let (r0, r1) = dims[0].extent().expect("bounded");
+    let (c0, c1) = dims[1].extent().expect("bounded");
+    Ok(DimBox::new(vec![r0, c0], vec![r1, c1])?)
 }
 
 /// Wrap a [`Matrix`] into a dataset under the given (2-D, bounded) schema.
 pub fn from_matrix(m: Matrix, out_schema: Schema) -> Result<DataSet> {
-    check_matrix_schema(&out_schema)?;
-    let dims = out_schema.dimensions();
-    let (r0, r1) = dims[0].extent().expect("bounded");
-    let (c0, c1) = dims[1].extent().expect("bounded");
-    if (r1 - r0) as usize != m.rows() || (c1 - c0) as usize != m.cols() {
+    let bounds = schema_box(&out_schema)?;
+    if bounds.extent(0) != m.rows() || bounds.extent(1) != m.cols() {
         return Err(CoreError::Plan(format!(
             "matrix {}x{} does not fit schema {out_schema}",
             m.rows(),
             m.cols()
         )));
     }
-    let bounds = DimBox::new(vec![r0, c0], vec![r1, c1])?;
     let chunk = DenseChunk::new(bounds, vec![Column::from(m.into_data())], None)?;
+    Ok(DataSet::new(out_schema, vec![Chunk::Dense(chunk)]))
+}
+
+/// The cell function of an arithmetic `ElemWise`.
+fn elemwise_fn(op: BinOp) -> Result<fn(f64, f64) -> f64> {
+    Ok(match op {
+        BinOp::Add => |x, y| x + y,
+        BinOp::Sub => |x, y| x - y,
+        BinOp::Mul => |x, y| x * y,
+        BinOp::Div => |x, y| x / y,
+        other => {
+            return Err(CoreError::Unsupported {
+                provider: "linalg".into(),
+                op: format!("elemwise {}", other.symbol()),
+            })
+        }
+    })
+}
+
+/// `f(a, b)` cell by cell, under `out_schema` (the left operand's box).
+///
+/// Operands over one box zip by position, in `parts` row bands when the
+/// plan is partitioned. Otherwise a cell exists only where both boxes
+/// hold it, as in the reference evaluator, which joins cells on their
+/// coordinates: the result is a dense chunk over `out_schema`'s box whose
+/// presence bitmap marks the overlap (empty when the boxes are disjoint).
+/// Operands over different boxes run unpartitioned, whatever `parts` is.
+fn elemwise(
+    (a, a_lo): (Matrix, [i64; 2]),
+    (b, b_lo): (Matrix, [i64; 2]),
+    f: fn(f64, f64) -> f64,
+    parts: Option<usize>,
+    out_schema: Schema,
+) -> Result<DataSet> {
+    if a_lo == b_lo && (a.rows(), a.cols()) == (b.rows(), b.cols()) {
+        let m = match parts {
+            Some(parts) => block_parallel(&a, parts, |(s, e)| {
+                a.row_band(s, e).zip_with(&b.row_band(s, e), f)
+            }),
+            None => a.zip_with(&b, f),
+        };
+        return from_matrix(m, out_schema);
+    }
+    let out_box = schema_box(&out_schema)?;
+    let box_of = |m: &Matrix, lo: [i64; 2]| {
+        DimBox::new(
+            lo.to_vec(),
+            vec![lo[0] + m.rows() as i64, lo[1] + m.cols() as i64],
+        )
+    };
+    let a_box = box_of(&a, a_lo)?;
+    debug_assert_eq!(a_box, out_box, "the result takes the left operand's box");
+    let overlap = a_box.intersect(&box_of(&b, b_lo)?);
+    let Some(overlap) = overlap else {
+        return Ok(DataSet::empty(out_schema));
+    };
+    let vol = out_box.volume();
+    let mut data = vec![0.0f64; vol];
+    let mut present = Bitmap::filled(vol, false);
+    for i in overlap.lo[0]..overlap.hi[0] {
+        for j in overlap.lo[1]..overlap.hi[1] {
+            let idx = out_box.linearize(&[i, j]);
+            let x = a.get((i - a_lo[0]) as usize, (j - a_lo[1]) as usize);
+            let y = b.get((i - b_lo[0]) as usize, (j - b_lo[1]) as usize);
+            data[idx] = f(x, y);
+            present.set(idx, true);
+        }
+    }
+    let chunk = DenseChunk::new(out_box, vec![Column::from(data)], Some(present))?;
     Ok(DataSet::new(out_schema, vec![Chunk::Dense(chunk)]))
 }
 
@@ -116,24 +211,10 @@ fn execute_node(plan: &Plan, matrices: &BTreeMap<String, DataSet>) -> Result<Dat
             from_matrix(a.matmul(&b), out_schema)
         }
         Plan::ElemWise { op, left, right } => {
-            let f: fn(f64, f64) -> f64 = match op {
-                BinOp::Add => |x, y| x + y,
-                BinOp::Sub => |x, y| x - y,
-                BinOp::Mul => |x, y| x * y,
-                BinOp::Div => |x, y| x / y,
-                other => {
-                    return Err(CoreError::Unsupported {
-                        provider: "linalg".into(),
-                        op: format!("elemwise {}", other.symbol()),
-                    })
-                }
-            };
-            let (a, _) = to_matrix(&execute(left, matrices)?)?;
-            let (b, _) = to_matrix(&execute(right, matrices)?)?;
-            if (a.rows(), a.cols()) != (b.rows(), b.cols()) {
-                return Err(CoreError::Plan("elemwise shape mismatch".into()));
-            }
-            from_matrix(a.zip_with(&b, f), out_schema)
+            let f = elemwise_fn(*op)?;
+            let a = to_matrix(&execute(left, matrices)?)?;
+            let b = to_matrix(&execute(right, matrices)?)?;
+            elemwise(a, b, f, None, out_schema)
         }
         Plan::Permute { input, .. } => {
             // 2-D permutation is either identity or transpose; the output
@@ -223,30 +304,11 @@ fn execute_node(plan: &Plan, matrices: &BTreeMap<String, DataSet>) -> Result<Dat
                 else {
                     unreachable!("guarded by matches!");
                 };
-                let f: fn(f64, f64) -> f64 = match op {
-                    BinOp::Add => |x, y| x + y,
-                    BinOp::Sub => |x, y| x - y,
-                    BinOp::Mul => |x, y| x * y,
-                    BinOp::Div => |x, y| x / y,
-                    other => {
-                        return Err(CoreError::Unsupported {
-                            provider: "linalg".into(),
-                            op: format!("elemwise {}", other.symbol()),
-                        })
-                    }
-                };
+                let f = elemwise_fn(*op)?;
                 trace_op(input, || {
-                    let (a, _) = to_matrix(&execute(li, matrices)?)?;
-                    let (b, _) = to_matrix(&execute(ri, matrices)?)?;
-                    if (a.rows(), a.cols()) != (b.rows(), b.cols()) {
-                        return Err(CoreError::Plan("elemwise shape mismatch".into()));
-                    }
-                    from_matrix(
-                        block_parallel(&a, *parts, |(s, e)| {
-                            a.row_band(s, e).zip_with(&b.row_band(s, e), f)
-                        }),
-                        out_schema,
-                    )
+                    let a = to_matrix(&execute(li, matrices)?)?;
+                    let b = to_matrix(&execute(ri, matrices)?)?;
+                    elemwise(a, b, f, Some(*parts), out_schema)
                 })
             }
             _ => execute(input, matrices),
@@ -357,6 +419,36 @@ mod tests {
         let ours = execute(&tr, &m).unwrap();
         let oracle = evaluate(&tr, &as_hash(&m)).unwrap();
         assert!(ours.same_bag(&oracle).unwrap());
+    }
+
+    #[test]
+    fn elemwise_over_shifted_boxes_joins_on_coordinates() {
+        let m = mats();
+        let dice = |lo, hi| Plan::Dice {
+            input: Plan::scan("a", m["a"].schema().clone()).boxed(),
+            ranges: vec![("row".into(), lo, hi)],
+        };
+        let overlapping = dice(0, 2).elemwise(BinOp::Add, dice(1, 3));
+        let disjoint = dice(0, 1).elemwise(BinOp::Add, dice(2, 3));
+        let partitioned = dice(0, 2)
+            .exchange(2, None)
+            .elemwise(BinOp::Add, dice(1, 3).exchange(2, None))
+            .merge();
+        for (plan, cells) in [(overlapping, 2), (disjoint, 0), (partitioned, 2)] {
+            let ours = bda_core::pool::with_workers(4, || execute(&plan, &m)).unwrap();
+            let oracle = evaluate(&plan, &as_hash(&m)).unwrap();
+            assert_eq!(ours.num_rows(), cells, "{plan:?}");
+            assert!(ours.same_bag(&oracle).unwrap(), "{plan:?}");
+        }
+        // Only row 1 is in both operands: (3 + 3, 4 + 4).
+        let ours = execute(&dice(0, 2).elemwise(BinOp::Add, dice(1, 3)), &m).unwrap();
+        let row1: Vec<f64> = ours
+            .rows()
+            .unwrap()
+            .iter()
+            .map(|r| r.get(2).as_float().unwrap())
+            .collect();
+        assert_eq!(row1, vec![6.0, 8.0]);
     }
 
     #[test]

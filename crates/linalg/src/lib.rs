@@ -7,10 +7,17 @@
 //! is precisely what makes intent preservation (desideratum 3) worth
 //! having; experiment F1 quantifies it.
 //!
-//! Capabilities: `Scan`, `MatMul`, `ElemWise`, `Permute` (transpose) and
-//! `Dice` (submatrix). Nothing relational — a plan that needs filters or
-//! joins must involve another server, which in turn exercises multi-server
-//! planning (desideratum 4).
+//! Capabilities: `Scan`, `Values` (an inlined literal, e.g. the state of an
+//! app-driven iteration round), `MatMul`, `ElemWise`, `Permute` (transpose),
+//! `Dice` (submatrix), and the `Exchange`/`Merge` partition markers, which
+//! split `MatMul` and `ElemWise` into row bands run on the worker pool.
+//! Nothing relational — a plan that needs filters or joins must involve
+//! another server, which in turn exercises multi-server planning
+//! (desideratum 4).
+//!
+//! Matrices are densified once, at `store`; from then on every kernel reads
+//! the stored dense chunk's value column directly ([`conv::to_matrix`]) and
+//! returns a dense chunk, so no matrix round-trips through coordinate rows.
 
 pub mod conv;
 pub mod matrix;
@@ -76,7 +83,10 @@ impl Provider for LinAlgEngine {
         // This engine only speaks dense 2-D float matrices; verify and
         // densify at ingest so execution can assume the layout.
         conv::check_matrix_schema(data.schema())?;
-        let dense = data.to_dense()?;
+        let dense = match data.dense_in_place() {
+            Some(_) => data,
+            None => data.to_dense()?,
+        };
         self.matrices.insert(name, dense);
         Ok(())
     }

@@ -116,9 +116,34 @@ impl DataSet {
         })
     }
 
+    /// The dataset's one dense chunk, when the dataset already is what
+    /// [`DataSet::to_dense`] builds: a single [`DenseChunk`] over the
+    /// schema's box whose value columns have the schema's value types.
+    /// Such a dataset needs no densifying.
+    pub fn dense_in_place(&self) -> Option<&DenseChunk> {
+        let [Chunk::Dense(d)] = self.chunks.as_slice() else {
+            return None;
+        };
+        let vals = self.schema.values();
+        let typed = d.columns().len() == vals.len()
+            && d.columns()
+                .iter()
+                .zip(&vals)
+                .all(|(c, f)| c.dtype() == f.dtype);
+        (typed && self.bounding_box().ok().as_ref() == Some(d.bounds())).then_some(d)
+    }
+
     /// Densify into a single dense chunk covering the schema's dimension
     /// extents (all dimensions must be bounded).
+    ///
+    /// Already-dense data ([`DataSet::dense_in_place`]) is returned as is;
+    /// anything else (rows, tile grids, offset boxes) is rebuilt cell by
+    /// cell through coordinate rows, which validates every coordinate and
+    /// value type.
     pub fn to_dense(&self) -> Result<DataSet> {
+        if self.dense_in_place().is_some() {
+            return Ok(self.clone());
+        }
         let bounds = self.bounding_box()?;
         let rows = self.to_rows_chunk()?;
         let dense = DenseChunk::from_rows(&self.schema, &rows, bounds)?;

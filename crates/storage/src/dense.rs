@@ -191,10 +191,13 @@ impl DenseChunk {
         }
     }
 
-    /// Convert to coordinate-list layout under `schema`.
+    /// Convert to coordinate-list layout under `schema`: one row per
+    /// present cell, in row-major order.
     ///
     /// `schema`'s dimension fields (in order) map to the box axes; its
-    /// value fields map to the chunk's value columns.
+    /// value fields map to the chunk's value columns, each of which must
+    /// have its field's type. Coordinates come from an odometer over the
+    /// box and each value column is one filter by the presence bitmap.
     pub fn to_rows(&self, schema: &Schema) -> Result<RowsChunk> {
         let dims = schema.dimensions();
         let vals = schema.values();
@@ -212,38 +215,56 @@ impl DenseChunk {
                 context: "DenseChunk::to_rows value columns".into(),
             });
         }
-        // Output columns in schema order: dims get coordinate columns.
-        let mut out: Vec<Column> = schema
-            .fields()
+        if let Some((f, c)) = vals
             .iter()
-            .map(|f| Column::new_empty(f.dtype))
-            .collect();
-        let dim_positions: Vec<usize> = schema
-            .fields()
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.is_dimension())
-            .map(|(i, _)| i)
-            .collect();
-        let val_positions: Vec<usize> = schema
-            .fields()
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| !f.is_dimension())
-            .map(|(i, _)| i)
-            .collect();
-        for idx in 0..self.bounds.volume() {
-            if !self.is_present(idx) {
-                continue;
+            .zip(&self.columns)
+            .find(|(f, c)| f.dtype != c.dtype())
+        {
+            return Err(StorageError::TypeMismatch {
+                expected: f.dtype,
+                actual: c.dtype(),
+                context: format!("DenseChunk::to_rows value column `{}`", f.name),
+            });
+        }
+        let b = &self.bounds;
+        let n = self.present_count();
+        let mut coords: Vec<Vec<i64>> = (0..b.ndims()).map(|_| Vec::with_capacity(n)).collect();
+        let mut at = b.lo.clone();
+        for idx in 0..b.volume() {
+            if self.is_present(idx) {
+                for (axis, &c) in coords.iter_mut().zip(&at) {
+                    axis.push(c);
+                }
             }
-            let coords = self.bounds.delinearize(idx);
-            for (d, &pos) in dim_positions.iter().enumerate() {
-                out[pos].push(&Value::Int(coords[d]))?;
-            }
-            for (v, &pos) in val_positions.iter().enumerate() {
-                out[pos].push(&self.columns[v].get(idx))?;
+            for d in (0..b.ndims()).rev() {
+                at[d] += 1;
+                if at[d] < b.hi[d] {
+                    break;
+                }
+                at[d] = b.lo[d];
             }
         }
+        let mask: Option<Vec<bool>> = self.present.as_ref().map(|bm| bm.iter().collect());
+        let mut coords = coords.into_iter();
+        let mut values = self.columns.iter().map(|c| {
+            let mut kept = match &mask {
+                Some(m) => c.filter(m),
+                None => c.clone(),
+            };
+            kept.normalize();
+            kept
+        });
+        let out = schema
+            .fields()
+            .iter()
+            .map(|f| {
+                if f.is_dimension() {
+                    Column::from(coords.next().expect("one coordinate column per axis"))
+                } else {
+                    values.next().expect("one value column per value field")
+                }
+            })
+            .collect();
         RowsChunk::new(out)
     }
 

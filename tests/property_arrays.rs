@@ -1,15 +1,21 @@
 //! Property-based tests on the array algebra: lowering equivalence,
 //! algebraic identities, and engine-vs-oracle agreement on random sparse
-//! arrays.
+//! arrays (array engine) and random dense matrices (linear-algebra engine).
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
+use proptest::strategy::FnStrategy;
+use proptest::test_runner::TestRng;
 
 use bda::array::ArrayEngine;
+use bda::core::infer::infer_schema;
 use bda::core::lower::lower_all;
+use bda::core::pool;
 use bda::core::reference::evaluate;
 use bda::core::{col, AggExpr, AggFunc, BinOp, Plan, Provider};
+use bda::linalg::LinAlgEngine;
+use bda::storage::dataset::matrix_dataset;
 use bda::storage::{DataSet, DataType, Field, Row, Schema, Value};
 
 const N: i64 = 4;
@@ -212,5 +218,192 @@ proptest! {
             });
             prop_assert!(found || expect == 0.0, "cell {} lost", row);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The linear-algebra engine against the oracle: random dense matrices, random
+// plans over scan/matmul/elemwise/permute/dice (diced operands shift the box
+// origins), run both plain and with partition markers on four workers.
+
+/// Side of every stored matrix.
+const M: usize = 5;
+
+fn arb_matrix() -> impl Strategy<Value = DataSet> {
+    prop::collection::vec(
+        (-8i32..8).prop_map(|x| f64::from(x) / 4.0),
+        M * M..M * M + 1,
+    )
+    .prop_map(|data| matrix_dataset(M, M, data).unwrap())
+}
+
+/// The bounded dimensions of `plan`'s output, in order.
+fn dims_of(plan: &Plan) -> Vec<(String, (i64, i64))> {
+    infer_schema(plan)
+        .unwrap()
+        .dimensions()
+        .iter()
+        .map(|f| (f.name.clone(), f.extent().unwrap()))
+        .collect()
+}
+
+/// A random non-empty sub-range of `[lo, hi)`.
+fn sub_range(rng: &mut TestRng, (lo, hi): (i64, i64)) -> (i64, i64) {
+    let start = lo + rng.below((hi - lo) as u64) as i64;
+    (start, start + 1 + rng.below((hi - start) as u64) as i64)
+}
+
+/// `Dice` over a random non-empty subset of `plan`'s dimensions.
+fn dice(rng: &mut TestRng, plan: Plan) -> Plan {
+    let dims = dims_of(&plan);
+    let keep = 1 + rng.below(3) as usize; // 1: first dim, 2: second, 3: both
+    let ranges = dims
+        .into_iter()
+        .enumerate()
+        .filter(|(d, _)| keep & (1 << d) != 0)
+        .map(|(_, (name, extent))| {
+            let (lo, hi) = sub_range(rng, extent);
+            (name, lo, hi)
+        })
+        .collect();
+    Plan::Dice {
+        input: plan.boxed(),
+        ranges,
+    }
+}
+
+fn transpose(plan: Plan) -> Plan {
+    let dims = dims_of(&plan);
+    Plan::Permute {
+        input: plan.boxed(),
+        order: vec![dims[1].0.clone(), dims[0].0.clone()],
+    }
+}
+
+/// The same plan over other stored matrices: same dimensions and boxes.
+fn rebase(plan: &Plan) -> Plan {
+    plan.transform_up(&|p| match p {
+        Plan::Scan { dataset, schema } => {
+            let next = match dataset.as_str() {
+                "a" => "b",
+                "b" => "c",
+                _ => "a",
+            };
+            Plan::scan(next, schema)
+        }
+        other => other,
+    })
+}
+
+fn gen_matrix_plan(rng: &mut TestRng, depth: u32) -> Plan {
+    let schema = matrix_dataset(M, M, vec![0.0; M * M])
+        .unwrap()
+        .schema()
+        .clone();
+    let scan = Plan::scan(["a", "b", "c"][rng.below(3) as usize], schema);
+    if depth == 0 {
+        return scan;
+    }
+    match rng.below(5) {
+        0 => scan,
+        1 => {
+            let inner = gen_matrix_plan(rng, depth - 1);
+            dice(rng, inner)
+        }
+        2 => transpose(gen_matrix_plan(rng, depth - 1)),
+        3 => {
+            let left = gen_matrix_plan(rng, depth - 1);
+            let mut right = rebase(&left);
+            if rng.below(2) == 0 {
+                right = dice(rng, right);
+            }
+            let left = if rng.below(2) == 0 {
+                dice(rng, left)
+            } else {
+                left
+            };
+            let op = [BinOp::Add, BinOp::Sub, BinOp::Mul][rng.below(3) as usize];
+            left.elemwise(op, right)
+        }
+        _ => {
+            // The right operand's first axis must span the left's second.
+            let left = gen_matrix_plan(rng, depth - 1);
+            let (k0, k1) = dims_of(&left)[1].1;
+            let (j0, j1) = sub_range(rng, (0, M as i64));
+            let right = if rng.below(2) == 0 {
+                Plan::Dice {
+                    input: scan.boxed(),
+                    ranges: vec![("row".into(), k0, k1), ("col".into(), j0, j1)],
+                }
+            } else {
+                transpose(Plan::Dice {
+                    input: scan.boxed(),
+                    ranges: vec![("col".into(), k0, k1), ("row".into(), j0, j1)],
+                })
+            };
+            left.matmul(right)
+        }
+    }
+}
+
+fn arb_matrix_plan() -> impl Strategy<Value = Plan> {
+    FnStrategy::new(|rng: &mut TestRng| gen_matrix_plan(rng, 3))
+}
+
+/// `plan` with every matmul and elemwise split into `parts` row bands.
+fn with_markers(plan: &Plan, parts: usize) -> Plan {
+    plan.transform_up(&|p| match p {
+        Plan::MatMul { left, right } => left
+            .exchange(parts, None)
+            .matmul(right.exchange(parts, None))
+            .merge(),
+        Plan::ElemWise { op, left, right } => left
+            .exchange(parts, None)
+            .elemwise(op, right.exchange(parts, None))
+            .merge(),
+        other => other,
+    })
+}
+
+/// The oracle's reading of `plan` under the linear-algebra convention that
+/// an absent cell reads as `0.0`: an elemwise result over partly overlapping
+/// boxes holds only the overlap, so wherever another operator consumes one,
+/// it is zero-filled over its box first. A root result is compared as is.
+fn zero_filled_operands(plan: &Plan) -> Plan {
+    let filled = plan.transform_up(&|p| match p {
+        Plan::ElemWise { .. } => Plan::Fill {
+            input: p.boxed(),
+            fill: Value::Float(0.0),
+        },
+        other => other,
+    });
+    match filled {
+        Plan::Fill { input, .. } if matches!(plan, Plan::ElemWise { .. }) => *input,
+        other => other,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn linalg_engine_matches_oracle(
+        a in arb_matrix(),
+        b in arb_matrix(),
+        c in arb_matrix(),
+        plan in arb_matrix_plan(),
+        parts in 1usize..5,
+    ) {
+        let engine = LinAlgEngine::new("la");
+        for (name, m) in [("a", &a), ("b", &b), ("c", &c)] {
+            engine.store(name, m.clone()).unwrap();
+        }
+        let data = src(&[("a", &a), ("b", &b), ("c", &c)]);
+        let oracle = evaluate(&zero_filled_operands(&plan), &data).unwrap();
+        let plain = engine.execute(&plan).unwrap();
+        prop_assert!(approx_same(&plain, &oracle), "plan:\n{}", plan);
+        let marked = with_markers(&plan, parts);
+        let split = pool::with_workers(4, || engine.execute(&marked)).unwrap();
+        prop_assert!(approx_same(&split, &oracle), "plan:\n{}", marked);
     }
 }
