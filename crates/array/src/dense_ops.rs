@@ -369,7 +369,7 @@ fn f64_op(op: BinOp, a: &[f64], b: &[f64]) -> Vec<f64> {
 /// a traced partition ([`run_partitions`]), and reassemble in band
 /// order. The output is bitwise identical to [`elemwise_dense`] because
 /// every cell runs the same scalar code; only the f64 fast path is
-/// banded — anything else falls back to the sequential kernel.
+/// banded. At `parts <= 1`, or off that path, this is [`elemwise_dense`].
 pub fn elemwise_dense_partitioned(
     op: BinOp,
     left: &DataSet,
@@ -377,6 +377,9 @@ pub fn elemwise_dense_partitioned(
     parts: usize,
     out_schema: Schema,
 ) -> Result<DataSet> {
+    if parts <= 1 {
+        return elemwise_dense(op, left, right, out_schema);
+    }
     let (l, _) = dense_of(left)?;
     let (r, _) = dense_of(right)?;
     if l.bounds() != r.bounds() {
@@ -386,7 +389,7 @@ pub fn elemwise_dense_partitioned(
             r.bounds()
         )));
     }
-    let Some((a, b)) = f64_operands(op, &l, &r).filter(|_| parts > 1) else {
+    let Some((a, b)) = f64_operands(op, &l, &r) else {
         return elemwise_dense(op, left, right, out_schema);
     };
     let vol = l.bounds().volume();

@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use bda_core::engine;
 use bda_core::infer::infer_schema;
 use bda_core::provider::trace_op;
-use bda_core::{CoreError, Plan};
+use bda_core::{pool, CoreError, Plan};
 use bda_storage::{Chunk, DataSet};
 
 use crate::dense_ops;
@@ -65,37 +65,10 @@ fn execute_node(plan: &Plan, arrays: &BTreeMap<String, DataSet>) -> Result<DataS
         Plan::ElemWise { op, left, right } => {
             let l = execute(left, arrays)?;
             let r = execute(right, arrays)?;
-            dense_ops::elemwise_dense(*op, &l, &r, out_schema)
+            // Band-split at the pool's width; the `partition:{i}` spans
+            // nest under this operator's `op:elemwise`.
+            dense_ops::elemwise_dense_partitioned(*op, &l, &r, pool::workers(), out_schema)
         }
-        // A bare Exchange is a planner marker with bag-identity
-        // semantics; the band split happens in the Merge(op(..)) arm.
-        Plan::Exchange { input, .. } => execute(input, arrays),
-        Plan::Merge { input } => match input.as_ref() {
-            Plan::ElemWise { op, left, right }
-                if matches!(
-                    (left.as_ref(), right.as_ref()),
-                    (Plan::Exchange { .. }, Plan::Exchange { .. })
-                ) =>
-            {
-                let (
-                    Plan::Exchange {
-                        input: li, parts, ..
-                    },
-                    Plan::Exchange { input: ri, .. },
-                ) = (left.as_ref(), right.as_ref())
-                else {
-                    unreachable!("guarded by matches!");
-                };
-                // The fused operator records its own `op:` span, so the
-                // `partition:{i}` spans nest under `op:elemwise`.
-                trace_op(input, || {
-                    let l = execute(li, arrays)?;
-                    let r = execute(ri, arrays)?;
-                    dense_ops::elemwise_dense_partitioned(*op, &l, &r, *parts, out_schema)
-                })
-            }
-            _ => execute(input, arrays),
-        },
         // --- scalar relational core over the coordinate view --------------
         Plan::Select { input, predicate } => {
             engine::select(&execute(input, arrays)?, predicate, out_schema)

@@ -75,10 +75,6 @@ impl ArrayEngine {
             OpKind::TagDims,
             OpKind::UntagDims,
             OpKind::ElemWise,
-            // Partition-parallel execution: advertising Exchange/Merge
-            // tells the planner this engine runs band-split kernels.
-            OpKind::Exchange,
-            OpKind::Merge,
         ])
     }
 

@@ -371,16 +371,6 @@ fn encode_plan_node(plan: &Plan, w: &mut Writer) {
             encode_plan_node(init, w);
             encode_plan_node(body, w);
         }
-        Plan::Exchange { input, parts, key } => {
-            w.u8(24);
-            w.u64(*parts as u64);
-            w.opt(key.as_deref(), Writer::str);
-            encode_plan_node(input, w);
-        }
-        Plan::Merge { input } => {
-            w.u8(25);
-            encode_plan_node(input, w);
-        }
     }
 }
 
@@ -523,12 +513,6 @@ fn decode_plan_node(r: &mut Reader<'_>) -> Result<Plan> {
                 init: input(r)?,
                 body: input(r)?,
             },
-            24 => Plan::Exchange {
-                parts: r.u64("exchange parts")? as usize,
-                key: r.opt("exchange key", |r| r.string("exchange key"))?,
-                input: input(r)?,
-            },
-            25 => Plan::Merge { input: input(r)? },
             t => return Err(StorageError::Corrupt(format!("bad plan tag {t}")).into()),
         })
     })

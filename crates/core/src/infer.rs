@@ -437,21 +437,6 @@ pub fn infer_schema(plan: &Plan) -> Result<Schema> {
             fields.push(Field::value("v", out_t));
             Schema::new(fields).map_err(Into::into)
         }
-        Plan::Exchange { input, parts, key } => {
-            if *parts == 0 {
-                return Err(CoreError::Plan(
-                    "exchange needs at least 1 partition".into(),
-                ));
-            }
-            let schema = infer_schema(input)?;
-            if let Some(k) = key {
-                schema
-                    .field(k)
-                    .map_err(|_| CoreError::Plan(format!("exchange unknown key column `{k}`")))?;
-            }
-            Ok(schema)
-        }
-        Plan::Merge { input } => infer_schema(input),
         Plan::Graph(g) => {
             let es = infer_schema(g.edges())?;
             for c in ["src", "dst"] {

@@ -315,26 +315,6 @@ pub enum Plan {
         /// Right array.
         right: Box<Plan>,
     },
-    /// Repartition marker: split the input into `parts` partitions — by
-    /// hash of `key` when given, by contiguous row blocks otherwise — so
-    /// the operator above can run partition-parallel. Bag semantics are
-    /// the identity; the node exists so repartitioning is explicit in
-    /// EXPLAIN output and traces.
-    Exchange {
-        /// Input to repartition.
-        input: Box<Plan>,
-        /// Number of partitions (must be positive).
-        parts: usize,
-        /// Hash key column, or `None` for contiguous block split.
-        key: Option<String>,
-    },
-    /// Merge marker: concatenate the partition outputs produced under an
-    /// [`Plan::Exchange`] back into one dataset. Bag-identity, like
-    /// `Exchange`.
-    Merge {
-        /// Input whose partitions are merged.
-        input: Box<Plan>,
-    },
     /// Intent: graph analytics.
     Graph(GraphOp),
     /// Control iteration: evaluate `init`, then repeatedly evaluate `body`
@@ -405,10 +385,6 @@ pub enum OpKind {
     MatMul,
     /// Cell-wise zip intent.
     ElemWise,
-    /// Repartition marker.
-    Exchange,
-    /// Partition-merge marker.
-    Merge,
     /// PageRank intent.
     PageRank,
     /// Connected-components intent.
@@ -425,7 +401,7 @@ pub enum OpKind {
 
 impl OpKind {
     /// Every operator kind, in a stable order (drives T1/T2 tables).
-    pub const ALL: [OpKind; 30] = [
+    pub const ALL: [OpKind; 28] = [
         OpKind::Scan,
         OpKind::Values,
         OpKind::Range,
@@ -448,8 +424,6 @@ impl OpKind {
         OpKind::UntagDims,
         OpKind::MatMul,
         OpKind::ElemWise,
-        OpKind::Exchange,
-        OpKind::Merge,
         OpKind::PageRank,
         OpKind::ConnectedComponents,
         OpKind::TriangleCount,
@@ -508,8 +482,6 @@ impl OpKind {
             OpKind::UntagDims => "untag_dims",
             OpKind::MatMul => "matmul",
             OpKind::ElemWise => "elemwise",
-            OpKind::Exchange => "exchange",
-            OpKind::Merge => "merge",
             OpKind::PageRank => "page_rank",
             OpKind::ConnectedComponents => "connected_components",
             OpKind::TriangleCount => "triangle_count",
@@ -546,8 +518,6 @@ impl Plan {
             Plan::UntagDims { .. } => OpKind::UntagDims,
             Plan::MatMul { .. } => OpKind::MatMul,
             Plan::ElemWise { .. } => OpKind::ElemWise,
-            Plan::Exchange { .. } => OpKind::Exchange,
-            Plan::Merge { .. } => OpKind::Merge,
             Plan::Graph(g) => match g {
                 GraphOp::PageRank { .. } => OpKind::PageRank,
                 GraphOp::ConnectedComponents { .. } => OpKind::ConnectedComponents,
@@ -579,9 +549,7 @@ impl Plan {
             | Plan::Window { input, .. }
             | Plan::Fill { input, .. }
             | Plan::TagDims { input, .. }
-            | Plan::UntagDims { input }
-            | Plan::Exchange { input, .. }
-            | Plan::Merge { input } => vec![input],
+            | Plan::UntagDims { input } => vec![input],
             Plan::Join { left, right, .. }
             | Plan::Union { left, right }
             | Plan::MatMul { left, right }
@@ -660,12 +628,6 @@ impl Plan {
                 dims: dims.clone(),
             },
             Plan::UntagDims { .. } => Plan::UntagDims { input: next() },
-            Plan::Exchange { parts, key, .. } => Plan::Exchange {
-                input: next(),
-                parts: *parts,
-                key: key.clone(),
-            },
-            Plan::Merge { .. } => Plan::Merge { input: next() },
             Plan::Join {
                 on,
                 join_type,
@@ -898,26 +860,6 @@ impl Plan {
     }
 }
 
-impl Plan {
-    /// Mark this subtree for repartitioning into `parts` hash partitions
-    /// on `key` (see [`Plan::Exchange`]).
-    pub fn exchange(self, parts: usize, key: Option<&str>) -> Plan {
-        Plan::Exchange {
-            input: self.boxed(),
-            parts,
-            key: key.map(str::to_string),
-        }
-    }
-
-    /// Merge the partition outputs of the subtree below (see
-    /// [`Plan::Merge`]).
-    pub fn merge(self) -> Plan {
-        Plan::Merge {
-            input: self.boxed(),
-        }
-    }
-}
-
 // --- display ---------------------------------------------------------------
 
 impl Plan {
@@ -1006,11 +948,6 @@ impl Plan {
             Plan::UntagDims { .. } => "untag_dims".to_string(),
             Plan::MatMul { .. } => "matmul".to_string(),
             Plan::ElemWise { op, .. } => format!("elemwise {}", op.symbol()),
-            Plan::Exchange { parts, key, .. } => match key {
-                Some(k) => format!("exchange x{parts} hash({k})"),
-                None => format!("exchange x{parts} block"),
-            },
-            Plan::Merge { .. } => "merge".to_string(),
             Plan::Graph(g) => match g {
                 GraphOp::PageRank {
                     damping,

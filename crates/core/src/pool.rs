@@ -3,26 +3,31 @@
 //! The pool is deliberately minimal: callers hand over a vector of
 //! closures, the pool runs them on `n` scoped threads, and the results
 //! come back **in submission order** regardless of which worker finished
-//! first. That ordering guarantee is what lets partitioned kernels
-//! produce byte-identical output no matter how many workers ran.
+//! first.
 //!
-//! Worker count resolution, in priority order:
+//! [`workers`] is also the *partition width*: an engine splits a hot
+//! operator (hash join, grouped aggregate, matmul, elementwise) into
+//! `workers()` partitions, and at a width of one it runs the sequential
+//! kernel with no split at all. Results are therefore bag-identical
+//! across widths and byte-identical at a fixed width. No plan node or
+//! wire field carries the width; it is ambient on the executing thread.
+//!
+//! Width resolution, in priority order:
 //!
 //! 1. a thread-local override installed with [`with_workers`] (the
-//!    federation executor always pins it — at one worker too — so every
-//!    provider call inside a query sees the query's
-//!    `ExecOptions::workers`, never the process default),
-//! 2. the `BDA_WORKERS` environment variable,
+//!    federation executor always pins it — at one too — to the width
+//!    the planner chose for each fragment, never the process default),
+//! 2. the `BDA_WORKERS` environment variable (a remote server runs at
+//!    its own width this way),
 //! 3. `1` (fully sequential; the pool runs closures inline).
 //!
 //! Every partition-parallel kernel runs through [`run_partitions`], which
 //! adds the `partition:{i}` span each partition records.
 
 use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::sync::OnceLock;
-
-use crossbeam::channel;
 
 thread_local! {
     static WORKER_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
@@ -72,50 +77,53 @@ pub fn with_workers<T>(n: usize, f: impl FnOnce() -> T) -> T {
 ///
 /// With `workers <= 1` (or fewer than two tasks) the closures run inline
 /// on the calling thread — no threads are spawned, so the sequential
-/// path has zero overhead and identical panic behavior.
+/// path has zero overhead and identical panic behavior. Otherwise each
+/// thread claims the next task index from a shared counter until none
+/// are left, and the results are placed back by index. A panicking task
+/// re-raises its panic on the calling thread.
 pub fn run_with<T: Send>(workers: usize, tasks: Vec<Box<dyn FnOnce() -> T + Send + '_>>) -> Vec<T> {
     let n = workers.min(tasks.len()).max(1);
     if n <= 1 {
         return tasks.into_iter().map(|t| t()).collect();
     }
 
-    let total = tasks.len();
-    let (job_tx, job_rx) = channel::unbounded::<(usize, Box<dyn FnOnce() -> T + Send + '_>)>();
-    for job in tasks.into_iter().enumerate() {
-        if job_tx.send(job).is_err() {
-            unreachable!("pool job channel closed before workers started");
-        }
-    }
-    drop(job_tx);
-    let job_rx = Mutex::new(job_rx);
-
-    let (out_tx, out_rx) = channel::unbounded::<(usize, T)>();
+    let mut slots: Vec<Option<T>> = (0..tasks.len()).map(|_| None).collect();
+    // Each index is claimed exactly once, so no lock is ever contended.
+    // `Relaxed` suffices: the counter publishes no data, and each task
+    // moves to its thread through its own mutex.
+    let jobs: Vec<Mutex<Option<_>>> = tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let next = AtomicUsize::new(0);
     std::thread::scope(|s| {
-        for _ in 0..n {
-            let out_tx = out_tx.clone();
-            let job_rx = &job_rx;
-            s.spawn(move || loop {
-                let job = { job_rx.lock().expect("pool job lock").try_recv() };
-                match job {
-                    Ok((idx, task)) => {
-                        if out_tx.send((idx, task())).is_err() {
-                            return;
-                        }
+        let handles: Vec<_> = (0..n)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let idx = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(job) = jobs.get(idx) else {
+                            return done;
+                        };
+                        let task = job
+                            .lock()
+                            .expect("a job lock is held only to take the task")
+                            .take();
+                        done.push((idx, task.expect("each task is claimed once")()));
                     }
-                    Err(_) => return,
-                }
-            });
+                })
+            })
+            .collect();
+        for handle in handles {
+            let done = handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (idx, value) in done {
+                slots[idx] = Some(value);
+            }
         }
-        drop(out_tx);
     });
-
-    let mut slots: Vec<Option<T>> = (0..total).map(|_| None).collect();
-    while let Ok((idx, value)) = out_rx.recv() {
-        slots[idx] = Some(value);
-    }
     slots
         .into_iter()
-        .map(|s| s.expect("pool worker panicked; result missing"))
+        .map(|s| s.expect("every task ran"))
         .collect()
 }
 

@@ -184,9 +184,6 @@ fn eval_node(plan: &Plan, src: &dyn DataSource, state: Option<&DataSet>) -> Resu
             };
             DataSet::from_rows(out_schema, &rows).map_err(Into::into)
         }
-        // Exchange/Merge are partitioning markers with bag-identity
-        // semantics: the oracle evaluates straight through them.
-        Plan::Exchange { input, .. } | Plan::Merge { input } => eval_plan(input, src, state),
         Plan::Rename { input, .. } | Plan::TagDims { input, .. } | Plan::UntagDims { input } => {
             let in_ds = eval_plan(input, src, state)?;
             let rows = in_ds.rows()?;

@@ -104,12 +104,14 @@ pub struct ExecOptions {
     pub optimizer: OptimizerConfig,
     /// Fault-tolerance policy.
     pub recovery: RecoveryPolicy,
-    /// Partition-parallel worker count. With `1` the executor runs every
-    /// fragment inline on the calling thread, in placement order, and
-    /// plans carry no `Exchange`/`Merge` markers; with `n > 1` independent
-    /// fragments dispatch onto a pool of `n` threads and capable providers
-    /// run their hot operators over `n` partitions. Defaults to the
-    /// `BDA_WORKERS` environment variable (falling back to 1).
+    /// Worker count. With `1` the executor runs every fragment inline on
+    /// the calling thread, in placement order, and every kernel runs
+    /// sequentially; with `n > 1` independent fragments dispatch onto a
+    /// pool of `n` threads, and the planner gives each fragment with hot
+    /// operators a partition width of up to `n` ([`Fragment::parts`]),
+    /// which in-process engines split those operators by. A remote server
+    /// partitions at its own width instead. Defaults to the `BDA_WORKERS`
+    /// environment variable (falling back to 1).
     pub workers: usize,
     /// Consult the process-global [`bda_obs::profile::CostBook`] of
     /// measured costs during planning (site assignment and
@@ -280,9 +282,9 @@ impl Exec<'_> {
     /// the root and app-site fragments, which always run inline — the root
     /// so its result transfer stays last, app-driven iteration because it
     /// re-enters the executor and must keep riding this thread's progress
-    /// entry. Every fragment runs under [`pool::with_workers`], so capable
-    /// providers execute their `Exchange`/`Merge`-marked operators
-    /// partition-parallel with the query's worker count.
+    /// entry. Every fragment runs under [`pool::with_workers`] pinned to
+    /// its [`Fragment::parts`], so in-process engines partition its hot
+    /// operators at the width the planner chose.
     ///
     /// Per-fragment [`Metrics`] are absorbed in **placement order** once
     /// every fragment settles, so counters and the transfer log are
@@ -314,7 +316,8 @@ impl Exec<'_> {
         let run = |pos: usize, progress: Option<&ProgressHandle>| {
             let started = Instant::now();
             let mut m = Metrics::default();
-            let result = pool::with_workers(workers, || self.run_fragment(pos, &mut m, progress));
+            let parts = frags[pos].parts;
+            let result = pool::with_workers(parts, || self.run_fragment(pos, &mut m, progress));
             (pos, started.elapsed().as_secs_f64(), m, result)
         };
         let (job_tx, job_rx) = crossbeam::channel::unbounded::<usize>();

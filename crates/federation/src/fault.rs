@@ -351,14 +351,14 @@ mod tests {
             engine.index_fingerprint("t", "k")
         );
         // Zone maps disprove the first plan's filter; the NDV of `g` caps
-        // the second plan's hash exchange at two partitions.
+        // the second plan's partition width at two.
         let scan = Plan::scan("t", engine.schema_of("t").unwrap());
         for (plan, decision) in [
             (
                 scan.clone().select(col("k").gt(lit(1000i64))),
                 "== pruning ==",
             ),
-            (scan.clone().join(scan, vec![("g", "g")]), "exchange x2"),
+            (scan.clone().join(scan, vec![("g", "g")]), "parts=2"),
         ] {
             let want = bare.explain(&plan).unwrap();
             assert!(want.contains(decision), "{want}");

@@ -277,11 +277,11 @@ impl Federation {
 
     /// Explain how a plan would execute: the optimized plan, the fragment
     /// placement, and per-fragment details — without running anything.
-    /// With `options.workers > 1`, the printed fragments carry the
-    /// `exchange`/`merge` markers the parallel executor would run. With
+    /// With `options.workers > 1`, a fragment header that runs
+    /// partitioned ends in ` parts=N`, its partition width. With
     /// statistics enabled (the default), fragments disproved by table
-    /// statistics show up as empty `values` leaves and hash-exchange
-    /// partition counts are capped at the key's distinct-value estimate.
+    /// statistics show up as empty `values` leaves and a hash-keyed
+    /// fragment's width is capped at its keys' distinct-value estimate.
     pub fn explain(&self, plan: &Plan) -> Result<String, CoreError> {
         let (optimized, pruned, placement) =
             executor::plan_and_place(&self.registry, plan, &self.options)?;
@@ -296,13 +296,17 @@ impl Federation {
         out.push_str("\n== placement ==\n");
         for f in &placement.fragments {
             out.push_str(&format!(
-                "fragment #{} @ {} -> {} ({} nodes, schema {})\n",
+                "fragment #{} @ {} -> {} ({} nodes, schema {})",
                 f.id,
                 f.site,
                 f.dest_site,
                 f.plan.node_count(),
                 f.schema
             ));
+            if f.parts > 1 {
+                out.push_str(&format!(" parts={}", f.parts));
+            }
+            out.push('\n');
             for line in f.plan.to_string().lines() {
                 out.push_str(&format!("    {line}\n"));
             }
@@ -394,7 +398,7 @@ mod tests {
     }
 
     #[test]
-    fn explain_shows_partition_markers_under_parallel_options() {
+    fn explain_shows_partition_widths_under_parallel_options() {
         let rel = RelationalEngine::new("rel");
         rel.store(
             "t",
@@ -411,18 +415,23 @@ mod tests {
         let plan = scan.clone().join(scan, vec![("k", "k")]);
         fed.options_mut().workers = 1;
         let sequential = fed.explain(&plan).unwrap();
-        assert!(!sequential.contains("exchange"), "{sequential}");
+        assert!(!sequential.contains("parts="), "{sequential}");
         fed.options_mut().workers = 4;
         // Statistics on (the default): `k` has two distinct values, so
-        // the hash exchange is capped at two partitions.
+        // the width is capped at two partitions.
         fed.options_mut().optimizer.use_stats = true;
         let parallel = fed.explain(&plan).unwrap();
-        assert!(parallel.contains("exchange x2 hash(k)"), "{parallel}");
-        assert!(parallel.contains("merge"), "{parallel}");
+        assert!(parallel.contains(") parts=2\n"), "{parallel}");
         // Statistics off: the static worker count stands.
         fed.options_mut().optimizer.use_stats = false;
         let plain = fed.explain(&plan).unwrap();
-        assert!(plain.contains("exchange x4 hash(k)"), "{plain}");
+        assert!(plain.contains(") parts=4\n"), "{plain}");
+        // The plan lines are the same at every width.
+        let plan_lines = |s: &str| {
+            let lines = s.lines().filter(|l| l.starts_with("    "));
+            lines.map(str::to_string).collect::<Vec<_>>()
+        };
+        assert_eq!(plan_lines(&plain), plan_lines(&sequential));
     }
 
     #[test]

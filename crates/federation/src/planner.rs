@@ -27,7 +27,7 @@
 
 use bda_core::infer::infer_schema;
 use bda_core::lower::lower_node;
-use bda_core::{CoreError, OpKind, Plan};
+use bda_core::{CoreError, Plan};
 use bda_obs::profile::CostBook;
 use bda_storage::Schema;
 
@@ -58,6 +58,11 @@ pub struct Fragment {
     pub dest_site: String,
     /// Ids of fragments whose outputs this fragment scans.
     pub inputs: Vec<usize>,
+    /// Partition width the fragment runs at: the executor pins
+    /// [`bda_core::pool::workers`] to it, and the engine splits the
+    /// fragment's joins, grouped aggregates, matmuls and elementwise
+    /// operators that many ways. `1` runs every kernel sequentially.
+    pub parts: usize,
 }
 
 /// A fragmented plan: `fragments` is in dependency order; the last entry
@@ -92,8 +97,8 @@ const SHIP_BYTES_PER_ROW: f64 = 64.0;
 const DEFAULT_NS_PER_BYTE: f64 = 1.0;
 
 /// Fragments whose modeled operator work falls below this many
-/// nanoseconds are not worth the Exchange/Merge overhead of partition
-/// parallelism.
+/// nanoseconds are not worth the split-and-concatenate overhead of
+/// partition parallelism; they run at a width of one.
 const MIN_PARALLEL_WORK_NS: f64 = 200_000.0;
 
 /// The planner.
@@ -105,8 +110,8 @@ pub struct Planner<'a> {
     /// pre-calibration planner.
     costs: Option<CostBook>,
     /// Consult provider table statistics (column NDV estimates) when
-    /// choosing hash-exchange partition counts. Off by default so the
-    /// bare planner stays byte-identical to the pre-statistics one.
+    /// choosing a fragment's partition width. Off by default so the bare
+    /// planner stays byte-identical to the pre-statistics one.
     use_stats: bool,
 }
 
@@ -121,10 +126,9 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// Cap hash-exchange partition counts at the key column's distinct
-    /// value estimate (partitions beyond the NDV sit empty). With `false`
-    /// or when no holder publishes statistics for the key, the static
-    /// worker count stands.
+    /// Cap a fragment's partition width at its hash keys' distinct value
+    /// estimate (partitions beyond the NDV sit empty). With `false`, or
+    /// when some hash key has no estimate, the worker count stands.
     pub fn with_stats(mut self, on: bool) -> Planner<'a> {
         self.use_stats = on;
         self
@@ -132,7 +136,7 @@ impl<'a> Planner<'a> {
 
     /// Consult a [`CostBook`] of measured costs for site assignment
     /// (which replica takes a fragment — the pushdown-toward-data
-    /// choice at each cut) and partition-count decisions. An empty book
+    /// choice at each cut) and partition-width decisions. An empty book
     /// (no folded profiles yet) is ignored, and `None` disables
     /// calibration entirely: both produce plans byte-identical to the
     /// static planner.
@@ -141,11 +145,11 @@ impl<'a> Planner<'a> {
         self
     }
 
-    /// Plan for `n` partition-parallel workers: with `n > 1`, fragments
-    /// pinned to providers that advertise [`OpKind::Exchange`] and
-    /// [`OpKind::Merge`] get their hot operators wrapped in explicit
-    /// `Merge(op(Exchange(..)))` markers, so repartitioning is visible in
-    /// EXPLAIN output and drives the engines' partitioned kernels.
+    /// Plan for `n` partition-parallel workers: with `n > 1`, each
+    /// provider fragment with a join, grouped aggregate, matmul or
+    /// elementwise operator gets a partition width ([`Fragment::parts`])
+    /// of up to `n`, shown as `parts=N` in EXPLAIN. The plan itself is
+    /// unchanged; the engine reads the width from the worker pool.
     pub fn with_workers(mut self, n: usize) -> Planner<'a> {
         self.workers = n.max(1);
         self
@@ -166,6 +170,7 @@ impl<'a> Planner<'a> {
             schema,
             dest_site: "app".to_string(),
             inputs,
+            parts: 1,
         });
         // Fix dest sites: each fragment's destination is the site of the
         // fragment that consumes it.
@@ -183,19 +188,62 @@ impl<'a> Planner<'a> {
                 f.dest_site = consumer_site;
             }
         }
-        if self.workers > 1 {
-            for f in &mut fragments {
-                if f.site != APP_SITE
-                    && self.site_runs_partitioned(&f.site)
-                    && self.worth_partitioning(&f.plan)
-                {
-                    f.plan = parallelize_fragment_with(&f.plan, self.workers, &|input, key| {
-                        self.ndv_of(input, key)
-                    });
-                }
-            }
+        for f in &mut fragments {
+            f.parts = self.parts_of(f);
         }
         Ok(Placement { fragments })
+    }
+
+    /// The partition width of a fragment: 1 at one worker, at the app
+    /// site, when calibration says the work is too small, or when the
+    /// fragment has no join, grouped aggregate, matmul or elementwise
+    /// operator. Otherwise the worker count — capped, for a fragment
+    /// whose hot operators are all hash-keyed and all have a key NDV
+    /// estimate, at the largest estimate.
+    fn parts_of(&self, f: &Fragment) -> usize {
+        if self.workers <= 1 || f.site == APP_SITE || !self.worth_partitioning(&f.plan) {
+            return 1;
+        }
+        // `Some(max)` while every hash key seen has an estimate; `None`
+        // once one has none or a block-split operator appears.
+        let mut cap = Some(0usize);
+        let mut hot = false;
+        let mut stack = vec![&f.plan];
+        while let Some(node) = stack.pop() {
+            let estimate = match node {
+                Plan::Join {
+                    left, right, on, ..
+                } => {
+                    hot = true;
+                    // Both sides co-partition on the first key pair; the
+                    // richer side's NDV bounds the useful width.
+                    on.first().and_then(|(l, r)| {
+                        match (self.ndv_of(left, l), self.ndv_of(right, r)) {
+                            (Some(a), Some(b)) => Some(a.max(b)),
+                            (one, other) => one.or(other),
+                        }
+                    })
+                }
+                Plan::Aggregate {
+                    input, group_by, ..
+                } if !group_by.is_empty() => {
+                    hot = true;
+                    self.ndv_of(input, &group_by[0])
+                }
+                Plan::MatMul { .. } | Plan::ElemWise { .. } => {
+                    hot = true;
+                    None
+                }
+                _ => Some(0),
+            };
+            cap = cap.zip(estimate).map(|(a, b)| a.max(b));
+            stack.extend(node.children());
+        }
+        match (hot, cap) {
+            (false, _) => 1,
+            (true, Some(n)) => self.workers.min(n.max(1)),
+            (true, None) => self.workers,
+        }
     }
 
     /// The distinct-value estimate for `key` over the base datasets a
@@ -212,18 +260,6 @@ impl<'a> Planner<'a> {
                 .table_stats(d)
                 .and_then(|s| s.column(key).map(|z| z.distinct))
         })
-    }
-
-    /// Does the provider at `site` advertise partition-parallel execution
-    /// (both `Exchange` and `Merge` in its capability set)?
-    fn site_runs_partitioned(&self, site: &str) -> bool {
-        self.registry
-            .provider(site)
-            .map(|p| {
-                let caps = p.capabilities();
-                caps.supports(OpKind::Exchange) && caps.supports(OpKind::Merge)
-            })
-            .unwrap_or(false)
     }
 
     /// Rewrite intent operators that no registered provider supports.
@@ -376,10 +412,10 @@ impl<'a> Planner<'a> {
             .unwrap_or(0)
     }
 
-    /// Partition-count choice: with a calibrated book, a fragment whose
+    /// Partition-width choice: with a calibrated book, a fragment whose
     /// modeled operator work (measured ns/row × scanned rows) is below
-    /// [`MIN_PARALLEL_WORK_NS`] keeps running sequentially — the
-    /// Exchange/Merge overhead would outweigh it. Unknown classes,
+    /// [`MIN_PARALLEL_WORK_NS`] keeps running sequentially — the split
+    /// and concatenate overhead would outweigh it. Unknown classes,
     /// unknown cardinalities, or an empty/absent book leave the static
     /// choice untouched.
     fn worth_partitioning(&self, plan: &Plan) -> bool {
@@ -461,6 +497,7 @@ impl<'a> Planner<'a> {
                     schema: schema.clone(),
                     dest_site: site.clone(), // refined in `place`
                     inputs,
+                    parts: 1, // set in `place`
                 });
                 new_children.push(Plan::Scan {
                     dataset: format!("{FRAG_PREFIX}{id}"),
@@ -478,119 +515,6 @@ fn staged_inputs(plan: &Plan) -> Vec<usize> {
         .iter()
         .filter_map(|d| d.strip_prefix(FRAG_PREFIX).and_then(|s| s.parse().ok()))
         .collect()
-}
-
-/// Wrap the hot operators of a fragment plan in explicit
-/// `Merge(op(Exchange(..)))` markers so engines run their partitioned
-/// kernels with `parts` partitions. Joins and grouped aggregates get hash
-/// partitioning on their keys; matmul and elementwise get contiguous block
-/// splits. Already-marked operators are left alone, so re-planning an
-/// iterating body never double-wraps.
-#[cfg(test)]
-fn parallelize_fragment(plan: &Plan, parts: usize) -> Plan {
-    parallelize_fragment_with(plan, parts, &|_, _| None)
-}
-
-/// [`parallelize_fragment`] with a statistics hook: `ndv(input, key)`
-/// returns the distinct-value estimate for a hash key over `input`'s base
-/// scans, and hash exchanges are capped at `min(workers, max(1, ndv))` —
-/// partitions beyond the key's cardinality would sit empty while still
-/// paying the Exchange/Merge plumbing. Block splits (matmul, elementwise)
-/// are row-range based and always use the full worker count.
-fn parallelize_fragment_with(
-    plan: &Plan,
-    parts: usize,
-    ndv: &dyn Fn(&Plan, &str) -> Option<usize>,
-) -> Plan {
-    let is_exchange = |p: &Plan| matches!(p, Plan::Exchange { .. });
-    let capped = |estimate: Option<usize>| match estimate {
-        Some(n) => parts.min(n.max(1)),
-        None => parts,
-    };
-    plan.transform_up(&|node| match node {
-        Plan::Join {
-            left,
-            right,
-            on,
-            join_type,
-            suffix,
-        } if !is_exchange(&left) && !is_exchange(&right) => {
-            let (lkey, rkey) = match on.first() {
-                Some((l, r)) => (Some(l.clone()), Some(r.clone())),
-                None => (None, None),
-            };
-            // Both sides of a hash join must agree on the partition
-            // count; the richer side's NDV bounds the useful number.
-            let estimate = match (&lkey, &rkey) {
-                (Some(l), Some(r)) => match (ndv(&left, l), ndv(&right, r)) {
-                    (Some(a), Some(b)) => Some(a.max(b)),
-                    (one, other) => one.or(other),
-                },
-                _ => None,
-            };
-            let parts = capped(estimate);
-            Plan::Merge {
-                input: Box::new(Plan::Join {
-                    left: Box::new(Plan::Exchange {
-                        input: left,
-                        parts,
-                        key: lkey,
-                    }),
-                    right: Box::new(Plan::Exchange {
-                        input: right,
-                        parts,
-                        key: rkey,
-                    }),
-                    on,
-                    join_type,
-                    suffix,
-                }),
-            }
-        }
-        Plan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } if !group_by.is_empty() && !is_exchange(&input) => {
-            let parts = capped(ndv(&input, &group_by[0]));
-            let key = Some(group_by[0].clone());
-            Plan::Merge {
-                input: Box::new(Plan::Aggregate {
-                    input: Box::new(Plan::Exchange { input, parts, key }),
-                    group_by,
-                    aggs,
-                }),
-            }
-        }
-        Plan::MatMul { left, right } if !is_exchange(&left) => Plan::Merge {
-            input: Box::new(Plan::MatMul {
-                left: Box::new(Plan::Exchange {
-                    input: left,
-                    parts,
-                    key: None,
-                }),
-                right,
-            }),
-        },
-        Plan::ElemWise { op, left, right } if !is_exchange(&left) && !is_exchange(&right) => {
-            Plan::Merge {
-                input: Box::new(Plan::ElemWise {
-                    op,
-                    left: Box::new(Plan::Exchange {
-                        input: left,
-                        parts,
-                        key: None,
-                    }),
-                    right: Box::new(Plan::Exchange {
-                        input: right,
-                        parts,
-                        key: None,
-                    }),
-                }),
-            }
-        }
-        other => other,
-    })
 }
 
 #[cfg(test)]
@@ -834,9 +758,9 @@ mod tests {
             sites: vec![],
         };
 
-        // Measured cheap: 2 rows at ~10ns/row is far below the
-        // Exchange/Merge overhead, so the calibrated planner keeps the
-        // fragment sequential where the static one would mark it.
+        // Measured cheap: 2 rows at ~10ns/row is far below the split
+        // overhead, so the calibrated planner keeps the fragment at a
+        // width of one where the static one would partition it.
         let cheap = bda_obs::profile::CostBook::new(1);
         cheap.observe(&op_profile(20));
         let gated = Planner::new(&r)
@@ -844,61 +768,39 @@ mod tests {
             .with_costs(Some(cheap))
             .place(&plan)
             .unwrap();
-        assert_eq!(marker_counts(&gated.root().plan), (0, 0), "not worth it");
+        assert_eq!(gated.root().parts, 1, "not worth it");
 
-        // Measured expensive: the markers come back.
+        // Measured expensive: the full width comes back.
         let heavy = bda_obs::profile::CostBook::new(1);
         heavy.observe(&op_profile(1_000_000_000));
-        let marked = Planner::new(&r)
+        let wide = Planner::new(&r)
             .with_workers(4)
             .with_costs(Some(heavy))
             .place(&plan)
             .unwrap();
-        assert_eq!(marker_counts(&marked.root().plan), (3, 2));
-    }
-
-    /// Count Exchange and Merge markers in a plan.
-    fn marker_counts(plan: &Plan) -> (usize, usize) {
-        let ops = plan.op_kinds();
-        (
-            ops.iter().filter(|k| **k == OpKind::Exchange).count(),
-            ops.iter().filter(|k| **k == OpKind::Merge).count(),
-        )
+        assert_eq!(wide.root().parts, 4);
     }
 
     #[test]
-    fn parallel_planner_adds_markers_for_capable_sites() {
+    fn parallel_planner_sets_a_width_and_leaves_the_plan_alone() {
         let r = registry();
         let schema = r.schema_of("sales").unwrap();
         let scan = Plan::scan("sales", schema);
         let plan = scan
             .clone()
-            .join(scan, vec![("k", "k")])
+            .join(scan.clone(), vec![("k", "k")])
             .aggregate(vec!["k"], vec![bda_core::AggExpr::count_star("n")]);
 
         let seq = Planner::new(&r).place(&plan).unwrap();
-        assert_eq!(
-            marker_counts(&seq.root().plan),
-            (0, 0),
-            "workers=1: no markers"
-        );
-
+        assert_eq!(seq.root().parts, 1, "workers=1");
         let par = Planner::new(&r).with_workers(4).place(&plan).unwrap();
-        let (ex, mg) = marker_counts(&par.root().plan);
-        assert_eq!(mg, 2, "join and grouped aggregate each merged");
-        assert_eq!(ex, 3, "two join inputs + one aggregate input exchanged");
-        // Markers carry the worker count as the partition count.
-        let mut seen_parts = Vec::new();
-        fn walk(p: &Plan, out: &mut Vec<usize>) {
-            if let Plan::Exchange { parts, .. } = p {
-                out.push(*parts);
-            }
-            for c in p.children() {
-                walk(c, out);
-            }
-        }
-        walk(&par.root().plan, &mut seen_parts);
-        assert!(seen_parts.iter().all(|p| *p == 4), "{seen_parts:?}");
+        assert_eq!(par.root().parts, 4, "the worker count is the width");
+        assert_eq!(par.root().plan, seq.root().plan, "no plan node is added");
+
+        // Nothing to partition: a filter runs at a width of one.
+        let cold = scan.select(col("v").gt(lit(1.0)));
+        let placed = Planner::new(&r).with_workers(4).place(&cold).unwrap();
+        assert_eq!(placed.root().parts, 1);
     }
 
     #[test]
@@ -912,97 +814,54 @@ mod tests {
             .clone()
             .join(scan, vec![("k", "k")])
             .aggregate(vec!["k"], vec![bda_core::AggExpr::count_star("n")]);
-        fn exchange_parts(p: &Plan, out: &mut Vec<usize>) {
-            if let Plan::Exchange { parts, .. } = p {
-                out.push(*parts);
-            }
-            for c in p.children() {
-                exchange_parts(c, out);
-            }
-        }
         let plain = Planner::new(&r).with_workers(4).place(&plan).unwrap();
-        let mut parts = Vec::new();
-        exchange_parts(&plain.root().plan, &mut parts);
-        assert!(parts.iter().all(|p| *p == 4), "{parts:?}");
-
+        assert_eq!(plain.root().parts, 4);
         let capped = Planner::new(&r)
             .with_workers(4)
             .with_stats(true)
             .place(&plan)
             .unwrap();
-        parts.clear();
-        exchange_parts(&capped.root().plan, &mut parts);
-        assert_eq!(parts.len(), 3, "two join inputs + one aggregate input");
-        assert!(parts.iter().all(|p| *p == 2), "NDV caps parts: {parts:?}");
+        assert_eq!(capped.root().parts, 2, "NDV caps the width");
     }
 
     #[test]
-    fn parallel_planner_does_not_double_wrap() {
+    fn block_split_operators_and_the_app_site_are_not_capped_by_stats() {
+        // A matmul splits row bands, not keys: no NDV bounds its width,
+        // and the relational fragment that only scans runs at one.
         let r = registry();
-        let schema = r.schema_of("sales").unwrap();
-        let scan = Plan::scan("sales", schema);
-        let plan = scan.clone().join(scan, vec![("k", "k")]);
-        let once = Planner::new(&r).with_workers(3).place(&plan).unwrap();
-        // Re-parallelizing an already-marked plan is a no-op (this is what
-        // happens when an iterating body is re-placed every round).
-        let again = parallelize_fragment(&once.root().plan, 3);
-        assert_eq!(
-            marker_counts(&again),
-            marker_counts(&once.root().plan),
-            "idempotent"
-        );
-    }
+        let plan = Plan::scan("m_rows", r.schema_of("m_rows").unwrap()).matmul(Plan::scan(
+            "m",
+            r.provider("la").unwrap().schema_of("m").unwrap(),
+        ));
+        let placement = Planner::new(&r)
+            .with_workers(4)
+            .with_stats(true)
+            .place(&plan)
+            .unwrap();
+        assert_eq!(placement.fragments[0].site, "rel");
+        assert_eq!(placement.fragments[0].parts, 1);
+        assert_eq!(placement.root().parts, 4);
 
-    #[test]
-    fn parallel_planner_skips_sites_without_markers() {
-        // A provider that runs relational ops but does not advertise
-        // Exchange/Merge keeps its fragments sequential even under a
-        // parallel planner.
-        struct Sequential(RelationalEngine);
-        impl Provider for Sequential {
-            fn name(&self) -> &str {
-                self.0.name()
-            }
-            fn capabilities(&self) -> bda_core::CapabilitySet {
-                let caps = self.0.capabilities();
-                let kept: Vec<OpKind> = OpKind::ALL
-                    .iter()
-                    .copied()
-                    .filter(|k| caps.supports(*k) && *k != OpKind::Exchange && *k != OpKind::Merge)
-                    .collect();
-                bda_core::CapabilitySet::from_ops(&kept)
-            }
-            fn catalog(&self) -> Vec<(String, bda_storage::Schema)> {
-                self.0.catalog()
-            }
-            fn execute(&self, plan: &Plan) -> std::result::Result<DataSet, CoreError> {
-                self.0.execute(plan)
-            }
-            fn store(&self, name: &str, data: DataSet) -> std::result::Result<(), CoreError> {
-                self.0.store(name, data)
-            }
-            fn remove(&self, name: &str) {
-                self.0.remove(name)
-            }
-        }
-        let rel = RelationalEngine::new("seq");
-        rel.store(
-            "sales",
-            DataSet::from_columns(vec![
-                ("k", Column::from(vec![1i64, 2])),
-                ("v", Column::from(vec![1.0f64, 2.0])),
-            ])
-            .unwrap(),
-        )
-        .unwrap();
+        // An app-driven loop runs on the app tier at a width of one.
         let mut r = Registry::new();
-        r.register(Arc::new(Sequential(rel)));
-        let schema = r.schema_of("sales").unwrap();
-        let scan = Plan::scan("sales", schema);
-        let plan = scan.clone().join(scan, vec![("k", "k")]);
+        let la = LinAlgEngine::new("la");
+        la.store("m", matrix_dataset(2, 2, vec![1., 0., 0., 1.]).unwrap())
+            .unwrap();
+        r.register(Arc::new(la));
+        let schema = r.provider("la").unwrap().schema_of("m").unwrap();
+        let plan = Plan::Iterate {
+            init: Plan::scan("m", schema.clone()).boxed(),
+            body: Plan::IterState {
+                schema: schema.clone(),
+            }
+            .matmul(Plan::scan("m", schema))
+            .boxed(),
+            max_iters: 3,
+            epsilon: None,
+        };
         let placement = Planner::new(&r).with_workers(4).place(&plan).unwrap();
-        assert_eq!(placement.root().site, "seq");
-        assert_eq!(marker_counts(&placement.root().plan), (0, 0));
+        assert_eq!(placement.root().site, APP_SITE);
+        assert_eq!(placement.root().parts, 1);
     }
 
     #[test]

@@ -17,17 +17,19 @@
 //!   and [`from_matrix`] wraps a kernel's buffer without a copy. Only
 //!   other layouts are densified through coordinate rows.
 //!
-//! Leaves are the shared [`bda_core::engine`] kernels. A fused
-//! `Merge(op(Exchange..))` arm records the operator's own `op:` span,
-//! splits the left matrix into row bands ([`bands`]) and runs each band
-//! as a traced partition ([`run_partitions`]).
+//! Leaves are the shared [`bda_core::engine`] kernels. `MatMul` and
+//! `ElemWise` run at the pool's width ([`pool::workers`]): wider than
+//! one, they split the left matrix into row bands ([`bands`]) and run
+//! each band as a traced partition ([`run_partitions`]) under the
+//! operator's own `op:` span. Each output row is computed by the same
+//! scalar code at every width, so results are bitwise identical.
 
 use std::collections::BTreeMap;
 
 use bda_core::engine;
 use bda_core::infer::infer_schema;
 use bda_core::partition::bands;
-use bda_core::pool::run_partitions;
+use bda_core::pool::{self, run_partitions};
 use bda_core::provider::trace_op;
 use bda_core::{BinOp, CoreError, Plan};
 use bda_storage::{Bitmap, Chunk, Column, DataSet, DenseChunk, DimBox, Schema};
@@ -137,8 +139,8 @@ fn elemwise_fn(op: BinOp) -> Result<fn(f64, f64) -> f64> {
 
 /// `f(a, b)` cell by cell, under `out_schema` (the left operand's box).
 ///
-/// Operands over one box zip by position, in `parts` row bands when the
-/// plan is partitioned. Otherwise a cell exists only where both boxes
+/// Operands over one box zip by position, in `parts` row bands (one
+/// band at `parts <= 1`). Otherwise a cell exists only where both boxes
 /// hold it, as in the reference evaluator, which joins cells on their
 /// coordinates: the result is a dense chunk over `out_schema`'s box whose
 /// presence bitmap marks the overlap (empty when the boxes are disjoint).
@@ -147,16 +149,13 @@ fn elemwise(
     (a, a_lo): (Matrix, [i64; 2]),
     (b, b_lo): (Matrix, [i64; 2]),
     f: fn(f64, f64) -> f64,
-    parts: Option<usize>,
+    parts: usize,
     out_schema: Schema,
 ) -> Result<DataSet> {
     if a_lo == b_lo && (a.rows(), a.cols()) == (b.rows(), b.cols()) {
-        let m = match parts {
-            Some(parts) => block_parallel(&a, parts, |(s, e)| {
-                a.row_band(s, e).zip_with(&b.row_band(s, e), f)
-            }),
-            None => a.zip_with(&b, f),
-        };
+        let m = block_parallel(a.rows(), parts, |(s, e)| {
+            a.row_band(s, e).zip_with(&b.row_band(s, e), f)
+        });
         return from_matrix(m, out_schema);
     }
     let out_box = schema_box(&out_schema)?;
@@ -208,13 +207,18 @@ fn execute_node(plan: &Plan, matrices: &BTreeMap<String, DataSet>) -> Result<Dat
                     b.rows()
                 )));
             }
-            from_matrix(a.matmul(&b), out_schema)
+            from_matrix(
+                block_parallel(a.rows(), pool::workers(), |(s, e)| {
+                    a.row_band(s, e).matmul(&b)
+                }),
+                out_schema,
+            )
         }
         Plan::ElemWise { op, left, right } => {
             let f = elemwise_fn(*op)?;
             let a = to_matrix(&execute(left, matrices)?)?;
             let b = to_matrix(&execute(right, matrices)?)?;
-            elemwise(a, b, f, None, out_schema)
+            elemwise(a, b, f, pool::workers(), out_schema)
         }
         Plan::Permute { input, .. } => {
             // 2-D permutation is either identity or transpose; the output
@@ -256,63 +260,6 @@ fn execute_node(plan: &Plan, matrices: &BTreeMap<String, DataSet>) -> Result<Dat
             }
             from_matrix(out, out_schema)
         }
-        // A bare Exchange is a planner marker with bag-identity
-        // semantics; the block split happens in the Merge(op(..)) arm.
-        Plan::Exchange { input, .. } => execute(input, matrices),
-        // A fused operator records its own `op:` span around the kernel,
-        // so its `partition:{i}` spans nest under it, not under `op:merge`.
-        Plan::Merge { input } => match input.as_ref() {
-            Plan::MatMul { left, right } if matches!(left.as_ref(), Plan::Exchange { .. }) => {
-                let Plan::Exchange {
-                    input: li, parts, ..
-                } = left.as_ref()
-                else {
-                    unreachable!("guarded by matches!");
-                };
-                let ri = match right.as_ref() {
-                    Plan::Exchange { input, .. } => input.as_ref(),
-                    other => other,
-                };
-                trace_op(input, || {
-                    let (a, _) = to_matrix(&execute(li, matrices)?)?;
-                    let (b, _) = to_matrix(&execute(ri, matrices)?)?;
-                    if a.cols() != b.rows() {
-                        return Err(CoreError::Plan(format!(
-                            "matmul inner dimension mismatch: {} vs {}",
-                            a.cols(),
-                            b.rows()
-                        )));
-                    }
-                    from_matrix(
-                        block_parallel(&a, *parts, |(s, e)| a.row_band(s, e).matmul(&b)),
-                        out_schema,
-                    )
-                })
-            }
-            Plan::ElemWise { op, left, right }
-                if matches!(
-                    (left.as_ref(), right.as_ref()),
-                    (Plan::Exchange { .. }, Plan::Exchange { .. })
-                ) =>
-            {
-                let (
-                    Plan::Exchange {
-                        input: li, parts, ..
-                    },
-                    Plan::Exchange { input: ri, .. },
-                ) = (left.as_ref(), right.as_ref())
-                else {
-                    unreachable!("guarded by matches!");
-                };
-                let f = elemwise_fn(*op)?;
-                trace_op(input, || {
-                    let a = to_matrix(&execute(li, matrices)?)?;
-                    let b = to_matrix(&execute(ri, matrices)?)?;
-                    elemwise(a, b, f, Some(*parts), out_schema)
-                })
-            }
-            _ => execute(input, matrices),
-        },
         other => Err(CoreError::Unsupported {
             provider: "linalg".into(),
             op: other.op_kind().name().into(),
@@ -320,28 +267,34 @@ fn execute_node(plan: &Plan, matrices: &BTreeMap<String, DataSet>) -> Result<Dat
     }
 }
 
-/// Split `a`'s rows into `parts` near-equal bands, run `kernel` on each
-/// band's `[start, end)` as a traced partition ([`run_partitions`]), and
-/// stack the output bands. Because each output row is produced by the
-/// same scalar code on the same inputs as the sequential kernel, the
-/// result is bitwise identical for any partition/worker count.
+/// Split `rows` output rows into `parts` near-equal bands, run `kernel`
+/// on each band's `[start, end)` as a traced partition
+/// ([`run_partitions`]), and stack the output bands. At `parts <= 1` (or
+/// a single row) `kernel` runs once over `[0, rows)` on the calling
+/// thread, with no partition span. Because each output row is produced
+/// by the same scalar code on the same inputs at every width, the result
+/// is bitwise identical.
 fn block_parallel(
-    a: &Matrix,
+    rows: usize,
     parts: usize,
     kernel: impl Fn((usize, usize)) -> Matrix + Sync,
 ) -> Matrix {
+    let parts = parts.min(rows);
+    if parts <= 1 {
+        return kernel((0, rows));
+    }
     let kernel = &kernel;
-    let tasks: Vec<_> = bands(a.rows(), parts.clamp(1, a.rows().max(1)))
+    let tasks: Vec<_> = bands(rows, parts)
         .into_iter()
         .map(|band| move || kernel(band))
         .collect();
     let bands = run_partitions(tasks, |m: &Matrix| Some(m.rows() * m.cols()));
     let cols = bands.first().map(Matrix::cols).unwrap_or(0);
-    let mut data = Vec::with_capacity(a.rows() * cols);
+    let mut data = Vec::with_capacity(rows * cols);
     for band in bands {
         data.extend(band.into_data());
     }
-    Matrix::from_vec(a.rows(), cols, data)
+    Matrix::from_vec(rows, cols, data)
 }
 
 /// Convenience: read a matrix dataset's cell (used in tests/examples).
@@ -430,15 +383,16 @@ mod tests {
         };
         let overlapping = dice(0, 2).elemwise(BinOp::Add, dice(1, 3));
         let disjoint = dice(0, 1).elemwise(BinOp::Add, dice(2, 3));
-        let partitioned = dice(0, 2)
-            .exchange(2, None)
-            .elemwise(BinOp::Add, dice(1, 3).exchange(2, None))
-            .merge();
-        for (plan, cells) in [(overlapping, 2), (disjoint, 0), (partitioned, 2)] {
-            let ours = bda_core::pool::with_workers(4, || execute(&plan, &m)).unwrap();
-            let oracle = evaluate(&plan, &as_hash(&m)).unwrap();
-            assert_eq!(ours.num_rows(), cells, "{plan:?}");
-            assert!(ours.same_bag(&oracle).unwrap(), "{plan:?}");
+        for (plan, cells) in [(overlapping, 2), (disjoint, 0)] {
+            for workers in [1, 4] {
+                let ours = pool::with_workers(workers, || execute(&plan, &m)).unwrap();
+                let oracle = evaluate(&plan, &as_hash(&m)).unwrap();
+                assert_eq!(ours.num_rows(), cells, "{plan:?} workers={workers}");
+                assert!(
+                    ours.same_bag(&oracle).unwrap(),
+                    "{plan:?} workers={workers}"
+                );
+            }
         }
         // Only row 1 is in both operands: (3 + 3, 4 + 4).
         let ours = execute(&dice(0, 2).elemwise(BinOp::Add, dice(1, 3)), &m).unwrap();
@@ -467,19 +421,13 @@ mod tests {
         let m = mats();
         let scan_a = Plan::scan("a", m["a"].schema().clone());
         let scan_b = Plan::scan("b", m["b"].schema().clone());
-        let seq = execute(&scan_a.clone().matmul(scan_b.clone()), &m).unwrap();
-        for parts in [1, 2, 3, 7] {
-            let plan = scan_a
-                .clone()
-                .exchange(parts, None)
-                .matmul(scan_b.clone())
-                .merge();
-            for workers in [1, 4] {
-                let par = bda_core::pool::with_workers(workers, || execute(&plan, &m)).unwrap();
-                let (ms, _) = to_matrix(&seq).unwrap();
-                let (mp, _) = to_matrix(&par).unwrap();
-                assert_eq!(ms.data(), mp.data(), "parts={parts} workers={workers}");
-            }
+        let plan = scan_a.matmul(scan_b);
+        let seq = pool::with_workers(1, || execute(&plan, &m)).unwrap();
+        let (ms, _) = to_matrix(&seq).unwrap();
+        for workers in [2, 3, 7] {
+            let par = pool::with_workers(workers, || execute(&plan, &m)).unwrap();
+            let (mp, _) = to_matrix(&par).unwrap();
+            assert_eq!(ms.data(), mp.data(), "workers={workers}");
         }
     }
 
@@ -487,25 +435,12 @@ mod tests {
     fn partitioned_elemwise_matches_sequential() {
         let m = mats();
         let scan_a = Plan::scan("a", m["a"].schema().clone());
-        let seq = execute(&scan_a.clone().elemwise(BinOp::Mul, scan_a.clone()), &m).unwrap();
-        let plan = scan_a
-            .clone()
-            .exchange(2, None)
-            .elemwise(BinOp::Mul, scan_a.exchange(2, None))
-            .merge();
-        let par = bda_core::pool::with_workers(4, || execute(&plan, &m)).unwrap();
+        let plan = scan_a.clone().elemwise(BinOp::Mul, scan_a);
+        let seq = pool::with_workers(1, || execute(&plan, &m)).unwrap();
+        let par = pool::with_workers(2, || execute(&plan, &m)).unwrap();
         let (ms, _) = to_matrix(&seq).unwrap();
         let (mp, _) = to_matrix(&par).unwrap();
         assert_eq!(ms.data(), mp.data());
-    }
-
-    #[test]
-    fn bare_markers_are_identity() {
-        let m = mats();
-        let scan_a = Plan::scan("a", m["a"].schema().clone());
-        let plain = execute(&scan_a, &m).unwrap();
-        let marked = execute(&scan_a.clone().exchange(4, None).merge(), &m).unwrap();
-        assert!(plain.same_bag(&marked).unwrap());
     }
 
     #[test]

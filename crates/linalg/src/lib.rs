@@ -9,8 +9,8 @@
 //!
 //! Capabilities: `Scan`, `Values` (an inlined literal, e.g. the state of an
 //! app-driven iteration round), `MatMul`, `ElemWise`, `Permute` (transpose),
-//! `Dice` (submatrix), and the `Exchange`/`Merge` partition markers, which
-//! split `MatMul` and `ElemWise` into row bands run on the worker pool.
+//! `Dice` (submatrix). `MatMul` and `ElemWise` split into row bands on
+//! the worker pool at the pool's width ([`bda_core::pool::workers`]).
 //! Nothing relational — a plan that needs filters or joins must involve
 //! another server, which in turn exercises multi-server planning
 //! (desideratum 4).
@@ -52,10 +52,6 @@ impl LinAlgEngine {
             OpKind::ElemWise,
             OpKind::Permute,
             OpKind::Dice,
-            // Partition-parallel execution: advertising Exchange/Merge
-            // tells the planner this engine runs block-split kernels.
-            OpKind::Exchange,
-            OpKind::Merge,
         ])
     }
 }

@@ -5,6 +5,7 @@
 //! BLAS-1/2/3 routines the experiments need. This is the stand-in for
 //! ScaLAPACK in the paper's SciDB + ScaLAPACK multi-server example.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A dense row-major `f64` matrix.
@@ -66,13 +67,17 @@ impl Matrix {
     }
 
     /// Rows `[start, end)` as their own matrix. Row-major storage makes
-    /// the band one contiguous slice, so block-split kernels copy once.
-    pub fn row_band(&self, start: usize, end: usize) -> Matrix {
-        Matrix::from_vec(
+    /// the band one contiguous slice, so block-split kernels copy once;
+    /// the band of every row borrows `self` and copies nothing.
+    pub fn row_band(&self, start: usize, end: usize) -> Cow<'_, Matrix> {
+        if (start, end) == (0, self.rows) {
+            return Cow::Borrowed(self);
+        }
+        Cow::Owned(Matrix::from_vec(
             end - start,
             self.cols,
             self.data[start * self.cols..end * self.cols].to_vec(),
-        )
+        ))
     }
 
     /// Element (i, j).

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bda_core::codec::{decode_expr, decode_plan, encode_expr, encode_plan};
-use bda_core::{lit, CapabilitySet, CoreError, Plan, Provider, ReferenceProvider};
+use bda_core::{lit, AggExpr, CapabilitySet, CoreError, Plan, Provider, ReferenceProvider};
 use bda_net::{serve, serve_with_faults, NetFaults, RemoteOptions, RemoteProvider, RetryPolicy};
 use bda_storage::wire::{Reader, Writer, MAX_NESTING};
 use bda_storage::{Column, DataSet, Schema};
@@ -326,6 +326,85 @@ fn oversized_range_gets_an_error_reply_and_the_server_keeps_serving() {
     }
     let remote = RemoteProvider::connect_with(server.addr().to_string(), fast_opts()).unwrap();
     assert_eq!(remote.name(), "rel", "Hello still answered");
+}
+
+/// `exchange(scan t, parts, key k)` in the encoding the retired
+/// partition marker had (plan tag 24, a u64 partition count, an optional
+/// key name, the input), spliced from bytes the current encoder writes.
+fn retired_exchange_plan(parts: u64) -> Vec<u8> {
+    let scan = encode_plan(&Plan::scan("t", sample().schema().clone()));
+    let mut head = Writer::new();
+    head.u8(24);
+    head.u64(parts);
+    head.opt(Some("k"), Writer::str);
+    // Magic, then the marker head, then the scan node.
+    let mut bytes = scan[..4].to_vec();
+    bytes.extend_from_slice(&head.into_vec());
+    bytes.extend_from_slice(&scan[4..]);
+    bytes
+}
+
+/// `merge(aggregate(exchange(scan t, parts, key k)))`: the retired
+/// merge marker (plan tag 25) over a grouped aggregate of the above.
+fn retired_merge_plan(parts: u64) -> Vec<u8> {
+    let scan = Plan::scan("t", sample().schema().clone());
+    let scan_node = encode_plan(&scan).len() - 4;
+    let agg = encode_plan(&scan.aggregate(vec!["k"], vec![AggExpr::count_star("n")]));
+    // Magic, the merge tag, the aggregate up to its input, the exchange.
+    let mut bytes = agg[..4].to_vec();
+    bytes.push(25);
+    bytes.extend_from_slice(&agg[4..agg.len() - scan_node]);
+    bytes.extend_from_slice(&retired_exchange_plan(parts)[4..]);
+    bytes
+}
+
+/// Plan tags 24 and 25 once carried the exchange and merge partition
+/// markers, whose partition count came straight off the wire: an
+/// `Execute` asking for 2^40 partitions made the relational engine
+/// allocate 2^40 buckets and aborted the process. Both tags are now
+/// unknown, so that frame gets an error reply and the handler keeps
+/// answering; `decode_plan` names the refused tag.
+#[test]
+fn retired_partition_marker_tags_are_refused() {
+    use bda_net::proto::kind;
+    use bda_net::{RequestHandler, Response};
+
+    let engine = Arc::new(bda_relational::RelationalEngine::new("rel"));
+    engine.store("t", sample()).unwrap();
+    let handler = RequestHandler::new(engine, bda_obs::MetricsHub::new(), None).unwrap();
+    let execute = |plan: &[u8]| {
+        let payload = execute_payload(plan);
+        handler.handle_frame(kind::EXECUTE, &payload, payload.len() as u64)
+    };
+    match execute(&retired_merge_plan(1 << 40)) {
+        Response::Error { msg, transient } => {
+            assert!(msg.contains("bad plan tag 25"), "{msg}");
+            assert!(!transient);
+        }
+        other => panic!("expected an error response, got {other:?}"),
+    }
+    assert!(matches!(
+        handler.handle_frame(kind::HELLO, &[], 0),
+        Response::Hello { .. }
+    ));
+    let scan = Plan::scan("t", sample().schema().clone());
+    let agg = scan.aggregate(vec!["k"], vec![AggExpr::count_star("n")]);
+    match execute(&encode_plan(&agg)) {
+        Response::DataSet(out) => assert_eq!(out.num_rows(), 3),
+        other => panic!("expected a dataset, got {other:?}"),
+    }
+
+    for (tag, bytes) in [
+        (24, retired_exchange_plan(1 << 40)),
+        (25, retired_merge_plan(1 << 40)),
+        (24, retired_exchange_plan(2)),
+    ] {
+        let err = decode_plan(&bytes).unwrap_err();
+        assert!(
+            err.to_string().contains(&format!("bad plan tag {tag}")),
+            "{err}"
+        );
+    }
 }
 
 /// A server that drops and truncates every response produces clean

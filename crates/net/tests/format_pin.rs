@@ -115,19 +115,15 @@ fn small_schema() -> Schema {
     .unwrap()
 }
 
-/// A plan using every expression tag, under the `Exchange`/`Merge`
-/// partition markers.
-fn marker_plan() -> Plan {
+/// A plan using every expression tag.
+fn predicate_plan() -> Plan {
     let predicate = Expr::Case {
         branches: vec![(col("v").gt(lit(0.5)), lit("hi"))],
         otherwise: Some(Box::new(Expr::Coalesce(vec![col("s"), null()]))),
     }
     .eq(lit("hi"))
     .and(col("i").cast(DataType::Float64).neg().lt(lit(2.0)).not());
-    Plan::scan("t", small_schema())
-        .select(predicate)
-        .exchange(4, Some("i"))
-        .merge()
+    Plan::scan("t", small_schema()).select(predicate)
 }
 
 /// A plan using every plan tag (it need not type-check to encode).
@@ -227,8 +223,6 @@ fn every_node_plan() -> Plan {
         .union(t().matmul(t()).elemwise(BinOp::Mul, t()))
         .union(graph)
         .union(iterate)
-        .exchange(2, None)
-        .merge()
 }
 
 fn spans() -> Vec<Span> {
@@ -288,8 +282,8 @@ fn dataset_bytes_are_pinned() {
 #[test]
 fn plan_bytes_are_pinned() {
     for (what, plan, want) in [
-        ("marker plan", marker_plan(), (160, 0x0f08_6f9d)),
-        ("every-node plan", every_node_plan(), (1161, 0xbff1_90e0)),
+        ("predicate plan", predicate_plan(), (144, 0x7fc8_72e0)),
+        ("every-node plan", every_node_plan(), (1150, 0x633b_a8a1)),
     ] {
         let bytes = encode_plan(&plan);
         pin(what, &bytes, want);
@@ -299,7 +293,7 @@ fn plan_bytes_are_pinned() {
 
 #[test]
 fn request_bytes_are_pinned() {
-    let plan = marker_plan();
+    let plan = predicate_plan();
     let wrapped = |inner: Request| Request::Pipelined {
         tag: 0xFEED_0000_0000_BEEF,
         inner: Box::new(Request::Tenant {
@@ -312,14 +306,14 @@ fn request_bytes_are_pinned() {
     };
     let requests = [
         (Request::Hello, (0, 0)),
-        (Request::Execute { plan: plan.clone() }, (164, 0x4285_b57e)),
+        (Request::Execute { plan: plan.clone() }, (148, 0x5f52_7266)),
         (
             Request::ExecutePush {
                 dest_addr: "127.0.0.1:7401".into(),
                 dest_name: "__bda_frag_0".into(),
                 plan: plan.clone(),
             },
-            (198, 0x2174_c38b),
+            (182, 0x4a77_c837),
         ),
         (
             Request::Store {
@@ -345,7 +339,7 @@ fn request_bytes_are_pinned() {
                 trace_id: 7,
                 inner: Box::new(Request::Execute { plan: plan.clone() }),
             },
-            (177, 0x8801_1dcb),
+            (161, 0x6d25_8daf),
         ),
         (
             Request::Tenant {
@@ -361,7 +355,7 @@ fn request_bytes_are_pinned() {
             },
             (13, 0xb581_65da),
         ),
-        (wrapped(Request::Execute { plan }), (203, 0x030b_4adb)),
+        (wrapped(Request::Execute { plan }), (187, 0xf9e0_a04a)),
     ];
     for (req, want) in requests {
         let (kind, payload) = encode_request(&req);
@@ -385,7 +379,7 @@ fn response_bytes_are_pinned() {
                 name: "rel".into(),
                 capabilities: CapabilitySet::all_base(),
             },
-            (208, 0x9a8a_6cdd),
+            (187, 0x7cf8_e007),
         ),
         (Response::DataSet(dataset()), (589, 0xa564_2581)),
         (Response::Ack, (0, 0)),

@@ -3,8 +3,9 @@
 //! Leaves and the scalar relational core (select / project / aggregate /
 //! union / distinct / limit) are the shared [`bda_core::engine`] kernels;
 //! this module adds statistics-driven selection, joins, sort, dimension
-//! retagging and `Dice` over the coordinate list, control iteration, and
-//! the partition-fused `Merge(op(Exchange..))` arms.
+//! retagging and `Dice` over the coordinate list, and control iteration.
+//! `Join` and grouped `Aggregate` run partition-parallel at the pool's
+//! width ([`pool::workers`]); see [`crate::parallel`].
 
 use std::collections::BTreeMap;
 
@@ -13,13 +14,10 @@ use bda_core::engine;
 use bda_core::eval::eval_chunk;
 use bda_core::infer::infer_schema;
 use bda_core::provider::trace_op;
-use bda_core::{CoreError, Plan};
+use bda_core::{pool, CoreError, Plan};
 use bda_storage::{Chunk, DataSet, RowsChunk, Schema, Value};
 
-use crate::join::hash_join;
-use crate::parallel::{
-    merge_aggregate_pattern, merge_join_pattern, partitioned_aggregate, partitioned_hash_join,
-};
+use crate::parallel::{partitioned_aggregate, partitioned_hash_join};
 use crate::sort::sort_exec;
 
 /// Result alias.
@@ -72,13 +70,19 @@ fn execute_node(
         } => {
             let l = execute(left, tables, state)?;
             let r = execute(right, tables, state)?;
-            hash_join(&l, &r, on, *join_type, out_schema)
+            partitioned_hash_join(&l, &r, on, *join_type, pool::workers(), out_schema)
         }
         Plan::Aggregate {
             input,
             group_by,
             aggs,
-        } => engine::aggregate(&execute(input, tables, state)?, group_by, aggs, out_schema),
+        } => partitioned_aggregate(
+            &execute(input, tables, state)?,
+            group_by,
+            aggs,
+            pool::workers(),
+            out_schema,
+        ),
         Plan::Union { left, right } => engine::union(
             &execute(left, tables, state)?,
             &execute(right, tables, state)?,
@@ -124,28 +128,6 @@ fn execute_node(
                 out_schema,
                 vec![Chunk::Rows(chunk.filter(&mask))],
             ))
-        }
-        // A bare Exchange is a planner marker with bag-identity
-        // semantics: the partition routing happens inside the matching
-        // Merge(op(Exchange..)) kernel, not here.
-        Plan::Exchange { input, .. } => execute(input, tables, state),
-        // A fused operator records its own `op:` span around the kernel,
-        // so its `partition:{i}` spans nest under it, not under `op:merge`.
-        Plan::Merge { input } => {
-            if let Some((li, ri, on, join_type, parts)) = merge_join_pattern(input) {
-                trace_op(input, || {
-                    let l = execute(li, tables, state)?;
-                    let r = execute(ri, tables, state)?;
-                    partitioned_hash_join(&l, &r, on, join_type, parts, out_schema)
-                })
-            } else if let Some((ei, group_by, aggs, parts)) = merge_aggregate_pattern(input) {
-                trace_op(input, || {
-                    let in_ds = execute(ei, tables, state)?;
-                    partitioned_aggregate(&in_ds, group_by, aggs, parts, out_schema)
-                })
-            } else {
-                execute(input, tables, state)
-            }
         }
         Plan::Iterate {
             init,

@@ -101,10 +101,6 @@ impl RelationalEngine {
             OpKind::TagDims,
             OpKind::UntagDims,
             OpKind::Iterate,
-            // Partition-parallel execution: advertising Exchange/Merge
-            // tells the planner this engine runs partitioned kernels.
-            OpKind::Exchange,
-            OpKind::Merge,
         ])
     }
 

@@ -1,76 +1,25 @@
 //! Partition-parallel relational kernels.
 //!
-//! These run when the planner wraps an operator in explicit
-//! `Merge(op(Exchange(..)))` markers: the `Exchange` carries the
-//! partition count, the engine routes rows with the deterministic
-//! [`Partitioner`], runs the per-partition kernel on the worker pool,
-//! and concatenates the outputs **in partition order**. The output is a
-//! pure function of the input and the partition count — never of the
-//! worker count — so results are byte-identical under any parallelism.
+//! The engine's `Join` and grouped `Aggregate` arms call these with the
+//! pool's width ([`pool::workers`]). At a width of one they run the
+//! sequential kernel: no split, no copy, no partition span. Wider, they
+//! route rows with the deterministic [`Partitioner`], run the
+//! per-partition kernel on the worker pool, and concatenate the outputs
+//! **in partition order**. The output is a pure function of the input
+//! and the width, so results are bag-identical across widths and
+//! byte-identical at a fixed width.
 //!
 //! The partitions run through [`pool::run_partitions`], which records a
-//! `partition:{i}` span each under the fused operator's `op:` span, so
+//! `partition:{i}` span each under the operator's own `op:` span, so
 //! `EXPLAIN ANALYZE` shows the parallel fan-out per operator.
 
 use bda_core::engine::aggregate;
 use bda_core::partition::{merge_partitions, Partitioner};
-use bda_core::{pool, AggExpr, JoinType, Plan};
+use bda_core::{pool, AggExpr, JoinType};
 use bda_storage::{DataSet, Schema};
 
 use crate::exec::Result;
 use crate::join::hash_join;
-
-/// The pieces of a matched partitioned join: both inputs, the join
-/// keys, the join type, and the partition count.
-pub type JoinPattern<'a> = (&'a Plan, &'a Plan, &'a [(String, String)], JoinType, usize);
-
-/// Match a `Merge(Join(Exchange(l), Exchange(r)))` pattern, returning
-/// the join parameters and the partition count.
-pub fn merge_join_pattern(merged: &Plan) -> Option<JoinPattern<'_>> {
-    let Plan::Join {
-        left,
-        right,
-        on,
-        join_type,
-        ..
-    } = merged
-    else {
-        return None;
-    };
-    let (
-        Plan::Exchange {
-            input: li, parts, ..
-        },
-        Plan::Exchange { input: ri, .. },
-    ) = (left.as_ref(), right.as_ref())
-    else {
-        return None;
-    };
-    Some((li, ri, on, *join_type, *parts))
-}
-
-/// Match a `Merge(Aggregate(Exchange(in)))` pattern with a non-empty
-/// group-by (global aggregates are not partitionable this way).
-pub fn merge_aggregate_pattern(merged: &Plan) -> Option<(&Plan, &[String], &[AggExpr], usize)> {
-    let Plan::Aggregate {
-        input,
-        group_by,
-        aggs,
-    } = merged
-    else {
-        return None;
-    };
-    if group_by.is_empty() {
-        return None;
-    }
-    let Plan::Exchange {
-        input: ei, parts, ..
-    } = input.as_ref()
-    else {
-        return None;
-    };
-    Some((ei, group_by, aggs, *parts))
-}
 
 /// Run per-partition kernels as traced partitions and concatenate the
 /// outputs in partition order.
@@ -85,7 +34,8 @@ fn run_partitioned(
 }
 
 /// Hash-partitioned join: co-partition both sides on the join keys,
-/// join each bucket independently, concatenate.
+/// join each bucket independently, concatenate. With `parts <= 1` this
+/// is the sequential [`hash_join`].
 ///
 /// With an empty `on` list (cross join) the left side is block-split and
 /// the right side broadcast — correct for every join type because row
@@ -98,7 +48,9 @@ pub fn partitioned_hash_join(
     parts: usize,
     out_schema: Schema,
 ) -> Result<DataSet> {
-    let parts = parts.max(1);
+    if parts <= 1 {
+        return hash_join(left, right, on, join_type, out_schema);
+    }
     let (l_parts, r_parts): (Vec<DataSet>, Vec<DataSet>) = if on.is_empty() {
         let l = Partitioner::block(parts).split(left)?;
         let r = vec![right.clone(); parts];
@@ -124,7 +76,9 @@ pub fn partitioned_hash_join(
 /// Hash-partitioned grouped aggregation: partition on the group keys (so
 /// each group lives wholly inside one partition), aggregate each
 /// partition independently, concatenate. No partial-aggregate merge is
-/// needed because groups never straddle partitions.
+/// needed because groups never straddle partitions. With `parts <= 1`,
+/// or no group keys (a global aggregate), this is the sequential
+/// [`aggregate`].
 pub fn partitioned_aggregate(
     input: &DataSet,
     group_by: &[String],
@@ -132,7 +86,9 @@ pub fn partitioned_aggregate(
     parts: usize,
     out_schema: Schema,
 ) -> Result<DataSet> {
-    let parts = parts.max(1);
+    if parts <= 1 || group_by.is_empty() {
+        return aggregate(input, group_by, aggs, out_schema);
+    }
     let keys: Vec<&str> = group_by.iter().map(String::as_str).collect();
     let in_parts = Partitioner::hash_keys(&keys, parts).split(input)?;
     let tasks: Vec<_> = in_parts

@@ -224,7 +224,7 @@ proptest! {
 // ---------------------------------------------------------------------------
 // The linear-algebra engine against the oracle: random dense matrices, random
 // plans over scan/matmul/elemwise/permute/dice (diced operands shift the box
-// origins), run both plain and with partition markers on four workers.
+// origins), run both at one worker and split into 1–4 row bands.
 
 /// Side of every stored matrix.
 const M: usize = 5;
@@ -350,21 +350,6 @@ fn arb_matrix_plan() -> impl Strategy<Value = Plan> {
     FnStrategy::new(|rng: &mut TestRng| gen_matrix_plan(rng, 3))
 }
 
-/// `plan` with every matmul and elemwise split into `parts` row bands.
-fn with_markers(plan: &Plan, parts: usize) -> Plan {
-    plan.transform_up(&|p| match p {
-        Plan::MatMul { left, right } => left
-            .exchange(parts, None)
-            .matmul(right.exchange(parts, None))
-            .merge(),
-        Plan::ElemWise { op, left, right } => left
-            .exchange(parts, None)
-            .elemwise(op, right.exchange(parts, None))
-            .merge(),
-        other => other,
-    })
-}
-
 /// The oracle's reading of `plan` under the linear-algebra convention that
 /// an absent cell reads as `0.0`: an elemwise result over partly overlapping
 /// boxes holds only the overlap, so wherever another operator consumes one,
@@ -400,10 +385,10 @@ proptest! {
         }
         let data = src(&[("a", &a), ("b", &b), ("c", &c)]);
         let oracle = evaluate(&zero_filled_operands(&plan), &data).unwrap();
-        let plain = engine.execute(&plan).unwrap();
+        let plain = pool::with_workers(1, || engine.execute(&plan)).unwrap();
         prop_assert!(approx_same(&plain, &oracle), "plan:\n{}", plan);
-        let marked = with_markers(&plan, parts);
-        let split = pool::with_workers(4, || engine.execute(&marked)).unwrap();
-        prop_assert!(approx_same(&split, &oracle), "plan:\n{}", marked);
+        // Every matmul and elemwise split into `parts` row bands.
+        let split = pool::with_workers(parts, || engine.execute(&plan)).unwrap();
+        prop_assert!(approx_same(&split, &oracle), "parts={} plan:\n{}", parts, plan);
     }
 }

@@ -1,8 +1,7 @@
 //! Differential and determinism properties for partition-parallel
 //! execution: every seeded random plan must produce the same bag of rows
 //! whether the federation runs it sequentially or with 2, 4, or 7
-//! workers (and with explicit `exchange`/`merge` markers at arbitrary
-//! partition counts), always agreeing with the reference evaluator. A
+//! workers, always agreeing with the reference evaluator. A
 //! maximally parallel run repeated with the same seed must be
 //! byte-identical after canonical ordering, with identical metrics. F8
 //! counts how many independent fragments the pool keeps in flight at
@@ -201,29 +200,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Explicit `exchange`/`merge` markers at arbitrary partition counts
-    /// are bag-identity regardless of how many workers run them — even
-    /// when `parts` exceeds, divides, or is coprime to the worker count.
-    #[test]
-    fn explicit_partition_markers_are_bag_identity(
-        ds in arb_table(),
-        plan in arb_pipeline(),
-        parts in 1usize..9,
-        keyed in any::<bool>(),
-    ) {
-        let key = if keyed { Some("k") } else { None };
-        let marked = plan.clone().exchange(parts, key).merge();
-        let fed = federation_with(&ds);
-        let expected = evaluate(&plan, &oracle_src(&ds)).unwrap();
-        for workers in [1, 4] {
-            let (out, _) = run_with_workers(&fed, &marked, workers);
-            prop_assert!(
-                out.same_bag(&expected).unwrap(),
-                "parts={} workers={} broke identity on plan:\n{}", parts, workers, marked
-            );
-        }
-    }
-
     /// Grouped aggregation — the other partitioned relational kernel —
     /// agrees with the reference across the worker sweep.
     #[test]
@@ -267,9 +243,10 @@ proptest! {
             "metrics diverged between identical runs on plan:\n{}", plan
         );
         // And the parallel run's canonical bytes match the sequential
-        // ones. (Metrics legitimately differ from sequential: the marked
-        // plan ships more nodes and chunked transfers — only the *rows*
-        // must agree across modes; metrics must agree across reruns.)
+        // ones. (Metrics legitimately differ from sequential: partitioned
+        // kernels return one chunk per partition, so transfers are
+        // chunked differently — only the *rows* must agree across modes;
+        // metrics must agree across reruns.)
         let (seq, _) = run_with_workers(&fed, &plan, 1);
         prop_assert_eq!(canonical_bytes(&seq), canonical_bytes(&out_a));
     }
@@ -458,7 +435,8 @@ fn one_worker_runs_every_fragment_on_the_calling_thread() {
 
 /// Degenerate partition shapes that property shrinking rarely lands on
 /// exactly: empty inputs, a single row, and total key skew (every row in
-/// one hash partition, the rest empty).
+/// one hash partition, the rest empty), under hash-split joins and
+/// aggregates and a block-split cross join.
 #[test]
 fn degenerate_partition_shapes_survive_the_sweep() {
     let empty = DataSet::from_rows(t_schema(), &[]).unwrap();
@@ -491,8 +469,7 @@ fn degenerate_partition_shapes_survive_the_sweep() {
             scan.clone().join(scan.clone(), vec![("k", "k")]),
             scan.clone()
                 .aggregate(vec!["k"], vec![AggExpr::new(AggFunc::Sum, col("v"), "sv")]),
-            scan.clone().exchange(5, Some("k")).merge(),
-            scan.exchange(3, None).merge(),
+            scan.clone().join(scan, vec![]),
         ];
         for plan in &plans {
             let expected = evaluate(plan, &oracle_src(&ds)).unwrap();
@@ -507,10 +484,10 @@ fn degenerate_partition_shapes_survive_the_sweep() {
     }
 }
 
-/// Each partition-fused operator records its own `op:<op>` span around
-/// the kernel, so at four workers its `partition:{i}` spans nest under
-/// that span (itself under `op:merge`) — the shape EXPLAIN ANALYZE's
-/// parallelism table and the calibration book read per operator class.
+/// Each partitioned operator's `partition:{i}` spans nest directly under
+/// its own `op:<op>` span at four workers — the shape EXPLAIN ANALYZE's
+/// parallelism table and the calibration book read per operator class —
+/// and at one worker the operator runs unsplit, with no partition span.
 #[test]
 fn fused_operators_trace_their_partitions_under_their_own_span() {
     use bda::array::ArrayEngine;
@@ -536,48 +513,81 @@ fn fused_operators_trace_their_partitions_under_their_own_span() {
     la.store("m", m.clone()).unwrap();
     arr.store("m", m.clone()).unwrap();
 
-    let t = || Plan::scan("t", t_schema()).exchange(4, Some("k"));
+    let t = || Plan::scan("t", t_schema());
     let mm = || Plan::scan("m", m.schema().clone());
     let cases: [(&dyn Provider, Plan, &str); 4] = [
-        (
-            &la,
-            mm().exchange(4, None).matmul(mm()).merge(),
-            "op:matmul",
-        ),
-        (&rel, t().join(t(), vec![("k", "k")]).merge(), "op:join"),
+        (&la, mm().matmul(mm()), "op:matmul"),
+        (&rel, t().join(t(), vec![("k", "k")]), "op:join"),
         (
             &rel,
-            t().aggregate(vec!["k"], vec![AggExpr::new(AggFunc::Sum, col("v"), "sv")])
-                .merge(),
+            t().aggregate(vec!["k"], vec![AggExpr::new(AggFunc::Sum, col("v"), "sv")]),
             "op:aggregate",
         ),
-        (
-            &arr,
-            mm().exchange(4, None)
-                .elemwise(BinOp::Add, mm().exchange(4, None))
-                .merge(),
-            "op:elemwise",
-        ),
+        (&arr, mm().elemwise(BinOp::Add, mm()), "op:elemwise"),
     ];
     for (engine, plan, op) in cases {
-        let tracer = Tracer::new(0x6);
-        {
-            let _scope = scope::install(&tracer, engine.name(), None);
-            pool::with_workers(4, || engine.execute(&plan)).unwrap();
+        for workers in [1, 4] {
+            let tracer = Tracer::new(0x6);
+            {
+                let _scope = scope::install(&tracer, engine.name(), None);
+                pool::with_workers(workers, || engine.execute(&plan)).unwrap();
+            }
+            let trace = tracer.finish();
+            assert!(
+                trace.spans.iter().all(|s| s.name != "op:merge"),
+                "{op} workers={workers}: {:?}",
+                trace.spans
+            );
+            let parent_name =
+                |id: Option<u64>| id.and_then(|id| trace.span(id)).map(|s| s.name.as_str());
+            let parts: Vec<_> = trace
+                .spans
+                .iter()
+                .filter(|s| s.name.starts_with("partition:"))
+                .collect();
+            if workers == 1 {
+                assert!(parts.is_empty(), "{op}: {:?}", trace.spans);
+                continue;
+            }
+            assert!(parts.len() > 1, "{op}: {:?}", trace.spans);
+            for p in parts {
+                assert_eq!(parent_name(p.parent), Some(op), "{}", p.name);
+            }
         }
-        let trace = tracer.finish();
-        let parent_name =
-            |id: Option<u64>| id.and_then(|id| trace.span(id)).map(|s| s.name.as_str());
-        let parts: Vec<_> = trace
-            .spans
-            .iter()
-            .filter(|s| s.name.starts_with("partition:"))
-            .collect();
-        assert!(parts.len() > 1, "{op}: {:?}", trace.spans);
-        for p in parts {
-            assert_eq!(parent_name(p.parent), Some(op), "{}", p.name);
-            let fused = trace.span(p.parent.unwrap()).unwrap();
-            assert_eq!(parent_name(fused.parent), Some("op:merge"), "{op}");
-        }
+    }
+}
+
+/// The NDV cap is visible end to end: a join on a two-valued key at four
+/// workers runs at `parts=2` in EXPLAIN and shows two `partition:` spans
+/// in EXPLAIN ANALYZE; with statistics off the worker count stands, at
+/// `parts=4` and four spans.
+#[test]
+fn ndv_cap_shows_in_explain_and_in_partition_spans() {
+    let rows: Vec<Row> = (0..40)
+        .map(|i| {
+            Row(vec![
+                Value::Int(i % 2),
+                Value::Float(i as f64),
+                Value::from("a"),
+            ])
+        })
+        .collect();
+    let mut fed = federation_with(&DataSet::from_rows(t_schema(), &rows).unwrap());
+    let scan = Plan::scan("t", t_schema());
+    let plan = scan.clone().join(scan, vec![("k", "k")]);
+    fed.options_mut().workers = 4;
+    for (stats, parts) in [(true, 2), (false, 4)] {
+        fed.options_mut().optimizer.use_stats = stats;
+        let explain = fed.explain(&plan).unwrap();
+        assert!(
+            explain.contains(&format!(") parts={parts}\n")),
+            "stats={stats}: {explain}"
+        );
+        let analyze = fed.explain_analyze(&plan, 0x7).unwrap();
+        let spans = analyze
+            .lines()
+            .filter(|l| l.trim_start().starts_with("partition:"))
+            .count();
+        assert_eq!(spans, parts, "stats={stats}: {analyze}");
     }
 }
