@@ -276,7 +276,10 @@ pub fn fill_dense(input: &DataSet, fill: &Value, out_schema: Schema) -> Result<D
     Ok(DataSet::new(out_schema, vec![Chunk::Dense(out_chunk)]))
 }
 
-/// Cell-wise binary operation between two aligned arrays.
+/// Cell-wise binary operation between two arrays. The output covers the
+/// left operand's box (as `infer` says); its cells are present where both
+/// operands hold a cell, so operands over different boxes combine on
+/// their overlap and disjoint boxes give an empty result.
 pub fn elemwise_dense(
     op: BinOp,
     left: &DataSet,
@@ -285,22 +288,14 @@ pub fn elemwise_dense(
 ) -> Result<DataSet> {
     let (l, _) = dense_of(left)?;
     let (r, _) = dense_of(right)?;
-    if l.bounds() != r.bounds() {
-        return Err(CoreError::Plan(format!(
-            "elemwise bounds mismatch: {:?} vs {:?}",
-            l.bounds(),
-            r.bounds()
-        )));
-    }
-    let vol = l.bounds().volume();
+    let (bounds, r_bounds) = (l.bounds(), r.bounds());
+    let aligned = bounds == r_bounds;
+    let vol = bounds.volume();
     let out_t = out_schema.values()[0].dtype;
 
-    if let Some((a, b)) = f64_operands(op, &l, &r) {
-        let out_chunk = DenseChunk::new(
-            l.bounds().clone(),
-            vec![Column::from(f64_op(op, a, b))],
-            None,
-        )?;
+    if let Some((a, b)) = f64_operands(op, &l, &r).filter(|_| aligned) {
+        let out_chunk =
+            DenseChunk::new(bounds.clone(), vec![Column::from(f64_op(op, a, b))], None)?;
         return Ok(DataSet::new(out_schema, vec![Chunk::Dense(out_chunk)]));
     }
 
@@ -309,11 +304,20 @@ pub fn elemwise_dense(
     let mut col = Column::nulls(out_t, vol);
     let mut present = Bitmap::filled(vol, false);
     for idx in 0..vol {
-        if !l.is_present(idx) || !r.is_present(idx) {
+        let r_idx = if aligned {
+            idx
+        } else {
+            let coords = bounds.delinearize(idx);
+            if !r_bounds.contains(&coords) {
+                continue;
+            }
+            r_bounds.linearize(&coords)
+        };
+        if !l.is_present(idx) || !r.is_present(r_idx) {
             continue;
         }
         present.set(idx, true);
-        let v = binary_scalar(op, &l.columns()[0].get(idx), &r.columns()[0].get(idx))?;
+        let v = binary_scalar(op, &l.columns()[0].get(idx), &r.columns()[0].get(r_idx))?;
         let v = match (&v, out_t) {
             (Value::Int(x), bda_storage::DataType::Float64) => Value::Float(*x as f64),
             _ => v,
@@ -325,7 +329,7 @@ pub fn elemwise_dense(
     } else {
         Some(present)
     };
-    let out_chunk = DenseChunk::new(l.bounds().clone(), vec![col], present)?;
+    let out_chunk = DenseChunk::new(bounds.clone(), vec![col], present)?;
     Ok(DataSet::new(out_schema, vec![Chunk::Dense(out_chunk)]))
 }
 
@@ -369,7 +373,8 @@ fn f64_op(op: BinOp, a: &[f64], b: &[f64]) -> Vec<f64> {
 /// a traced partition ([`run_partitions`]), and reassemble in band
 /// order. The output is bitwise identical to [`elemwise_dense`] because
 /// every cell runs the same scalar code; only the f64 fast path is
-/// banded. At `parts <= 1`, or off that path, this is [`elemwise_dense`].
+/// banded. At `parts <= 1`, off that path, or over operands with
+/// different boxes, this is [`elemwise_dense`].
 pub fn elemwise_dense_partitioned(
     op: BinOp,
     left: &DataSet,
@@ -382,14 +387,7 @@ pub fn elemwise_dense_partitioned(
     }
     let (l, _) = dense_of(left)?;
     let (r, _) = dense_of(right)?;
-    if l.bounds() != r.bounds() {
-        return Err(CoreError::Plan(format!(
-            "elemwise bounds mismatch: {:?} vs {:?}",
-            l.bounds(),
-            r.bounds()
-        )));
-    }
-    let Some((a, b)) = f64_operands(op, &l, &r) else {
+    let Some((a, b)) = f64_operands(op, &l, &r).filter(|_| l.bounds() == r.bounds()) else {
         return elemwise_dense(op, left, right, out_schema);
     };
     let vol = l.bounds().volume();
@@ -697,6 +695,29 @@ mod tests {
         let ours = elemwise_dense(BinOp::Add, &s, &s, schema).unwrap();
         let oracle = evaluate(&plan, &src("x", &s)).unwrap();
         assert!(ours.same_bag(&oracle).unwrap());
+    }
+
+    #[test]
+    fn elemwise_over_different_boxes_combines_on_the_overlap() {
+        use bda_core::Provider;
+        let m = m44();
+        let engine = crate::ArrayEngine::new("arr");
+        engine.store("m", m.clone()).unwrap();
+        let rows = |lo, hi| Plan::Dice {
+            input: Plan::scan("m", m.schema().clone()).boxed(),
+            ranges: vec![("row".into(), lo, hi)],
+        };
+        // Rows 0..3 against rows 1..4 overlap in two rows of four cells;
+        // rows 0..2 against rows 2..4 do not overlap at all.
+        for (left, right, cells) in [((0, 3), (1, 4), 8), ((0, 2), (2, 4), 0)] {
+            let plan = rows(left.0, left.1).elemwise(BinOp::Add, rows(right.0, right.1));
+            let oracle = evaluate(&plan, &src("m", &m)).unwrap();
+            assert_eq!(oracle.num_rows(), cells);
+            for parts in [1, 4] {
+                let ours = bda_core::pool::with_workers(parts, || engine.execute(&plan)).unwrap();
+                assert!(ours.same_bag(&oracle).unwrap(), "{left:?} vs {right:?}");
+            }
+        }
     }
 
     #[test]

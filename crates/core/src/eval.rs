@@ -500,7 +500,6 @@ pub fn binary_columns(op: BinOp, l: &Column, r: &Column) -> Result<Column> {
                     BinOp::Div => a.iter().zip(b).map(|(x, y)| x / y).collect(),
                     _ => unreachable!(),
                 };
-                kernel_stats::record(kernel_stats::Path::FastArith, data.len());
                 return Ok(Column::Float64(data, None));
             }
         }
@@ -521,12 +520,10 @@ pub fn binary_columns(op: BinOp, l: &Column, r: &Column) -> Result<Column> {
                     _ => unreachable!(),
                 })
                 .collect();
-            kernel_stats::record(kernel_stats::Path::FastCompare, data.len());
             return Ok(Column::Bool(data, None));
         }
     }
     // General path via scalar semantics.
-    kernel_stats::record(kernel_stats::Path::General, l.len());
     let out_t = infer_binary(op, Some(l.dtype()), Some(r.dtype()))?;
     let mut out = Column::new_empty(typed_or_int(out_t));
     for i in 0..l.len() {
@@ -535,74 +532,6 @@ pub fn binary_columns(op: BinOp, l: &Column, r: &Column) -> Result<Column> {
             .map_err(expr_err)?;
     }
     Ok(out)
-}
-
-/// Per-operator kernel profiling: process-wide counters of which
-/// [`binary_columns`] path ran and how many rows it covered, gated on
-/// [`bda_obs::prof`]. When profiling is off, each hook is one relaxed
-/// atomic load — cheap enough to leave compiled into release kernels.
-pub mod kernel_stats {
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static FAST_ARITH: AtomicU64 = AtomicU64::new(0);
-    static FAST_COMPARE: AtomicU64 = AtomicU64::new(0);
-    static GENERAL: AtomicU64 = AtomicU64::new(0);
-    static ROWS: AtomicU64 = AtomicU64::new(0);
-
-    /// Which kernel implementation handled a call.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum Path {
-        /// The all-valid `f64 ⊕ f64` vectorized arithmetic path.
-        FastArith,
-        /// The all-valid `i64 ⊗ i64` vectorized comparison path.
-        FastCompare,
-        /// The row-at-a-time scalar-semantics fallback.
-        General,
-    }
-
-    /// A snapshot of the kernel counters.
-    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-    pub struct KernelStats {
-        /// Calls taking the vectorized arithmetic path.
-        pub fast_arith: u64,
-        /// Calls taking the vectorized comparison path.
-        pub fast_compare: u64,
-        /// Calls falling back to scalar semantics.
-        pub general: u64,
-        /// Total rows processed by binary kernels.
-        pub rows: u64,
-    }
-
-    #[inline]
-    pub(crate) fn record(path: Path, rows: usize) {
-        if !bda_obs::prof::enabled() {
-            return;
-        }
-        match path {
-            Path::FastArith => FAST_ARITH.fetch_add(1, Ordering::Relaxed),
-            Path::FastCompare => FAST_COMPARE.fetch_add(1, Ordering::Relaxed),
-            Path::General => GENERAL.fetch_add(1, Ordering::Relaxed),
-        };
-        ROWS.fetch_add(rows as u64, Ordering::Relaxed);
-    }
-
-    /// Read the counters.
-    pub fn snapshot() -> KernelStats {
-        KernelStats {
-            fast_arith: FAST_ARITH.load(Ordering::Relaxed),
-            fast_compare: FAST_COMPARE.load(Ordering::Relaxed),
-            general: GENERAL.load(Ordering::Relaxed),
-            rows: ROWS.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Zero the counters (between profiled sections).
-    pub fn reset() {
-        FAST_ARITH.store(0, Ordering::Relaxed);
-        FAST_COMPARE.store(0, Ordering::Relaxed);
-        GENERAL.store(0, Ordering::Relaxed);
-        ROWS.store(0, Ordering::Relaxed);
-    }
 }
 
 /// Evaluate an expression against a single materialized row.

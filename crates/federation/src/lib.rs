@@ -129,13 +129,12 @@ impl Federation {
 
     /// Run a plan recording spans into `tracer` (pass
     /// [`bda_obs::Tracer::disabled`] for the untraced fast path). When
-    /// the tracer is enabled, the finished trace is published to the
-    /// process-global [`bda_obs::store`] (for `GET /traces/<id>`), its
-    /// profile is distilled into the global query log (`GET /queries`)
+    /// the tracer is enabled, the finished trace's profile is distilled
     /// and folded into the [`bda_obs::profile::CostBook`] — every traced
-    /// query recalibrates the measured cost model. A query the log
-    /// flags slow (wall > p99 × k) gets its trace pinned past ring
-    /// churn and a stamp in the flight recorder.
+    /// query recalibrates the measured cost model — and the profile and
+    /// trace go into one entry of the global query log (`GET /queries`,
+    /// `GET /traces/<id>`). A query the log flags slow (wall > p99 × k)
+    /// outlives the log's churn and gets a stamp in the flight recorder.
     pub fn run_traced(
         &self,
         plan: &Plan,
@@ -161,18 +160,15 @@ impl Federation {
         if tracer.is_enabled() {
             let trace = tracer.finish();
             let trace_id = trace.trace_id;
-            let profile = bda_obs::profile::QueryProfile::from_trace(&trace);
-            bda_obs::store::global().publish(trace);
-            if let Some(mut profile) = profile {
+            if let Some(mut profile) = bda_obs::profile::QueryProfile::from_trace(&trace) {
                 profile.tenant = tenant.to_string();
                 if bda_obs::meter::enabled() {
                     bda_obs::meter::global_usage().charge(&profile);
                 }
                 bda_obs::profile::global_costs().observe(&profile);
                 let wall_ms = profile.wall_ns as f64 / 1e6;
-                let outcome = bda_obs::profile::global_log().push(profile);
+                let outcome = bda_obs::profile::global_log().push(profile, Some(trace));
                 if outcome.slow {
-                    bda_obs::store::global().pin(trace_id);
                     bda_obs::flight::global().record("app", || {
                         format!(
                             "slow-query trace={trace_id:#018x} wall_ms={wall_ms:.3} p99_ms={:.3}",

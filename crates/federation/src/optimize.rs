@@ -138,7 +138,6 @@ fn prune_fragment_step(
         return node;
     }
     pruned.set(pruned.get() + 1);
-    bda_obs::prune::record_fragment_pruned();
     Plan::Values {
         schema: schema.clone(),
         rows: Vec::new(),

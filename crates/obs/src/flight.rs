@@ -7,8 +7,8 @@
 //!
 //! * **Cheap enough to never turn off.** Recording is one relaxed
 //!   `fetch_add` to claim a slot plus a `try_lock` on that slot; a
-//!   contended slot is *skipped* (counted, never blocked on), so the hot
-//!   path cannot stall behind a reader. The recorder rides inside the
+//!   record whose slot is contended is *dropped* (never blocked on), so
+//!   the hot path cannot stall behind a reader. The recorder rides inside the
 //!   same ≤2% budget the `overhead_guard` CI gate enforces for disabled
 //!   tracing hooks (the guard compares recorder-on vs recorder-off runs).
 //! * **Bounded.** The ring holds [`DEFAULT_FLIGHT_CAPACITY`] records;
@@ -57,7 +57,6 @@ struct Slot {
 pub struct FlightRecorder {
     slots: Box<[Slot]>,
     cursor: AtomicU64,
-    skipped: AtomicU64,
     enabled: AtomicBool,
     epoch: Instant,
 }
@@ -73,7 +72,6 @@ impl FlightRecorder {
                 })
                 .collect(),
             cursor: AtomicU64::new(0),
-            skipped: AtomicU64::new(0),
             enabled: AtomicBool::new(true),
             epoch: Instant::now(),
         }
@@ -94,8 +92,7 @@ impl FlightRecorder {
 
     /// Record one event. Claims the next ring slot with a relaxed
     /// `fetch_add`; if the slot is momentarily held by a reader the
-    /// record is dropped (counted in [`FlightRecorder::skipped`]) rather
-    /// than blocking the caller.
+    /// record is dropped rather than blocking the caller.
     pub fn record(&self, site: &str, label: impl FnOnce() -> String) {
         if !self.enabled() {
             return;
@@ -103,24 +100,14 @@ impl FlightRecorder {
         let seq = self.cursor.fetch_add(1, Ordering::Relaxed);
         let at_us = self.epoch.elapsed().as_micros() as u64;
         let slot = &self.slots[(seq % self.slots.len() as u64) as usize];
-        match slot.record.try_lock() {
-            Ok(mut r) => {
-                *r = Some(FlightRecord {
-                    seq,
-                    at_us,
-                    site: site.to_string(),
-                    label: label(),
-                });
-            }
-            Err(_) => {
-                self.skipped.fetch_add(1, Ordering::Relaxed);
-            }
+        if let Ok(mut r) = slot.record.try_lock() {
+            *r = Some(FlightRecord {
+                seq,
+                at_us,
+                site: site.to_string(),
+                label: label(),
+            });
         }
-    }
-
-    /// Records dropped because their slot was contended.
-    pub fn skipped(&self) -> u64 {
-        self.skipped.load(Ordering::Relaxed)
     }
 
     /// The ring's current contents, oldest first.

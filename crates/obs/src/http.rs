@@ -12,7 +12,7 @@
 //! | `/readyz`       | `200 ready`, or `503` + detail when the health  |
 //! |                 | source reports tripped circuit breakers          |
 //! | `/progress`     | JSON of in-flight queries ([`progress`] module) |
-//! | `/traces/<id>`  | Chrome-trace JSON of a recent completed trace   |
+//! | `/traces/<id>`  | Chrome-trace JSON of a traced query in the log  |
 //! | `/flight`       | the flight recorder's current ring, as text     |
 //! | `/queries`      | JSON of the recent query-profile log            |
 //! | `/queries/slow` | the retained profiles flagged slow              |
@@ -39,9 +39,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::flight;
 use crate::metrics::MetricsHub;
-use crate::progress::ProgressTracker;
-use crate::{flight, store};
 
 /// Point-in-time health as reported by whoever mounted the server
 /// (typically the federation's circuit-breaker board).
@@ -75,17 +74,16 @@ pub type HealthSource = Arc<dyn Fn() -> Health + Send + Sync>;
 /// at mount time (typically via [`crate::metrics::merge_instances`]).
 pub type ClusterSource = Arc<dyn Fn() -> String + Send + Sync>;
 
-/// What the ops server serves. `Default` wires the process-global
-/// progress tracker, trace store, and flight recorder with a fresh
-/// metrics hub and an always-healthy source.
+/// What the ops server serves beyond the process-global stores (progress
+/// tracker, query log, flight recorder, cost book, usage book), which
+/// every route reads directly. `Default` is a fresh metrics hub and an
+/// always-healthy source.
 #[derive(Clone)]
 pub struct OpsOptions {
     /// The hub `/metrics` renders.
     pub metrics: MetricsHub,
     /// The health source `/healthz` and `/readyz` consult.
     pub health: HealthSource,
-    /// The tracker `/progress` renders.
-    pub progress: ProgressTracker,
     /// The fleet view `/cluster/metrics` serves; `None` answers 404
     /// (this node is not an aggregation point).
     pub cluster: Option<ClusterSource>,
@@ -101,7 +99,6 @@ impl Default for OpsOptions {
         OpsOptions {
             metrics: MetricsHub::new(),
             health: Arc::new(Health::default),
-            progress: crate::progress::global().clone(),
             cluster: None,
             workers: 4,
             backlog: 64,
@@ -292,7 +289,7 @@ fn route(path: &str, options: &OpsOptions) -> (&'static str, &'static str, Strin
                 ("503 Service Unavailable", TEXT, format!("{}\n", h.detail))
             }
         }
-        "/progress" => ("200 OK", JSON, options.progress.render_json()),
+        "/progress" => ("200 OK", JSON, crate::progress::global().render_json()),
         "/flight" => ("200 OK", TEXT, flight::global().render()),
         "/queries" => (
             "200 OK",
@@ -326,7 +323,7 @@ fn route(path: &str, options: &OpsOptions) -> (&'static str, &'static str, Strin
                 };
             }
             match path.strip_prefix("/traces/").and_then(parse_trace_id) {
-                Some(id) => match store::global().chrome_json(id) {
+                Some(id) => match crate::profile::global_log().chrome_json(id) {
                     Some(json) => ("200 OK", JSON, json),
                     None => (
                         "404 Not Found",
@@ -407,7 +404,7 @@ mod tests {
             ops: vec![],
             sites: vec![],
         };
-        crate::profile::global_log().push(profile.clone());
+        crate::profile::global_log().push(profile.clone(), None);
         crate::profile::global_costs().observe(&profile);
         let h = serve_ops("127.0.0.1:0", OpsOptions::default()).expect("bind");
         let (status, body) = http_get(h.addr(), "/queries");
@@ -490,28 +487,29 @@ mod tests {
     }
 
     #[test]
-    fn progress_route_serves_the_mounted_tracker() {
-        let tracker = ProgressTracker::new();
-        let options = OpsOptions {
-            progress: tracker.clone(),
-            ..OpsOptions::default()
-        };
-        let h = serve_ops("127.0.0.1:0", options).expect("bind");
-        let handle = tracker.start("observed", 0x1234);
+    fn progress_route_serves_the_global_tracker() {
+        let h = serve_ops("127.0.0.1:0", OpsOptions::default()).expect("bind");
+        // A label no other test registers: the tracker is process-wide.
+        let handle = crate::progress::global().start("observed-by-http-test", 0x1234);
         handle.iteration(2, 8, Some(0.25), Some(10));
         let (status, body) = http_get(h.addr(), "/progress");
         assert_eq!(status, "HTTP/1.1 200 OK");
-        assert!(body.contains("\"label\":\"observed\""), "{body}");
+        assert!(
+            body.contains("\"label\":\"observed-by-http-test\""),
+            "{body}"
+        );
         assert!(body.contains("\"iteration\":2"), "{body}");
         handle.finish();
         h.shutdown();
     }
 
     #[test]
-    fn traces_route_serves_stored_chrome_json() {
+    fn traces_route_serves_the_query_logs_chrome_json() {
         let t = crate::Tracer::with_trace_id(0xBEEF);
         t.start(None, || "query".into(), "app").finish();
-        store::global().publish(t.finish());
+        let trace = t.finish();
+        let profile = crate::profile::QueryProfile::from_trace(&trace).unwrap();
+        crate::profile::global_log().push(profile, Some(trace));
         let h = serve_ops("127.0.0.1:0", OpsOptions::default()).expect("bind");
         let (status, body) = http_get(h.addr(), "/traces/0xbeef");
         assert_eq!(status, "HTTP/1.1 200 OK");

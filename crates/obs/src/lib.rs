@@ -11,8 +11,7 @@
 //!
 //! * **Off-by-default-cheap.** A disabled [`Tracer`] is a `None`; every
 //!   hook is a null-check and the name/label closures are never invoked,
-//!   so the disabled path allocates nothing. The expression-kernel
-//!   profiler ([`prof`]) is a single relaxed atomic load when off.
+//!   so the disabled path allocates nothing.
 //! * **Deterministic ids.** Span ids are sequential per tracer and the
 //!   trace id is a pure function of the seed ([`Tracer::new`]), so tests
 //!   can assert on trace *shape* under `BDA_FAULT_SEED`-style seeding.
@@ -28,12 +27,12 @@
 //! an operator-facing surface: [`http`] is a dependency-free HTTP/1.1
 //! ops server (`/metrics`, `/healthz`, `/readyz`, `/progress`,
 //! `/traces/<id>`, `/flight`, `/queries`, `/calibration`), [`progress`]
-//! tracks in-flight queries and flags straggler providers, [`store`]
-//! retains recent completed traces for `/traces/<id>`, [`flight`] is
+//! tracks in-flight queries and flags straggler providers, [`flight`] is
 //! the always-on crash flight recorder dumped when a query fails
 //! permanently, and [`profile`] distills finished traces into query
-//! profiles feeding a persistent query log and the [`profile::CostBook`]
-//! calibration registry the planner consults.
+//! profiles feeding a persistent query log — which also keeps each
+//! traced query's trace for `/traces/<id>` — and the
+//! [`profile::CostBook`] calibration registry the planner consults.
 
 pub mod chrome;
 pub mod flight;
@@ -42,9 +41,7 @@ pub mod meter;
 pub mod metrics;
 pub mod profile;
 pub mod progress;
-pub mod prune;
 pub mod scope;
-pub mod store;
 
 pub use flight::FlightRecorder;
 pub use http::{serve_ops, ClusterSource, Health, HealthSource, OpsHandle, OpsOptions};
@@ -52,7 +49,6 @@ pub use meter::{TenantUsage, UsageBook};
 pub use metrics::{Counter, Gauge, Histogram, MetricsHub};
 pub use profile::{CostBook, QueryLog, QueryProfile};
 pub use progress::{ProgressHandle, ProgressTracker, QueryProgress};
-pub use store::TraceStore;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -427,25 +423,6 @@ impl Drop for SpanGuard {
     }
 }
 
-/// The global expression-kernel profiling switch. Off by default; when
-/// off, every hook in `bda_core::eval` is one relaxed atomic load.
-pub mod prof {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static ENABLED: AtomicBool = AtomicBool::new(false);
-
-    /// Turn kernel profiling on or off (process-wide).
-    pub fn set_enabled(on: bool) {
-        ENABLED.store(on, Ordering::Relaxed);
-    }
-
-    /// Is kernel profiling on?
-    #[inline]
-    pub fn enabled() -> bool {
-        ENABLED.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -551,15 +528,6 @@ mod tests {
         let trace = t.finish();
         assert_eq!(trace.spans.len(), cap);
         assert_eq!(trace.dropped, 10);
-    }
-
-    #[test]
-    fn prof_switch_round_trips() {
-        assert!(!prof::enabled());
-        prof::set_enabled(true);
-        assert!(prof::enabled());
-        prof::set_enabled(false);
-        assert!(!prof::enabled());
     }
 
     #[test]

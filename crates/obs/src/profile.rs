@@ -5,9 +5,11 @@
 //! per operator class, how many rows and bytes went through and how
 //! long they took; per site, fragment wall times, transfer throughput,
 //! and how often execution had to retry or fail over. Profiles live in
-//! a bounded in-memory [`QueryLog`] ring and are optionally persisted
-//! as JSONL (one profile per line) so the log survives restarts
-//! alongside the durability subsystem's WAL.
+//! a bounded in-memory [`QueryLog`] ring — each entry holding the trace
+//! it was distilled from, which `GET /traces/<id>` serves — and are
+//! optionally persisted as JSONL (one profile per line, traces not
+//! included) so the log survives restarts alongside the durability
+//! subsystem's WAL.
 //!
 //! On top of the profiles sits the [`CostBook`]: a seeded,
 //! deterministic EWMA registry of ns/row per operator class, ns/byte
@@ -41,6 +43,10 @@ pub const PROFILE_FILE: &str = "profiles.jsonl";
 
 /// Profiles retained in the in-memory query-log ring.
 pub const DEFAULT_QUERIES_KEPT: usize = 64;
+
+/// Slow entries kept past the ring's churn: the newest this many slow
+/// queries survive eviction, profile and trace both.
+pub const SLOW_KEPT: usize = 8;
 
 /// Slow-query detection needs at least this many prior walls before the
 /// p99 estimate is trusted.
@@ -468,8 +474,15 @@ pub struct PushOutcome {
     pub p99_ns: Option<u64>,
 }
 
+/// One retained query: its profile and, when it was traced in this
+/// process, the trace the profile was distilled from.
+struct Entry {
+    profile: QueryProfile,
+    trace: Option<Trace>,
+}
+
 struct LogInner {
-    entries: VecDeque<QueryProfile>,
+    entries: VecDeque<Entry>,
     /// Wall-time history backing the slow-query p99 estimate (bounded
     /// buckets, so unbounded history costs nothing).
     walls: Histogram,
@@ -477,8 +490,10 @@ struct LogInner {
     persist: Option<PathBuf>,
 }
 
-/// A bounded ring of recent query profiles with optional JSONL
-/// persistence and p99-based slow-query flagging.
+/// A bounded ring of recent query profiles (each with its trace, when
+/// one was recorded) with optional JSONL persistence and p99-based
+/// slow-query flagging. The ring keeps the newest `capacity` entries
+/// plus the newest [`SLOW_KEPT`] slow ones, however old.
 pub struct QueryLog {
     inner: Mutex<LogInner>,
     capacity: usize,
@@ -515,10 +530,11 @@ impl QueryLog {
             for line in existing.lines() {
                 if let Some(profile) = QueryProfile::parse_json(line) {
                     inner.walls.observe_ns(profile.wall_ns);
-                    inner.entries.push_back(profile);
-                    while inner.entries.len() > self.capacity {
-                        inner.entries.pop_front();
-                    }
+                    inner.entries.push_back(Entry {
+                        profile,
+                        trace: None,
+                    });
+                    evict(&mut inner.entries, self.capacity);
                     recovered += 1;
                 }
             }
@@ -527,10 +543,11 @@ impl QueryLog {
         Ok(recovered)
     }
 
-    /// Record a profile: decide slowness against the current p99, fold
-    /// its wall into the history, append to the JSONL log (best
-    /// effort), and retain it in the ring. Returns the decision.
-    pub fn push(&self, mut profile: QueryProfile) -> PushOutcome {
+    /// Record a profile and the trace it came from: decide slowness
+    /// against the current p99, fold its wall into the history, append
+    /// the profile to the JSONL log (best effort), and retain both in
+    /// the ring. Returns the decision.
+    pub fn push(&self, mut profile: QueryProfile, trace: Option<Trace>) -> PushOutcome {
         let mut inner = self.inner.lock().expect("query log lock poisoned");
         let p99 = if inner.walls.count() >= SLOW_MIN_SAMPLES {
             inner.walls.p99()
@@ -547,10 +564,8 @@ impl QueryLog {
                 .open(path)
                 .and_then(|mut f| writeln!(f, "{}", profile.render_json()));
         }
-        inner.entries.push_back(profile);
-        while inner.entries.len() > self.capacity {
-            inner.entries.pop_front();
-        }
+        inner.entries.push_back(Entry { profile, trace });
+        evict(&mut inner.entries, self.capacity);
         PushOutcome {
             slow,
             p99_ns: p99.map(|s| (s * 1e9) as u64),
@@ -560,7 +575,20 @@ impl QueryLog {
     /// Profiles currently retained, oldest first.
     pub fn snapshot(&self) -> Vec<QueryProfile> {
         let inner = self.inner.lock().expect("query log lock poisoned");
-        inner.entries.iter().cloned().collect()
+        inner.entries.iter().map(|e| e.profile.clone()).collect()
+    }
+
+    /// Chrome-trace JSON (`GET /traces/<id>`) of the newest retained
+    /// entry with this trace id that holds a trace.
+    pub fn chrome_json(&self, trace_id: u64) -> Option<String> {
+        let inner = self.inner.lock().expect("query log lock poisoned");
+        inner
+            .entries
+            .iter()
+            .rev()
+            .filter(|e| e.profile.trace_id == trace_id)
+            .find_map(|e| e.trace.as_ref())
+            .map(Trace::to_chrome_json)
     }
 
     /// Retained profiles flagged slow, oldest first.
@@ -627,6 +655,23 @@ impl Default for QueryLog {
     fn default() -> Self {
         QueryLog::new()
     }
+}
+
+/// Drop what the ring no longer keeps: every entry older than the
+/// newest `capacity`, unless it is one of the newest [`SLOW_KEPT`] slow
+/// entries.
+fn evict(entries: &mut VecDeque<Entry>, capacity: usize) {
+    // Slow entries from the current one (inclusive) to the newest: a
+    // slow entry is protected while it ranks within SLOW_KEPT.
+    let mut slow_from_here = entries.iter().filter(|e| e.profile.slow).count();
+    let mut age = entries.len();
+    entries.retain(|e| {
+        let recent = age <= capacity;
+        let protected = e.profile.slow && slow_from_here <= SLOW_KEPT;
+        age -= 1;
+        slow_from_here -= usize::from(e.profile.slow);
+        recent || protected
+    });
 }
 
 fn render_queries(profiles: &[QueryProfile]) -> String {
@@ -890,10 +935,10 @@ mod tests {
         let log = QueryLog::new();
         let mut p = QueryProfile::from_trace(&sample_trace()).unwrap();
         p.tenant = "acme".into();
-        log.push(p.clone());
+        log.push(p.clone(), None);
         p.trace_id = 0xFEED;
         p.tenant = "umbrella".into();
-        log.push(p);
+        log.push(p, None);
         let acme = log.render_json_for(Some("acme"));
         assert!(acme.contains("\"tenant\":\"acme\""));
         assert!(!acme.contains("umbrella"));
@@ -916,23 +961,91 @@ mod tests {
         };
         // Not enough history yet: a huge wall is not flagged.
         for _ in 0..7 {
-            assert!(!log.push(profile(50_000)).slow);
+            assert!(!log.push(profile(50_000), None).slow);
         }
         assert!(
-            !log.push(profile(60_000_000_000)).slow,
+            !log.push(profile(60_000_000_000), None).slow,
             "eighth push still lacks 8 prior samples"
         );
         // Now p99 exists (dominated by the 50µs cluster... and one 60s
         // outlier that clamps to 10s). Push walls against it.
-        let out = log.push(profile(50_000));
+        let out = log.push(profile(50_000), None);
         assert!(!out.slow);
         assert!(out.p99_ns.is_some());
         // Far beyond p99 × 4 (p99 ≤ 10s clamped): 60s is flagged.
-        let out = log.push(profile(60_000_000_000));
+        let out = log.push(profile(60_000_000_000), None);
         assert!(out.slow, "p99={:?}", out.p99_ns);
         assert_eq!(log.len(), 4, "ring stays bounded");
         assert_eq!(log.slow_snapshot().len(), 1);
         assert!(log.render_slow_json().contains("\"slow\":true"));
+    }
+
+    /// A profile distilled from a one-span trace named `name`.
+    fn traced(id: u64, name: &'static str) -> (QueryProfile, Option<Trace>) {
+        let t = crate::Tracer::with_trace_id(id);
+        t.start(None, || name.into(), "app").finish();
+        let trace = t.finish();
+        (QueryProfile::from_trace(&trace).unwrap(), Some(trace))
+    }
+
+    fn push_traced(log: &QueryLog, id: u64, name: &'static str) {
+        let (profile, trace) = traced(id, name);
+        log.push(profile, trace);
+    }
+
+    #[test]
+    fn traces_render_as_chrome_json_and_a_repeated_id_serves_the_newer() {
+        let log = QueryLog::with_capacity(4);
+        push_traced(&log, 7, "query");
+        let json = log.chrome_json(7).expect("retained");
+        assert!(json.starts_with('[') && json.ends_with(']'), "{json}");
+        assert!(json.contains("\"query\""), "{json}");
+        assert_eq!(log.chrome_json(8), None);
+        push_traced(&log, 7, "rerun");
+        assert!(log.chrome_json(7).unwrap().contains("rerun"));
+        // An untraced entry with the same id does not hide the trace.
+        let (profile, _) = traced(7, "query");
+        log.push(profile, None);
+        assert!(log.chrome_json(7).unwrap().contains("rerun"));
+    }
+
+    #[test]
+    fn eviction_honours_the_capacity_bound() {
+        let log = QueryLog::with_capacity(2);
+        for id in 1..=3 {
+            push_traced(&log, id, "query");
+        }
+        let ids: Vec<u64> = log.snapshot().iter().map(|p| p.trace_id).collect();
+        assert_eq!(ids, vec![2, 3], "oldest evicted");
+        assert_eq!(log.chrome_json(1), None, "its trace went with it");
+        assert!(log.chrome_json(2).is_some());
+    }
+
+    #[test]
+    fn slow_entries_and_their_traces_outlive_churn_up_to_slow_kept() {
+        let log = QueryLog::new();
+        // Fast history first, so the p99 estimate exists.
+        for id in 0..SLOW_MIN_SAMPLES {
+            push_traced(&log, 0x100 + id, "query");
+        }
+        let slow = |id: u64| {
+            let (mut profile, trace) = traced(id, "slow");
+            profile.wall_ns = 60_000_000_000;
+            assert!(log.push(profile, trace).slow);
+        };
+        for id in 1..=SLOW_KEPT as u64 + 1 {
+            slow(id);
+        }
+        for id in 0..DEFAULT_QUERIES_KEPT as u64 + 1 {
+            push_traced(&log, 0x1000 + id, "query");
+        }
+        // The oldest slow entry fell out; the newest SLOW_KEPT survive
+        // more than a ring's worth of later pushes, trace included.
+        let slow_ids: Vec<u64> = log.slow_snapshot().iter().map(|p| p.trace_id).collect();
+        assert_eq!(slow_ids, (2..=SLOW_KEPT as u64 + 1).collect::<Vec<_>>());
+        assert_eq!(log.chrome_json(1), None);
+        assert!(log.chrome_json(2).unwrap().contains("slow"));
+        assert_eq!(log.len(), DEFAULT_QUERIES_KEPT + SLOW_KEPT);
     }
 
     #[test]
@@ -942,10 +1055,12 @@ mod tests {
         let log = QueryLog::new();
         assert_eq!(log.init_persistence(&dir).unwrap(), 0);
         let mut p = QueryProfile::from_trace(&sample_trace()).unwrap();
-        log.push(p.clone());
+        log.push(p.clone(), Some(sample_trace()));
+        assert!(log.chrome_json(0xBDA).is_some());
         p.trace_id = 0xFEED;
-        log.push(p);
-        // A reloaded log sees both profiles and keeps appending.
+        log.push(p, None);
+        // A reloaded log sees both profiles and keeps appending; traces
+        // are not persisted, so a recovered entry has none.
         let reloaded = QueryLog::new();
         assert_eq!(reloaded.init_persistence(&dir).unwrap(), 2);
         let snap = reloaded.snapshot();
@@ -953,6 +1068,7 @@ mod tests {
         assert_eq!(snap[0].trace_id, 0xBDA);
         assert_eq!(snap[1].trace_id, 0xFEED);
         assert!(reloaded.render_json().contains("0x000000000000feed"));
+        assert_eq!(reloaded.chrome_json(0xBDA), None);
         // Corrupt trailing line (a torn write) is skipped, not fatal.
         let path = dir.join(PROFILE_FILE);
         let mut content = std::fs::read_to_string(&path).unwrap();

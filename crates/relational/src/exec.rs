@@ -225,7 +225,6 @@ fn pruned_select(
         let mask_col = eval_chunk(predicate, schema, &candidates)?;
         let mask = engine::truth_mask(&mask_col)?;
         let filtered = candidates.filter(&mask);
-        bda_obs::prune::record_index_hit();
         prune_event(|| {
             format!(
                 "pruning: index {dataset}.{column} ({}) candidates {}/{}",
@@ -251,7 +250,6 @@ fn pruned_select(
         })
         .collect();
     let pruned = considered - survivors.len();
-    bda_obs::prune::record_chunks(considered as u64, pruned as u64);
     if pruned == 0 {
         return Ok(None);
     }

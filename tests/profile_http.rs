@@ -1,8 +1,10 @@
 //! Acceptance test for the query profiler (ISSUE 8): a traced federated
 //! query leaves a profile in the process-global query log, the log and
 //! the calibration cost book are served over plain HTTP (`/queries`,
-//! `/queries/slow`, `/calibration`), and a query the log flags slow gets
-//! its trace pinned past ring churn plus a stamp in the flight recorder.
+//! `/queries/slow`, `/calibration`), every traced query the log lists
+//! has its trace served from the same entry (`/traces/<id>`), and a
+//! query the log flags slow keeps profile and trace past the log's churn
+//! plus a stamp in the flight recorder.
 //!
 //! One test function: the profiler's state is process-global, so the
 //! phases run sequentially instead of racing each other from parallel
@@ -127,20 +129,23 @@ fn profiles_are_served_over_http_and_slow_queries_are_retained() {
     // synthetic profiles (50 us each), so p99 settles far below the
     // laggy provider's 25 ms and the next heavy query is flagged.
     for i in 0..300u64 {
-        bda_obs::profile::global_log().push(QueryProfile {
-            trace_id: 0x1000 + i,
-            tenant: String::new(),
-            wall_ns: 50_000,
-            slow: false,
-            ops: vec![OpProfile {
-                class: "select".into(),
-                count: 1,
-                rows: 64,
-                bytes: 0,
+        bda_obs::profile::global_log().push(
+            QueryProfile {
+                trace_id: 0x1000 + i,
+                tenant: String::new(),
                 wall_ns: 50_000,
-            }],
-            sites: Vec::new(),
-        });
+                slow: false,
+                ops: vec![OpProfile {
+                    class: "select".into(),
+                    count: 1,
+                    rows: 64,
+                    bytes: 0,
+                    wall_ns: 50_000,
+                }],
+                sites: Vec::new(),
+            },
+            None,
+        );
     }
 
     let schema = fed.registry().schema_of("big").unwrap();
@@ -163,20 +168,46 @@ fn profiles_are_served_over_http_and_slow_queries_are_retained() {
         "the fast query must not be flagged slow: {slow_doc}"
     );
 
-    // The slow query's trace was pinned: still served after enough
-    // traced queries to churn the whole trace ring.
+    // Churn the log past its capacity with traced queries: the slow
+    // query keeps its profile and its trace, and every churn query the
+    // log still lists has its trace served too.
     let fast_schema = fed.registry().schema_of("t").unwrap();
-    for i in 0..20u64 {
-        let churn = Query::scan("t", fast_schema.clone());
-        fed.run_traced(churn.plan(), &bda::obs::Tracer::new(0x2000 + i))
-            .expect("churn query");
-    }
+    let churn_ids: Vec<u64> = (0..(bda_obs::profile::DEFAULT_QUERIES_KEPT + 16) as u64)
+        .map(|i| {
+            let churn = Query::scan("t", fast_schema.clone());
+            let tracer = bda::obs::Tracer::new(0x2000 + i);
+            fed.run_traced(churn.plan(), &tracer).expect("churn query");
+            tracer.trace_id()
+        })
+        .collect();
+    let (_, slow_doc) = http_get(ops.addr(), "/queries/slow");
+    assert!(
+        slow_doc.contains(&heavy_key),
+        "slow profile evicted by churn: {slow_doc}"
+    );
     let (status, trace_json) = http_get(ops.addr(), &format!("/traces/{heavy_id:#018x}"));
     assert!(
         status.contains("200"),
-        "pinned slow trace evicted: {status} {trace_json}"
+        "slow trace evicted: {status} {trace_json}"
     );
     assert!(trace_json.contains("\"ph\":\"X\""), "{trace_json}");
+    let (_, listed) = http_get(ops.addr(), "/queries");
+    let listed_ids: Vec<u64> = churn_ids
+        .into_iter()
+        .filter(|id| listed.contains(&format!("\"trace_id\":\"{id:#018x}\"")))
+        .collect();
+    assert!(
+        listed_ids.len() >= bda_obs::profile::DEFAULT_QUERIES_KEPT,
+        "only {} churn queries listed: {listed}",
+        listed_ids.len()
+    );
+    for id in listed_ids {
+        let (status, body) = http_get(ops.addr(), &format!("/traces/{id:#018x}"));
+        assert!(
+            status.contains("200"),
+            "/queries lists {id:#018x} but its trace is gone: {status} {body}"
+        );
+    }
 
     // And the flight recorder carries the slow-query stamp.
     let (status, flight) = http_get(ops.addr(), "/flight");

@@ -13,7 +13,7 @@ use bda::core::infer::infer_schema;
 use bda::core::lower::lower_all;
 use bda::core::pool;
 use bda::core::reference::evaluate;
-use bda::core::{col, AggExpr, AggFunc, BinOp, Plan, Provider};
+use bda::core::{col, AggExpr, AggFunc, BinOp, OpKind, Plan, Provider};
 use bda::linalg::LinAlgEngine;
 use bda::storage::dataset::matrix_dataset;
 use bda::storage::{DataSet, DataType, Field, Row, Schema, Value};
@@ -388,6 +388,43 @@ proptest! {
         let plain = pool::with_workers(1, || engine.execute(&plan)).unwrap();
         prop_assert!(approx_same(&plain, &oracle), "plan:\n{}", plan);
         // Every matmul and elemwise split into `parts` row bands.
+        let split = pool::with_workers(parts, || engine.execute(&plan)).unwrap();
+        prop_assert!(approx_same(&split, &oracle), "parts={} plan:\n{}", parts, plan);
+    }
+}
+
+/// A [`gen_matrix_plan`] plan with no `MatMul` (the array engine has no
+/// matmul kernel): dice, permute and elemwise only.
+fn arb_matmul_free_plan() -> impl Strategy<Value = Plan> {
+    FnStrategy::new(|rng: &mut TestRng| loop {
+        let plan = gen_matrix_plan(rng, 3);
+        if !plan.op_kinds().contains(&OpKind::MatMul) {
+            return plan;
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The array engine over the same dice/permute/elemwise plans, whose
+    /// elemwise operands may cover different boxes. Absent cells stay
+    /// absent on this engine, so the oracle runs the plan unmodified.
+    #[test]
+    fn array_engine_matches_oracle_on_matrix_plans(
+        a in arb_matrix(),
+        b in arb_matrix(),
+        c in arb_matrix(),
+        plan in arb_matmul_free_plan(),
+        parts in 1usize..5,
+    ) {
+        let engine = ArrayEngine::new("arr");
+        for (name, m) in [("a", &a), ("b", &b), ("c", &c)] {
+            engine.store(name, m.clone()).unwrap();
+        }
+        let oracle = evaluate(&plan, &src(&[("a", &a), ("b", &b), ("c", &c)])).unwrap();
+        let plain = pool::with_workers(1, || engine.execute(&plan)).unwrap();
+        prop_assert!(approx_same(&plain, &oracle), "plan:\n{}", plan);
         let split = pool::with_workers(parts, || engine.execute(&plan)).unwrap();
         prop_assert!(approx_same(&split, &oracle), "parts={} plan:\n{}", parts, plan);
     }

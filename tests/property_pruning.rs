@@ -295,9 +295,8 @@ fn nan_empty_chunk_and_all_null_zone_maps_are_exact() {
     assert_eq!(e.execute(&plan).unwrap().num_rows(), 0);
 }
 
-/// The pruning decisions a traced execute recorded on its spans. Read
-/// from the spans rather than the process-global `bda_obs::prune`
-/// counters, which other tests in this binary bump concurrently.
+/// The pruning decisions a traced execute recorded on its spans: the
+/// per-query record, unaffected by other tests in this binary.
 fn traced_prune_events(e: &RelationalEngine, plan: &Plan) -> (DataSet, Vec<String>) {
     let tracer = Tracer::new(0xF11);
     let out = {
