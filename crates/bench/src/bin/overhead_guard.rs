@@ -1,25 +1,23 @@
 //! The CI overhead guard: tracing must be off-by-default-cheap, and the
 //! always-on flight recorder must ride inside the same budget.
 //!
-//! Runs the cross-engine join⋈matmul plan through six entry points —
+//! Runs the cross-engine join⋈matmul plan through five entry points —
 //! the untraced `Federation::run` with the flight recorder silenced
 //! (the true baseline), the same run with the recorder on (what every
 //! production query pays for the crash flight recorder), the traced
-//! path with a *disabled* tracer (the hook cost), a live tracer, the
-//! untraced path with measured-cost calibration consulted by the
-//! planner (the profiler feeding back into placement), and the
-//! untraced path with tenant metering enabled (every query charging
-//! the usage book) — interleaved round-robin so clock drift hits all
-//! six equally, and compares medians.
+//! path with a *disabled* tracer (the hook cost), a live tracer, and
+//! the untraced path with measured-cost calibration consulted by the
+//! planner (the profiler feeding back into placement) — interleaved
+//! round-robin so clock drift hits all five equally, and compares
+//! medians.
 //!
-//! Exit 1 if the disabled-tracer path, the recorder-on path, the
-//! calibrated-planning path, or the metering-on path exceeds the
-//! recorder-off untraced baseline by more than `BDA_OBS_BUDGET_PCT`
-//! percent (default 2) *and* the gap is above a small absolute noise
-//! floor. The enabled-path overhead is reported for context but not
-//! gated — recording spans is allowed to cost something; the hooks,
-//! the recorder when nobody is looking, the planner's cost-book
-//! lookups, and the meter's per-query charge are not.
+//! Exit 1 if the disabled-tracer path, the recorder-on path, or the
+//! calibrated-planning path exceeds the recorder-off untraced baseline
+//! by more than `BDA_OBS_BUDGET_PCT` percent (default 2) *and* the gap
+//! is above a small absolute noise floor. The enabled-path overhead is
+//! reported for context but not gated — recording spans is allowed to
+//! cost something; the hooks, the recorder when nobody is looking, and
+//! the planner's cost-book lookups are not.
 //!
 //! ```text
 //! BDA_OBS_BUDGET_PCT=2 cargo run --release -p bda-bench --bin overhead_guard
@@ -45,9 +43,6 @@ fn main() {
 
     let (fed, plan) = observed_federation(N);
     let disabled = Tracer::disabled();
-    // Metering is process-global too; hold it off except inside its own
-    // variant so the baseline stays a true recorder-off, meter-off run.
-    bda_obs::meter::set_enabled(false);
     // The recorder is a process-global; default it off so the baseline,
     // hook, and live-tracer variants measure *only* what they claim to,
     // and switch it on just for the recorder-on variant.
@@ -66,16 +61,12 @@ fn main() {
         fed.run_traced(&plan, &disabled).unwrap();
         fed.run_traced(&plan, &Tracer::new(7)).unwrap();
         fed.run_with(&plan, &calibrated).unwrap();
-        bda_obs::meter::set_enabled(true);
-        fed.run(&plan).unwrap();
-        bda_obs::meter::set_enabled(false);
     }
 
     // Rotate which variant runs first each rep: allocator and cache
     // state left by the previous run otherwise bias whichever variant
     // holds a fixed slot in the round.
-    let mut samples: [Vec<f64>; 6] = [
-        Vec::with_capacity(REPS),
+    let mut samples: [Vec<f64>; 5] = [
         Vec::with_capacity(REPS),
         Vec::with_capacity(REPS),
         Vec::with_capacity(REPS),
@@ -83,13 +74,10 @@ fn main() {
         Vec::with_capacity(REPS),
     ];
     for rep in 0..REPS {
-        for k in 0..6 {
-            let which = (rep + k) % 6;
+        for k in 0..5 {
+            let which = (rep + k) % 5;
             if which == 1 {
                 flight::global().set_enabled(true);
-            }
-            if which == 5 {
-                bda_obs::meter::set_enabled(true);
             }
             let s = Instant::now();
             match which {
@@ -97,20 +85,15 @@ fn main() {
                 1 => drop(fed.run(&plan).unwrap()),
                 2 => drop(fed.run_traced(&plan, &disabled).unwrap()),
                 3 => drop(fed.run_traced(&plan, &Tracer::new(7)).unwrap()),
-                4 => drop(fed.run_with(&plan, &calibrated).unwrap()),
-                _ => drop(fed.run(&plan).unwrap()),
+                _ => drop(fed.run_with(&plan, &calibrated).unwrap()),
             }
             samples[which].push(s.elapsed().as_secs_f64());
             if which == 1 {
                 flight::global().set_enabled(false);
             }
-            if which == 5 {
-                bda_obs::meter::set_enabled(false);
-            }
         }
     }
-    let [mut t_untraced, mut t_recorder, mut t_hooks_off, mut t_traced, mut t_calibrated, mut t_metered] =
-        samples;
+    let [mut t_untraced, mut t_recorder, mut t_hooks_off, mut t_traced, mut t_calibrated] = samples;
 
     let median = |v: &mut Vec<f64>| {
         v.sort_by(f64::total_cmp);
@@ -121,7 +104,6 @@ fn main() {
     let hooks_off = median(&mut t_hooks_off);
     let traced = median(&mut t_traced);
     let calibrated_med = median(&mut t_calibrated);
-    let metered_med = median(&mut t_metered);
     let pct = |x: f64| (x - untraced) / untraced * 100.0;
 
     println!("overhead guard (n={N}, {REPS} interleaved reps, median):");
@@ -145,11 +127,6 @@ fn main() {
         "  calibrated planning:     {:>10.1} us ({:+.2}%)",
         calibrated_med * 1e6,
         pct(calibrated_med)
-    );
-    println!(
-        "  tenant metering on:      {:>10.1} us ({:+.2}%)",
-        metered_med * 1e6,
-        pct(metered_med)
     );
 
     // Trace completeness rides along: every transfer in the metrics has
@@ -184,7 +161,6 @@ fn main() {
         ("disabled-tracing hooks", min(&t_hooks_off)),
         ("always-on flight recorder", min(&t_recorder)),
         ("calibrated planning", min(&t_calibrated)),
-        ("tenant metering", min(&t_metered)),
     ] {
         let gap = variant_min - u_min;
         let gap_pct = gap / u_min * 100.0;

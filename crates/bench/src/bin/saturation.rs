@@ -375,8 +375,6 @@ fn main() {
         let roomy = ReactorOptions {
             admission: AdmissionConfig {
                 queue_capacity: 4 * conns.max(256),
-                per_tenant: 4 * conns.max(256),
-                fair_share: false,
             },
             max_connections: 4 * conns.max(256),
             ..ReactorOptions::default()
@@ -408,11 +406,7 @@ fn main() {
         // contract is shed-not-hang: every request answers (ok or a
         // prompt transient error), and the server stays responsive.
         let tiny = ReactorOptions {
-            admission: AdmissionConfig {
-                queue_capacity: 16,
-                per_tenant: 16,
-                fair_share: false,
-            },
+            admission: AdmissionConfig { queue_capacity: 16 },
             max_connections: 4 * conns.max(256),
             ..ReactorOptions::default()
         };
@@ -437,15 +431,15 @@ fn main() {
         post_flood_s = Some(t.elapsed().as_secs_f64());
 
         // Every shed the clients counted must also appear in the
-        // reason/priority-labeled admission counter the operators see.
+        // class/reason-labeled shed counter the operators see.
         if overload.shed > 0 {
             let scrape = overload_server.metrics().render();
-            let labeled = scrape.contains("bda_admission_shed_total{reason=\"")
-                && scrape.contains("priority=\"");
+            let labeled = scrape.contains("bda_reactor_shed_total{class=\"")
+                && scrape.contains("reason=\"queue-full\"");
             if !labeled {
                 eprintln!(
                     "FAIL reactor_overload: sheds happened but \
-                     bda_admission_shed_total{{reason,priority}} is missing from /metrics"
+                     bda_reactor_shed_total{{class,reason}} is missing from /metrics"
                 );
                 failed_scrape = true;
             }

@@ -228,14 +228,6 @@ pub trait Provider: Send + Sync {
     fn wire_bytes(&self) -> (u64, u64) {
         (0, 0)
     }
-
-    /// This provider's own Prometheus exposition, if it serves one. The
-    /// fleet view (`/cluster/metrics`) pulls every registered provider's
-    /// exposition and merges them under per-instance labels; in-process
-    /// providers have no server of their own and return `None`.
-    fn metrics_text(&self) -> Option<String> {
-        None
-    }
 }
 
 /// Evaluate one plan node under an `op:{kind}` span of the ambient

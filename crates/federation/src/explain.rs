@@ -409,7 +409,6 @@ mod tests {
         let book = CostBook::new(7);
         book.observe(&QueryProfile {
             trace_id: 1,
-            tenant: String::new(),
             wall_ns: 400,
             slow: false,
             ops: vec![OpProfile {
@@ -460,7 +459,6 @@ mod tests {
         let book = CostBook::new(7);
         book.observe(&QueryProfile {
             trace_id: 1,
-            tenant: String::new(),
             wall_ns: 1_500_000,
             slow: false,
             ops: vec![OpProfile {
@@ -542,7 +540,6 @@ mod tests {
         let book = CostBook::new(7);
         book.observe(&QueryProfile {
             trace_id: 1,
-            tenant: String::new(),
             wall_ns: 400,
             slow: false,
             ops: vec![OpProfile {

@@ -105,26 +105,7 @@ impl Federation {
         plan: &Plan,
         options: &ExecOptions,
     ) -> Result<(DataSet, Metrics), CoreError> {
-        if !bda_obs::meter::enabled() {
-            return run_plan(&self.registry, plan, options);
-        }
-        // Metered untraced path: no span tree to distill, so charge the
-        // run's wall clock and the executor's own accounting to the
-        // in-process tenant. One Instant and one book update — cheap
-        // enough for the 2% overhead budget the CI guard enforces.
-        let start = std::time::Instant::now();
-        let result = run_plan(&self.registry, plan, options);
-        if let Ok((data, metrics)) = &result {
-            bda_obs::meter::global_usage().charge_query(
-                bda_obs::meter::DEFAULT_TENANT,
-                data.num_rows() as u64,
-                metrics.data_bytes() as u64,
-                start.elapsed().as_nanos() as u64,
-                metrics.real_wire_bytes,
-                metrics.retries as u64,
-            );
-        }
-        result
+        run_plan(&self.registry, plan, options)
     }
 
     /// Run a plan recording spans into `tracer` (pass
@@ -140,31 +121,11 @@ impl Federation {
         plan: &Plan,
         tracer: &bda_obs::Tracer,
     ) -> Result<(DataSet, Metrics), CoreError> {
-        self.run_traced_as(plan, tracer, bda_obs::meter::DEFAULT_TENANT)
-    }
-
-    /// [`Federation::run_traced`] on behalf of a named tenant: the
-    /// distilled profile (query log, cost book) carries `tenant`, and
-    /// when metering is enabled the query's rows, bytes, CPU and wire
-    /// traffic are charged to it in the global [`bda_obs::UsageBook`].
-    /// Serving tiers pass the identity lifted from the wire tag; local
-    /// callers use `run_traced`, which charges
-    /// [`bda_obs::meter::DEFAULT_TENANT`].
-    pub fn run_traced_as(
-        &self,
-        plan: &Plan,
-        tracer: &bda_obs::Tracer,
-        tenant: &str,
-    ) -> Result<(DataSet, Metrics), CoreError> {
         let result = run_plan_traced(&self.registry, plan, &self.options, tracer, None);
         if tracer.is_enabled() {
             let trace = tracer.finish();
             let trace_id = trace.trace_id;
-            if let Some(mut profile) = bda_obs::profile::QueryProfile::from_trace(&trace) {
-                profile.tenant = tenant.to_string();
-                if bda_obs::meter::enabled() {
-                    bda_obs::meter::global_usage().charge(&profile);
-                }
+            if let Some(profile) = bda_obs::profile::QueryProfile::from_trace(&trace) {
                 bda_obs::profile::global_costs().observe(&profile);
                 let wall_ms = profile.wall_ns as f64 / 1e6;
                 let outcome = bda_obs::profile::global_log().push(profile, Some(trace));
@@ -189,35 +150,20 @@ impl Federation {
     }
 
     /// Mount the observability HTTP server for this federation's
-    /// registry: `/readyz` follows the registry's circuit breakers,
-    /// `/metrics` serves `hub`, and `/cluster/metrics` serves the fleet
-    /// view — this hub's exposition merged with every remote provider's
-    /// own `/metrics`-equivalent (pulled over `Request::Metrics` at
-    /// scrape time), each sample labeled `instance="app"` or the
-    /// provider's name. The registry's health board is shared via
-    /// `Arc`, so breaker trips after mounting are visible.
+    /// registry: `/readyz` follows the registry's circuit breakers and
+    /// `/metrics` serves `hub`. The registry's health board is shared
+    /// via `Arc`, so breaker trips after mounting are visible.
     pub fn serve_ops(
         &self,
         bind: &str,
         hub: bda_obs::MetricsHub,
     ) -> std::io::Result<bda_obs::OpsHandle> {
         let registry = self.registry.clone();
-        let fleet = self.registry.clone();
-        let fleet_hub = hub.clone();
         bda_obs::serve_ops(
             bind,
             bda_obs::OpsOptions {
                 metrics: hub,
                 health: Arc::new(move || health_of(&registry)),
-                cluster: Some(Arc::new(move || {
-                    let mut sections = vec![("app".to_string(), fleet_hub.render())];
-                    for p in fleet.providers() {
-                        if let Some(text) = p.metrics_text() {
-                            sections.push((p.name().to_string(), text));
-                        }
-                    }
-                    bda_obs::metrics::merge_instances(&sections)
-                })),
                 ..bda_obs::OpsOptions::default()
             },
         )

@@ -668,7 +668,6 @@ mod tests {
     fn site_profile(site: &str, fragment_wall_ns: u64) -> bda_obs::profile::QueryProfile {
         bda_obs::profile::QueryProfile {
             trace_id: 1,
-            tenant: String::new(),
             wall_ns: fragment_wall_ns,
             slow: false,
             ops: vec![],
@@ -745,7 +744,6 @@ mod tests {
 
         let op_profile = |wall_ns: u64| bda_obs::profile::QueryProfile {
             trace_id: 2,
-            tenant: String::new(),
             wall_ns,
             slow: false,
             ops: vec![bda_obs::profile::OpProfile {

@@ -222,11 +222,6 @@ impl Registry {
         &self.health
     }
 
-    /// Replace the breaker tuning (resets all health state).
-    pub fn set_breaker_config(&mut self, config: BreakerConfig) {
-        self.health = Arc::new(HealthBoard::new(config));
-    }
-
     /// Register a provider (order matters only for tie-breaking).
     pub fn register(&mut self, p: Arc<dyn Provider>) {
         self.providers.push(p);

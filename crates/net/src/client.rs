@@ -85,7 +85,6 @@ pub struct RemoteProvider {
     capabilities: CapabilitySet,
     addr: String,
     opts: RemoteOptions,
-    tenant: Option<String>,
     pool: Mutex<Vec<TcpStream>>,
     jitter: Mutex<StdRng>,
     sent: AtomicU64,
@@ -107,7 +106,6 @@ impl RemoteProvider {
             capabilities: CapabilitySet::new(),
             addr: addr.into(),
             opts,
-            tenant: None,
             pool: Mutex::new(Vec::new()),
             jitter: Mutex::new(StdRng::seed_from_u64(opts.jitter_seed)),
             sent: AtomicU64::new(0),
@@ -126,19 +124,6 @@ impl RemoteProvider {
     /// The address this provider talks to.
     pub fn addr(&self) -> &str {
         &self.addr
-    }
-
-    /// Tag every outgoing request with this tenant identity (a
-    /// [`Request::Tenant`] wrapper), so metering servers charge this
-    /// provider's traffic to the tenant instead of the peer address.
-    /// Set before registering the provider; untagged is the default.
-    pub fn set_tenant(&mut self, tenant: impl Into<String>) {
-        self.tenant = Some(tenant.into());
-    }
-
-    /// The tenant identity outgoing requests are tagged with, if any.
-    pub fn tenant(&self) -> Option<&str> {
-        self.tenant.as_deref()
     }
 
     /// Remote catalog with row counts (one round trip).
@@ -191,14 +176,6 @@ impl RemoteProvider {
     pub fn request(&self, req: &Request) -> Result<Response> {
         let scope = bda_obs::scope::snapshot();
         let (kind, payload) = trace_wrapped(encode_request(req), scope.as_ref());
-        // A configured tenant tags every outgoing message (wrapping the
-        // encoded bytes, never re-encoding an embedded dataset).
-        let (kind, payload) = match &self.tenant {
-            Some(tenant) if kind != crate::proto::kind::TENANT => {
-                crate::proto::encode_tenant_wrapped(tenant, kind, &payload)
-            }
-            _ => (kind, payload),
-        };
         let attempts = self.opts.retry.attempts.max(1);
         let mut backoff = self.opts.retry.initial_backoff;
         let mut last = None;
@@ -424,10 +401,6 @@ impl Provider for RemoteProvider {
             self.sent.load(Ordering::Relaxed),
             self.received.load(Ordering::Relaxed),
         )
-    }
-
-    fn metrics_text(&self) -> Option<String> {
-        RemoteProvider::metrics_text(self).ok()
     }
 }
 

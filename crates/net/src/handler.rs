@@ -17,7 +17,6 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use bda_core::Provider;
-use bda_obs::meter::UsageBook;
 use bda_obs::{scope, MetricsHub, Tracer};
 
 use crate::frame::{read_message, write_message, HEADER_LEN, MAX_FRAME_PAYLOAD};
@@ -46,7 +45,6 @@ pub struct RequestHandler {
     engine: Arc<dyn Provider>,
     metrics: MetricsHub,
     log: Option<Mutex<Box<dyn Write + Send>>>,
-    usage: Option<UsageBook>,
 }
 
 impl RequestHandler {
@@ -72,15 +70,7 @@ impl RequestHandler {
             engine,
             metrics,
             log,
-            usage: None,
         })
-    }
-
-    /// Attach a [`UsageBook`] so every handled request's wall time and
-    /// wire bytes are charged to its tenant (in memory — the book
-    /// persists at query grain, not per request).
-    pub fn set_usage(&mut self, usage: UsageBook) {
-        self.usage = Some(usage);
     }
 
     /// The engine this handler serves.
@@ -98,46 +88,33 @@ impl RequestHandler {
     /// request log, and return the reply. Malformed or failing requests
     /// become [`Response::Error`]; this never panics on network bytes.
     pub fn handle_frame(&self, kind: u8, payload: &[u8], req_bytes: u64) -> Response {
-        self.handle_frame_as(kind, payload, req_bytes, "-")
+        self.handle_frame_from(kind, payload, req_bytes, "-")
     }
 
-    /// [`RequestHandler::handle_frame`] with an explicit fallback tenant
-    /// identity — the connection's peer address, typically — charged
-    /// when the request itself carries no [`Request::Tenant`] tag.
-    pub fn handle_frame_as(
+    /// [`RequestHandler::handle_frame`] for a request from `peer` (the
+    /// connection's address), which the request log and the flight
+    /// recorder's error records name.
+    pub fn handle_frame_from(
         &self,
         kind: u8,
         payload: &[u8],
         req_bytes: u64,
-        fallback_tenant: &str,
+        peer: &str,
     ) -> Response {
         let started = std::time::Instant::now();
-        let (label, traced, tenant, query, response) = match decode_request(kind, payload) {
+        let (label, traced, query, response) = match decode_request(kind, payload) {
             Ok(req) => {
                 let resp = self
                     .handle_request(&req)
                     .unwrap_or_else(|e| Response::from_error(&e));
-                let tenant = tenant_of(&req).unwrap_or(fallback_tenant).to_string();
-                (
-                    request_kind(&req),
-                    is_traced(&req),
-                    tenant,
-                    trace_id_of(&req),
-                    resp,
-                )
+                (request_kind(&req), is_traced(&req), trace_id_of(&req), resp)
             }
-            Err(e) => (
-                "malformed",
-                false,
-                fallback_tenant.to_string(),
-                None,
-                Response::from_error(&e),
-            ),
+            Err(e) => ("malformed", false, None, Response::from_error(&e)),
         };
         self.observe(
             label,
             traced,
-            &tenant,
+            peer,
             query,
             started.elapsed(),
             req_bytes,
@@ -152,7 +129,7 @@ impl RequestHandler {
         &self,
         kind: &str,
         traced: bool,
-        tenant: &str,
+        peer: &str,
         query: Option<u64>,
         dur: Duration,
         req_bytes: u64,
@@ -177,7 +154,7 @@ impl RequestHandler {
             )
             .inc();
             bda_obs::flight::global().record(self.engine.name(), || {
-                format!("request kind={kind} tenant={tenant} answered with an error")
+                format!("request kind={kind} peer={peer} answered with an error")
             });
         }
         m.histogram(
@@ -197,21 +174,6 @@ impl RequestHandler {
             "Framed bytes moved over this server's connections.",
         )
         .add(resp_bytes);
-        m.counter_labeled(
-            "bda_net_tenant_requests_total",
-            &[("tenant", tenant)],
-            "Requests handled, by tenant identity.",
-        )
-        .inc();
-        m.counter_labeled(
-            "bda_net_tenant_wire_bytes_total",
-            &[("tenant", tenant)],
-            "Framed bytes moved (both directions), by tenant identity.",
-        )
-        .add(req_bytes + resp_bytes);
-        if let Some(book) = &self.usage {
-            book.charge_io(tenant, dur.as_nanos() as u64, req_bytes + resp_bytes);
-        }
         if let Some(log) = &self.log {
             let mut w = log.lock().expect("request log poisoned");
             let query = match query {
@@ -220,11 +182,11 @@ impl RequestHandler {
             };
             let _ = writeln!(
                 w,
-                "server={} kind={} traced={} tenant={} query={} dur_us={} req_bytes={} resp_bytes={} outcome={}",
+                "server={} kind={} traced={} peer={} query={} dur_us={} req_bytes={} resp_bytes={} outcome={}",
                 self.engine.name(),
                 kind,
                 traced,
-                tenant,
+                peer,
                 query,
                 dur.as_micros(),
                 req_bytes,
@@ -236,10 +198,6 @@ impl RequestHandler {
     }
 
     fn handle_request(&self, req: &Request) -> Result<Response> {
-        self.handle_request_as(req, None)
-    }
-
-    fn handle_request_as(&self, req: &Request, tenant: Option<&str>) -> Result<Response> {
         let engine = self.engine.as_ref();
         Ok(match req {
             Request::Hello => Response::Hello {
@@ -307,14 +265,9 @@ impl RequestHandler {
                     || format!("serve:{}", request_kind(inner)),
                     engine.name(),
                 );
-                if let Some(tenant) = tenant {
-                    // Stamp the identity into the span tree so flight
-                    // dumps, traces, and profiles join on the same key.
-                    serve.event(|| format!("tenant:{tenant}"));
-                }
                 let resp = {
                     let _scope = scope::install(&tracer, engine.name(), serve.id());
-                    self.handle_request_as(inner, tenant)
+                    self.handle_request(inner)
                         .unwrap_or_else(|e| Response::from_error(&e))
                 };
                 match &resp {
@@ -333,19 +286,12 @@ impl RequestHandler {
                 // produced — including errors, so a pipelining client can
                 // always match a failure to the right in-flight call.
                 let resp = self
-                    .handle_request_as(inner, tenant)
+                    .handle_request(inner)
                     .unwrap_or_else(|e| Response::from_error(&e));
                 Response::Pipelined {
                     tag: *tag,
                     inner: Box::new(resp),
                 }
-            }
-            Request::Tenant { tenant, inner } => {
-                // The reply is the inner reply — there is no tenant
-                // response wrapper. The identity rides down so a traced
-                // request stamps it on its serve span.
-                self.handle_request_as(inner, Some(tenant))
-                    .unwrap_or_else(|e| Response::from_error(&e))
             }
         })
     }
@@ -366,28 +312,16 @@ pub(crate) fn request_kind(req: &Request) -> &'static str {
         // Wrappers are labelled by the work they carry.
         Request::Traced { inner, .. } => request_kind(inner),
         Request::Pipelined { inner, .. } => request_kind(inner),
-        Request::Tenant { inner, .. } => request_kind(inner),
     }
 }
 
 /// Whether a trace rides along with this request (looks through the
-/// `Pipelined` and `Tenant` wrappers).
+/// `Pipelined` wrapper).
 fn is_traced(req: &Request) -> bool {
     match req {
         Request::Traced { .. } => true,
         Request::Pipelined { inner, .. } => is_traced(inner),
-        Request::Tenant { inner, .. } => is_traced(inner),
         _ => false,
-    }
-}
-
-/// The tenant identity a request carries, when tagged (looks through
-/// `Pipelined`; `Tenant` never rides inside `Traced`).
-fn tenant_of(req: &Request) -> Option<&str> {
-    match req {
-        Request::Tenant { tenant, .. } => Some(tenant),
-        Request::Pipelined { inner, .. } => tenant_of(inner),
-        _ => None,
     }
 }
 
@@ -397,7 +331,6 @@ fn trace_id_of(req: &Request) -> Option<u64> {
     match req {
         Request::Traced { trace_id, .. } => Some(*trace_id),
         Request::Pipelined { inner, .. } => trace_id_of(inner),
-        Request::Tenant { inner, .. } => trace_id_of(inner),
         _ => None,
     }
 }

@@ -107,8 +107,8 @@ pub enum Request {
     /// itself, so only the trace id travels.
     ///
     /// Wrappers nest in one order, each at most once: `Pipelined` ⊃
-    /// `Tenant` ⊃ `Traced` ⊃ a plain request. Decoding refuses any
-    /// other arrangement.
+    /// `Traced` ⊃ a plain request. Decoding refuses any other
+    /// arrangement.
     Traced {
         /// Trace id every server-side span belongs to.
         trace_id: u64,
@@ -125,20 +125,6 @@ pub enum Request {
     Pipelined {
         /// Client-chosen correlation tag, echoed back verbatim.
         tag: u64,
-        /// The request to handle.
-        inner: Box<Request>,
-    },
-    /// A request tagged with the tenant identity it should be charged
-    /// to. Servers that meter usage attribute this request's cost to
-    /// `tenant` instead of the connection's peer address (the default
-    /// for untagged requests, preserving old↔new compatibility).
-    ///
-    /// `Tenant` sits between `Pipelined` and `Traced` in the wrapper
-    /// order. The reply is the inner request's reply — there is no
-    /// tenant response wrapper to echo.
-    Tenant {
-        /// Tenant identity the request is charged to.
-        tenant: String,
         /// The request to handle.
         inner: Box<Request>,
     },
@@ -218,7 +204,6 @@ const K_CATALOG: u8 = 0x07;
 const K_METRICS: u8 = 0x08;
 const K_TRACED: u8 = 0x10;
 const K_PIPELINED: u8 = 0x11;
-const K_TENANT: u8 = 0x12;
 const K_BUILD_INDEX: u8 = 0x13;
 const K_INDEX_INFO: u8 = 0x14;
 const K_R_HELLO: u8 = 0x81;
@@ -283,10 +268,6 @@ pub fn encode_request(req: &Request) -> (u8, Vec<u8>) {
             let (k, p) = encode_request(inner);
             return wrap(K_PIPELINED, |w| w.u64(*tag), k, &p);
         }
-        Request::Tenant { tenant, inner } => {
-            let (k, p) = encode_request(inner);
-            return encode_tenant_wrapped(tenant, k, &p);
-        }
     };
     (kind, w.into_vec())
 }
@@ -318,13 +299,6 @@ pub fn peek_pipelined(kind: u8, payload: &[u8]) -> Option<(u64, u8)> {
 /// Whether `kind` is the [`Request::Pipelined`] frame kind.
 pub fn is_pipelined_kind(kind: u8) -> bool {
     kind == K_PIPELINED
-}
-
-/// Encode a [`Request::Tenant`] wrapper around an *already-encoded*
-/// request, so a client tagging every outgoing message never clones the
-/// inner payload (which may embed a large dataset).
-pub fn encode_tenant_wrapped(tenant: &str, inner_kind: u8, inner_payload: &[u8]) -> (u8, Vec<u8>) {
-    wrap(K_TENANT, |w| w.str(tenant), inner_kind, inner_payload)
 }
 
 /// The outbound half of trace propagation: an encoded plain request
@@ -361,67 +335,6 @@ pub(crate) fn absorb_traced(
     }
 }
 
-/// What a cheap prefix scan of a request frame reveals: the pipelining
-/// tag (when the outermost wrapper is [`Request::Pipelined`] and its
-/// prefix is well formed), the innermost *classification* kind looking
-/// through `Pipelined` and `Tenant` wrappers, and the tenant tag when
-/// one is present.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FramePeek {
-    /// Pipelining correlation tag, when the frame is a well-formed
-    /// pipelined wrapper.
-    pub tag: Option<u64>,
-    /// The request kind after looking through `Pipelined` and `Tenant`
-    /// wrappers — what admission control should classify on. Falls back
-    /// to the outermost kind when a wrapper prefix is malformed (full
-    /// decoding later reports the error in order).
-    pub kind: u8,
-    /// Tenant identity, when the frame carries a tenant tag with a
-    /// well-formed UTF-8 prefix.
-    pub tenant: Option<String>,
-}
-
-/// Cheap peek at a request frame's wrappers without decoding the inner
-/// payload (which may embed a large dataset). The reactor's event loop
-/// uses this to classify, tag, and *attribute* a request before any
-/// expensive decoding — and to address a shed reply — while full
-/// decoding happens on an executor worker. Malformed wrapper prefixes
-/// degrade gracefully: the peek stops looking through and reports what
-/// it has, and the decode on the worker produces the error reply.
-pub fn peek_frame(kind: u8, payload: &[u8]) -> FramePeek {
-    let mut peek = FramePeek {
-        tag: None,
-        kind,
-        tenant: None,
-    };
-    let mut r = Reader::new(payload);
-    if kind == K_PIPELINED {
-        // Layout: tag u64 | inner kind u8 | u32 block len | inner payload.
-        let (Ok(tag), Ok(inner_kind), Ok(len)) = (
-            r.u64("pipeline tag"),
-            r.u8("pipelined inner"),
-            r.u32("pipelined inner"),
-        ) else {
-            return peek;
-        };
-        peek.tag = Some(tag);
-        peek.kind = inner_kind;
-        let Ok(inner) = r.bytes(len as usize, "pipelined inner") else {
-            return peek;
-        };
-        r = Reader::new(inner);
-    }
-    if peek.kind == K_TENANT {
-        // Layout: u32 len | UTF-8 tenant | inner kind u8 | …
-        let (Ok(tenant), Ok(inner_kind)) = (r.string("tenant id"), r.u8("tenant inner")) else {
-            return peek;
-        };
-        peek.tenant = Some(tenant);
-        peek.kind = inner_kind;
-    }
-    peek
-}
-
 /// Raw request kind bytes, for serving cores that must classify a
 /// message *before* decoding it (the reactor's admission control reads
 /// one byte to pick a priority queue; full decoding happens later on an
@@ -436,17 +349,15 @@ pub mod kind {
     pub const METRICS: u8 = super::K_METRICS;
     pub const TRACED: u8 = super::K_TRACED;
     pub const PIPELINED: u8 = super::K_PIPELINED;
-    pub const TENANT: u8 = super::K_TENANT;
     pub const BUILD_INDEX: u8 = super::K_BUILD_INDEX;
     pub const INDEX_INFO: u8 = super::K_INDEX_INFO;
 }
 
-/// A request kind's place in the wrapper order `Pipelined` ⊃ `Tenant` ⊃
-/// `Traced` ⊃ plain (plain = 0).
+/// A request kind's place in the wrapper order `Pipelined` ⊃ `Traced` ⊃
+/// plain (plain = 0).
 fn request_rank(kind: u8) -> u8 {
     match kind {
-        K_PIPELINED => 3,
-        K_TENANT => 2,
+        K_PIPELINED => 2,
         K_TRACED => 1,
         _ => 0,
     }
@@ -525,10 +436,6 @@ pub fn decode_request(kind: u8, payload: &[u8]) -> Result<Request> {
                 "pipelined inner",
                 decode_request,
             )?,
-        },
-        K_TENANT => Request::Tenant {
-            tenant: r.string("tenant id")?,
-            inner: read_wrapped(&mut r, kind, request_rank, "tenant inner", decode_request)?,
         },
         other => return Err(corrupt(format!("unknown request kind {other:#04x}"))),
     };
@@ -838,16 +745,12 @@ mod tests {
 
     #[test]
     fn wrappers_nest_only_in_order_and_at_most_once() {
-        // `wrap(w, …)` in wrapper order: Traced 0 < Tenant 1 < Pipelined 2
-        // (responses: Traced < Pipelined). A pair decodes exactly when the
+        // `wrap(w, …)` in wrapper order: Traced 0 < Pipelined 1, for
+        // requests and responses alike. A pair decodes exactly when the
         // outer one comes later in that order.
         let wrap = |w: usize, inner: Request| match w {
             0 => Request::Traced {
                 trace_id: 0xBDA,
-                inner: Box::new(inner),
-            },
-            1 => Request::Tenant {
-                tenant: "acme".into(),
                 inner: Box::new(inner),
             },
             _ => Request::Pipelined {
@@ -855,8 +758,8 @@ mod tests {
                 inner: Box::new(inner),
             },
         };
-        for outer in 0..3 {
-            for inner in 0..3 {
+        for outer in 0..2 {
+            for inner in 0..2 {
                 let req = wrap(outer, wrap(inner, Request::Catalog));
                 let (kind, payload) = encode_request(&req);
                 assert_eq!(
@@ -866,7 +769,7 @@ mod tests {
                 );
             }
         }
-        request_round_trip(wrap(2, wrap(1, wrap(0, Request::Catalog))));
+        request_round_trip(wrap(1, wrap(0, Request::Catalog)));
 
         let wrap = |w: usize, inner: Response| match w {
             0 => Response::Traced {
@@ -886,81 +789,6 @@ mod tests {
                 assert_eq!(ok, outer > inner, "{resp:?}");
             }
         }
-    }
-
-    #[test]
-    fn tenant_truncation_never_panics() {
-        let (kind, payload) = encode_request(&Request::Tenant {
-            tenant: "acme".into(),
-            inner: Box::new(Request::Store {
-                name: "t".into(),
-                data: sample_dataset(),
-            }),
-        });
-        for cut in 0..payload.len() {
-            assert!(decode_request(kind, &payload[..cut]).is_err(), "cut {cut}");
-            // The peek must also survive every truncation.
-            let _ = peek_frame(kind, &payload[..cut]);
-        }
-    }
-
-    #[test]
-    fn peek_frame_sees_through_wrappers() {
-        // Plain request: nothing but the kind.
-        let (kind, payload) = encode_request(&Request::Catalog);
-        let peek = peek_frame(kind, &payload);
-        assert_eq!(
-            peek,
-            FramePeek {
-                tag: None,
-                kind: super::K_CATALOG,
-                tenant: None
-            }
-        );
-
-        // Tenant-tagged request.
-        let (kind, payload) = encode_request(&Request::Tenant {
-            tenant: "acme".into(),
-            inner: Box::new(Request::Store {
-                name: "t".into(),
-                data: sample_dataset(),
-            }),
-        });
-        let peek = peek_frame(kind, &payload);
-        assert_eq!(peek.tag, None);
-        assert_eq!(peek.kind, super::K_STORE);
-        assert_eq!(peek.tenant.as_deref(), Some("acme"));
-
-        // Pipelined{Tenant{Traced{Execute}}}: tag, tenant, and the
-        // classification kind is the traced wrapper (ops-visible as a
-        // traced request, same as peek_pipelined reported before).
-        let ds = sample_dataset();
-        let plan = Plan::scan("t", ds.schema().clone()).limit(2);
-        let (kind, payload) = encode_request(&Request::Pipelined {
-            tag: 0xFEED,
-            inner: Box::new(Request::Tenant {
-                tenant: "acme".into(),
-                inner: Box::new(Request::Traced {
-                    trace_id: 7,
-                    inner: Box::new(Request::Execute { plan }),
-                }),
-            }),
-        });
-        let peek = peek_frame(kind, &payload);
-        assert_eq!(peek.tag, Some(0xFEED));
-        assert_eq!(peek.kind, super::K_TRACED);
-        assert_eq!(peek.tenant.as_deref(), Some("acme"));
-
-        // Malformed pipelined prefix: graceful fallback to the outer kind.
-        let peek = peek_frame(super::K_PIPELINED, &[0; 8]);
-        assert_eq!(
-            peek,
-            FramePeek {
-                tag: None,
-                kind: super::K_PIPELINED,
-                tenant: None
-            }
-        );
     }
 
     #[test]
@@ -1016,8 +844,9 @@ mod tests {
 
     #[test]
     fn unknown_kinds_are_errors() {
-        // 0x03 and 0x09 were retired request kinds: refused, not aliased.
-        for kind in [0x03, 0x09, 0x7E] {
+        // 0x03, 0x09 and 0x12 were retired request kinds: refused, not
+        // aliased.
+        for kind in [0x03, 0x09, 0x12, 0x7E] {
             let err = decode_request(kind, &[]).unwrap_err().to_string();
             assert!(err.contains("unknown request kind"), "{err}");
         }

@@ -98,9 +98,6 @@ pub struct ServeOptions {
     /// classifies them by name). Disk-fault injection rides in
     /// [`bda_durability::Options::faults`].
     pub durability: Option<bda_durability::Options>,
-    /// Usage book charged per request (tenant-tagged or peer-attributed)
-    /// when metering is enabled.
-    pub usage: Option<bda_obs::UsageBook>,
 }
 
 /// The shared fault stream: one RNG across all of a server's connections
@@ -200,11 +197,11 @@ pub fn serve_with(
         }
         None => engine,
     };
-    let mut handler = RequestHandler::new(engine, opts.metrics.unwrap_or_default(), opts.log)?;
-    if let Some(usage) = opts.usage {
-        handler.set_usage(usage);
-    }
-    let handler = Arc::new(handler);
+    let handler = Arc::new(RequestHandler::new(
+        engine,
+        opts.metrics.unwrap_or_default(),
+        opts.log,
+    )?);
     let metrics = handler.metrics();
     let listener = TcpListener::bind(bind)?;
     let addr = listener.local_addr()?;
@@ -304,13 +301,9 @@ fn handle_connection(
     faults: Option<Arc<FaultState>>,
 ) {
     let _ = conn.set_nodelay(true);
-    // Untagged requests are attributed to the peer address — the
-    // pre-tenant behaviour, and still the right default for peers that
-    // never learned the tenant wrapper.
-    let fallback_tenant = conn
+    let peer = conn
         .peer_addr()
-        .map(|a| a.ip().to_string())
-        .unwrap_or_else(|_| "-".to_string());
+        .map_or_else(|_| "-".to_string(), |a| a.ip().to_string());
     while !shutdown.load(Ordering::SeqCst) {
         // Idle phase: peek (non-consuming) with a short timeout so the
         // shutdown flag is observed promptly and a timeout can never
@@ -340,7 +333,7 @@ fn handle_connection(
             // Peer hung up, stalled, or sent garbage: close.
             Err(_) => return,
         };
-        let response = handler.handle_frame_as(kind, &payload, req_bytes, &fallback_tenant);
+        let response = handler.handle_frame_from(kind, &payload, req_bytes, &peer);
         let (rkind, rpayload) = encode_response(&response);
         match faults.as_ref().map(|f| f.decide()) {
             Some(FaultAction::Drop) => return, // close without replying

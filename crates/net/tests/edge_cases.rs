@@ -407,6 +407,81 @@ fn retired_partition_marker_tags_are_refused() {
     }
 }
 
+/// Kind 0x12 once carried a client-chosen tenant id, and each distinct
+/// id registered two metric series for good. The kind is retired: a
+/// 0x12 frame gets an error reply, mints no series, and both serving
+/// cores keep answering on the same connection.
+#[test]
+fn retired_tenant_kind_is_refused_and_mints_no_series() {
+    use bda_net::frame::{read_message, write_message};
+    use bda_net::proto::{decode_response, encode_request, kind};
+    use bda_net::{Request, Response};
+
+    const FRAMES: usize = 1_000;
+    let call = |conn: &mut TcpStream, kind: u8, payload: &[u8]| -> Response {
+        write_message(conn, kind, payload).unwrap();
+        conn.flush().unwrap();
+        let (k, p, _) = read_message(conn).unwrap();
+        decode_response(k, &p).unwrap()
+    };
+    let exposition_lines = |conn: &mut TcpStream| match call(conn, kind::METRICS, &[]) {
+        Response::Text(text) => text.lines().count(),
+        other => panic!("expected the metrics text, got {other:?}"),
+    };
+    // The retired layout: tenant id, then a wrapped plain `Hello`.
+    let tenant_frame = |i: usize| {
+        let mut w = Writer::new();
+        w.str(&format!("tenant-{i}"));
+        w.u8(kind::HELLO);
+        w.block(&[]);
+        w.into_vec()
+    };
+    let refused = |conn: &mut TcpStream, i: usize| match call(conn, 0x12, &tenant_frame(i)) {
+        Response::Error { msg, transient } => {
+            assert!(msg.contains("unknown request kind 0x12"), "{msg}");
+            assert!(!transient, "a protocol violation never retries");
+        }
+        other => panic!("frame {i}: expected an error response, got {other:?}"),
+    };
+
+    let engine = Arc::new(ReferenceProvider::new("ref"));
+    engine.store("t", sample()).unwrap();
+    let classic = serve(Arc::clone(&engine) as Arc<dyn Provider>, "127.0.0.1:0").unwrap();
+    let reactor = bda_reactor::serve_reactor(
+        Arc::clone(&engine) as Arc<dyn Provider>,
+        "127.0.0.1:0",
+        bda_reactor::ReactorOptions::default(),
+    )
+    .unwrap();
+    for addr in [classic.addr(), reactor.addr()] {
+        let mut conn = TcpStream::connect(addr).unwrap();
+        conn.set_nodelay(true).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        refused(&mut conn, 0);
+        // The first scrape charges the `metrics` kind after rendering;
+        // the second is the baseline.
+        exposition_lines(&mut conn);
+        let baseline = exposition_lines(&mut conn);
+        for i in 1..FRAMES {
+            refused(&mut conn, i);
+        }
+        assert_eq!(exposition_lines(&mut conn), baseline, "{addr}");
+
+        assert!(
+            matches!(call(&mut conn, kind::HELLO, &[]), Response::Hello { .. }),
+            "{addr}: Hello still answered"
+        );
+        let (k, p) = encode_request(&Request::Execute {
+            plan: Plan::scan("t", sample().schema().clone()),
+        });
+        match call(&mut conn, k, &p) {
+            Response::DataSet(out) => assert_eq!(out.num_rows(), 3),
+            other => panic!("{addr}: expected a dataset, got {other:?}"),
+        }
+    }
+}
+
 /// A server that drops and truncates every response produces clean
 /// errors after the client's retries — never a hang.
 #[test]

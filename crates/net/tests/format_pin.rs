@@ -17,9 +17,7 @@ use bda_durability::record::{decode_op, encode_op, WalOp};
 use bda_durability::snapshot::{load_latest, write_snapshot};
 use bda_durability::wal::{replay_dir, FsyncPolicy, Wal};
 use bda_durability::DiskFaults;
-use bda_net::proto::{
-    decode_request, decode_response, encode_request, encode_response, encode_tenant_wrapped,
-};
+use bda_net::proto::{decode_request, decode_response, encode_request, encode_response};
 use bda_net::{CatalogEntry, Request, Response};
 use bda_obs::{MetricsHub, Span, SpanEvent};
 use bda_storage::wire::{decode_dataset, encode_dataset};
@@ -296,12 +294,9 @@ fn request_bytes_are_pinned() {
     let plan = predicate_plan();
     let wrapped = |inner: Request| Request::Pipelined {
         tag: 0xFEED_0000_0000_BEEF,
-        inner: Box::new(Request::Tenant {
-            tenant: "acme".into(),
-            inner: Box::new(Request::Traced {
-                trace_id: 0xBDA,
-                inner: Box::new(inner),
-            }),
+        inner: Box::new(Request::Traced {
+            trace_id: 0xBDA,
+            inner: Box::new(inner),
         }),
     };
     let requests = [
@@ -342,29 +337,17 @@ fn request_bytes_are_pinned() {
             (161, 0x6d25_8daf),
         ),
         (
-            Request::Tenant {
-                tenant: "acme".into(),
-                inner: Box::new(Request::Remove { name: "t".into() }),
-            },
-            (18, 0x74a7_3e85),
-        ),
-        (
             Request::Pipelined {
                 tag: 9,
                 inner: Box::new(Request::Hello),
             },
             (13, 0xb581_65da),
         ),
-        (wrapped(Request::Execute { plan }), (187, 0xf9e0_a04a)),
+        (wrapped(Request::Execute { plan }), (174, 0xc8e3_6a33)),
     ];
     for (req, want) in requests {
         let (kind, payload) = encode_request(&req);
         pin(&format!("request {kind:#04x}"), &payload, want);
-        if let Request::Tenant { tenant, inner } = &req {
-            let (inner_kind, inner_payload) = encode_request(inner);
-            let tagged = encode_tenant_wrapped(tenant, inner_kind, &inner_payload);
-            assert_eq!(tagged, (kind, payload.clone()));
-        }
         let back = decode_request(kind, &payload).unwrap();
         assert_eq!(encode_request(&back), (kind, payload), "{req:?}");
     }

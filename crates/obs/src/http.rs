@@ -17,11 +17,6 @@
 //! | `/queries`      | JSON of the recent query-profile log            |
 //! | `/queries/slow` | the retained profiles flagged slow              |
 //! | `/calibration`  | the current [`profile::CostBook`] estimates     |
-//! | `/tenants`      | per-tenant usage from the global [`crate::meter::UsageBook`] |
-//! | `/tenants/<id>` | one tenant's usage (404 when unknown)           |
-//! | `/cluster/metrics` | merged, instance-labeled fleet metrics view  |
-//!
-//! `/queries` and `/queries/slow` accept a `?tenant=<id>` filter.
 //!
 //! This is deliberately *not* a general HTTP server: GET only, no
 //! keep-alive, no TLS, bounded header reads. That keeps `bda-obs` at
@@ -67,15 +62,8 @@ impl Default for Health {
 /// Callback producing the current [`Health`].
 pub type HealthSource = Arc<dyn Fn() -> Health + Send + Sync>;
 
-/// Callback producing the merged fleet metrics view `/cluster/metrics`
-/// serves. A callback for the same reason health is one: obs sits below
-/// the federation in the crate DAG, so whoever can reach every provider
-/// (the app tier, or `bda-served --cluster`) wires the pull + merge in
-/// at mount time (typically via [`crate::metrics::merge_instances`]).
-pub type ClusterSource = Arc<dyn Fn() -> String + Send + Sync>;
-
 /// What the ops server serves beyond the process-global stores (progress
-/// tracker, query log, flight recorder, cost book, usage book), which
+/// tracker, query log, flight recorder, cost book), which
 /// every route reads directly. `Default` is a fresh metrics hub and an
 /// always-healthy source.
 #[derive(Clone)]
@@ -84,9 +72,6 @@ pub struct OpsOptions {
     pub metrics: MetricsHub,
     /// The health source `/healthz` and `/readyz` consult.
     pub health: HealthSource,
-    /// The fleet view `/cluster/metrics` serves; `None` answers 404
-    /// (this node is not an aggregation point).
-    pub cluster: Option<ClusterSource>,
     /// Fixed worker threads answering requests (min 1).
     pub workers: usize,
     /// Accepted connections waiting for a worker before the server
@@ -99,7 +84,6 @@ impl Default for OpsOptions {
         OpsOptions {
             metrics: MetricsHub::new(),
             health: Arc::new(Health::default),
-            cluster: None,
             workers: 4,
             backlog: 64,
         }
@@ -246,13 +230,8 @@ fn route(path: &str, options: &OpsOptions) -> (&'static str, &'static str, Strin
     const TEXT: &str = "text/plain; charset=utf-8";
     const PROM: &str = "text/plain; version=0.0.4; charset=utf-8";
     const JSON: &str = "application/json";
-    // Split off the query string; the only parameter any route takes is
-    // `?tenant=<id>` (ids are expected to be URL-safe tokens).
-    let (path, query) = match path.split_once('?') {
-        Some((p, q)) => (p, Some(q)),
-        None => (path, None),
-    };
-    let tenant_filter = query.and_then(|q| q.split('&').find_map(|kv| kv.strip_prefix("tenant=")));
+    // No route takes a parameter; a query string is ignored.
+    let path = path.split_once('?').map_or(path, |(p, _)| p);
     match path {
         "/metrics" => {
             // Depth/sample gauges are sampled at scrape time rather than
@@ -291,49 +270,24 @@ fn route(path: &str, options: &OpsOptions) -> (&'static str, &'static str, Strin
         }
         "/progress" => ("200 OK", JSON, crate::progress::global().render_json()),
         "/flight" => ("200 OK", TEXT, flight::global().render()),
-        "/queries" => (
-            "200 OK",
-            JSON,
-            crate::profile::global_log().render_json_for(tenant_filter),
-        ),
+        "/queries" => ("200 OK", JSON, crate::profile::global_log().render_json()),
         "/queries/slow" => (
             "200 OK",
             JSON,
-            crate::profile::global_log().render_slow_json_for(tenant_filter),
+            crate::profile::global_log().render_slow_json(),
         ),
         "/calibration" => ("200 OK", JSON, crate::profile::global_costs().render_json()),
-        "/tenants" => ("200 OK", JSON, crate::meter::global_usage().render_json()),
-        "/cluster/metrics" => match &options.cluster {
-            Some(source) => ("200 OK", PROM, source()),
-            None => (
-                "404 Not Found",
-                TEXT,
-                "no cluster source mounted on this node\n".to_string(),
-            ),
+        _ => match path.strip_prefix("/traces/").and_then(parse_trace_id) {
+            Some(id) => match crate::profile::global_log().chrome_json(id) {
+                Some(json) => ("200 OK", JSON, json),
+                None => (
+                    "404 Not Found",
+                    TEXT,
+                    format!("no retained trace {id:#018x}\n"),
+                ),
+            },
+            None => ("404 Not Found", TEXT, "not found\n".to_string()),
         },
-        _ => {
-            if let Some(tenant) = path.strip_prefix("/tenants/") {
-                return match crate::meter::global_usage().render_tenant_json(tenant) {
-                    Some(body) => ("200 OK", JSON, body),
-                    None => (
-                        "404 Not Found",
-                        TEXT,
-                        format!("no recorded usage for tenant {tenant}\n"),
-                    ),
-                };
-            }
-            match path.strip_prefix("/traces/").and_then(parse_trace_id) {
-                Some(id) => match crate::profile::global_log().chrome_json(id) {
-                    Some(json) => ("200 OK", JSON, json),
-                    None => (
-                        "404 Not Found",
-                        TEXT,
-                        format!("no retained trace {id:#018x}\n"),
-                    ),
-                },
-                None => ("404 Not Found", TEXT, "not found\n".to_string()),
-            }
-        }
     }
 }
 
@@ -398,7 +352,6 @@ mod tests {
     fn profiling_routes_serve_the_global_log_and_costbook() {
         let profile = crate::profile::QueryProfile {
             trace_id: 0x51097,
-            tenant: "acme".into(),
             wall_ns: 1234,
             slow: false,
             ops: vec![],
@@ -422,45 +375,6 @@ mod tests {
             body.contains("\"samples\":") && body.contains("\"ns_per_row\""),
             "{body}"
         );
-        // The ?tenant= filter narrows the log to one tenant's queries.
-        let (status, body) = http_get(h.addr(), "/queries?tenant=acme");
-        assert_eq!(status, "HTTP/1.1 200 OK");
-        assert!(body.contains("0x0000000000051097"), "{body}");
-        let (status, body) = http_get(h.addr(), "/queries?tenant=nobody");
-        assert_eq!(status, "HTTP/1.1 200 OK");
-        assert!(!body.contains("0x0000000000051097"), "{body}");
-        h.shutdown();
-    }
-
-    #[test]
-    fn tenant_routes_serve_the_global_usage_book() {
-        crate::meter::global_usage().charge_query("acme-http", 10, 20, 3_000, 40, 0);
-        let h = serve_ops("127.0.0.1:0", OpsOptions::default()).expect("bind");
-        let (status, body) = http_get(h.addr(), "/tenants");
-        assert_eq!(status, "HTTP/1.1 200 OK");
-        assert!(body.contains("\"tenant\":\"acme-http\""), "{body}");
-        let (status, body) = http_get(h.addr(), "/tenants/acme-http");
-        assert_eq!(status, "HTTP/1.1 200 OK");
-        assert!(body.contains("\"cpu_ns\":3000"), "{body}");
-        let (status, _) = http_get(h.addr(), "/tenants/unknown-tenant");
-        assert_eq!(status, "HTTP/1.1 404 Not Found");
-        h.shutdown();
-    }
-
-    #[test]
-    fn cluster_metrics_route_serves_the_mounted_source_or_404() {
-        let h = serve_ops("127.0.0.1:0", OpsOptions::default()).expect("bind");
-        let (status, _) = http_get(h.addr(), "/cluster/metrics");
-        assert_eq!(status, "HTTP/1.1 404 Not Found");
-        h.shutdown();
-        let options = OpsOptions {
-            cluster: Some(Arc::new(|| "merged 1\n".to_string())),
-            ..OpsOptions::default()
-        };
-        let h = serve_ops("127.0.0.1:0", options).expect("bind");
-        let (status, body) = http_get(h.addr(), "/cluster/metrics");
-        assert_eq!(status, "HTTP/1.1 200 OK");
-        assert_eq!(body, "merged 1\n");
         h.shutdown();
     }
 

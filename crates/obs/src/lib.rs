@@ -37,15 +37,13 @@
 pub mod chrome;
 pub mod flight;
 pub mod http;
-pub mod meter;
 pub mod metrics;
 pub mod profile;
 pub mod progress;
 pub mod scope;
 
 pub use flight::FlightRecorder;
-pub use http::{serve_ops, ClusterSource, Health, HealthSource, OpsHandle, OpsOptions};
-pub use meter::{TenantUsage, UsageBook};
+pub use http::{serve_ops, Health, HealthSource, OpsHandle, OpsOptions};
 pub use metrics::{Counter, Gauge, Histogram, MetricsHub};
 pub use profile::{CostBook, QueryLog, QueryProfile};
 pub use progress::{ProgressHandle, ProgressTracker, QueryProgress};

@@ -402,67 +402,6 @@ fn family_of(name: &str) -> String {
     }
 }
 
-/// Merge several Prometheus text expositions — one per fleet instance —
-/// into a single instance-labeled view (the `/cluster/metrics` body).
-///
-/// Every sample line gains `instance="<name>"` as its *first* label;
-/// `# HELP`/`# TYPE` lines are emitted once per family across the whole
-/// fleet, in first-seen order. Sections are merged in the order given
-/// (the aggregating node lists itself first, then its providers in
-/// registration order), so equal inputs merge byte-identically. Lines
-/// that do not parse pass through unchanged — a fleet member speaking
-/// slightly different exposition must never lose samples.
-pub fn merge_instances(sections: &[(String, String)]) -> String {
-    let mut out = String::new();
-    let mut seen_meta: std::collections::HashSet<String> = std::collections::HashSet::new();
-    for (instance, text) in sections {
-        let inst = escape_label_value(instance);
-        for line in text.lines() {
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix('#') {
-                // `# HELP <family> …` / `# TYPE <family> <kind>`: once
-                // per (keyword, family) fleet-wide.
-                let mut words = rest.split_whitespace();
-                let keyword = words.next().unwrap_or("");
-                let family = words.next().unwrap_or("");
-                if seen_meta.insert(format!("{keyword} {family}")) {
-                    out.push_str(line);
-                    out.push('\n');
-                }
-                continue;
-            }
-            // Sample line: `name value` or `name{labels} value`. Label
-            // values may contain spaces, but the value is a number, so
-            // the last `}` on the line closes the label block.
-            let split = match line.rfind('}') {
-                Some(close) if line.find('{').is_some_and(|open| open < close) => Some(close + 1),
-                _ => line.find(' '),
-            };
-            let Some(split) = split else {
-                out.push_str(line);
-                out.push('\n');
-                continue;
-            };
-            let (name, value) = line.split_at(split);
-            match name.find('{') {
-                Some(open) if name.ends_with('}') => {
-                    let family = &name[..open];
-                    let body = &name[open + 1..name.len() - 1];
-                    if body.is_empty() {
-                        out.push_str(&format!("{family}{{instance=\"{inst}\"}}{value}\n"));
-                    } else {
-                        out.push_str(&format!("{family}{{instance=\"{inst}\",{body}}}{value}\n"));
-                    }
-                }
-                _ => out.push_str(&format!("{name}{{instance=\"{inst}\"}}{value}\n")),
-            }
-        }
-    }
-    out
-}
-
 /// Escape a label value for the Prometheus text exposition format:
 /// backslash, double quote and newline become `\\`, `\"`, `\n`.
 pub fn escape_label_value(v: &str) -> String {
@@ -874,58 +813,6 @@ requests_total{kind=\"a\\nb\"} 1
 requests_total{kind=\"z\"} 2
 ";
         assert_eq!(hub.render(), expected);
-    }
-
-    #[test]
-    fn merge_instances_labels_samples_and_dedups_metadata() {
-        let app = MetricsHub::new();
-        app.counter("bda_fleet_test_total", "shared family").inc();
-        let node = MetricsHub::new();
-        node.counter("bda_fleet_test_total", "shared family").add(3);
-        node.counter_labeled(
-            "bda_fleet_labeled_total",
-            &[("kind", "exe cute")],
-            "labeled family",
-        )
-        .inc();
-        let merged = merge_instances(&[
-            ("app".to_string(), app.render()),
-            ("rel-1".to_string(), node.render()),
-        ]);
-        // Every sample carries its instance, first in the label block.
-        assert!(
-            merged.contains("bda_fleet_test_total{instance=\"app\"} 1"),
-            "{merged}"
-        );
-        assert!(
-            merged.contains("bda_fleet_test_total{instance=\"rel-1\"} 3"),
-            "{merged}"
-        );
-        // Existing labels (spaces in values included) are preserved
-        // after the injected instance.
-        assert!(
-            merged.contains("bda_fleet_labeled_total{instance=\"rel-1\",kind=\"exe cute\"} 1"),
-            "{merged}"
-        );
-        // HELP/TYPE appear once per family across the fleet.
-        assert_eq!(merged.matches("# HELP bda_fleet_test_total").count(), 1);
-        assert_eq!(merged.matches("# TYPE bda_fleet_test_total").count(), 1);
-        // Deterministic: merging the same sections twice is identical.
-        let again = merge_instances(&[
-            ("app".to_string(), app.render()),
-            ("rel-1".to_string(), node.render()),
-        ]);
-        assert_eq!(merged, again);
-    }
-
-    #[test]
-    fn merge_instances_passes_unparseable_lines_through() {
-        let merged = merge_instances(&[(
-            "odd".to_string(),
-            "garbage-without-value\nname 1\n".to_string(),
-        )]);
-        assert!(merged.contains("garbage-without-value\n"), "{merged}");
-        assert!(merged.contains("name{instance=\"odd\"} 1"), "{merged}");
     }
 
     #[test]

@@ -99,9 +99,6 @@ pub struct SiteProfile {
 pub struct QueryProfile {
     /// Trace id of the query this profile was distilled from.
     pub trace_id: u64,
-    /// Tenant identity the query is charged to (empty when unknown —
-    /// profiles persisted before metering existed load as empty).
-    pub tenant: String,
     /// End-to-end wall time in nanoseconds (root `query` span).
     pub wall_ns: u64,
     /// Flagged slow by the query log (wall > p99 × k at push time).
@@ -181,7 +178,6 @@ impl QueryProfile {
         });
         Some(QueryProfile {
             trace_id: trace.trace_id,
-            tenant: String::new(),
             wall_ns,
             slow: false,
             ops: ops.into_values().collect(),
@@ -194,11 +190,8 @@ impl QueryProfile {
     pub fn render_json(&self) -> String {
         let mut out = String::with_capacity(256);
         out.push_str(&format!(
-            "{{\"trace_id\":\"{:#018x}\",\"tenant\":\"{}\",\"wall_ns\":{},\"slow\":{},\"ops\":[",
-            self.trace_id,
-            escape(&self.tenant),
-            self.wall_ns,
-            self.slow
+            "{{\"trace_id\":\"{:#018x}\",\"wall_ns\":{},\"slow\":{},\"ops\":[",
+            self.trace_id, self.wall_ns, self.slow
         ));
         for (i, op) in self.ops.iter().enumerate() {
             if i > 0 {
@@ -241,10 +234,6 @@ impl QueryProfile {
         let trace_id = raw_of(&fields, "trace_id")
             .and_then(parse_string)
             .and_then(|s| u64::from_str_radix(s.strip_prefix("0x")?, 16).ok())?;
-        // Lenient: lines persisted before metering carry no tenant.
-        let tenant = raw_of(&fields, "tenant")
-            .and_then(parse_string)
-            .unwrap_or_default();
         let wall_ns = raw_of(&fields, "wall_ns").and_then(parse_u64)?;
         let slow = raw_of(&fields, "slow").and_then(parse_bool)?;
         let mut ops = Vec::new();
@@ -273,7 +262,6 @@ impl QueryProfile {
         }
         Some(QueryProfile {
             trace_id,
-            tenant,
             wall_ns,
             slow,
             ops,
@@ -284,7 +272,6 @@ impl QueryProfile {
 
 // ---------------------------------------------------------------------
 // Minimal JSON scanning (enough for our own output, strings included).
-// Shared with `crate::meter`, whose usage records persist the same way.
 
 /// Split a JSON object into top-level `(key, raw value)` pairs.
 pub(crate) fn object_fields(s: &str) -> Option<Vec<(String, &str)>> {
@@ -622,32 +609,12 @@ impl QueryLog {
 
     /// The retained log as a JSON document (`GET /queries`).
     pub fn render_json(&self) -> String {
-        self.render_json_for(None)
+        render_queries(&self.snapshot())
     }
 
     /// The retained slow queries as a JSON document (`GET /queries/slow`).
     pub fn render_slow_json(&self) -> String {
-        self.render_slow_json_for(None)
-    }
-
-    /// `GET /queries?tenant=<id>`: the retained log, optionally filtered
-    /// to one tenant's queries.
-    pub fn render_json_for(&self, tenant: Option<&str>) -> String {
-        let mut profiles = self.snapshot();
-        if let Some(t) = tenant {
-            profiles.retain(|p| p.tenant == t);
-        }
-        render_queries(&profiles)
-    }
-
-    /// `GET /queries/slow?tenant=<id>`: slow queries, optionally
-    /// filtered to one tenant.
-    pub fn render_slow_json_for(&self, tenant: Option<&str>) -> String {
-        let mut profiles = self.slow_snapshot();
-        if let Some(t) = tenant {
-            profiles.retain(|p| p.tenant == t);
-        }
-        render_queries(&profiles)
+        render_queries(&self.slow_snapshot())
     }
 }
 
@@ -917,35 +884,19 @@ mod tests {
     }
 
     #[test]
-    fn tenant_survives_json_and_old_lines_load_without_one() {
-        let mut p = QueryProfile::from_trace(&sample_trace()).unwrap();
-        p.tenant = "acme \"corp\"".into();
+    fn lines_persisted_with_a_tenant_still_load() {
+        // Profiles once carried a `tenant` key; JSONL written then must
+        // still load, the key ignored.
+        let old = "{\"trace_id\":\"0x00000000000000ab\",\"tenant\":\"acme\",\"wall_ns\":5000,\
+                   \"slow\":true,\"ops\":[{\"class\":\"scan\",\"count\":1,\"rows\":3,\"bytes\":24,\
+                   \"wall_ns\":900}],\"sites\":[]}";
+        let p = QueryProfile::parse_json(old).unwrap();
+        assert_eq!((p.trace_id, p.wall_ns, p.slow), (0xab, 5000, true));
+        assert_eq!(p.ops[0].class, "scan");
+        assert_eq!(p.ops[0].rows, 3);
         let line = p.render_json();
+        assert!(!line.contains("tenant"), "{line}");
         assert_eq!(QueryProfile::parse_json(&line).unwrap(), p);
-        // A pre-metering line (no tenant key) still loads, as empty.
-        let old = line.replace("\"tenant\":\"acme \\\"corp\\\"\",", "");
-        assert!(!old.contains("tenant"));
-        let back = QueryProfile::parse_json(&old).unwrap();
-        assert_eq!(back.tenant, "");
-        assert_eq!(back.trace_id, p.trace_id);
-    }
-
-    #[test]
-    fn query_log_filters_by_tenant() {
-        let log = QueryLog::new();
-        let mut p = QueryProfile::from_trace(&sample_trace()).unwrap();
-        p.tenant = "acme".into();
-        log.push(p.clone(), None);
-        p.trace_id = 0xFEED;
-        p.tenant = "umbrella".into();
-        log.push(p, None);
-        let acme = log.render_json_for(Some("acme"));
-        assert!(acme.contains("\"tenant\":\"acme\""));
-        assert!(!acme.contains("umbrella"));
-        let none = log.render_json_for(Some("nobody"));
-        assert_eq!(none, "{\"queries\":[]}\n");
-        // No filter: both.
-        assert!(log.render_json().contains("umbrella"));
     }
 
     #[test]
@@ -953,7 +904,6 @@ mod tests {
         let log = QueryLog::with_capacity(4);
         let profile = |wall: u64| QueryProfile {
             trace_id: wall,
-            tenant: String::new(),
             wall_ns: wall,
             slow: false,
             ops: vec![],

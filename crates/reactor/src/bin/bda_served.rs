@@ -28,8 +28,8 @@
 //! pipelining, admission control with priority queues, and load
 //! shedding. Same protocol, same request semantics, same metrics; in
 //! this mode `/readyz` reports 503 while the admission queues are
-//! saturated. `--shards`, `--workers`, `--queue`, `--per-tenant`,
-//! `--max-conns`, and `--max-inflight` tune it (0 = derive).
+//! saturated. `--shards`, `--workers`, `--queue`, `--max-conns`, and
+//! `--max-inflight` tune it (0 = derive).
 //!
 //! `--data-dir <dir>` makes the served engine durable: prior state is
 //! recovered (newest snapshot + WAL tail) before the listener binds,
@@ -65,12 +65,8 @@ struct Args {
     shards: usize,
     workers: usize,
     queue: usize,
-    per_tenant: usize,
     max_conns: usize,
     max_inflight: usize,
-    fair_share: bool,
-    meter: bool,
-    cluster: Vec<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -86,12 +82,8 @@ fn parse_args() -> Result<Args, String> {
     let mut shards = 0usize;
     let mut workers = 0usize;
     let mut queue = 0usize;
-    let mut per_tenant = 0usize;
     let mut max_conns = 0usize;
     let mut max_inflight = 0usize;
-    let mut fair_share = false;
-    let mut meter = false;
-    let mut cluster: Vec<String> = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         let mut value = |what: &str| {
@@ -123,17 +115,7 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or_else(|| format!("--fsync wants `always` or `never`, got `{raw}`"))?;
             }
             "--reactor" => reactor = true,
-            "--fair-share" => fair_share = true,
-            "--meter" => meter = true,
-            "--cluster" => cluster.extend(
-                value("--cluster")?
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|a| !a.is_empty())
-                    .map(String::from),
-            ),
-            "--shards" | "--workers" | "--queue" | "--per-tenant" | "--max-conns"
-            | "--max-inflight" => {
+            "--shards" | "--workers" | "--queue" | "--max-conns" | "--max-inflight" => {
                 let raw = value(&arg)?;
                 let n = raw
                     .parse::<usize>()
@@ -142,7 +124,6 @@ fn parse_args() -> Result<Args, String> {
                     "--shards" => shards = n,
                     "--workers" => workers = n,
                     "--queue" => queue = n,
-                    "--per-tenant" => per_tenant = n,
                     "--max-conns" => max_conns = n,
                     _ => max_inflight = n,
                 }
@@ -154,8 +135,7 @@ fn parse_args() -> Result<Args, String> {
                      \x20                 [--log PATH|stderr] [--http PORT]\n\
                      \x20                 [--data-dir DIR] [--fsync always|never] [--reactor]\n\
                      \x20                 [--shards N] [--workers N] [--queue N]\n\
-                     \x20                 [--per-tenant N] [--max-conns N] [--max-inflight N]\n\
-                     \x20                 [--meter] [--fair-share] [--cluster ADDR,ADDR]\n\
+                     \x20                 [--max-conns N] [--max-inflight N]\n\
                      \n\
                      --log writes one structured line per request (kind, duration,\n\
                      bytes, outcome) to the given file, or to stderr.\n\
@@ -174,17 +154,8 @@ fn parse_args() -> Result<Args, String> {
                      --reactor serves on the sharded event-loop core (pipelining,\n\
                      admission control, load shedding); the remaining flags tune\n\
                      its shards, executor workers, per-class admission queue\n\
-                     capacity, per-tenant cap, connection cap, and per-connection\n\
-                     in-flight window (0 = derive a default).\n\
-                     --meter charges per-tenant usage (rows, bytes, CPU, wire\n\
-                     traffic) into the book behind /tenants, persisted under the\n\
-                     profile directory.\n\
-                     --fair-share claims queued requests by usage-weighted fair\n\
-                     share between tenants (reactor mode) instead of FIFO.\n\
-                     --cluster lists peer bda-served addresses; GET /cluster/metrics\n\
-                     on the ops endpoint then merges this node's exposition with\n\
-                     each peer's (pulled over the wire protocol at scrape time),\n\
-                     every sample labeled with its instance."
+                     capacity, connection cap, and per-connection in-flight\n\
+                     window (0 = derive a default)."
                 );
                 std::process::exit(0);
             }
@@ -205,12 +176,8 @@ fn parse_args() -> Result<Args, String> {
         shards,
         workers,
         queue,
-        per_tenant,
         max_conns,
         max_inflight,
-        fair_share,
-        meter,
-        cluster,
     })
 }
 
@@ -290,23 +257,6 @@ fn main() {
     // metrics, and the ops endpoint all share these cells.
     let metrics = bda_obs::MetricsHub::new();
 
-    // Metering charges every request to its tenant (wire tag or peer
-    // address) in the global usage book — the one `/tenants` serves and
-    // fair-share admission consults. The book persists alongside the
-    // profile log when a profile directory is configured (above), so
-    // totals survive restarts.
-    let usage = if args.meter {
-        bda_obs::meter::set_enabled(true);
-        let book = bda_obs::meter::global_usage().clone();
-        println!(
-            "bda-served: metering enabled ({} tenants recovered)",
-            book.snapshot().len()
-        );
-        Some(book)
-    } else {
-        None
-    };
-
     // Readiness is gated twice: not ready until recovery has replayed
     // (durable mode), then delegated to the serving core's own health
     // (the reactor reports saturation) once it is up.
@@ -330,43 +280,6 @@ fn main() {
         })
     };
 
-    // With peers configured, `GET /cluster/metrics` on the ops endpoint
-    // merges this node's exposition with each peer's, pulled over the
-    // wire protocol at scrape time and labeled per instance. Peers are
-    // dialed fresh per scrape (scrapes are rare; reconnecting makes the
-    // view self-healing after peer restarts), and an unreachable peer
-    // contributes a comment line instead of failing the whole view.
-    let cluster_peers = args.cluster.clone();
-    let cluster_source: Option<bda_obs::ClusterSource> = if cluster_peers.is_empty() {
-        None
-    } else {
-        let hub = metrics.clone();
-        let self_name = args.name.clone();
-        Some(Arc::new(move || {
-            let mut sections = vec![(self_name.clone(), hub.render())];
-            for addr in &cluster_peers {
-                let peer = bda_net::RemoteProvider::connect_with(
-                    addr.clone(),
-                    bda_net::RemoteOptions {
-                        timeout: std::time::Duration::from_secs(2),
-                        retry: bda_net::RetryPolicy {
-                            attempts: 1,
-                            initial_backoff: std::time::Duration::from_millis(50),
-                        },
-                        ..bda_net::RemoteOptions::default()
-                    },
-                );
-                match peer.and_then(|p| p.metrics_text().map(|t| (p.name().to_string(), t))) {
-                    Ok((name, text)) => sections.push((name, text)),
-                    Err(e) => {
-                        sections.push((addr.clone(), format!("# peer {addr} unreachable: {e}\n")))
-                    }
-                }
-            }
-            bda_obs::metrics::merge_instances(&sections)
-        }))
-    };
-
     // Mount the ops endpoint over whichever core is serving; the shared
     // metrics hub means `GET /metrics` scrapes the same request counters
     // the protocol updates. The handle must outlive the serve loop or
@@ -375,7 +288,6 @@ fn main() {
         let options = bda_obs::OpsOptions {
             metrics,
             health,
-            cluster: cluster_source.clone(),
             ..bda_obs::OpsOptions::default()
         };
         match bda_obs::serve_ops(&format!("127.0.0.1:{port}"), options) {
@@ -447,17 +359,12 @@ fn main() {
         if args.queue > 0 {
             admission.queue_capacity = args.queue;
         }
-        if args.per_tenant > 0 {
-            admission.per_tenant = args.per_tenant;
-        }
-        admission.fair_share = args.fair_share;
         let mut opts = bda_reactor::ReactorOptions {
             shards: args.shards,
             workers: args.workers,
             admission,
             log: args.log.clone(),
             metrics: Some(metrics.clone()),
-            usage: usage.clone(),
             ..bda_reactor::ReactorOptions::default()
         };
         if args.max_conns > 0 {
@@ -491,7 +398,6 @@ fn main() {
     let opts = bda_net::ServeOptions {
         log: args.log.clone(),
         metrics: Some(metrics.clone()),
-        usage,
         ..bda_net::ServeOptions::default()
     };
     let server = match bda_net::serve_with(Arc::clone(&engine), &args.listen, opts) {

@@ -15,9 +15,11 @@
 //!   flight; tagged ([`bda_net::Request::Pipelined`]) responses return
 //!   as they finish, untagged ones release in order, so both pipelining
 //!   and classic clients get exactly the semantics they expect.
-//! * **Admission control** ([`admission`]): bounded priority queues
-//!   (ops > interactive > bulk) with a per-tenant cap, classified by
-//!   peeking one byte — no decoding before admission.
+//! * **Admission control** ([`admission`]): bounded FIFO queues in
+//!   three strict priority classes (ops > interactive > bulk),
+//!   classified by peeking one byte — no decoding before admission. The
+//!   wait a request spends queued is the
+//!   `bda_reactor_queue_wait_seconds` histogram.
 //! * **Load shedding**: refused requests are answered *immediately*
 //!   with a transient error that existing retry, backoff, and circuit
 //!   breaker machinery already understands; `/readyz` (via
@@ -30,8 +32,6 @@
 pub mod admission;
 mod server;
 mod shard;
-pub mod slo;
 
-pub use admission::{classify, Admission, AdmissionConfig, Priority, QueueDepths, ShedReason};
+pub use admission::{classify, Admission, AdmissionConfig, Priority, QueueDepths};
 pub use server::{serve_reactor, ReactorHandle, ReactorOptions, Saturation};
-pub use slo::{SloMonitor, SloTargets};

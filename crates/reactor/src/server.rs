@@ -30,11 +30,10 @@ use std::time::Duration;
 
 use bda_core::Provider;
 use bda_net::{LogSink, RequestHandler};
-use bda_obs::{Health, HealthSource, MetricsHub, UsageBook};
+use bda_obs::{Health, HealthSource, MetricsHub};
 
 use crate::admission::{Admission, AdmissionConfig, QueueDepths};
 use crate::shard::{encode_wire, Completion, ShardConfig, ShardCtx, ShardShared};
-use crate::slo::{SloMonitor, SloTargets};
 
 /// Tuning for [`serve_reactor`]; `Default` suits tests and small
 /// deployments (fields of `0` mean "derive from the machine").
@@ -46,7 +45,7 @@ pub struct ReactorOptions {
     pub shards: usize,
     /// Executor workers (`0`: one per core, minimum 2).
     pub workers: usize,
-    /// Admission bounds (queue capacity per class, per-tenant cap).
+    /// Admission bounds (queue capacity per class).
     pub admission: AdmissionConfig,
     /// Most admitted-but-unanswered requests per connection before the
     /// shard stops reading from it (pipelining backpressure).
@@ -59,12 +58,6 @@ pub struct ReactorOptions {
     pub log: Option<LogSink>,
     /// Share a metrics hub (ops HTTP server) instead of a fresh one.
     pub metrics: Option<MetricsHub>,
-    /// Usage book charged per request and consulted by fair-share
-    /// admission (when `admission.fair_share` is on).
-    pub usage: Option<UsageBook>,
-    /// Latency SLO targets per priority class, driving the
-    /// `bda_slo_burn_rate{class}` gauges.
-    pub slo: SloTargets,
 }
 
 impl Default for ReactorOptions {
@@ -78,8 +71,6 @@ impl Default for ReactorOptions {
             stall_timeout: Duration::from_secs(10),
             log: None,
             metrics: None,
-            usage: None,
-            slo: SloTargets::default(),
         }
     }
 }
@@ -209,18 +200,13 @@ pub fn serve_reactor(
     } else {
         opts.workers
     };
-    let mut handler = RequestHandler::new(engine, opts.metrics.unwrap_or_default(), opts.log)?;
-    if let Some(usage) = &opts.usage {
-        handler.set_usage(usage.clone());
-    }
-    let handler = Arc::new(handler);
+    let handler = Arc::new(RequestHandler::new(
+        engine,
+        opts.metrics.unwrap_or_default(),
+        opts.log,
+    )?);
     let metrics = handler.metrics();
-    let admission = match &opts.usage {
-        Some(usage) => Admission::new(opts.admission).with_usage(usage.clone()),
-        None => Admission::new(opts.admission),
-    };
-    let admission = Arc::new(admission);
-    let slo = Arc::new(SloMonitor::new(opts.slo, metrics.clone()));
+    let admission = Arc::new(Admission::new(opts.admission));
     let listener = TcpListener::bind(bind)?;
     let addr = listener.local_addr()?;
     let shutdown = Arc::new(AtomicBool::new(false));
@@ -255,11 +241,10 @@ pub fn serve_reactor(
         let admission = Arc::clone(&admission);
         let handler = Arc::clone(&handler);
         let shards = shards.clone();
-        let slo = Arc::clone(&slo);
         threads.push(
             std::thread::Builder::new()
                 .name(format!("bda-reactor-worker-{w}"))
-                .spawn(move || worker_loop(admission, handler, shards, slo))?,
+                .spawn(move || worker_loop(admission, handler, shards))?,
         );
     }
 
@@ -328,17 +313,21 @@ fn accept_loop(
     }
 }
 
-/// Executor worker: claim → decode+execute via the shared handler →
-/// frame → hand the completion to the owning shard.
+/// Executor worker: claim → observe the queue wait → decode+execute via
+/// the shared handler → frame → hand the completion to the owning shard.
 fn worker_loop(
     admission: Arc<Admission>,
     handler: Arc<RequestHandler>,
     shards: Vec<Arc<ShardShared>>,
-    slo: Arc<SloMonitor>,
 ) {
+    let queue_wait = handler.metrics().histogram(
+        "bda_reactor_queue_wait_seconds",
+        "Time from admission to a worker claiming the request.",
+    );
     while let Some(job) = admission.next() {
-        let response = handler.handle_frame_as(job.kind, &job.payload, job.req_bytes, &job.tenant);
-        slo.observe(job.priority, job.admitted_at.elapsed());
+        queue_wait.observe_ns(job.admitted_at.elapsed().as_nanos() as u64);
+        let response =
+            handler.handle_frame_from(job.kind, &job.payload, job.req_bytes, &job.tenant);
         let wire = encode_wire(&response);
         let shard = &shards[job.shard];
         shard

@@ -38,7 +38,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bda_net::frame::{parse_message, write_message};
-use bda_net::proto::{encode_response, peek_frame, Response};
+use bda_net::proto::{encode_response, peek_pipelined, Response};
 use bda_net::MAX_MESSAGE_BYTES;
 use bda_obs::MetricsHub;
 use polling::{Event, Poller};
@@ -366,21 +366,17 @@ fn drain_rbuf(ctx: &ShardCtx, key: u64, conn: &mut Conn) -> Result<(), ()> {
 }
 
 /// Classify, tag, and offer one parsed message to admission; on refusal
-/// queue the transient shed reply immediately. The same cheap peek that
-/// finds the class kind also lifts the tenant tag, so attribution costs
-/// no decode either; untagged requests charge the peer address.
+/// queue the transient shed reply immediately.
 fn admit(ctx: &ShardCtx, key: u64, conn: &mut Conn, kind: u8, payload: Vec<u8>, req_bytes: u64) {
-    let peek = peek_frame(kind, &payload);
-    let (seq, tag) = match peek.tag {
-        Some(tag) => (None, Some(tag)),
+    let (seq, tag, class_kind) = match peek_pipelined(kind, &payload) {
+        Some((tag, inner)) => (None, Some(tag), inner),
         None => {
             let s = conn.next_seq;
             conn.next_seq += 1;
-            (Some(s), None)
+            (Some(s), None, kind)
         }
     };
-    let priority = classify(peek.kind);
-    let tenant = peek.tenant.unwrap_or_else(|| conn.peer.to_string());
+    let priority = classify(class_kind);
     let job = Job {
         shard: ctx.index,
         conn: key,
@@ -388,29 +384,22 @@ fn admit(ctx: &ShardCtx, key: u64, conn: &mut Conn, kind: u8, payload: Vec<u8>, 
         kind,
         payload,
         req_bytes,
-        tenant,
+        tenant: conn.peer.to_string(),
         priority,
         admitted_at: Instant::now(),
     };
     match ctx.admission.submit(job) {
         Ok(()) => conn.inflight += 1,
-        Err((job, reason)) => {
+        Err(job) => {
             ctx.metrics
                 .counter_labeled(
                     "bda_reactor_shed_total",
-                    &[("class", priority.label()), ("reason", reason.label())],
+                    &[("class", priority.label()), ("reason", "queue-full")],
                     "Requests refused admission and answered with a transient error.",
                 )
                 .inc();
-            ctx.metrics
-                .counter_labeled(
-                    "bda_admission_shed_total",
-                    &[("reason", reason.as_str()), ("priority", priority.label())],
-                    "Admission refusals by shed reason and priority class.",
-                )
-                .inc();
             let inner = Response::Error {
-                msg: format!("server overloaded ({}): retry with backoff", reason.label()),
+                msg: "server overloaded (queue-full): retry with backoff".to_string(),
                 transient: true,
             };
             let resp = match tag {

@@ -145,9 +145,10 @@ pub fn hash_join(
     )
 }
 
-/// Sort-merge equi-join on a single key pair (inner only). Exists to let
-/// the ablation benchmark compare join algorithms; results are identical
-/// to [`hash_join`].
+/// Sort-merge equi-join on a single key pair (inner only); results are
+/// identical to [`hash_join`]. No plan path calls it: engines join by
+/// hash. It is the tree's one sort-merge join, the algorithm the S3
+/// row of PAPER.md names, and a unit test holds it to `hash_join`.
 pub fn merge_join(
     left: &DataSet,
     right: &DataSet,

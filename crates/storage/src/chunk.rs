@@ -64,11 +64,6 @@ impl RowsChunk {
         &self.columns[i]
     }
 
-    /// Consume into the column vector.
-    pub fn into_columns(self) -> Vec<Column> {
-        self.columns
-    }
-
     /// Materialize row `i`.
     pub fn row(&self, i: usize) -> Row {
         Row(self.columns.iter().map(|c| c.get(i)).collect())
@@ -124,11 +119,6 @@ impl RowsChunk {
         }
         self.len += other.len;
         Ok(())
-    }
-
-    /// Replace the column set (e.g. after a projection). Lengths must match.
-    pub fn with_columns(columns: Vec<Column>) -> Result<RowsChunk> {
-        RowsChunk::new(columns)
     }
 }
 

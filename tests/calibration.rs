@@ -41,7 +41,6 @@ fn replicated_federation() -> Federation {
 fn site_profile(site: &str, fragment_wall_ns: u64) -> QueryProfile {
     QueryProfile {
         trace_id: 1,
-        tenant: String::new(),
         wall_ns: fragment_wall_ns,
         slow: false,
         ops: Vec::new(),

@@ -132,7 +132,6 @@ fn profiles_are_served_over_http_and_slow_queries_are_retained() {
         bda_obs::profile::global_log().push(
             QueryProfile {
                 trace_id: 0x1000 + i,
-                tenant: String::new(),
                 wall_ns: 50_000,
                 slow: false,
                 ops: vec![OpProfile {
