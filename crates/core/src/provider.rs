@@ -155,6 +155,14 @@ pub trait Provider: Send + Sync {
     /// Drop a dataset if present (cleanup of shipped intermediates).
     fn remove(&self, name: &str);
 
+    /// Whether [`Provider::store`] and [`Provider::remove`] apply one at
+    /// a time (a durable engine commits them under its WAL lock), so
+    /// concurrent stores only queue inside the provider. A serving core
+    /// then keeps a worker off bulk work for reads.
+    fn serializes_stores(&self) -> bool {
+        false
+    }
+
     /// Schema of a named dataset, if present.
     fn schema_of(&self, name: &str) -> Option<Schema> {
         self.catalog()

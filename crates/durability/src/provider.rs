@@ -524,6 +524,11 @@ impl Provider for DurableProvider {
         }
     }
 
+    fn serializes_stores(&self) -> bool {
+        // Durable stores and removals apply under the WAL lock.
+        true
+    }
+
     fn schema_of(&self, name: &str) -> Option<Schema> {
         self.shared.inner.schema_of(name)
     }

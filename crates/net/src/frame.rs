@@ -18,7 +18,7 @@
 //! panics — these bytes come from the network.
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Bytes of frame header preceding each payload chunk.
 pub const HEADER_LEN: usize = 6;
@@ -97,7 +97,10 @@ impl From<io::Error> for FrameError {
 }
 
 /// Write one message, splitting into frames as needed. Returns the total
-/// bytes put on the wire (headers included). Does not flush.
+/// bytes put on the wire (headers included). Does not flush. Each frame
+/// goes out as one vectored write of its header and payload slice, so
+/// an unbuffered socket sees one send per frame and the payload is
+/// never copied.
 pub fn write_message<W: Write>(w: &mut W, kind: u8, payload: &[u8]) -> io::Result<u64> {
     let mut written = 0u64;
     let mut chunks = payload.chunks(MAX_FRAME_PAYLOAD);
@@ -109,14 +112,28 @@ pub fn write_message<W: Write>(w: &mut W, kind: u8, payload: &[u8]) -> io::Resul
         header[0] = kind;
         header[1] = flags;
         header[2..6].copy_from_slice(&(chunk.len() as u32).to_le_bytes());
-        w.write_all(&header)?;
-        w.write_all(chunk)?;
+        write_all_vectored(w, &mut [IoSlice::new(&header), IoSlice::new(chunk)])?;
         written += (HEADER_LEN + chunk.len()) as u64;
         match next {
             Some(c) => chunk = c,
             None => return Ok(written),
         }
     }
+}
+
+/// `write_all` over several buffers: retries partial and interrupted
+/// writes until every byte of `bufs` is written.
+fn write_all_vectored<W: Write>(w: &mut W, mut bufs: &mut [IoSlice<'_>]) -> io::Result<()> {
+    IoSlice::advance_slices(&mut bufs, 0);
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Read one message, reassembling continuation frames. Returns the kind,

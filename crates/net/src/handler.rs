@@ -13,11 +13,11 @@
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use bda_core::Provider;
-use bda_obs::{scope, MetricsHub, Tracer};
+use bda_obs::{scope, Counter, Histogram, MetricsHub, Tracer};
 
 use crate::frame::{read_message, write_message, HEADER_LEN, MAX_FRAME_PAYLOAD};
 use crate::proto::{
@@ -45,6 +45,59 @@ pub struct RequestHandler {
     engine: Arc<dyn Provider>,
     metrics: MetricsHub,
     log: Option<Mutex<Box<dyn Write + Send>>>,
+    /// The series every request charges, resolved on the first request.
+    common: OnceLock<CommonSeries>,
+    /// `bda_net_requests_total{kind}` per [`Kind`], resolved on that
+    /// kind's first request.
+    requests: [OnceLock<Counter>; KINDS],
+    /// `bda_net_request_errors_total{kind}` per [`Kind`], resolved on
+    /// that kind's first error.
+    errors: [OnceLock<Counter>; KINDS],
+}
+
+/// What a request asks for, as metrics and log lines label it; a kind
+/// is also the slot of its cached per-kind series.
+#[derive(Clone, Copy)]
+enum Kind {
+    Hello,
+    Execute,
+    ExecutePush,
+    Store,
+    Remove,
+    BuildIndex,
+    IndexInfo,
+    Catalog,
+    Metrics,
+    /// A request that did not decode.
+    Malformed,
+}
+
+/// How many [`Kind`]s there are.
+const KINDS: usize = Kind::Malformed as usize + 1;
+
+impl Kind {
+    /// The short label used in metrics and log lines.
+    fn label(self) -> &'static str {
+        match self {
+            Kind::Hello => "hello",
+            Kind::Execute => "execute",
+            Kind::ExecutePush => "execute-push",
+            Kind::Store => "store",
+            Kind::Remove => "remove",
+            Kind::BuildIndex => "build-index",
+            Kind::IndexInfo => "index-info",
+            Kind::Catalog => "catalog",
+            Kind::Metrics => "metrics",
+            Kind::Malformed => "malformed",
+        }
+    }
+}
+
+/// Handles on the unlabeled-by-kind request series.
+struct CommonSeries {
+    duration: Histogram,
+    received: Counter,
+    sent: Counter,
 }
 
 impl RequestHandler {
@@ -70,6 +123,9 @@ impl RequestHandler {
             engine,
             metrics,
             log,
+            common: OnceLock::new(),
+            requests: std::array::from_fn(|_| OnceLock::new()),
+            errors: std::array::from_fn(|_| OnceLock::new()),
         })
     }
 
@@ -102,17 +158,17 @@ impl RequestHandler {
         peer: &str,
     ) -> Response {
         let started = std::time::Instant::now();
-        let (label, traced, query, response) = match decode_request(kind, payload) {
+        let (req_kind, traced, query, response) = match decode_request(kind, payload) {
             Ok(req) => {
                 let resp = self
                     .handle_request(&req)
                     .unwrap_or_else(|e| Response::from_error(&e));
                 (request_kind(&req), is_traced(&req), trace_id_of(&req), resp)
             }
-            Err(e) => ("malformed", false, None, Response::from_error(&e)),
+            Err(e) => (Kind::Malformed, false, None, Response::from_error(&e)),
         };
         self.observe(
-            label,
+            req_kind,
             traced,
             peer,
             query,
@@ -127,7 +183,7 @@ impl RequestHandler {
     #[allow(clippy::too_many_arguments)]
     fn observe(
         &self,
-        kind: &str,
+        kind: Kind,
         traced: bool,
         peer: &str,
         query: Option<u64>,
@@ -140,40 +196,49 @@ impl RequestHandler {
             let (_, payload) = encode_response_size(resp);
             (response_outcome(resp), payload)
         };
-        m.counter_labeled(
+        let labeled = |cache: &[OnceLock<Counter>; KINDS], family: &str, help: &str| {
+            cache[kind as usize]
+                .get_or_init(|| m.counter_labeled(family, &[("kind", kind.label())], help))
+                .inc()
+        };
+        labeled(
+            &self.requests,
             "bda_net_requests_total",
-            &[("kind", kind)],
             "Requests handled, by kind.",
-        )
-        .inc();
+        );
         if outcome == "error" {
-            m.counter_labeled(
+            labeled(
+                &self.errors,
                 "bda_net_request_errors_total",
-                &[("kind", kind)],
                 "Requests answered with an error, by kind.",
-            )
-            .inc();
+            );
             bda_obs::flight::global().record(self.engine.name(), || {
-                format!("request kind={kind} peer={peer} answered with an error")
+                format!(
+                    "request kind={} peer={peer} answered with an error",
+                    kind.label()
+                )
             });
         }
-        m.histogram(
-            "bda_net_request_duration_seconds",
-            "Wall time to handle one request.",
-        )
-        .observe_ns(dur.as_nanos() as u64);
-        m.counter_labeled(
-            "bda_net_wire_bytes_total",
-            &[("direction", "received")],
-            "Framed bytes moved over this server's connections.",
-        )
-        .add(req_bytes);
-        m.counter_labeled(
-            "bda_net_wire_bytes_total",
-            &[("direction", "sent")],
-            "Framed bytes moved over this server's connections.",
-        )
-        .add(resp_bytes);
+        let common = self.common.get_or_init(|| {
+            let wire = |direction| {
+                m.counter_labeled(
+                    "bda_net_wire_bytes_total",
+                    &[("direction", direction)],
+                    "Framed bytes moved over this server's connections.",
+                )
+            };
+            CommonSeries {
+                duration: m.histogram(
+                    "bda_net_request_duration_seconds",
+                    "Wall time to handle one request.",
+                ),
+                received: wire("received"),
+                sent: wire("sent"),
+            }
+        });
+        common.duration.observe_ns(dur.as_nanos() as u64);
+        common.received.add(req_bytes);
+        common.sent.add(resp_bytes);
         if let Some(log) = &self.log {
             let mut w = log.lock().expect("request log poisoned");
             let query = match query {
@@ -184,7 +249,7 @@ impl RequestHandler {
                 w,
                 "server={} kind={} traced={} peer={} query={} dur_us={} req_bytes={} resp_bytes={} outcome={}",
                 self.engine.name(),
-                kind,
+                kind.label(),
                 traced,
                 peer,
                 query,
@@ -262,7 +327,7 @@ impl RequestHandler {
                 let tracer = Tracer::with_trace_id(*trace_id);
                 let mut serve = tracer.start(
                     None,
-                    || format!("serve:{}", request_kind(inner)),
+                    || format!("serve:{}", request_kind(inner).label()),
                     engine.name(),
                 );
                 let resp = {
@@ -297,19 +362,18 @@ impl RequestHandler {
     }
 }
 
-/// The short request-kind label used in metrics and log lines.
-pub(crate) fn request_kind(req: &Request) -> &'static str {
+/// The kind of a request; wrappers are labelled by the work they carry.
+fn request_kind(req: &Request) -> Kind {
     match req {
-        Request::Hello => "hello",
-        Request::Execute { .. } => "execute",
-        Request::ExecutePush { .. } => "execute-push",
-        Request::Store { .. } => "store",
-        Request::Remove { .. } => "remove",
-        Request::BuildIndex { .. } => "build-index",
-        Request::IndexInfo { .. } => "index-info",
-        Request::Catalog => "catalog",
-        Request::Metrics => "metrics",
-        // Wrappers are labelled by the work they carry.
+        Request::Hello => Kind::Hello,
+        Request::Execute { .. } => Kind::Execute,
+        Request::ExecutePush { .. } => Kind::ExecutePush,
+        Request::Store { .. } => Kind::Store,
+        Request::Remove { .. } => Kind::Remove,
+        Request::BuildIndex { .. } => Kind::BuildIndex,
+        Request::IndexInfo { .. } => Kind::IndexInfo,
+        Request::Catalog => Kind::Catalog,
+        Request::Metrics => Kind::Metrics,
         Request::Traced { inner, .. } => request_kind(inner),
         Request::Pipelined { inner, .. } => request_kind(inner),
     }
@@ -374,6 +438,7 @@ fn push_to_peer(dest_addr: &str, dest_name: &str, data: bda_storage::DataSet) ->
         .first()
         .ok_or_else(|| CoreError::Net(format!("no address for peer {dest_addr}")))?;
     let mut conn = TcpStream::connect_timeout(addr, PUSH_TIMEOUT).map_err(net)?;
+    conn.set_nodelay(true).map_err(net)?;
     conn.set_read_timeout(Some(PUSH_TIMEOUT)).map_err(net)?;
     conn.set_write_timeout(Some(PUSH_TIMEOUT)).map_err(net)?;
     let store = Request::Store {
@@ -400,5 +465,47 @@ fn push_to_peer(dest_addr: &str, dest_name: &str, data: bda_storage::DataSet) ->
         other => Err(CoreError::Net(format!(
             "unexpected push response: {other:?}"
         ))),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bda_core::ReferenceProvider;
+
+    #[test]
+    fn series_appear_on_first_use_and_count_every_request() {
+        let hub = MetricsHub::new();
+        let handler =
+            RequestHandler::new(Arc::new(ReferenceProvider::new("ref")), hub.clone(), None)
+                .unwrap();
+        assert!(
+            !hub.render().contains("bda_net"),
+            "no series before a request"
+        );
+        let (kind, payload) = encode_request(&Request::Hello);
+        for _ in 0..2 {
+            handler.handle_frame(kind, &payload, 10);
+        }
+        let text = hub.render();
+        assert!(
+            text.contains("bda_net_requests_total{kind=\"hello\"} 2"),
+            "{text}"
+        );
+        assert!(text.contains("bda_net_wire_bytes_total{direction=\"received\"} 20"));
+        assert!(
+            text.contains("bda_net_request_duration_seconds_count 2"),
+            "{text}"
+        );
+        assert!(!text.contains("kind=\"store\""), "{text}");
+        assert!(!text.contains("bda_net_request_errors_total"), "{text}");
+        handler.handle_frame(0xEE, &[], 6);
+        let text = hub.render();
+        assert!(
+            text.contains("bda_net_requests_total{kind=\"malformed\"} 1"),
+            "{text}"
+        );
+        assert!(text.contains("bda_net_request_errors_total{kind=\"malformed\"} 1"));
+        assert!(text.contains("bda_net_wire_bytes_total{direction=\"received\"} 26"));
     }
 }

@@ -13,6 +13,13 @@
 //! [`bda_net::Response::Error`], which existing clients already treat as
 //! retry-with-backoff and circuit-breaker fodder. Shed early, answer
 //! fast, never hang.
+//!
+//! Bulk work can be capped: [`Admission::with_bulk_limit`] lets at most
+//! that many bulk jobs run at once, and a worker that could only claim
+//! bulk past the cap waits for other work. The reactor caps bulk at one
+//! fewer than its workers when the engine applies stores one at a time
+//! (a durable engine's WAL lock), so a lookup always finds a worker
+//! that is not queued behind a store.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -99,6 +106,8 @@ impl Default for AdmissionConfig {
 struct State {
     queues: [VecDeque<Job>; 3],
     closed: bool,
+    /// Bulk jobs claimed and not yet [finished](Admission::finish).
+    bulk_running: usize,
 }
 
 /// Point-in-time scheduler fullness, surfaced through `/readyz` and the
@@ -130,6 +139,8 @@ impl QueueDepths {
 /// executor workers (consumers).
 pub struct Admission {
     config: AdmissionConfig,
+    /// Most bulk jobs that run at once (`usize::MAX`: no cap).
+    bulk_limit: usize,
     state: Mutex<State>,
     available: Condvar,
 }
@@ -138,12 +149,23 @@ impl Admission {
     pub fn new(config: AdmissionConfig) -> Admission {
         Admission {
             config,
+            bulk_limit: usize::MAX,
             state: Mutex::new(State {
                 queues: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
                 closed: false,
+                bulk_running: 0,
             }),
             available: Condvar::new(),
         }
+    }
+
+    /// Let at most `limit` (at least one) bulk jobs run at once. A bulk
+    /// job past the cap stays queued until [`Admission::finish`]
+    /// reports a running one done; the other classes are claimed as
+    /// usual meanwhile.
+    pub fn with_bulk_limit(mut self, limit: usize) -> Admission {
+        self.bulk_limit = limit.max(1);
+        self
     }
 
     /// Offer a job. `Err` hands the job back when its class queue is
@@ -156,8 +178,13 @@ impl Admission {
             return Err(job);
         }
         state.queues[class].push_back(job);
+        // A bulk job past the limit waits for `finish`, which wakes a
+        // worker then; waking one now would find nothing to claim.
+        let claimable = class != Priority::Bulk as usize || state.bulk_running < self.bulk_limit;
         drop(state);
-        self.available.notify_one();
+        if claimable {
+            self.available.notify_one();
+        }
         Ok(())
     }
 
@@ -168,11 +195,24 @@ impl Admission {
     /// Under sustained interactive overload bulk *will* starve; that is
     /// the intended policy (bulk callers retry with backoff), and the
     /// bounded queues mean starvation shows up as prompt shedding, not
-    /// silent queue growth. Within a class, claiming is FIFO.
+    /// silent queue growth. Within a class, claiming is FIFO. Bulk is
+    /// claimed only while fewer than the
+    /// [bulk limit](Admission::with_bulk_limit) run; the claimer
+    /// reports each job done through [`Admission::finish`].
     pub fn next(&self) -> Option<Job> {
         let mut state = self.state.lock().expect("admission state poisoned");
         loop {
-            if let Some(job) = state.queues.iter_mut().find_map(VecDeque::pop_front) {
+            let classes = match state.bulk_running < self.bulk_limit {
+                true => Priority::Bulk as usize + 1,
+                false => Priority::Bulk as usize,
+            };
+            if let Some(job) = state.queues[..classes]
+                .iter_mut()
+                .find_map(VecDeque::pop_front)
+            {
+                if job.priority == Priority::Bulk {
+                    state.bulk_running += 1;
+                }
                 return Some(job);
             }
             if state.closed {
@@ -182,6 +222,22 @@ impl Admission {
                 .available
                 .wait(state)
                 .expect("admission state poisoned");
+        }
+    }
+
+    /// Report a claimed job of class `priority` done. A finished bulk
+    /// job frees its place under the bulk limit, and a waiting worker
+    /// is woken for the next queued one.
+    pub fn finish(&self, priority: Priority) {
+        if priority != Priority::Bulk {
+            return;
+        }
+        let mut state = self.state.lock().expect("admission state poisoned");
+        state.bulk_running = state.bulk_running.saturating_sub(1);
+        let waiting = !state.queues[Priority::Bulk as usize].is_empty();
+        drop(state);
+        if waiting {
+            self.available.notify_one();
         }
     }
 
@@ -277,6 +333,49 @@ mod tests {
         // A full bulk queue does not block ops traffic.
         adm.submit(job(Priority::Ops)).unwrap();
         assert!(adm.depths().saturated());
+    }
+
+    #[test]
+    fn other_classes_pass_bulk_held_at_the_limit() {
+        let adm = Admission::new(AdmissionConfig::default()).with_bulk_limit(1);
+        adm.submit(job(Priority::Bulk)).unwrap();
+        adm.submit(job(Priority::Bulk)).unwrap();
+        assert_eq!(adm.next().unwrap().priority, Priority::Bulk);
+        adm.submit(job(Priority::Interactive)).unwrap();
+        assert_eq!(adm.next().unwrap().priority, Priority::Interactive);
+        assert_eq!(adm.depths().bulk, 1, "the second bulk job is held");
+        adm.finish(Priority::Bulk);
+        assert_eq!(adm.next().unwrap().priority, Priority::Bulk);
+    }
+
+    #[test]
+    fn only_a_bulk_finish_releases_held_bulk() {
+        // The finishing thread does not claim again, so the held job
+        // must reach the worker blocked in `next`.
+        let adm = Admission::new(AdmissionConfig::default()).with_bulk_limit(1);
+        let adm = std::sync::Arc::new(adm);
+        adm.submit(job(Priority::Bulk)).unwrap();
+        assert_eq!(adm.next().unwrap().priority, Priority::Bulk);
+        adm.submit(job(Priority::Bulk)).unwrap();
+        let worker = std::sync::Arc::clone(&adm);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            while let Some(j) = worker.next() {
+                tx.send(j.priority).unwrap();
+            }
+        });
+        let wait = std::time::Duration::from_millis(50);
+        assert!(rx.recv_timeout(wait).is_err(), "claimed past the limit");
+        adm.finish(Priority::Interactive);
+        assert!(
+            rx.recv_timeout(wait).is_err(),
+            "released by a non-bulk finish"
+        );
+        adm.finish(Priority::Bulk);
+        let got = rx.recv_timeout(std::time::Duration::from_secs(5));
+        assert_eq!(got.unwrap(), Priority::Bulk);
+        adm.close();
+        worker.join().unwrap();
     }
 
     #[test]

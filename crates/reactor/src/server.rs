@@ -9,9 +9,11 @@
 //!                              │ parse + classify + admit
 //!                              ▼
 //!                         Admission (bounded priority queues)
-//!                              │ next()
+//!                              │ next() … finish()
 //!                              ▼
-//!                         worker 0..M   (decode, execute, encode)
+//!                         worker 0..M   (decode, execute, encode;
+//!                                        at most M-1 in bulk work when
+//!                                        the engine serializes stores)
 //!                              │ completions + poller.notify()
 //!                              ▼
 //!                         back to the owning shard, onto the socket
@@ -43,7 +45,12 @@ pub struct ReactorOptions {
     /// bound and cheap, but more than a few is pointless below 10k
     /// connections).
     pub shards: usize,
-    /// Executor workers (`0`: one per core, minimum 2).
+    /// Executor workers (`0`: one per core, minimum 2). With two or
+    /// more over an engine that applies stores one at a time
+    /// ([`Provider::serializes_stores`], a durable engine), at most all
+    /// but one of them run bulk work (stores, removals) at once, so
+    /// reads and operational requests always have a worker that is not
+    /// queued behind a store.
     pub workers: usize,
     /// Admission bounds (queue capacity per class).
     pub admission: AdmissionConfig,
@@ -200,13 +207,19 @@ pub fn serve_reactor(
     } else {
         opts.workers
     };
+    let mut admission = Admission::new(opts.admission);
+    if workers_n > 1 && engine.serializes_stores() {
+        // Workers beyond one in a store would only wait on the
+        // engine's lock; keep one for everything else.
+        admission = admission.with_bulk_limit(workers_n - 1);
+    }
+    let admission = Arc::new(admission);
     let handler = Arc::new(RequestHandler::new(
         engine,
         opts.metrics.unwrap_or_default(),
         opts.log,
     )?);
     let metrics = handler.metrics();
-    let admission = Arc::new(Admission::new(opts.admission));
     let listener = TcpListener::bind(bind)?;
     let addr = listener.local_addr()?;
     let shutdown = Arc::new(AtomicBool::new(false));
@@ -314,7 +327,8 @@ fn accept_loop(
 }
 
 /// Executor worker: claim → observe the queue wait → decode+execute via
-/// the shared handler → frame → hand the completion to the owning shard.
+/// the shared handler → report it finished → frame → hand the
+/// completion to the owning shard.
 fn worker_loop(
     admission: Arc<Admission>,
     handler: Arc<RequestHandler>,
@@ -328,6 +342,7 @@ fn worker_loop(
         queue_wait.observe_ns(job.admitted_at.elapsed().as_nanos() as u64);
         let response =
             handler.handle_frame_from(job.kind, &job.payload, job.req_bytes, &job.tenant);
+        admission.finish(job.priority);
         let wire = encode_wire(&response);
         let shard = &shards[job.shard];
         shard

@@ -14,8 +14,8 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use bda_storage::stats::ChunkStats;
-use bda_storage::{Chunk, DataSet, IndexSpec, SecondaryIndex, StorageError, TableStats};
+use bda_storage::stats::{self, ChunkStats};
+use bda_storage::{DataSet, IndexSpec, SecondaryIndex, StorageError, TableStats};
 
 /// Everything the statistics layer knows about one stored table.
 pub struct TableMeta {
@@ -32,14 +32,8 @@ impl TableMeta {
     /// naming columns the dataset no longer has are dropped silently —
     /// a re-store with a narrower schema must not fail the store.
     pub fn compute(ds: &DataSet, specs: &[IndexSpec]) -> Result<TableMeta, StorageError> {
+        let (chunks, stats) = stats::summarize(ds)?;
         let schema = ds.schema();
-        let mut chunks = Vec::with_capacity(ds.chunks().len());
-        for chunk in ds.chunks() {
-            match chunk {
-                Chunk::Rows(rc) => chunks.push(ChunkStats::of(rc)),
-                dense => chunks.push(ChunkStats::of(&dense.to_rows(schema)?)),
-            }
-        }
         let mut indexes = BTreeMap::new();
         for spec in specs {
             if schema.index_of(&spec.column).is_err() {
@@ -49,7 +43,7 @@ impl TableMeta {
             indexes.insert(spec.column.clone(), idx);
         }
         Ok(TableMeta {
-            stats: TableStats::of(ds)?,
+            stats,
             chunks,
             indexes,
         })

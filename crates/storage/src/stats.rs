@@ -20,10 +20,10 @@
 
 use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
 
-use crate::chunk::RowsChunk;
+use crate::bitmap::Bitmap;
+use crate::chunk::Chunk;
 use crate::column::Column;
 use crate::dataset::DataSet;
 use crate::value::Value;
@@ -69,9 +69,14 @@ const KMV_K: usize = 64;
 /// uses [`DefaultHasher`] with its fixed default keys, so the same
 /// values produce the same sketch in every process — rebuilt statistics
 /// after recovery match the originals exactly.
-#[derive(Debug, Clone, Default)]
+///
+/// The sketch is the set of the `KMV_K` smallest distinct hashes seen,
+/// so folding hashes in one at a time, merging sketches of disjoint
+/// parts, and trimming their union all give the same set.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NdvSketch {
-    hashes: BTreeSet<u64>,
+    /// Distinct hashes, ascending; at most `KMV_K` of them.
+    hashes: Vec<u64>,
 }
 
 impl NdvSketch {
@@ -84,21 +89,25 @@ impl NdvSketch {
     pub fn insert(&mut self, v: &Value) {
         let mut h = DefaultHasher::new();
         v.hash(&mut h);
-        self.hashes.insert(h.finish());
-        if self.hashes.len() > KMV_K {
-            let largest = *self.hashes.iter().next_back().expect("non-empty");
-            self.hashes.remove(&largest);
+        self.insert_hash(h.finish());
+    }
+
+    /// Fold one value's hash in. A full sketch rejects a hash no
+    /// smaller than its largest before touching the set.
+    fn insert_hash(&mut self, h: u64) {
+        if self.hashes.len() >= KMV_K && self.hashes.last().is_some_and(|&top| h >= top) {
+            return;
+        }
+        if let Err(at) = self.hashes.binary_search(&h) {
+            self.hashes.insert(at, h);
+            self.hashes.truncate(KMV_K);
         }
     }
 
     /// Merge another sketch in (union of the underlying sets).
     pub fn merge(&mut self, other: &NdvSketch) {
-        for h in &other.hashes {
-            self.hashes.insert(*h);
-        }
-        while self.hashes.len() > KMV_K {
-            let largest = *self.hashes.iter().next_back().expect("non-empty");
-            self.hashes.remove(&largest);
+        for &h in &other.hashes {
+            self.insert_hash(h);
         }
     }
 
@@ -107,7 +116,7 @@ impl NdvSketch {
         if self.hashes.len() < KMV_K {
             return self.hashes.len();
         }
-        let kth = *self.hashes.iter().next_back().expect("non-empty") as f64;
+        let kth = *self.hashes.last().expect("non-empty") as f64;
         if kth <= 0.0 {
             return self.hashes.len();
         }
@@ -181,7 +190,11 @@ impl ZoneMap {
     }
 }
 
-/// Incremental builder shared by chunk- and table-level statistics.
+/// Incremental builder shared by chunk- and table-level statistics:
+/// a chunk's zone map folds its columns in ([`ZoneBuilder::observe_column`]),
+/// a table's zone map merges its chunks' ([`ZoneBuilder::merge`]). Both
+/// give what folding every value in order would: min/max keep the
+/// first-seen value on ties.
 pub struct ZoneBuilder {
     min: Option<Value>,
     max: Option<Value>,
@@ -202,28 +215,69 @@ impl ZoneBuilder {
         }
     }
 
-    /// Fold one value in.
-    pub fn observe(&mut self, v: &Value) {
-        self.len += 1;
-        if v.is_null() {
-            self.null_count += 1;
-            return;
+    /// Fold every value of a column in, over its typed slice: extremes
+    /// stay native until one `Value` each is built at the end, and each
+    /// value is hashed with exactly the bytes [`Value`]'s `Hash` feeds,
+    /// so the sketch equals a value-at-a-time fold's.
+    pub fn observe_column(&mut self, col: &Column) {
+        let valid = col.validity();
+        let sketch = &mut self.sketch;
+        let extremes = match col {
+            Column::Int64(d, _) => fold_typed(d, valid, sketch, i64::cmp, |v, h| {
+                1u8.hash(h);
+                (*v as f64).to_bits().hash(h);
+            })
+            .map(|(lo, hi)| (Value::Int(*lo), Value::Int(*hi))),
+            Column::Float64(d, _) => fold_typed(d, valid, sketch, f64::total_cmp, |v, h| {
+                1u8.hash(h);
+                v.to_bits().hash(h);
+            })
+            .map(|(lo, hi)| (Value::Float(*lo), Value::Float(*hi))),
+            Column::Bool(d, _) => fold_typed(d, valid, sketch, bool::cmp, |v, h| {
+                2u8.hash(h);
+                v.hash(h);
+            })
+            .map(|(lo, hi)| (Value::Bool(*lo), Value::Bool(*hi))),
+            Column::Utf8(d, _) => fold_typed(d, valid, sketch, String::cmp, |v, h| {
+                3u8.hash(h);
+                v.as_str().hash(h);
+            })
+            .map(|(lo, hi)| (Value::Str(lo.clone()), Value::Str(hi.clone()))),
+        };
+        self.len += col.len();
+        self.null_count += col.null_count();
+        if let Some((lo, hi)) = extremes {
+            self.fold_extremes(lo, hi);
         }
-        match &self.min {
-            Some(m) if m.total_cmp(v) != Ordering::Greater => {}
-            _ => self.min = Some(v.clone()),
-        }
-        match &self.max {
-            Some(m) if m.total_cmp(v) != Ordering::Less => {}
-            _ => self.max = Some(v.clone()),
-        }
-        self.sketch.insert(v);
     }
 
-    /// Fold every value of a column in.
-    pub fn observe_column(&mut self, col: &Column) {
-        for v in col.iter() {
-            self.observe(&v);
+    /// Merge a zone summarized separately (another chunk of the same
+    /// column) in, as if its values had been folded in after ours.
+    pub fn merge(&mut self, zone: &ZoneMap, sketch: &NdvSketch) {
+        self.len += zone.len;
+        self.null_count += zone.null_count;
+        if let (Some(lo), Some(hi)) = (&zone.min, &zone.max) {
+            self.fold_extremes(lo.clone(), hi.clone());
+        }
+        self.sketch.merge(sketch);
+    }
+
+    /// Keep the smaller min and the larger max; ties keep ours, the
+    /// first seen.
+    fn fold_extremes(&mut self, lo: Value, hi: Value) {
+        if self
+            .min
+            .as_ref()
+            .is_none_or(|m| lo.total_cmp(m) == Ordering::Less)
+        {
+            self.min = Some(lo);
+        }
+        if self
+            .max
+            .as_ref()
+            .is_none_or(|m| hi.total_cmp(m) == Ordering::Greater)
+        {
+            self.max = Some(hi);
         }
     }
 
@@ -250,20 +304,43 @@ impl Default for ZoneBuilder {
     }
 }
 
+/// One typed pass over a column's valid slots: hash each into `sketch`
+/// and return the first-seen smallest and largest under `cmp`.
+fn fold_typed<'a, T>(
+    data: &'a [T],
+    valid: Option<&Bitmap>,
+    sketch: &mut NdvSketch,
+    cmp: impl Fn(&T, &T) -> Ordering,
+    hash: impl Fn(&T, &mut DefaultHasher),
+) -> Option<(&'a T, &'a T)> {
+    let mut extremes: Option<(&T, &T)> = None;
+    for (i, v) in data.iter().enumerate() {
+        if valid.is_some_and(|bm| !bm.get(i)) {
+            continue;
+        }
+        let mut h = DefaultHasher::new();
+        hash(v, &mut h);
+        sketch.insert_hash(h.finish());
+        extremes = Some(match extremes {
+            None => (v, v),
+            Some((lo, hi)) => (
+                if cmp(v, lo) == Ordering::Less { v } else { lo },
+                if cmp(v, hi) == Ordering::Greater {
+                    v
+                } else {
+                    hi
+                },
+            ),
+        });
+    }
+    extremes
+}
+
 /// One zone map per column of a chunk, in schema order.
 #[derive(Debug, Clone)]
 pub struct ChunkStats {
     /// Zone maps, aligned with the chunk's columns.
     pub columns: Vec<ZoneMap>,
-}
-
-impl ChunkStats {
-    /// Summarize every column of a coordinate-list chunk.
-    pub fn of(chunk: &RowsChunk) -> ChunkStats {
-        ChunkStats {
-            columns: chunk.columns().iter().map(ZoneMap::of).collect(),
-        }
-    }
 }
 
 /// Whole-table statistics: row count plus a merged zone map per column.
@@ -276,32 +353,58 @@ pub struct TableStats {
 }
 
 impl TableStats {
-    /// Compute from a dataset (dense chunks are viewed as rows).
+    /// Compute from a dataset (dense chunks are viewed as rows): the
+    /// merge of its chunks' statistics, see [`summarize`].
     pub fn of(ds: &DataSet) -> Result<TableStats> {
-        let schema = ds.schema();
-        let mut builders: Vec<ZoneBuilder> =
-            (0..schema.len()).map(|_| ZoneBuilder::new()).collect();
-        for chunk in ds.chunks() {
-            let rows = chunk.to_rows(schema)?;
-            for (b, col) in builders.iter_mut().zip(rows.columns()) {
-                b.observe_column(col);
-            }
-        }
-        Ok(TableStats {
-            row_count: ds.num_rows(),
-            columns: schema
-                .fields()
-                .iter()
-                .zip(builders)
-                .map(|(f, b)| (f.name.clone(), b.finish().0))
-                .collect(),
-        })
+        Ok(summarize(ds)?.1)
     }
 
     /// The merged zone map for a named column.
     pub fn column(&self, name: &str) -> Option<&ZoneMap> {
         self.columns.iter().find(|(n, _)| n == name).map(|(_, z)| z)
     }
+}
+
+/// Per-chunk statistics and the table statistics merged from them, in
+/// one pass over the data. Zone maps form a commutative monoid (min,
+/// max, counts, sketch union), so the table's are the fold of the
+/// chunks'; a dense chunk is viewed as rows once.
+pub fn summarize(ds: &DataSet) -> Result<(Vec<ChunkStats>, TableStats)> {
+    let schema = ds.schema();
+    let mut table: Vec<ZoneBuilder> = (0..schema.len()).map(|_| ZoneBuilder::new()).collect();
+    let mut chunks = Vec::with_capacity(ds.chunks().len());
+    for chunk in ds.chunks() {
+        let converted;
+        let rows = match chunk {
+            Chunk::Rows(rc) => rc,
+            dense => {
+                converted = dense.to_rows(schema)?;
+                &converted
+            }
+        };
+        let columns = table
+            .iter_mut()
+            .zip(rows.columns())
+            .map(|(merged, col)| {
+                let mut b = ZoneBuilder::new();
+                b.observe_column(col);
+                let (zone, sketch) = b.finish();
+                merged.merge(&zone, &sketch);
+                zone
+            })
+            .collect();
+        chunks.push(ChunkStats { columns });
+    }
+    let stats = TableStats {
+        row_count: ds.num_rows(),
+        columns: schema
+            .fields()
+            .iter()
+            .zip(table)
+            .map(|(f, b)| (f.name.clone(), b.finish().0))
+            .collect(),
+    };
+    Ok((chunks, stats))
 }
 
 #[cfg(test)]
@@ -428,6 +531,42 @@ mod tests {
     }
 
     #[test]
+    fn typed_fold_hashes_as_values_do() {
+        let columns = [
+            Column::from(vec![i64::MIN, -1, 0, 3, i64::MAX]),
+            Column::from(vec![-0.0, 0.0, f64::NAN, -f64::NAN, f64::INFINITY, 3.0]),
+            Column::from(vec![true, false, true]),
+            Column::from(vec!["", "a", "ab", "a"]),
+            Column::from_values(DataType::Int64, &[Value::Null, Value::Int(9)]).unwrap(),
+        ];
+        for col in columns {
+            let mut typed = ZoneBuilder::new();
+            typed.observe_column(&col);
+            let mut by_value = NdvSketch::new();
+            for v in col.iter().filter(|v| !v.is_null()) {
+                by_value.insert(&v);
+            }
+            assert_eq!(typed.finish().1, by_value, "{col:?}");
+        }
+    }
+
+    #[test]
+    fn full_sketch_rejects_large_hashes_without_changing_the_set() {
+        let mut s = NdvSketch::new();
+        for i in 0..1_000i64 {
+            s.insert(&Value::Int(i));
+        }
+        let before = s.clone();
+        let top = *s.hashes.last().unwrap();
+        s.insert_hash(top);
+        s.insert_hash(u64::MAX);
+        assert_eq!(s, before);
+        s.insert_hash(0);
+        assert_eq!(s.hashes.len(), KMV_K);
+        assert!(s.hashes.contains(&0) && !s.hashes.contains(&top));
+    }
+
+    #[test]
     fn ndv_merge_matches_union() {
         let mut a = NdvSketch::new();
         let mut b = NdvSketch::new();
@@ -482,8 +621,8 @@ mod tests {
             ("s", Column::from(vec!["a", "b"])),
         ])
         .unwrap();
-        let chunk = ds.to_rows_chunk().unwrap();
-        let cs = ChunkStats::of(&chunk);
+        let (chunks, _) = summarize(&ds).unwrap();
+        let cs = &chunks[0];
         assert_eq!(cs.columns.len(), 2);
         assert_eq!(cs.columns[1].min, Some(Value::from("a")));
         assert_eq!(cs.columns[1].max, Some(Value::from("b")));
