@@ -1,30 +1,26 @@
 //! The CI overhead guard: tracing must be off-by-default-cheap, and the
 //! always-on flight recorder must ride inside the same budget.
 //!
-//! Runs the cross-engine join⋈matmul plan through five entry points —
+//! Runs the cross-engine join⋈matmul plan through four entry points —
 //! the untraced `Federation::run` with the flight recorder silenced
 //! (the true baseline), the same run with the recorder on (what every
 //! production query pays for the crash flight recorder), the traced
-//! path with a *disabled* tracer (the hook cost), a live tracer, and
-//! the untraced path with measured-cost calibration consulted by the
-//! planner (the profiler feeding back into placement) — interleaved
-//! round-robin so clock drift hits all five equally, and compares
-//! medians.
+//! path with a *disabled* tracer (the hook cost), and a live tracer —
+//! interleaved round-robin so clock drift hits all four equally, and
+//! compares medians.
 //!
-//! Exit 1 if the disabled-tracer path, the recorder-on path, or the
-//! calibrated-planning path exceeds the recorder-off untraced baseline
-//! by more than `BDA_OBS_BUDGET_PCT` percent (default 2) *and* the gap
-//! is above a small absolute noise floor. The enabled-path overhead is
-//! reported for context but not gated — recording spans is allowed to
-//! cost something; the hooks, the recorder when nobody is looking, and
-//! the planner's cost-book lookups are not.
+//! Exit 1 if the disabled-tracer path or the recorder-on path exceeds
+//! the recorder-off untraced baseline by more than `BDA_OBS_BUDGET_PCT`
+//! percent (default 2) *and* the gap is above a small absolute noise
+//! floor. The enabled-path overhead is reported for context but not
+//! gated — recording spans is allowed to cost something; the hooks and
+//! the recorder when nobody is looking are not.
 //!
 //! ```text
 //! BDA_OBS_BUDGET_PCT=2 cargo run --release -p bda-bench --bin overhead_guard
 //! ```
 
 use bda_bench::observed_federation;
-use bda_federation::ExecOptions;
 use bda_obs::{flight, Tracer};
 use std::time::Instant;
 
@@ -48,34 +44,24 @@ fn main() {
     // and switch it on just for the recorder-on variant.
     flight::global().set_enabled(false);
 
-    // The calibrated variant plans against the process-global cost
-    // book; the traced warmup runs below seed it, so the lookups it
-    // pays for are the real, populated-book ones.
-    let calibrated = ExecOptions {
-        calibrate: true,
-        ..ExecOptions::default()
-    };
-
     for _ in 0..WARMUP {
         fed.run(&plan).unwrap();
         fed.run_traced(&plan, &disabled).unwrap();
         fed.run_traced(&plan, &Tracer::new(7)).unwrap();
-        fed.run_with(&plan, &calibrated).unwrap();
     }
 
     // Rotate which variant runs first each rep: allocator and cache
     // state left by the previous run otherwise bias whichever variant
     // holds a fixed slot in the round.
-    let mut samples: [Vec<f64>; 5] = [
-        Vec::with_capacity(REPS),
+    let mut samples: [Vec<f64>; 4] = [
         Vec::with_capacity(REPS),
         Vec::with_capacity(REPS),
         Vec::with_capacity(REPS),
         Vec::with_capacity(REPS),
     ];
     for rep in 0..REPS {
-        for k in 0..5 {
-            let which = (rep + k) % 5;
+        for k in 0..4 {
+            let which = (rep + k) % 4;
             if which == 1 {
                 flight::global().set_enabled(true);
             }
@@ -84,8 +70,7 @@ fn main() {
                 0 => drop(fed.run(&plan).unwrap()),
                 1 => drop(fed.run(&plan).unwrap()),
                 2 => drop(fed.run_traced(&plan, &disabled).unwrap()),
-                3 => drop(fed.run_traced(&plan, &Tracer::new(7)).unwrap()),
-                _ => drop(fed.run_with(&plan, &calibrated).unwrap()),
+                _ => drop(fed.run_traced(&plan, &Tracer::new(7)).unwrap()),
             }
             samples[which].push(s.elapsed().as_secs_f64());
             if which == 1 {
@@ -93,7 +78,7 @@ fn main() {
             }
         }
     }
-    let [mut t_untraced, mut t_recorder, mut t_hooks_off, mut t_traced, mut t_calibrated] = samples;
+    let [mut t_untraced, mut t_recorder, mut t_hooks_off, mut t_traced] = samples;
 
     let median = |v: &mut Vec<f64>| {
         v.sort_by(f64::total_cmp);
@@ -103,7 +88,6 @@ fn main() {
     let recorder = median(&mut t_recorder);
     let hooks_off = median(&mut t_hooks_off);
     let traced = median(&mut t_traced);
-    let calibrated_med = median(&mut t_calibrated);
     let pct = |x: f64| (x - untraced) / untraced * 100.0;
 
     println!("overhead guard (n={N}, {REPS} interleaved reps, median):");
@@ -122,11 +106,6 @@ fn main() {
         "  live tracer:             {:>10.1} us ({:+.2}%)",
         traced * 1e6,
         pct(traced)
-    );
-    println!(
-        "  calibrated planning:     {:>10.1} us ({:+.2}%)",
-        calibrated_med * 1e6,
-        pct(calibrated_med)
     );
 
     // Trace completeness rides along: every transfer in the metrics has
@@ -160,7 +139,6 @@ fn main() {
     for (label, variant_min) in [
         ("disabled-tracing hooks", min(&t_hooks_off)),
         ("always-on flight recorder", min(&t_recorder)),
-        ("calibrated planning", min(&t_calibrated)),
     ] {
         let gap = variant_min - u_min;
         let gap_pct = gap / u_min * 100.0;

@@ -9,7 +9,9 @@
 //!
 //! Streams are pull-based and buffered: a slow consumer queues deltas
 //! (unbounded channel) rather than stalling ingest; a dropped consumer
-//! is pruned at the next publish.
+//! is pruned at the next publish. With no subscriber attached a commit
+//! builds no delta at all, so a store copies its dataset only when
+//! someone will read the copy.
 
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Mutex;
@@ -96,10 +98,18 @@ impl ChangeHub {
         ChangeStream { rx }
     }
 
-    /// Deliver a committed delta to matching subscribers, pruning the
-    /// ones whose streams were dropped.
-    pub(crate) fn publish(&self, delta: &Delta) {
+    /// Deliver the committed delta `make` builds to matching
+    /// subscribers, pruning the ones whose streams were dropped. `make`
+    /// runs only while some subscriber is attached (`None` publishes
+    /// nothing), and the check and the delivery share one hub lock: a
+    /// stream attached before the call sees the delta, one attached
+    /// after it does not.
+    pub(crate) fn publish_with(&self, make: impl FnOnce() -> Option<Delta>) {
         let mut subs = self.subs.lock().expect("change hub lock poisoned");
+        if subs.is_empty() {
+            return;
+        }
+        let Some(delta) = make() else { return };
         subs.retain(|s| {
             if s.filter.as_deref().is_some_and(|f| f != delta.name) {
                 return true; // not interested, but still alive
@@ -169,9 +179,9 @@ mod tests {
         let hub = ChangeHub::new();
         let a = hub.subscribe("a");
         let all = hub.subscribe_all();
-        hub.publish(&Delta::from_op(1, &op("a", 1)).unwrap());
-        hub.publish(&Delta::from_op(2, &op("b", 2)).unwrap());
-        hub.publish(&Delta::from_op(3, &WalOp::Remove { name: "a".into() }).unwrap());
+        hub.publish_with(|| Delta::from_op(1, &op("a", 1)));
+        hub.publish_with(|| Delta::from_op(2, &op("b", 2)));
+        hub.publish_with(|| Delta::from_op(3, &WalOp::Remove { name: "a".into() }));
         let got: Vec<u64> = a.drain().iter().map(|d| d.seq).collect();
         assert_eq!(got, [1, 3]);
         assert!(a.try_next().is_none());
@@ -185,7 +195,7 @@ mod tests {
         let s = hub.subscribe_all();
         assert_eq!(hub.subscriber_count(), 1);
         drop(s);
-        hub.publish(&Delta::from_op(1, &op("a", 1)).unwrap());
+        hub.publish_with(|| Delta::from_op(1, &op("a", 1)));
         assert_eq!(hub.subscriber_count(), 0);
     }
 
@@ -194,15 +204,29 @@ mod tests {
         let hub = ChangeHub::new();
         let s = hub.subscribe_all();
         assert!(s.next_timeout(Duration::from_millis(10)).is_none());
-        hub.publish(&Delta::from_op(1, &op("a", 1)).unwrap());
+        hub.publish_with(|| Delta::from_op(1, &op("a", 1)));
         assert_eq!(s.next_timeout(Duration::from_millis(10)).unwrap().seq, 1);
+    }
+
+    #[test]
+    fn no_subscriber_builds_no_delta() {
+        let hub = ChangeHub::new();
+        hub.publish_with(|| panic!("built a delta nobody reads"));
+        let s = hub.subscribe_all();
+        let mut built = false;
+        hub.publish_with(|| {
+            built = true;
+            Delta::from_op(1, &op("a", 1))
+        });
+        assert!(built);
+        assert_eq!(s.try_next().unwrap().seq, 1);
     }
 
     #[test]
     fn stored_delta_carries_the_dataset() {
         let hub = ChangeHub::new();
         let s = hub.subscribe("t");
-        hub.publish(&Delta::from_op(5, &op("t", 42)).unwrap());
+        hub.publish_with(|| Delta::from_op(5, &op("t", 42)));
         let d = s.try_next().unwrap();
         assert_eq!(d.name, "t");
         match d.change {

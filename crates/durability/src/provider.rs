@@ -457,9 +457,9 @@ impl Provider for DurableProvider {
         self.shared
             .bytes_since_snapshot
             .fetch_add(bytes, Ordering::Relaxed);
-        if let Some(d) = Delta::from_op(seq, &op) {
-            self.shared.changes.publish(&d);
-        }
+        self.shared
+            .changes
+            .publish_with(|| Delta::from_op(seq, &op));
         Ok(())
     }
 
@@ -486,9 +486,9 @@ impl Provider for DurableProvider {
                     self.shared
                         .bytes_since_snapshot
                         .fetch_add(bytes, Ordering::Relaxed);
-                    if let Some(d) = Delta::from_op(seq, &op) {
-                        self.shared.changes.publish(&d);
-                    }
+                    self.shared
+                        .changes
+                        .publish_with(|| Delta::from_op(seq, &op));
                     false
                 }
                 Err(_) => {

@@ -113,22 +113,6 @@ pub struct ExecOptions {
     /// partitions at its own width instead. Defaults to the `BDA_WORKERS`
     /// environment variable (falling back to 1).
     pub workers: usize,
-    /// Consult the process-global [`bda_obs::profile::CostBook`] of
-    /// measured costs during planning (site assignment and
-    /// partition-count choices). Off by default — disabled calibration
-    /// produces plans byte-identical to the static planner. Defaults to
-    /// the `BDA_CALIBRATE` environment variable (`1`/`true`/`on`).
-    pub calibrate: bool,
-}
-
-/// Environment variable enabling measured-cost calibration by default.
-pub const CALIBRATE_ENV: &str = "BDA_CALIBRATE";
-
-fn calibrate_from_env() -> bool {
-    matches!(
-        std::env::var(CALIBRATE_ENV).ok().as_deref().map(str::trim),
-        Some("1") | Some("true") | Some("on")
-    )
 }
 
 impl Default for ExecOptions {
@@ -138,7 +122,6 @@ impl Default for ExecOptions {
             optimizer: OptimizerConfig::default(),
             recovery: RecoveryPolicy::default(),
             workers: pool::workers_from_env(),
-            calibrate: calibrate_from_env(),
         }
     }
 }
@@ -175,9 +158,9 @@ pub fn run_plan_traced(
 }
 
 /// The planning pipeline every entry point shares: statistics-aware
-/// optimization, then placement under the options' worker count,
-/// calibration and statistics switches. Returns the optimized plan, the
-/// number of fragments table statistics eliminated, and the placement.
+/// optimization, then placement under the options' worker count and
+/// statistics switch. Returns the optimized plan, the number of
+/// fragments table statistics eliminated, and the placement.
 pub(crate) fn plan_and_place(
     registry: &Registry,
     plan: &Plan,
@@ -185,12 +168,8 @@ pub(crate) fn plan_and_place(
 ) -> Result<(Plan, usize, Placement)> {
     let (optimized, pruned) =
         optimize_with_stats(plan, opts.optimizer, &|name| registry.table_stats(name));
-    let costs = opts
-        .calibrate
-        .then(|| bda_obs::profile::global_costs().clone());
     let placement = Planner::new(registry)
         .with_workers(opts.workers)
-        .with_costs(costs)
         .with_stats(opts.optimizer.use_stats)
         .place(&optimized)?;
     Ok((optimized, pruned, placement))

@@ -11,32 +11,12 @@
 //! operator line names the engine that executed it.
 
 use crate::metrics::Metrics;
-use bda_obs::profile::CostBook;
 use bda_obs::{Span, Trace};
-
-/// Modeled-vs-measured disagreement (as a fraction of the modeled
-/// value) beyond which a calibration row is flagged with `!`.
-const DRIFT_FLAG_FRACTION: f64 = 0.25;
 
 /// Render a finished trace and its metrics as an `EXPLAIN ANALYZE`
 /// report. Deterministic given a deterministic trace shape (children
-/// sort by start time, then span id). Equivalent to
-/// [`render_analyze_with_costs`] with no cost book: no calibration
-/// table is rendered.
+/// sort by start time, then span id).
 pub fn render_analyze(trace: &Trace, metrics: &Metrics) -> String {
-    render_analyze_with_costs(trace, metrics, None)
-}
-
-/// [`render_analyze`], plus a `== calibration ==` table comparing what
-/// this trace measured per operator class against what the [`CostBook`]
-/// currently models. Rows whose measured ns/row drifts more than 25%
-/// from the model are flagged `!` — the signal that the book is stale
-/// or the workload shifted.
-pub fn render_analyze_with_costs(
-    trace: &Trace,
-    metrics: &Metrics,
-    costs: Option<&CostBook>,
-) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "== EXPLAIN ANALYZE (trace {:#018x}) ==\n",
@@ -56,59 +36,10 @@ pub fn render_analyze_with_costs(
     render_convergence(trace, &mut out);
     render_parallelism(trace, &mut out);
     render_pruning(trace, &mut out);
-    if let Some(book) = costs {
-        render_calibration(trace, book, &mut out);
-    }
     out.push_str("== metrics ==\n");
     out.push_str(&metrics.to_string());
     out.push('\n');
     out
-}
-
-/// The modeled-vs-measured table: one row per operator class that ran
-/// in this trace, with the rows it processed, the ns/row this trace
-/// measured, the ns/row the cost book models, and the drift between
-/// them. Unmodeled classes render `-`; drift beyond 25% is flagged `!`.
-/// Omitted entirely when the trace recorded no operator spans.
-fn render_calibration(trace: &Trace, book: &CostBook, out: &mut String) {
-    use std::collections::BTreeMap;
-    let mut classes: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
-    for s in &trace.spans {
-        let Some(class) = s.name.strip_prefix("op:") else {
-            continue;
-        };
-        let entry = classes.entry(class).or_insert((0, 0));
-        entry.0 += s.rows.unwrap_or(0);
-        entry.1 += s.duration_ns();
-    }
-    if classes.is_empty() {
-        return;
-    }
-    out.push_str("== calibration ==\n");
-    out.push_str("operator     rows       measured_ns/row  modeled_ns/row   drift\n");
-    for (class, (rows, wall_ns)) in classes {
-        let measured = wall_ns as f64 / rows.max(1) as f64;
-        match book.ns_per_row(class) {
-            Some(modeled) if modeled > 0.0 => {
-                let drift = (measured - modeled) / modeled;
-                let flag = if drift.abs() > DRIFT_FLAG_FRACTION {
-                    " !"
-                } else {
-                    ""
-                };
-                out.push_str(&format!(
-                    "{class:<12} {rows:<10} {measured:<16.1} {modeled:<16.1} {:+.1}%{flag}\n",
-                    drift * 100.0,
-                ));
-            }
-            _ => {
-                out.push_str(&format!(
-                    "{class:<12} {rows:<10} {measured:<16.1} {:<16} -\n",
-                    "-"
-                ));
-            }
-        }
-    }
 }
 
 /// The per-iteration convergence table: one row per `iteration:{n}` span
@@ -401,94 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn calibration_table_compares_measured_against_the_model() {
-        use bda_obs::profile::{OpProfile, QueryProfile};
-        // The book models select at 100 ns/row; this trace measures
-        // 1.5 ms over 4 rows (375,000 ns/row) — massive drift, flagged.
-        // matmul ran but was never calibrated — rendered unmodeled.
-        let book = CostBook::new(7);
-        book.observe(&QueryProfile {
-            trace_id: 1,
-            wall_ns: 400,
-            slow: false,
-            ops: vec![OpProfile {
-                class: "select".into(),
-                count: 1,
-                rows: 4,
-                bytes: 0,
-                wall_ns: 400,
-            }],
-            sites: Vec::new(),
-        });
-        let trace = Trace {
-            trace_id: 0xBDA,
-            spans: vec![
-                span(1, None, "query", "app", 0),
-                span(2, Some(1), "op:select", "rel", 10),
-                span(3, Some(1), "op:matmul", "la", 20),
-            ],
-            dropped: 0,
-        };
-        let s = render_analyze_with_costs(&trace, &Metrics::default(), Some(&book));
-        let table_at = position_of(&s, "== calibration ==");
-        let metrics_at = position_of(&s, "== metrics ==");
-        assert!(table_at < metrics_at, "table precedes metrics:\n{s}");
-        let table = &s[table_at..metrics_at];
-        let select_line = table
-            .lines()
-            .find(|l| l.starts_with("select"))
-            .unwrap_or_else(|| panic!("no select row:\n{table}"));
-        assert!(select_line.contains("375000"), "{select_line}");
-        assert!(select_line.contains("100"), "{select_line}");
-        assert!(select_line.ends_with('!'), "drift flagged: {select_line}");
-        let matmul_line = table
-            .lines()
-            .find(|l| l.starts_with("matmul"))
-            .unwrap_or_else(|| panic!("no matmul row:\n{table}"));
-        assert!(matmul_line.ends_with('-'), "unmodeled: {matmul_line}");
-
-        // Without a book the report is the plain render — no table.
-        let plain = render_analyze(&trace, &Metrics::default());
-        assert!(!plain.contains("== calibration =="), "{plain}");
-    }
-
-    #[test]
-    fn in_model_measurements_are_not_flagged() {
-        use bda_obs::profile::{OpProfile, QueryProfile};
-        // Modeled at 375,000 ns/row, measured at 375,000 — zero drift.
-        let book = CostBook::new(7);
-        book.observe(&QueryProfile {
-            trace_id: 1,
-            wall_ns: 1_500_000,
-            slow: false,
-            ops: vec![OpProfile {
-                class: "select".into(),
-                count: 1,
-                rows: 4,
-                bytes: 0,
-                wall_ns: 1_500_000,
-            }],
-            sites: Vec::new(),
-        });
-        let trace = Trace {
-            trace_id: 0xBDA,
-            spans: vec![
-                span(1, None, "query", "app", 0),
-                span(2, Some(1), "op:select", "rel", 10),
-            ],
-            dropped: 0,
-        };
-        let s = render_analyze_with_costs(&trace, &Metrics::default(), Some(&book));
-        let table = &s[position_of(&s, "== calibration ==")..position_of(&s, "== metrics ==")];
-        let select_line = table
-            .lines()
-            .find(|l| l.starts_with("select"))
-            .unwrap_or_else(|| panic!("no select row:\n{table}"));
-        assert!(select_line.contains("+0.0%"), "{select_line}");
-        assert!(!select_line.ends_with('!'), "{select_line}");
-    }
-
-    #[test]
     fn pruning_section_is_pinned() {
         // Golden: the `== pruning ==` section renders one line per
         // `pruning:` event in (span start, span id, event time) order,
@@ -530,43 +373,6 @@ mod tests {
         };
         let plain = render_analyze(&quiet, &Metrics::default());
         assert!(!plain.contains("== pruning =="), "{plain}");
-    }
-
-    #[test]
-    fn calibration_table_is_pinned() {
-        use bda_obs::profile::{OpProfile, QueryProfile};
-        // Golden: the exact table layout (column widths, drift format,
-        // the `!` flag) for one modeled class.
-        let book = CostBook::new(7);
-        book.observe(&QueryProfile {
-            trace_id: 1,
-            wall_ns: 400,
-            slow: false,
-            ops: vec![OpProfile {
-                class: "select".into(),
-                count: 1,
-                rows: 4,
-                bytes: 0,
-                wall_ns: 400,
-            }],
-            sites: Vec::new(),
-        });
-        let trace = Trace {
-            trace_id: 0xBDA,
-            spans: vec![
-                span(1, None, "query", "app", 0),
-                span(2, Some(1), "op:select", "rel", 10),
-            ],
-            dropped: 0,
-        };
-        let s = render_analyze_with_costs(&trace, &Metrics::default(), Some(&book));
-        let table = &s[position_of(&s, "== calibration ==")..position_of(&s, "== metrics ==")];
-        assert_eq!(
-            table,
-            "== calibration ==\n\
-             operator     rows       measured_ns/row  modeled_ns/row   drift\n\
-             select       4          375000.0         100.0            +374900.0% !\n"
-        );
     }
 
     #[test]

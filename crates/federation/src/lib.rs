@@ -21,10 +21,8 @@ pub mod optimize;
 pub mod planner;
 pub mod registry;
 
-pub use executor::{
-    run_plan, run_plan_traced, ExecOptions, RecoveryPolicy, TransferMode, CALIBRATE_ENV,
-};
-pub use explain::{render_analyze, render_analyze_with_costs};
+pub use executor::{run_plan, run_plan_traced, ExecOptions, RecoveryPolicy, TransferMode};
+pub use explain::render_analyze;
 pub use fault::{
     disk_faults_from_env, fault_seed_from_env, DiskFaults, FaultConfig, FaultyProvider,
     FAULT_SEED_ENV,
@@ -110,11 +108,9 @@ impl Federation {
 
     /// Run a plan recording spans into `tracer` (pass
     /// [`bda_obs::Tracer::disabled`] for the untraced fast path). When
-    /// the tracer is enabled, the finished trace's profile is distilled
-    /// and folded into the [`bda_obs::profile::CostBook`] — every traced
-    /// query recalibrates the measured cost model — and the profile and
-    /// trace go into one entry of the global query log (`GET /queries`,
-    /// `GET /traces/<id>`). A query the log flags slow (wall > p99 × k)
+    /// the tracer is enabled, the finished trace's profile is distilled,
+    /// and the profile and trace go into one entry of the global query
+    /// log (`GET /queries`, `GET /traces/<id>`). A query the log flags slow (wall > p99 × k)
     /// outlives the log's churn and gets a stamp in the flight recorder.
     pub fn run_traced(
         &self,
@@ -126,7 +122,6 @@ impl Federation {
             let trace = tracer.finish();
             let trace_id = trace.trace_id;
             if let Some(profile) = bda_obs::profile::QueryProfile::from_trace(&trace) {
-                bda_obs::profile::global_costs().observe(&profile);
                 let wall_ms = profile.wall_ns as f64 / 1e6;
                 let outcome = bda_obs::profile::global_log().push(profile, Some(trace));
                 if outcome.slow {
@@ -203,18 +198,10 @@ impl Federation {
     /// the recorded span tree — per-node wall time, rows, bytes, and the
     /// provider that executed each operator — plus the run's metrics.
     /// The trace id comes from `seed` (overridable via `BDA_TRACE_SEED`).
-    /// The rendered report includes modeled-vs-measured per-operator
-    /// costs (the `== calibration ==` section): `run_traced` has just
-    /// folded this query into the global [`bda_obs::profile::CostBook`],
-    /// so drift between the model and this run is visible immediately.
     pub fn explain_analyze(&self, plan: &Plan, seed: u64) -> Result<String, CoreError> {
         let tracer = bda_obs::Tracer::new(bda_obs::trace_seed_from_env(seed));
         let (_, metrics) = self.run_traced(plan, &tracer)?;
-        Ok(explain::render_analyze_with_costs(
-            &tracer.finish(),
-            &metrics,
-            Some(bda_obs::profile::global_costs()),
-        ))
+        Ok(explain::render_analyze(&tracer.finish(), &metrics))
     }
 
     /// Explain how a plan would execute: the optimized plan, the fragment

@@ -16,9 +16,10 @@
 //!    each subtree in one piece, considering capabilities and data
 //!    locality.
 //! 3. **Assignment & cutting** (top-down): where a subtree has candidates
-//!    it stays whole at the preferred/cheapest site; where it has none,
-//!    the node executes at a site chosen from its operator's supporters
-//!    and each child becomes its own fragment, shipped in.
+//!    it stays whole at the preferred site, else the one holding the
+//!    most scanned rows; where it has none, the node executes at a site
+//!    chosen from its operator's supporters and each child becomes its
+//!    own fragment, shipped in.
 //!
 //! `Iterate` nodes that no single provider can host become **app-driven**
 //! fragments (site [`APP_SITE`]): the executor itself drives the loop,
@@ -28,7 +29,6 @@
 use bda_core::infer::infer_schema;
 use bda_core::lower::lower_node;
 use bda_core::{CoreError, Plan};
-use bda_obs::profile::CostBook;
 use bda_storage::Schema;
 
 use crate::registry::Registry;
@@ -88,27 +88,10 @@ impl Placement {
     }
 }
 
-/// Estimated wire bytes per shipped row when the cost model has no
-/// better information (a handful of numeric columns).
-const SHIP_BYTES_PER_ROW: f64 = 64.0;
-
-/// Transfer cost assumed for a site link the [`CostBook`] has never
-/// measured (ns/byte; roughly loopback TCP).
-const DEFAULT_NS_PER_BYTE: f64 = 1.0;
-
-/// Fragments whose modeled operator work falls below this many
-/// nanoseconds are not worth the split-and-concatenate overhead of
-/// partition parallelism; they run at a width of one.
-const MIN_PARALLEL_WORK_NS: f64 = 200_000.0;
-
 /// The planner.
 pub struct Planner<'a> {
     registry: &'a Registry,
     workers: usize,
-    /// Measured-cost calibration; `None` (the default) keeps every
-    /// choice on the static heuristics, byte-identical to the
-    /// pre-calibration planner.
-    costs: Option<CostBook>,
     /// Consult provider table statistics (column NDV estimates) when
     /// choosing a fragment's partition width. Off by default so the bare
     /// planner stays byte-identical to the pre-statistics one.
@@ -121,7 +104,6 @@ impl<'a> Planner<'a> {
         Planner {
             registry,
             workers: 1,
-            costs: None,
             use_stats: false,
         }
     }
@@ -131,17 +113,6 @@ impl<'a> Planner<'a> {
     /// when some hash key has no estimate, the worker count stands.
     pub fn with_stats(mut self, on: bool) -> Planner<'a> {
         self.use_stats = on;
-        self
-    }
-
-    /// Consult a [`CostBook`] of measured costs for site assignment
-    /// (which replica takes a fragment — the pushdown-toward-data
-    /// choice at each cut) and partition-width decisions. An empty book
-    /// (no folded profiles yet) is ignored, and `None` disables
-    /// calibration entirely: both produce plans byte-identical to the
-    /// static planner.
-    pub fn with_costs(mut self, costs: Option<CostBook>) -> Planner<'a> {
-        self.costs = costs;
         self
     }
 
@@ -195,13 +166,12 @@ impl<'a> Planner<'a> {
     }
 
     /// The partition width of a fragment: 1 at one worker, at the app
-    /// site, when calibration says the work is too small, or when the
-    /// fragment has no join, grouped aggregate, matmul or elementwise
+    /// site, or when the fragment has no join, grouped aggregate, matmul or elementwise
     /// operator. Otherwise the worker count — capped, for a fragment
     /// whose hot operators are all hash-keyed and all have a key NDV
     /// estimate, at the largest estimate.
     fn parts_of(&self, f: &Fragment) -> usize {
-        if self.workers <= 1 || f.site == APP_SITE || !self.worth_partitioning(&f.plan) {
+        if self.workers <= 1 || f.site == APP_SITE {
             return 1;
         }
         // `Some(max)` while every hash key seen has an estimate; `None`
@@ -323,19 +293,12 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// Pick an execution site, preferring `preferred`, then — when a
-    /// non-empty [`CostBook`] is mounted — the candidate with the
-    /// lowest modeled cost, then the site holding the most scanned
-    /// rows, then registration order.
+    /// Pick an execution site, preferring `preferred`, then the site
+    /// holding the most scanned rows, then registration order.
     fn pick(&self, cands: &[String], preferred: Option<&str>, plan: &Plan) -> String {
         if let Some(p) = preferred {
             if cands.iter().any(|c| c == p) {
                 return p.to_string();
-            }
-        }
-        if let Some(book) = &self.costs {
-            if let Some(site) = self.pick_by_cost(book, cands, plan) {
-                return site;
             }
         }
         let scanned = plan.scanned_datasets();
@@ -362,87 +325,6 @@ impl<'a> Planner<'a> {
         }
         best.map(|(_, c)| c.clone())
             .unwrap_or_else(|| cands[0].clone())
-    }
-
-    /// Cost-based site choice: per candidate, the measured per-fragment
-    /// dispatch cost at that site plus the modeled cost of shipping in
-    /// every scanned dataset the site does not hold. Sites the book has
-    /// never measured cost an optimistic zero dispatch — exploration,
-    /// so a fast replica that static placement never exercised still
-    /// gets its first fragment. `None` when the book holds no profiles
-    /// yet (the caller falls through to the static heuristics — this is
-    /// what keeps disabled/empty calibration byte-identical).
-    fn pick_by_cost(&self, book: &CostBook, cands: &[String], plan: &Plan) -> Option<String> {
-        if book.samples() == 0 {
-            return None;
-        }
-        let scanned = plan.scanned_datasets();
-        let mut best: Option<(f64, &String)> = None;
-        for c in cands {
-            let provider = self.registry.provider(c).ok();
-            let mut shipped_rows = 0f64;
-            for d in &scanned {
-                let held = provider.as_ref().and_then(|p| p.row_count_of(d));
-                if held.is_none() {
-                    shipped_rows += self.rows_anywhere(d) as f64;
-                }
-            }
-            let dispatch = book.dispatch_ns(c).unwrap_or(0.0);
-            let per_byte = book.ns_per_byte(c).unwrap_or(DEFAULT_NS_PER_BYTE);
-            let cost = dispatch + shipped_rows * SHIP_BYTES_PER_ROW * per_byte;
-            let better = match best {
-                Some((b, _)) => cost < b,
-                None => true,
-            };
-            if better {
-                best = Some((cost, c));
-            }
-        }
-        best.map(|(_, c)| c.clone())
-    }
-
-    /// Row count of a dataset at whichever site holds it (0 when no
-    /// holder publishes statistics).
-    fn rows_anywhere(&self, dataset: &str) -> usize {
-        self.registry
-            .locations_of(dataset)
-            .iter()
-            .filter_map(|s| self.registry.provider(s).ok())
-            .find_map(|p| p.row_count_of(dataset))
-            .unwrap_or(0)
-    }
-
-    /// Partition-width choice: with a calibrated book, a fragment whose
-    /// modeled operator work (measured ns/row × scanned rows) is below
-    /// [`MIN_PARALLEL_WORK_NS`] keeps running sequentially — the split
-    /// and concatenate overhead would outweigh it. Unknown classes,
-    /// unknown cardinalities, or an empty/absent book leave the static
-    /// choice untouched.
-    fn worth_partitioning(&self, plan: &Plan) -> bool {
-        let Some(book) = &self.costs else { return true };
-        if book.samples() == 0 {
-            return true;
-        }
-        let mut per_row = 0.0f64;
-        let mut modeled = false;
-        for kind in plan.op_kinds() {
-            if let Some(c) = book.ns_per_row(kind.name()) {
-                per_row += c;
-                modeled = true;
-            }
-        }
-        if !modeled {
-            return true;
-        }
-        let rows: usize = plan
-            .scanned_datasets()
-            .iter()
-            .map(|d| self.rows_anywhere(d))
-            .sum();
-        if rows == 0 {
-            return true;
-        }
-        per_row * rows as f64 >= MIN_PARALLEL_WORK_NS
     }
 
     fn assign(
@@ -663,120 +545,6 @@ mod tests {
             r.health().record_failure("la2");
         }
         assert!(Planner::new(&r).place(&plan).is_ok());
-    }
-
-    fn site_profile(site: &str, fragment_wall_ns: u64) -> bda_obs::profile::QueryProfile {
-        bda_obs::profile::QueryProfile {
-            trace_id: 1,
-            wall_ns: fragment_wall_ns,
-            slow: false,
-            ops: vec![],
-            sites: vec![bda_obs::profile::SiteProfile {
-                site: site.to_string(),
-                fragments: 1,
-                fragment_wall_ns,
-                transfer_bytes: 0,
-                transfer_wall_ns: 0,
-                retries: 0,
-                failovers: 0,
-            }],
-        }
-    }
-
-    #[test]
-    fn calibrated_pick_prefers_the_measured_fast_replica() {
-        let la1 = LinAlgEngine::new("la1");
-        la1.store("m", matrix_dataset(2, 2, vec![1., 0., 0., 1.]).unwrap())
-            .unwrap();
-        let la2 = LinAlgEngine::new("la2");
-        la2.store("m", matrix_dataset(2, 2, vec![1., 0., 0., 1.]).unwrap())
-            .unwrap();
-        let mut r = Registry::new();
-        r.register(Arc::new(la1));
-        r.register(Arc::new(la2));
-        let schema = r.schema_of("m").unwrap();
-        let plan = Plan::scan("m", schema.clone()).matmul(Plan::scan("m", schema));
-
-        // None and an *empty* book are both byte-identical to the
-        // static planner (and keep its registration-order choice).
-        let book = bda_obs::profile::CostBook::new(7);
-        let static_p = Planner::new(&r).place(&plan).unwrap();
-        let with_none = Planner::new(&r).with_costs(None).place(&plan).unwrap();
-        let with_empty = Planner::new(&r)
-            .with_costs(Some(book.clone()))
-            .place(&plan)
-            .unwrap();
-        assert_eq!(format!("{static_p:?}"), format!("{with_none:?}"));
-        assert_eq!(format!("{static_p:?}"), format!("{with_empty:?}"));
-        assert_eq!(static_p.root().site, "la1", "registration order wins");
-
-        // Measure la1 slow (5ms per fragment): the still-unmeasured la2
-        // costs an optimistic zero and gets explored.
-        book.observe(&site_profile("la1", 5_000_000));
-        let calibrated = Planner::new(&r)
-            .with_costs(Some(book.clone()))
-            .place(&plan)
-            .unwrap();
-        assert_eq!(
-            calibrated.root().site,
-            "la2",
-            "explore the unmeasured replica"
-        );
-
-        // Once la2 measures slower than la1, placement swings back.
-        book.observe(&site_profile("la2", 50_000_000));
-        let back = Planner::new(&r)
-            .with_costs(Some(book))
-            .place(&plan)
-            .unwrap();
-        assert_eq!(back.root().site, "la1", "measured costs decide");
-    }
-
-    #[test]
-    fn calibrated_partitioning_skips_tiny_fragments() {
-        let r = registry();
-        let schema = r.schema_of("sales").unwrap();
-        let scan = Plan::scan("sales", schema);
-        let plan = scan
-            .clone()
-            .join(scan, vec![("k", "k")])
-            .aggregate(vec!["k"], vec![bda_core::AggExpr::count_star("n")]);
-
-        let op_profile = |wall_ns: u64| bda_obs::profile::QueryProfile {
-            trace_id: 2,
-            wall_ns,
-            slow: false,
-            ops: vec![bda_obs::profile::OpProfile {
-                class: "join".to_string(),
-                count: 1,
-                rows: 2,
-                bytes: 0,
-                wall_ns,
-            }],
-            sites: vec![],
-        };
-
-        // Measured cheap: 2 rows at ~10ns/row is far below the split
-        // overhead, so the calibrated planner keeps the fragment at a
-        // width of one where the static one would partition it.
-        let cheap = bda_obs::profile::CostBook::new(1);
-        cheap.observe(&op_profile(20));
-        let gated = Planner::new(&r)
-            .with_workers(4)
-            .with_costs(Some(cheap))
-            .place(&plan)
-            .unwrap();
-        assert_eq!(gated.root().parts, 1, "not worth it");
-
-        // Measured expensive: the full width comes back.
-        let heavy = bda_obs::profile::CostBook::new(1);
-        heavy.observe(&op_profile(1_000_000_000));
-        let wide = Planner::new(&r)
-            .with_workers(4)
-            .with_costs(Some(heavy))
-            .place(&plan)
-            .unwrap();
-        assert_eq!(wide.root().parts, 4);
     }
 
     #[test]

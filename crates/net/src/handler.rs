@@ -8,7 +8,10 @@
 //! A handler owns the engine, the metrics hub, and the optional request
 //! log. [`RequestHandler::handle_frame`] is the whole contract: decode a
 //! framed message, execute it, observe it, and return the response —
-//! errors become [`Response::Error`], never panics or I/O.
+//! errors become [`Response::Error`], never panics or I/O. A serving
+//! core calls [`RequestHandler::handle_frame_from`] instead, which hands
+//! back the reply already framed: it is encoded once, and the metrics
+//! charge the length of exactly those bytes.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
@@ -93,6 +96,17 @@ impl Kind {
     }
 }
 
+/// What [`RequestHandler::observe`] records about one handled request
+/// besides its byte counts and outcome.
+struct Handled {
+    kind: Kind,
+    traced: bool,
+    /// The trace id the request carried, if traced.
+    query: Option<u64>,
+    /// Decode plus execute; encoding the reply is not included.
+    dur: Duration,
+}
+
 /// Handles on the unlabeled-by-kind request series.
 struct CommonSeries {
     duration: Histogram,
@@ -144,58 +158,71 @@ impl RequestHandler {
     /// request log, and return the reply. Malformed or failing requests
     /// become [`Response::Error`]; this never panics on network bytes.
     pub fn handle_frame(&self, kind: u8, payload: &[u8], req_bytes: u64) -> Response {
-        self.handle_frame_from(kind, payload, req_bytes, "-")
+        let (handled, response) = self.dispatch(kind, payload);
+        let resp_bytes = framed_size(encode_response(&response).1.len());
+        self.observe(&handled, &response, "-", req_bytes, resp_bytes);
+        response
     }
 
     /// [`RequestHandler::handle_frame`] for a request from `peer` (the
     /// connection's address), which the request log and the flight
-    /// recorder's error records name.
+    /// recorder's error records name. Returns the reply framed for the
+    /// wire ([`frame_response`]); the sent-bytes metric and the log's
+    /// `resp_bytes` are its length.
     pub fn handle_frame_from(
         &self,
         kind: u8,
         payload: &[u8],
         req_bytes: u64,
         peer: &str,
-    ) -> Response {
+    ) -> Vec<u8> {
+        let (handled, response) = self.dispatch(kind, payload);
+        let wire = frame_response(&response);
+        self.observe(&handled, &response, peer, req_bytes, wire.len() as u64);
+        wire
+    }
+
+    /// Decode and execute one message, timing it.
+    fn dispatch(&self, kind: u8, payload: &[u8]) -> (Handled, Response) {
         let started = std::time::Instant::now();
-        let (req_kind, traced, query, response) = match decode_request(kind, payload) {
+        let (kind, traced, query, response) = match decode_request(kind, payload) {
             Ok(req) => {
+                let (kind, traced, query) =
+                    (request_kind(&req), is_traced(&req), trace_id_of(&req));
                 let resp = self
-                    .handle_request(&req)
+                    .handle_request(req)
                     .unwrap_or_else(|e| Response::from_error(&e));
-                (request_kind(&req), is_traced(&req), trace_id_of(&req), resp)
+                (kind, traced, query, resp)
             }
             Err(e) => (Kind::Malformed, false, None, Response::from_error(&e)),
         };
-        self.observe(
-            req_kind,
+        let handled = Handled {
+            kind,
             traced,
-            peer,
             query,
-            started.elapsed(),
-            req_bytes,
-            &response,
-        );
-        response
+            dur: started.elapsed(),
+        };
+        (handled, response)
     }
 
-    /// Charge one handled request to the metrics registry and the log.
-    #[allow(clippy::too_many_arguments)]
+    /// Charge one handled request, whose reply is `resp_bytes` on the
+    /// wire, to the metrics registry and the log.
     fn observe(
         &self,
-        kind: Kind,
-        traced: bool,
-        peer: &str,
-        query: Option<u64>,
-        dur: Duration,
-        req_bytes: u64,
+        handled: &Handled,
         resp: &Response,
+        peer: &str,
+        req_bytes: u64,
+        resp_bytes: u64,
     ) {
         let m = &self.metrics;
-        let (outcome, resp_bytes) = {
-            let (_, payload) = encode_response_size(resp);
-            (response_outcome(resp), payload)
-        };
+        let &Handled {
+            kind,
+            traced,
+            query,
+            dur,
+        } = handled;
+        let outcome = response_outcome(resp);
         let labeled = |cache: &[OnceLock<Counter>; KINDS], family: &str, help: &str| {
             cache[kind as usize]
                 .get_or_init(|| m.counter_labeled(family, &[("kind", kind.label())], help))
@@ -262,33 +289,35 @@ impl RequestHandler {
         }
     }
 
-    fn handle_request(&self, req: &Request) -> Result<Response> {
+    /// Execute a decoded request. It is taken by value so a store moves
+    /// its dataset into the engine rather than copying it.
+    fn handle_request(&self, req: Request) -> Result<Response> {
         let engine = self.engine.as_ref();
         Ok(match req {
             Request::Hello => Response::Hello {
                 name: engine.name().to_string(),
                 capabilities: engine.capabilities(),
             },
-            Request::Execute { plan } => Response::DataSet(engine.execute(plan)?),
+            Request::Execute { plan } => Response::DataSet(engine.execute(&plan)?),
             Request::ExecutePush {
                 dest_addr,
                 dest_name,
                 plan,
             } => {
-                let out = engine.execute(plan)?;
-                let bytes = push_to_peer(dest_addr, dest_name, out)?;
+                let out = engine.execute(&plan)?;
+                let bytes = push_to_peer(&dest_addr, &dest_name, out)?;
                 Response::Pushed { bytes }
             }
             Request::Store { name, data } => {
-                engine.store(name, data.clone())?;
+                engine.store(&name, data)?;
                 Response::Ack
             }
             Request::Remove { name } => {
-                engine.remove(name);
+                engine.remove(&name);
                 Response::Ack
             }
             Request::BuildIndex { name, column, kind } => {
-                engine.build_index(name, column, *kind)?;
+                engine.build_index(&name, &column, kind)?;
                 Response::Ack
             }
             Request::IndexInfo { name } => {
@@ -296,9 +325,9 @@ impl RequestHandler {
                 // text so old clients (which never send 0x14) need no
                 // new response kind.
                 let mut out = String::new();
-                for spec in engine.index_specs(name) {
+                for spec in engine.index_specs(&name) {
                     let fp = engine
-                        .index_fingerprint(name, &spec.column)
+                        .index_fingerprint(&name, &spec.column)
                         .unwrap_or_default();
                     out.push_str(&format!("{} {} {fp:016x}\n", spec.column, spec.kind.name()));
                 }
@@ -324,15 +353,12 @@ impl RequestHandler {
                 // server's own id/clock space) and the client remaps,
                 // anchors, and parents them. Errors still travel inside
                 // `Traced` so the spans survive the failure.
-                let tracer = Tracer::with_trace_id(*trace_id);
-                let mut serve = tracer.start(
-                    None,
-                    || format!("serve:{}", request_kind(inner).label()),
-                    engine.name(),
-                );
+                let tracer = Tracer::with_trace_id(trace_id);
+                let label = request_kind(&inner).label();
+                let mut serve = tracer.start(None, || format!("serve:{label}"), engine.name());
                 let resp = {
                     let _scope = scope::install(&tracer, engine.name(), serve.id());
-                    self.handle_request(inner)
+                    self.handle_request(*inner)
                         .unwrap_or_else(|e| Response::from_error(&e))
                 };
                 match &resp {
@@ -351,10 +377,10 @@ impl RequestHandler {
                 // produced — including errors, so a pipelining client can
                 // always match a failure to the right in-flight call.
                 let resp = self
-                    .handle_request(inner)
+                    .handle_request(*inner)
                     .unwrap_or_else(|e| Response::from_error(&e));
                 Response::Pipelined {
-                    tag: *tag,
+                    tag,
                     inner: Box::new(resp),
                 }
             }
@@ -405,12 +431,13 @@ pub(crate) fn framed_size(len: usize) -> u64 {
     (len + frames * HEADER_LEN) as u64
 }
 
-/// Encoded-response size without keeping the encoding (the connection
-/// handler re-encodes; responses are encoded at most twice, and the log
-/// and metrics want the size before the fault hook may drop the reply).
-fn encode_response_size(resp: &Response) -> (u8, u64) {
+/// Encode a response and frame it: the bytes a serving core writes to
+/// the connection for this reply.
+pub fn frame_response(resp: &Response) -> Vec<u8> {
     let (kind, payload) = encode_response(resp);
-    (kind, framed_size(payload.len()))
+    let mut wire = Vec::with_capacity(framed_size(payload.len()) as usize);
+    write_message(&mut wire, kind, &payload).expect("vec write is infallible");
+    wire
 }
 
 /// The log/metrics outcome of a response (looks through the wrappers).

@@ -38,9 +38,8 @@ use bda_obs::MetricsHub;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::frame::{read_message, write_message};
+use crate::frame::read_message;
 use crate::handler::{RequestHandler, PUSH_TIMEOUT};
-use crate::proto::encode_response;
 
 pub use crate::handler::LogSink;
 
@@ -333,27 +332,19 @@ fn handle_connection(
             // Peer hung up, stalled, or sent garbage: close.
             Err(_) => return,
         };
-        let response = handler.handle_frame_from(kind, &payload, req_bytes, &peer);
-        let (rkind, rpayload) = encode_response(&response);
+        let wire = handler.handle_frame_from(kind, &payload, req_bytes, &peer);
         match faults.as_ref().map(|f| f.decide()) {
             Some(FaultAction::Drop) => return, // close without replying
             Some(FaultAction::Truncate) => {
-                // Encode the full reply but put only half its bytes on
-                // the wire, then close: a mid-frame disconnect.
-                let mut wire = Vec::new();
-                if write_message(&mut wire, rkind, &rpayload).is_err() {
-                    return;
-                }
+                // Put only half the framed reply on the wire, then
+                // close: a mid-frame disconnect.
                 let half = &wire[..wire.len() / 2];
                 let _ = conn.write_all(half).and_then(|_| conn.flush());
                 return;
             }
             Some(FaultAction::Deliver) | None => {}
         }
-        if write_message(&mut conn, rkind, &rpayload)
-            .and_then(|_| conn.flush())
-            .is_err()
-        {
+        if conn.write_all(&wire).and_then(|_| conn.flush()).is_err() {
             return;
         }
     }
@@ -362,6 +353,7 @@ fn handle_connection(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::write_message;
     use crate::proto::{Request, Response};
     use bda_core::ReferenceProvider;
 

@@ -16,7 +16,6 @@
 //! | `/flight`       | the flight recorder's current ring, as text     |
 //! | `/queries`      | JSON of the recent query-profile log            |
 //! | `/queries/slow` | the retained profiles flagged slow              |
-//! | `/calibration`  | the current [`profile::CostBook`] estimates     |
 //!
 //! This is deliberately *not* a general HTTP server: GET only, no
 //! keep-alive, no TLS, bounded header reads. That keeps `bda-obs` at
@@ -63,8 +62,8 @@ impl Default for Health {
 pub type HealthSource = Arc<dyn Fn() -> Health + Send + Sync>;
 
 /// What the ops server serves beyond the process-global stores (progress
-/// tracker, query log, flight recorder, cost book), which
-/// every route reads directly. `Default` is a fresh metrics hub and an
+/// tracker, query log, flight recorder), which every route reads
+/// directly. `Default` is a fresh metrics hub and an
 /// always-healthy source.
 #[derive(Clone)]
 pub struct OpsOptions {
@@ -234,7 +233,7 @@ fn route(path: &str, options: &OpsOptions) -> (&'static str, &'static str, Strin
     let path = path.split_once('?').map_or(path, |(p, _)| p);
     match path {
         "/metrics" => {
-            // Depth/sample gauges are sampled at scrape time rather than
+            // The depth gauge is sampled at scrape time rather than
             // maintained on the hot path — the scrape is the only reader.
             options
                 .metrics
@@ -243,13 +242,6 @@ fn route(path: &str, options: &OpsOptions) -> (&'static str, &'static str, Strin
                     "query profiles retained in the in-memory log",
                 )
                 .set(crate::profile::global_log().len() as f64);
-            options
-                .metrics
-                .gauge(
-                    "bda_costbook_samples",
-                    "query profiles folded into the calibration cost book",
-                )
-                .set(crate::profile::global_costs().samples() as f64);
             ("200 OK", PROM, options.metrics.render())
         }
         "/healthz" => {
@@ -276,7 +268,6 @@ fn route(path: &str, options: &OpsOptions) -> (&'static str, &'static str, Strin
             JSON,
             crate::profile::global_log().render_slow_json(),
         ),
-        "/calibration" => ("200 OK", JSON, crate::profile::global_costs().render_json()),
         _ => match path.strip_prefix("/traces/").and_then(parse_trace_id) {
             Some(id) => match crate::profile::global_log().chrome_json(id) {
                 Some(json) => ("200 OK", JSON, json),
@@ -349,7 +340,7 @@ mod tests {
     }
 
     #[test]
-    fn profiling_routes_serve_the_global_log_and_costbook() {
+    fn profiling_routes_serve_the_global_log() {
         let profile = crate::profile::QueryProfile {
             trace_id: 0x51097,
             wall_ns: 1234,
@@ -357,8 +348,7 @@ mod tests {
             ops: vec![],
             sites: vec![],
         };
-        crate::profile::global_log().push(profile.clone(), None);
-        crate::profile::global_costs().observe(&profile);
+        crate::profile::global_log().push(profile, None);
         let h = serve_ops("127.0.0.1:0", OpsOptions::default()).expect("bind");
         let (status, body) = http_get(h.addr(), "/queries");
         assert_eq!(status, "HTTP/1.1 200 OK");
@@ -369,12 +359,6 @@ mod tests {
         let (status, body) = http_get(h.addr(), "/queries/slow");
         assert_eq!(status, "HTTP/1.1 200 OK");
         assert!(body.starts_with("{\"queries\":["), "{body}");
-        let (status, body) = http_get(h.addr(), "/calibration");
-        assert_eq!(status, "HTTP/1.1 200 OK");
-        assert!(
-            body.contains("\"samples\":") && body.contains("\"ns_per_row\""),
-            "{body}"
-        );
         h.shutdown();
     }
 

@@ -26,13 +26,12 @@
 //! The *live* layer (this crate's newer half) turns those artifacts into
 //! an operator-facing surface: [`http`] is a dependency-free HTTP/1.1
 //! ops server (`/metrics`, `/healthz`, `/readyz`, `/progress`,
-//! `/traces/<id>`, `/flight`, `/queries`, `/calibration`), [`progress`]
-//! tracks in-flight queries and flags straggler providers, [`flight`] is
-//! the always-on crash flight recorder dumped when a query fails
+//! `/traces/<id>`, `/flight`, `/queries`), [`progress`] tracks
+//! in-flight queries and flags straggler providers, [`flight`] is the
+//! always-on crash flight recorder dumped when a query fails
 //! permanently, and [`profile`] distills finished traces into query
 //! profiles feeding a persistent query log — which also keeps each
-//! traced query's trace for `/traces/<id>` — and the
-//! [`profile::CostBook`] calibration registry the planner consults.
+//! traced query's trace for `/traces/<id>`.
 
 pub mod chrome;
 pub mod flight;
@@ -45,7 +44,7 @@ pub mod scope;
 pub use flight::FlightRecorder;
 pub use http::{serve_ops, Health, HealthSource, OpsHandle, OpsOptions};
 pub use metrics::{Counter, Gauge, Histogram, MetricsHub};
-pub use profile::{CostBook, QueryLog, QueryProfile};
+pub use profile::{QueryLog, QueryProfile};
 pub use progress::{ProgressHandle, ProgressTracker, QueryProgress};
 
 use std::sync::atomic::{AtomicU64, Ordering};

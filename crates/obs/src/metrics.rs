@@ -151,9 +151,8 @@ impl Default for Histogram {
     }
 }
 
-/// A point-in-time value with set/add semantics (query-log depth,
-/// CostBook entry counts — things that go down as well as up, which a
-/// [`Counter`] mis-types). Stored as `f64` bits in an atomic; cloning
+/// A point-in-time value with set/add semantics (query-log depth —
+/// things that go down as well as up, which a [`Counter`] mis-types). Stored as `f64` bits in an atomic; cloning
 /// shares the cell.
 #[derive(Clone, Default)]
 pub struct Gauge {
@@ -734,11 +733,11 @@ mod tests {
         let text = hub.render();
         assert!(text.contains("# TYPE query_log_depth gauge"), "{text}");
         assert!(text.contains("query_log_depth 5\n"), "{text}");
-        hub.gauge_labeled("costbook_entries", &[("kind", "ns\nrow")], "Entries")
+        hub.gauge_labeled("log_entries", &[("kind", "slow\nquery")], "Entries")
             .set(3.0);
         assert!(
             hub.render()
-                .contains("costbook_entries{kind=\"ns\\nrow\"} 3"),
+                .contains("log_entries{kind=\"slow\\nquery\"} 3"),
             "labeled gauge escapes like counters do"
         );
     }

@@ -1,24 +1,14 @@
-//! Query profiling and measured-cost calibration.
+//! Query profiling.
 //!
 //! A [`QueryProfile`] distills a finished span tree ([`crate::Trace`])
-//! into the numbers an operator — or the planner — actually consumes:
-//! per operator class, how many rows and bytes went through and how
-//! long they took; per site, fragment wall times, transfer throughput,
+//! into the numbers an operator actually consumes: per operator class,
+//! how many rows and bytes went through and how long they took; per site, fragment wall times, transfer throughput,
 //! and how often execution had to retry or fail over. Profiles live in
 //! a bounded in-memory [`QueryLog`] ring — each entry holding the trace
 //! it was distilled from, which `GET /traces/<id>` serves — and are
 //! optionally persisted as JSONL (one profile per line, traces not
 //! included) so the log survives restarts alongside the durability
 //! subsystem's WAL.
-//!
-//! On top of the profiles sits the [`CostBook`]: a seeded,
-//! deterministic EWMA registry of ns/row per operator class, ns/byte
-//! per site link, and per-site fixed dispatch cost. The federation
-//! planner consults it (when explicitly enabled) for site assignment
-//! and partition-count choices and recalibrates it after every traced
-//! query — the measured feedback loop ROADMAP O3 asks for. With
-//! calibration disabled the book is never consulted and plans are
-//! byte-identical to the static path.
 //!
 //! Everything here is hand-rolled JSON in and out (the workspace has no
 //! serde); rendering follows the `/progress` idiom, and the JSONL
@@ -27,7 +17,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 use crate::chrome::escape;
 use crate::metrics::Histogram;
@@ -54,11 +44,6 @@ const SLOW_MIN_SAMPLES: u64 = 8;
 
 /// A query is slow when its wall time exceeds p99 × this factor.
 const SLOW_FACTOR: f64 = 4.0;
-
-/// EWMA smoothing factor for [`CostBook`] estimates: high enough to
-/// track a provider that turns slow within a handful of queries, low
-/// enough not to chase one noisy sample.
-pub const EWMA_ALPHA: f64 = 0.3;
 
 /// Aggregate cost of one operator class within a query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -661,150 +646,6 @@ pub fn global_log() -> &'static QueryLog {
     })
 }
 
-// ---------------------------------------------------------------------
-// Cost calibration.
-
-struct BookInner {
-    seed: u64,
-    samples: u64,
-    /// ns per output row, per operator class.
-    ns_per_row: BTreeMap<String, f64>,
-    /// ns per transferred byte, per site link.
-    ns_per_byte: BTreeMap<String, f64>,
-    /// Fixed per-fragment dispatch cost (ns), per site.
-    dispatch_ns: BTreeMap<String, f64>,
-}
-
-/// Seeded, deterministic EWMA cost estimates recalibrated from query
-/// profiles. Cloning shares the underlying registry (the planner holds
-/// a clone of the process-global book).
-#[derive(Clone)]
-pub struct CostBook {
-    inner: Arc<Mutex<BookInner>>,
-}
-
-impl CostBook {
-    /// A fresh book. The seed is provenance recorded in dumps: two
-    /// books built with the same seed and fed the same profiles render
-    /// byte-identically.
-    pub fn new(seed: u64) -> CostBook {
-        CostBook {
-            inner: Arc::new(Mutex::new(BookInner {
-                seed,
-                samples: 0,
-                ns_per_row: BTreeMap::new(),
-                ns_per_byte: BTreeMap::new(),
-                dispatch_ns: BTreeMap::new(),
-            })),
-        }
-    }
-
-    /// Fold a query profile into the estimates (EWMA, first sample
-    /// initializes).
-    pub fn observe(&self, profile: &QueryProfile) {
-        let mut inner = self.inner.lock().expect("cost book lock poisoned");
-        inner.samples += 1;
-        for op in &profile.ops {
-            let obs = op.wall_ns as f64 / op.rows.max(1) as f64;
-            fold(&mut inner.ns_per_row, &op.class, obs);
-        }
-        for site in &profile.sites {
-            if site.fragments > 0 {
-                let obs = site.fragment_wall_ns as f64 / site.fragments as f64;
-                fold(&mut inner.dispatch_ns, &site.site, obs);
-            }
-            if site.transfer_bytes > 0 {
-                let obs = site.transfer_wall_ns as f64 / site.transfer_bytes as f64;
-                fold(&mut inner.ns_per_byte, &site.site, obs);
-            }
-        }
-    }
-
-    /// Estimated ns per output row for an operator class.
-    pub fn ns_per_row(&self, class: &str) -> Option<f64> {
-        self.inner
-            .lock()
-            .expect("cost book lock poisoned")
-            .ns_per_row
-            .get(class)
-            .copied()
-    }
-
-    /// Estimated ns per transferred byte for a site link.
-    pub fn ns_per_byte(&self, site: &str) -> Option<f64> {
-        self.inner
-            .lock()
-            .expect("cost book lock poisoned")
-            .ns_per_byte
-            .get(site)
-            .copied()
-    }
-
-    /// Estimated fixed dispatch cost (ns) for a fragment at a site.
-    pub fn dispatch_ns(&self, site: &str) -> Option<f64> {
-        self.inner
-            .lock()
-            .expect("cost book lock poisoned")
-            .dispatch_ns
-            .get(site)
-            .copied()
-    }
-
-    /// How many profiles have been folded in.
-    pub fn samples(&self) -> u64 {
-        self.inner.lock().expect("cost book lock poisoned").samples
-    }
-
-    /// The seed this book was built with.
-    pub fn seed(&self) -> u64 {
-        self.inner.lock().expect("cost book lock poisoned").seed
-    }
-
-    /// Render the book as a JSON document (`GET /calibration`). Keys
-    /// are sorted (BTreeMap) and floats fixed to 3 decimals, so equal
-    /// books render byte-identically.
-    pub fn render_json(&self) -> String {
-        let inner = self.inner.lock().expect("cost book lock poisoned");
-        let table = |m: &BTreeMap<String, f64>| -> String {
-            let body: Vec<String> = m
-                .iter()
-                .map(|(k, v)| format!("\"{}\":{:.3}", escape(k), v))
-                .collect();
-            format!("{{{}}}", body.join(","))
-        };
-        format!(
-            "{{\"seed\":{},\"samples\":{},\"ns_per_row\":{},\"ns_per_byte\":{},\"dispatch_ns\":{}}}\n",
-            inner.seed,
-            inner.samples,
-            table(&inner.ns_per_row),
-            table(&inner.ns_per_byte),
-            table(&inner.dispatch_ns),
-        )
-    }
-}
-
-fn fold(map: &mut BTreeMap<String, f64>, key: &str, obs: f64) {
-    match map.get_mut(key) {
-        Some(prev) => *prev = EWMA_ALPHA * obs + (1.0 - EWMA_ALPHA) * *prev,
-        None => {
-            map.insert(key.to_string(), obs);
-        }
-    }
-}
-
-/// The process-global cost book, seeded from [`crate::TRACE_SEED_ENV`]
-/// when set (0 otherwise).
-pub fn global_costs() -> &'static CostBook {
-    static BOOK: OnceLock<CostBook> = OnceLock::new();
-    BOOK.get_or_init(|| {
-        let seed = std::env::var(crate::TRACE_SEED_ENV)
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(0);
-        CostBook::new(seed)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1027,33 +868,5 @@ mod tests {
         let torn = QueryLog::new();
         assert_eq!(torn.init_persistence(&dir).unwrap(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn cost_book_ewma_is_deterministic_and_sorted() {
-        let book = CostBook::new(42);
-        assert_eq!(book.samples(), 0);
-        assert_eq!(book.ns_per_row("join"), None);
-        let p = QueryProfile::from_trace(&sample_trace()).unwrap();
-        book.observe(&p);
-        // First observation initializes: 4000ns / 100 rows.
-        assert_eq!(book.ns_per_row("join"), Some(40.0));
-        assert_eq!(book.dispatch_ns("rel"), Some(6_000.0));
-        assert_eq!(book.ns_per_byte("rel"), Some(2.0));
-        // Second observation folds with α=0.3.
-        book.observe(&p);
-        assert!((book.ns_per_row("join").unwrap() - 40.0).abs() < 1e-9);
-        let mut faster = p.clone();
-        faster.ops[0].wall_ns = 2_000; // 20 ns/row observed
-        book.observe(&faster);
-        let expected = 0.3 * 20.0 + 0.7 * 40.0;
-        assert!((book.ns_per_row("join").unwrap() - expected).abs() < 1e-9);
-        // Dumps are deterministic: same seed, same profiles, same bytes.
-        let twin = CostBook::new(42);
-        twin.observe(&p);
-        twin.observe(&p);
-        twin.observe(&faster);
-        assert_eq!(book.render_json(), twin.render_json());
-        assert!(book.render_json().contains("\"seed\":42"));
     }
 }

@@ -17,8 +17,8 @@
 //! endpoint on `127.0.0.1:<port>` (`0` picks an ephemeral port):
 //! `GET /metrics` renders the same registry the protocol serves, plus
 //! `/healthz`, `/readyz`, `/progress`, `/flight`, `/traces/<id>`,
-//! `/queries`, `/queries/slow`, and `/calibration` — see README,
-//! "Operating bda-served". When `BDA_PROFILE_DIR` is set (or, failing
+//! `/queries`, and `/queries/slow` — see README, "Operating
+//! bda-served". When `BDA_PROFILE_DIR` is set (or, failing
 //! that, when `--data-dir` is given — `<dir>/profiles` is used), the
 //! query-profile log behind `/queries` persists as JSONL and is
 //! recovered on restart.
@@ -141,7 +141,7 @@ fn parse_args() -> Result<Args, String> {
                      bytes, outcome) to the given file, or to stderr.\n\
                      --http mounts the observability HTTP endpoint (/metrics,\n\
                      /healthz, /readyz, /progress, /flight, /traces/<id>,\n\
-                     /queries, /queries/slow, /calibration) on 127.0.0.1:PORT;\n\
+                     /queries, /queries/slow) on 127.0.0.1:PORT;\n\
                      port 0 picks an ephemeral port. The query-profile log\n\
                      persists under BDA_PROFILE_DIR (or <data-dir>/profiles)\n\
                      and is recovered on restart.\n\

@@ -35,7 +35,7 @@ use bda_net::{LogSink, RequestHandler};
 use bda_obs::{Health, HealthSource, MetricsHub};
 
 use crate::admission::{Admission, AdmissionConfig, QueueDepths};
-use crate::shard::{encode_wire, Completion, ShardConfig, ShardCtx, ShardShared};
+use crate::shard::{Completion, ShardConfig, ShardCtx, ShardShared};
 
 /// Tuning for [`serve_reactor`]; `Default` suits tests and small
 /// deployments (fields of `0` mean "derive from the machine").
@@ -326,8 +326,8 @@ fn accept_loop(
     }
 }
 
-/// Executor worker: claim → observe the queue wait → decode+execute via
-/// the shared handler → report it finished → frame → hand the
+/// Executor worker: claim → observe the queue wait → decode, execute and
+/// frame via the shared handler → report it finished → hand the
 /// completion to the owning shard.
 fn worker_loop(
     admission: Arc<Admission>,
@@ -340,10 +340,8 @@ fn worker_loop(
     );
     while let Some(job) = admission.next() {
         queue_wait.observe_ns(job.admitted_at.elapsed().as_nanos() as u64);
-        let response =
-            handler.handle_frame_from(job.kind, &job.payload, job.req_bytes, &job.tenant);
+        let wire = handler.handle_frame_from(job.kind, &job.payload, job.req_bytes, &job.tenant);
         admission.finish(job.priority);
-        let wire = encode_wire(&response);
         let shard = &shards[job.shard];
         shard
             .completions

@@ -37,8 +37,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use bda_net::frame::{parse_message, write_message};
-use bda_net::proto::{encode_response, peek_pipelined, Response};
+use bda_net::frame::parse_message;
+use bda_net::handler::frame_response;
+use bda_net::proto::{peek_pipelined, Response};
 use bda_net::MAX_MESSAGE_BYTES;
 use bda_obs::MetricsHub;
 use polling::{Event, Poller};
@@ -409,16 +410,8 @@ fn admit(ctx: &ShardCtx, key: u64, conn: &mut Conn, kind: u8, payload: Vec<u8>, 
                 },
                 None => inner,
             };
-            conn.deliver(job.seq, encode_wire(&resp));
+            conn.deliver(job.seq, frame_response(&resp));
             let _ = conn.flush();
         }
     }
-}
-
-/// Frame a response into wire bytes (writing to a Vec cannot fail).
-pub(crate) fn encode_wire(resp: &Response) -> Vec<u8> {
-    let (kind, payload) = encode_response(resp);
-    let mut wire = Vec::with_capacity(payload.len() + 64);
-    write_message(&mut wire, kind, &payload).expect("vec write is infallible");
-    wire
 }

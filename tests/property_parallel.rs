@@ -486,8 +486,7 @@ fn degenerate_partition_shapes_survive_the_sweep() {
 
 /// Each partitioned operator's `partition:{i}` spans nest directly under
 /// its own `op:<op>` span at four workers — the shape EXPLAIN ANALYZE's
-/// parallelism table and the calibration book read per operator class —
-/// and at one worker the operator runs unsplit, with no partition span.
+/// parallelism table reads per operator class — and at one worker the operator runs unsplit, with no partition span.
 #[test]
 fn fused_operators_trace_their_partitions_under_their_own_span() {
     use bda::array::ArrayEngine;
