@@ -92,7 +92,7 @@ fn execute_node(plan: &Plan, arrays: &BTreeMap<String, DataSet>) -> Result<DataS
         }
         Plan::Rename { input, .. } | Plan::UntagDims { input } | Plan::TagDims { input, .. } => {
             let in_ds = execute(input, arrays)?;
-            let chunk = in_ds.to_rows_chunk()?;
+            let chunk = in_ds.to_rows_chunk()?.into_owned();
             // Re-densify under the new schema when bounded (validates
             // coordinates as a side effect).
             let ds = DataSet::new(out_schema.clone(), vec![Chunk::Rows(chunk)]);

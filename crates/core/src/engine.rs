@@ -18,7 +18,7 @@
 //! The traced partition runner lives beside the worker pool
 //! ([`crate::pool::run_partitions`]).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
 use bda_storage::{Chunk, Column, DataSet, DataType, Row, RowsChunk, Schema, Value};
@@ -27,6 +27,7 @@ use crate::agg::{Accumulator, AggExpr};
 use crate::error::CoreError;
 use crate::eval::{eval_chunk, infer_expr};
 use crate::expr::Expr;
+use crate::keys;
 use crate::Result;
 
 /// An engine's named datasets. An engine that holds one [`Datasets::read`]
@@ -164,8 +165,8 @@ fn cast_to(c: Column, to: DataType) -> Column {
 
 /// `Union`: bag union, left rows first.
 pub fn union(left: &DataSet, right: &DataSet, out_schema: Schema) -> Result<DataSet> {
-    let mut chunk = left.to_rows_chunk()?;
-    chunk.extend(&right.to_rows_chunk()?)?;
+    let mut chunk = left.to_rows_chunk()?.into_owned();
+    chunk.extend(&*right.to_rows_chunk()?)?;
     Ok(DataSet::new(out_schema, vec![Chunk::Rows(chunk)]))
 }
 
@@ -193,18 +194,16 @@ pub fn limit(
 /// `Distinct`: duplicate elimination preserving first-occurrence order.
 pub fn distinct(input: &DataSet, out_schema: Schema) -> Result<DataSet> {
     let chunk = input.to_rows_chunk()?;
-    let mut seen: HashSet<Row> = HashSet::with_capacity(chunk.len());
-    let mut keep: Vec<usize> = Vec::new();
-    for i in 0..chunk.len() {
-        if seen.insert(chunk.row(i)) {
-            keep.push(i);
-        }
-    }
-    let out = chunk.take(&keep);
-    Ok(DataSet::new(out_schema, vec![Chunk::Rows(out)]))
+    let cols: Vec<&Column> = chunk.columns().iter().collect();
+    let groups = keys::group_rows(&cols, chunk.len());
+    Ok(DataSet::new(
+        out_schema,
+        vec![Chunk::Rows(chunk.take(&groups.firsts))],
+    ))
 }
 
-/// `Aggregate`: hash aggregation. Group keys are hashed whole-row;
+/// `Aggregate`: hash aggregation over typed group keys. Groups are
+/// numbered in first-seen order and each folds its rows in row order;
 /// aggregate arguments are evaluated column-at-a-time before grouping.
 /// A global aggregate over no rows yields its one row of empty states.
 pub fn aggregate(
@@ -213,9 +212,8 @@ pub fn aggregate(
     aggs: &[AggExpr],
     out_schema: Schema,
 ) -> Result<DataSet> {
-    let in_schema = input.schema().clone();
+    let in_schema = input.schema();
     let chunk = input.to_rows_chunk()?;
-    let n = chunk.len();
 
     let key_cols: Vec<&Column> = group_by
         .iter()
@@ -228,8 +226,8 @@ pub fn aggregate(
     for a in aggs {
         match &a.arg {
             Some(e) => {
-                arg_types.push(infer_expr(e, &in_schema)?);
-                arg_cols.push(Some(eval_chunk(e, &in_schema, &chunk)?));
+                arg_types.push(infer_expr(e, in_schema)?);
+                arg_cols.push(Some(eval_chunk(e, in_schema, &chunk)?));
             }
             None => {
                 arg_types.push(None);
@@ -238,18 +236,23 @@ pub fn aggregate(
         }
     }
 
-    let mut groups: HashMap<Row, Vec<Accumulator>> = HashMap::new();
-    let mut order: Vec<Row> = Vec::new();
-    for i in 0..n {
-        let key = Row(key_cols.iter().map(|c| c.get(i)).collect());
-        let accs = groups.entry(key.clone()).or_insert_with(|| {
-            order.push(key);
+    let mut groups = keys::group_rows(&key_cols, chunk.len());
+    // A global aggregate over no rows still has its one group.
+    if group_by.is_empty() && groups.firsts.is_empty() {
+        groups.firsts.push(0);
+    }
+    let mut states: Vec<Vec<Accumulator>> = groups
+        .firsts
+        .iter()
+        .map(|_| {
             aggs.iter()
                 .zip(&arg_types)
                 .map(|(a, t)| Accumulator::new(a.func, *t))
                 .collect()
-        });
-        for (acc, arg) in accs.iter_mut().zip(&arg_cols) {
+        })
+        .collect();
+    for (i, &g) in groups.ids.iter().enumerate() {
+        for (acc, arg) in states[g].iter_mut().zip(&arg_cols) {
             let v = match arg {
                 Some(c) => c.get(i),
                 None => Value::Bool(true), // count(*) marker
@@ -257,32 +260,26 @@ pub fn aggregate(
             acc.update(&v)?;
         }
     }
-    if group_by.is_empty() && groups.is_empty() {
-        let accs: Vec<Accumulator> = aggs
-            .iter()
-            .zip(&arg_types)
-            .map(|(a, t)| Accumulator::new(a.func, *t))
-            .collect();
-        groups.insert(Row::new(), accs);
-        order.push(Row::new());
-    }
 
-    // Emit columns directly in output order.
-    let mut cols: Vec<Column> = out_schema
-        .fields()
+    // Key columns gather each group's first row; a column keeps a
+    // validity bitmap only when a key in it is null.
+    let mut cols: Vec<Column> = key_cols
         .iter()
-        .map(|f| Column::new_empty(f.dtype))
+        .map(|c| {
+            let mut out = c.take(&groups.firsts);
+            out.normalize();
+            out
+        })
         .collect();
-    for key in &order {
-        let accs = &groups[key];
-        for (ci, v) in key.0.iter().enumerate() {
-            cols[ci].push(v).map_err(CoreError::from)?;
+    for ai in 0..aggs.len() {
+        let ci = group_by.len() + ai;
+        let dtype = out_schema.field_at(ci).dtype;
+        let mut col = Column::new_empty(dtype);
+        for accs in &states {
+            col.push(&widen(accs[ai].finish(), dtype))
+                .map_err(CoreError::from)?;
         }
-        for (ai, acc) in accs.iter().enumerate() {
-            let ci = group_by.len() + ai;
-            let v = widen(acc.finish(), out_schema.field_at(ci).dtype);
-            cols[ci].push(&v).map_err(CoreError::from)?;
-        }
+        cols.push(col);
     }
     let chunk = RowsChunk::new(cols).map_err(CoreError::from)?;
     Ok(DataSet::new(out_schema, vec![Chunk::Rows(chunk)]))
@@ -418,6 +415,21 @@ mod tests {
         let rows = out.sorted_rows().unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0], Row(vec![Value::Null, Value::Int(2)]));
+    }
+
+    #[test]
+    fn group_keys_track_nulls_only_when_they_hold_one() {
+        // A key column whose bitmap marks every slot valid (what a filter
+        // leaves behind) comes out without one, as pushed keys would.
+        let keys = Column::Int64(vec![1, 2, 1], Some(bda_storage::Bitmap::filled(3, true)));
+        let ds = DataSet::from_columns(vec![("g", keys)]).unwrap();
+        let aggs = [AggExpr::count_star("n")];
+        let plan = Plan::scan("t", ds.schema().clone()).aggregate(vec!["g"], aggs.to_vec());
+        let schema = infer_schema(&plan).unwrap();
+        let out = aggregate(&ds, &["g".to_string()], &aggs, schema).unwrap();
+        let chunk = out.to_rows_chunk().unwrap();
+        assert!(chunk.column(0).validity().is_none());
+        assert_eq!(chunk.column(1).i64_data().unwrap(), &[2, 1]);
     }
 
     #[test]

@@ -29,6 +29,8 @@
 //!   ends implement.
 //! * [`engine`] — the substrate every engine shares: the dataset map,
 //!   the leaf scans and the scalar relational kernels.
+//! * [`keys`] — typed row keys (hash, equality, hash chains) shared by
+//!   join, aggregate, distinct and the hash partitioner.
 //! * [`partition`] / [`pool`] — deterministic dataset partitioning and
 //!   the scoped worker pool (with its traced partition runner) behind
 //!   partition-parallel kernels.
@@ -41,6 +43,7 @@ pub mod error;
 pub mod eval;
 pub mod expr;
 pub mod infer;
+pub mod keys;
 pub mod lower;
 pub mod partition;
 pub mod plan;

@@ -23,9 +23,10 @@
 
 use std::hash::{Hash, Hasher};
 
-use bda_storage::{Chunk, DataSet, RowsChunk, Value};
+use bda_storage::{Chunk, Column, DataSet, Value};
 
 use crate::error::CoreError;
+use crate::keys;
 use crate::Result;
 
 /// A deterministic routing of rows to `parts` partitions.
@@ -107,7 +108,8 @@ impl Partitioner {
     /// The result depends only on the input data and the partitioner —
     /// never on worker counts or scheduling — and multi-chunk inputs are
     /// folded through [`DataSet::to_rows_chunk`] first, so chunk layout
-    /// does not affect routing either.
+    /// does not affect routing either. Each partition keeps its rows in
+    /// input order.
     pub fn split(&self, ds: &DataSet) -> Result<Vec<DataSet>> {
         let parts = self.parts();
         if parts == 0 {
@@ -115,76 +117,82 @@ impl Partitioner {
                 "partitioner needs at least 1 partition".into(),
             ));
         }
-        let schema = ds.schema().clone();
+        let schema = ds.schema();
         let chunk = ds.to_rows_chunk()?;
 
         if parts == 1 {
-            let out = DataSet::new(schema, vec![Chunk::Rows(chunk)]);
+            let out = DataSet::new(schema.clone(), vec![Chunk::Rows(chunk.into_owned())]);
             return Ok(vec![out]);
         }
 
-        let mut buckets: Vec<RowsChunk> = (0..parts).map(|_| RowsChunk::empty(&schema)).collect();
-        match self {
+        let n = chunk.len();
+        let route: Vec<usize> = match self {
             Partitioner::Hash { keys, .. } => {
-                let idx: Vec<usize> = keys
+                let cols: Vec<&Column> = keys
                     .iter()
                     .map(|k| {
-                        schema.index_of(k).map_err(|_| {
+                        schema.index_of(k).map(|j| chunk.column(j)).map_err(|_| {
                             CoreError::Plan(format!("hash partitioner: unknown key column `{k}`"))
                         })
                     })
                     .collect::<Result<_>>()?;
-                for i in 0..chunk.len() {
-                    let row = chunk.row(i);
-                    let key_vals: Vec<&Value> = idx.iter().map(|&j| row.get(j)).collect();
-                    let b = if key_vals.iter().all(|v| v.is_null()) {
-                        0
-                    } else {
-                        (hash_values(&key_vals) % parts as u64) as usize
-                    };
-                    buckets[b].push_row(&row)?;
-                }
+                let nulls = |i| cols.iter().all(|c| !c.is_valid(i));
+                keys::hash_rows(&cols, n)
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, h)| {
+                        if nulls(i) {
+                            0
+                        } else {
+                            (h % parts as u64) as usize
+                        }
+                    })
+                    .collect()
             }
             Partitioner::Range { key, .. } => {
                 let j = schema.index_of(key).map_err(|_| {
                     CoreError::Plan(format!("range partitioner: unknown key column `{key}`"))
                 })?;
-                let mut lo = f64::INFINITY;
-                let mut hi = f64::NEG_INFINITY;
-                for i in 0..chunk.len() {
-                    if let Ok(v) = chunk.row(i).get(j).as_float() {
-                        lo = lo.min(v);
-                        hi = hi.max(v);
-                    }
-                }
+                let keys: Vec<Option<f64>> =
+                    chunk.column(j).iter().map(|v| v.as_float().ok()).collect();
+                let (lo, hi) = keys
+                    .iter()
+                    .flatten()
+                    .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
+                        (lo.min(v), hi.max(v))
+                    });
                 let width = if hi > lo {
                     (hi - lo) / parts as f64
                 } else {
                     0.0
                 };
-                for i in 0..chunk.len() {
-                    let row = chunk.row(i);
-                    let b = match row.get(j).as_float() {
-                        Ok(v) if width > 0.0 => (((v - lo) / width) as usize).min(parts - 1),
+                keys.iter()
+                    .map(|k| match k {
+                        Some(v) if width > 0.0 => (((v - lo) / width) as usize).min(parts - 1),
                         // All-equal keys (width 0) collapse into one
                         // partition; nulls and non-numerics go to 0.
                         _ => 0,
-                    };
-                    buckets[b].push_row(&row)?;
-                }
+                    })
+                    .collect()
             }
-            Partitioner::Block { .. } => {
-                for (bucket, (start, end)) in buckets.iter_mut().zip(bands(chunk.len(), parts)) {
-                    for i in start..end {
-                        bucket.push_row(&chunk.row(i))?;
-                    }
-                }
-            }
-        }
+            Partitioner::Block { .. } => bands(n, parts)
+                .into_iter()
+                .enumerate()
+                .flat_map(|(b, (start, end))| std::iter::repeat_n(b, end - start))
+                .collect(),
+        };
 
-        Ok(buckets
-            .into_iter()
-            .map(|b| DataSet::new(schema.clone(), vec![Chunk::Rows(b)]))
+        let mut members: Vec<Vec<usize>> = vec![Vec::new(); parts];
+        for (i, b) in route.into_iter().enumerate() {
+            members[b].push(i);
+        }
+        Ok(members
+            .iter()
+            .map(|rows| {
+                let mut part = chunk.take(rows);
+                part.normalize();
+                DataSet::new(schema.clone(), vec![Chunk::Rows(part)])
+            })
             .collect())
     }
 }
@@ -213,7 +221,7 @@ pub fn merge_partitions(schema: bda_storage::Schema, parts: Vec<DataSet>) -> Res
     for p in parts {
         let chunk = p.to_rows_chunk()?;
         if !chunk.is_empty() {
-            out.push_chunk(Chunk::Rows(chunk));
+            out.push_chunk(Chunk::Rows(chunk.into_owned()));
         }
     }
     Ok(out)
@@ -222,7 +230,7 @@ pub fn merge_partitions(schema: bda_storage::Schema, parts: Vec<DataSet>) -> Res
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bda_storage::{DataType, Field, Row, Schema};
+    use bda_storage::{DataType, Field, Row, RowsChunk, Schema};
 
     fn kv_schema() -> Schema {
         Schema::new(vec![
@@ -329,6 +337,24 @@ mod tests {
             .filter(|&i| p0.row(i).get(0).is_null())
             .count();
         assert_eq!(nulls_in_p0, 2);
+    }
+
+    #[test]
+    fn partitions_track_nulls_only_where_they_hold_one() {
+        // As if each partition's rows had been pushed one at a time: a
+        // column keeps its validity bitmap only in the partitions that
+        // received one of its nulls.
+        let rows = vec![
+            Row(vec![Value::Int(1), Value::Null]),
+            Row(vec![Value::Int(2), Value::Float(2.0)]),
+            Row(vec![Value::Int(3), Value::Float(3.0)]),
+        ];
+        let parts = Partitioner::block(3).split(&dataset(&rows)).unwrap();
+        let tracked: Vec<bool> = parts
+            .iter()
+            .map(|p| p.to_rows_chunk().unwrap().column(1).validity().is_some())
+            .collect();
+        assert_eq!(tracked, vec![true, false, false]);
     }
 
     #[test]

@@ -44,16 +44,16 @@ pub enum Change {
 impl Delta {
     /// `None` for ops that do not change dataset contents (index
     /// builds): change streams carry data, not metadata.
-    pub(crate) fn from_op(seq: u64, op: &WalOp) -> Option<Delta> {
+    pub(crate) fn from_op(seq: u64, op: WalOp) -> Option<Delta> {
         match op {
             WalOp::Store { name, data } => Some(Delta {
                 seq,
-                name: name.clone(),
-                change: Change::Stored(data.clone()),
+                name,
+                change: Change::Stored(data),
             }),
             WalOp::Remove { name } => Some(Delta {
                 seq,
-                name: name.clone(),
+                name,
                 change: Change::Removed,
             }),
             WalOp::BuildIndex { .. } => None,
@@ -179,9 +179,9 @@ mod tests {
         let hub = ChangeHub::new();
         let a = hub.subscribe("a");
         let all = hub.subscribe_all();
-        hub.publish_with(|| Delta::from_op(1, &op("a", 1)));
-        hub.publish_with(|| Delta::from_op(2, &op("b", 2)));
-        hub.publish_with(|| Delta::from_op(3, &WalOp::Remove { name: "a".into() }));
+        hub.publish_with(|| Delta::from_op(1, op("a", 1)));
+        hub.publish_with(|| Delta::from_op(2, op("b", 2)));
+        hub.publish_with(|| Delta::from_op(3, WalOp::Remove { name: "a".into() }));
         let got: Vec<u64> = a.drain().iter().map(|d| d.seq).collect();
         assert_eq!(got, [1, 3]);
         assert!(a.try_next().is_none());
@@ -195,7 +195,7 @@ mod tests {
         let s = hub.subscribe_all();
         assert_eq!(hub.subscriber_count(), 1);
         drop(s);
-        hub.publish_with(|| Delta::from_op(1, &op("a", 1)));
+        hub.publish_with(|| Delta::from_op(1, op("a", 1)));
         assert_eq!(hub.subscriber_count(), 0);
     }
 
@@ -204,7 +204,7 @@ mod tests {
         let hub = ChangeHub::new();
         let s = hub.subscribe_all();
         assert!(s.next_timeout(Duration::from_millis(10)).is_none());
-        hub.publish_with(|| Delta::from_op(1, &op("a", 1)));
+        hub.publish_with(|| Delta::from_op(1, op("a", 1)));
         assert_eq!(s.next_timeout(Duration::from_millis(10)).unwrap().seq, 1);
     }
 
@@ -216,7 +216,7 @@ mod tests {
         let mut built = false;
         hub.publish_with(|| {
             built = true;
-            Delta::from_op(1, &op("a", 1))
+            Delta::from_op(1, op("a", 1))
         });
         assert!(built);
         assert_eq!(s.try_next().unwrap().seq, 1);
@@ -226,7 +226,7 @@ mod tests {
     fn stored_delta_carries_the_dataset() {
         let hub = ChangeHub::new();
         let s = hub.subscribe("t");
-        hub.publish_with(|| Delta::from_op(5, &op("t", 42)));
+        hub.publish_with(|| Delta::from_op(5, op("t", 42)));
         let d = s.try_next().unwrap();
         assert_eq!(d.name, "t");
         match d.change {

@@ -50,7 +50,7 @@ use bda_obs::{MetricsHub, Tracer};
 use bda_storage::{DataSet, IndexKind, Schema};
 
 use crate::changes::{ChangeHub, ChangeStream, Delta};
-use crate::record::WalOp;
+use crate::record::{self, WalOp};
 use crate::snapshot;
 use crate::wal::{self, Wal};
 use crate::{Options, Result};
@@ -247,16 +247,16 @@ impl DurableProvider {
         // writer re-issue a sequence number a snapshot already covers.
         replayed.next_seq = replayed.next_seq.max(snapshot_seq + 1);
         let wal_records_replayed = replayed.records.len();
-        for (_, op) in &replayed.records {
+        for (_, op) in std::mem::take(&mut replayed.records) {
             let mut span = tracer.start(root.id(), || format!("recovery:{}", op.name()), &site);
             match op {
                 WalOp::Store { name, data } => {
                     span.set_rows(data.num_rows());
-                    inner.store(name, data.clone())?;
+                    inner.store(&name, data)?;
                 }
-                WalOp::Remove { name } => inner.remove(name),
+                WalOp::Remove { name } => inner.remove(&name),
                 WalOp::BuildIndex { name, column, kind } => {
-                    inner.build_index(name, column, *kind)?;
+                    inner.build_index(&name, &column, kind)?;
                 }
             }
             span.finish();
@@ -446,20 +446,19 @@ impl Provider for DurableProvider {
         // about which of two racing stores won. Apply still precedes
         // append (shape validation — an engine that refuses the dataset
         // must not leave a log record); the ack below implies the
-        // record is on disk.
+        // record is on disk. The record is encoded first, so the engine
+        // takes the dataset itself rather than a copy.
+        let payload = record::encode_store(name, &data);
         let mut wal = self.shared.wal.lock().expect("wal lock poisoned");
-        self.shared.inner.store(name, data.clone())?;
-        let op = WalOp::Store {
-            name: name.to_string(),
-            data,
-        };
-        let (seq, bytes) = wal.append(&op)?;
+        self.shared.inner.store(name, data)?;
+        let (seq, bytes) = wal.append_payload(&payload)?;
         self.shared
             .bytes_since_snapshot
             .fetch_add(bytes, Ordering::Relaxed);
-        self.shared
-            .changes
-            .publish_with(|| Delta::from_op(seq, &op));
+        self.shared.changes.publish_with(|| {
+            let op = record::decode_op(&payload).expect("a record this store just encoded");
+            Delta::from_op(seq, op)
+        });
         Ok(())
     }
 
@@ -486,9 +485,7 @@ impl Provider for DurableProvider {
                     self.shared
                         .bytes_since_snapshot
                         .fetch_add(bytes, Ordering::Relaxed);
-                    self.shared
-                        .changes
-                        .publish_with(|| Delta::from_op(seq, &op));
+                    self.shared.changes.publish_with(|| Delta::from_op(seq, op));
                     false
                 }
                 Err(_) => {

@@ -74,18 +74,8 @@ const TAG_BUILD_INDEX: u8 = 3;
 /// adds length, checksum, and sequence number).
 pub fn encode_op(op: &WalOp) -> Vec<u8> {
     let mut w = Writer::new();
-    write_op(op, &mut w);
-    w.into_vec()
-}
-
-/// [`encode_op`] into an existing writer.
-pub(crate) fn write_op(op: &WalOp, w: &mut Writer) {
     match op {
-        WalOp::Store { name, data } => {
-            w.u8(TAG_STORE);
-            w.str(name);
-            w.block(&encode_dataset(data));
-        }
+        WalOp::Store { name, data } => return encode_store(name, data),
         WalOp::Remove { name } => {
             w.u8(TAG_REMOVE);
             w.str(name);
@@ -97,6 +87,18 @@ pub(crate) fn write_op(op: &WalOp, w: &mut Writer) {
             w.str(column);
         }
     }
+    w.into_vec()
+}
+
+/// The payload of `WalOp::Store { name, data }`, encoded from a borrowed
+/// dataset: a provider encodes first, then moves the dataset into its
+/// engine and appends these bytes.
+pub fn encode_store(name: &str, data: &DataSet) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.u8(TAG_STORE);
+    w.str(name);
+    w.block(&encode_dataset(data));
+    w.into_vec()
 }
 
 /// Decode one record payload; the entire input must be consumed.

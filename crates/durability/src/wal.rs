@@ -41,9 +41,9 @@ use bda_obs::MetricsHub;
 use bda_storage::wire::{Reader, Writer};
 use bda_storage::StorageError;
 
-use crate::crc::crc32;
+use crate::crc::{self, crc32};
 use crate::faults::{AppendFate, DiskFaults, FaultState};
-use crate::record::{decode_op, write_op, WalOp};
+use crate::record::{decode_op, encode_op, WalOp};
 use crate::Result;
 
 /// Segment file magic.
@@ -460,17 +460,22 @@ impl Wal {
     /// Append one record, fsync per policy, and return `(seq, bytes)`.
     /// On error nothing was committed and no sequence number was spent.
     pub fn append(&mut self, op: &WalOp) -> Result<(u64, u64)> {
+        self.append_payload(&encode_op(op))
+    }
+
+    /// [`Wal::append`] of a payload already encoded by
+    /// [`encode_op`] or [`crate::record::encode_store`].
+    pub fn append_payload(&mut self, payload: &[u8]) -> Result<(u64, u64)> {
         let seq = self.next_seq;
-        // `len | crc | seq | payload`: the crc covers `seq ‖ payload`, so
-        // that part is encoded first and framed after.
-        let mut body = Writer::new();
-        body.u64(seq);
-        write_op(op, &mut body);
-        let body = body.into_vec();
-        let mut rec = Writer::with_capacity(REC_HEADER as usize + body.len());
-        rec.u32((body.len() - 8) as u32);
-        rec.u32(crc32(&body));
-        rec.bytes(&body);
+        // `len | crc | seq | payload`: the crc covers `seq ‖ payload`.
+        let mut sum = crc::Hasher::new();
+        sum.update(&seq.to_le_bytes());
+        sum.update(payload);
+        let mut rec = Writer::with_capacity(REC_HEADER as usize + payload.len());
+        rec.u32(payload.len() as u32);
+        rec.u32(sum.finish());
+        rec.u64(seq);
+        rec.bytes(payload);
         let rec = rec.into_vec();
         match self.faults.decide() {
             AppendFate::Write => {}

@@ -98,18 +98,18 @@ fn execute_node(
         }
         Plan::Rename { input, .. } | Plan::UntagDims { input } => {
             let in_ds = execute(input, tables, state)?;
-            let chunk = in_ds.to_rows_chunk()?;
+            let chunk = in_ds.to_rows_chunk()?.into_owned();
             Ok(DataSet::new(out_schema, vec![Chunk::Rows(chunk)]))
         }
         Plan::TagDims { input, .. } => {
             let in_ds = execute(input, tables, state)?;
-            let chunk = in_ds.to_rows_chunk()?;
+            let chunk = in_ds.to_rows_chunk()?.into_owned();
             validate_dims(&out_schema, &chunk)?;
             Ok(DataSet::new(out_schema, vec![Chunk::Rows(chunk)]))
         }
         Plan::Dice { input, ranges } => {
             let in_ds = execute(input, tables, state)?;
-            let in_schema = in_ds.schema().clone();
+            let in_schema = in_ds.schema();
             let chunk = in_ds.to_rows_chunk()?;
             let mut mask = vec![true; chunk.len()];
             for (d, lo, hi) in ranges {
@@ -255,7 +255,7 @@ fn pruned_select(
     }
     let mut kept = RowsChunk::empty(schema);
     for ci in survivors {
-        kept.extend(&in_ds.chunks()[ci].to_rows(schema)?)?;
+        kept.extend(&*in_ds.chunks()[ci].to_rows(schema)?)?;
     }
     let mask_col = eval_chunk(predicate, schema, &kept)?;
     let mask = engine::truth_mask(&mask_col)?;

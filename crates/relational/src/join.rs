@@ -1,33 +1,32 @@
-//! Join algorithms: hash join (default) and sort-merge join (kept for the
-//! ablation benchmark — both satisfy the same contract).
+//! Join algorithms: the hash join every plan path runs, and a
+//! sort-merge join (inner, single key) that a unit test holds to it.
 
-use std::collections::HashMap;
-
+use bda_core::keys::{has_null, hash_rows, rows_eq, KeyChains};
 use bda_core::{CoreError, JoinType};
+use bda_storage::{Chunk, Column, DataSet, RowsChunk, Schema};
 #[cfg(test)]
-use bda_storage::Value;
-use bda_storage::{Chunk, Column, DataSet, Row, RowsChunk, Schema};
+use bda_storage::{Row, Value};
 
 use crate::exec::Result;
 
-/// Extract the key row at `i` from the given key columns, or `None` if any
-/// key is null (null-rejecting join equality).
-fn key_at(cols: &[&Column], i: usize) -> Option<Row> {
-    let mut vals = Vec::with_capacity(cols.len());
-    for c in cols {
-        let v = c.get(i);
-        if v.is_null() {
-            return None;
+/// Index the rows of `cols` (all of length `len`) by key hash, leaving
+/// out rows with a null key (null-rejecting join equality). Each chain
+/// lists its rows in ascending order. A null never equals a non-null
+/// under [`rows_eq`], so probe rows need no null check of their own.
+fn build(cols: &[&Column], len: usize) -> KeyChains {
+    let mut chains = KeyChains::default();
+    for (i, h) in hash_rows(cols, len).into_iter().enumerate() {
+        if !has_null(cols, i) {
+            chains.push(h, i);
         }
-        // Normalize numeric keys to float bits via grouping hash: Value's
-        // Hash/Eq already unify Int/Float, so store as-is.
-        vals.push(v);
     }
-    Some(Row(vals))
+    chains
 }
 
-/// Hash equi-join. Builds on the right input, probes with the left.
-/// With an empty `on` list this degrades to a cross join.
+/// Hash equi-join over typed keys. Builds on the right input and probes
+/// with the left, so the output is left-major: each left row's matches
+/// in right-row order. With an empty `on` list this degrades to a cross
+/// join (every row has the same empty key).
 pub fn hash_join(
     left: &DataSet,
     right: &DataSet,
@@ -35,8 +34,8 @@ pub fn hash_join(
     join_type: JoinType,
     out_schema: Schema,
 ) -> Result<DataSet> {
-    let ls = left.schema().clone();
-    let rs = right.schema().clone();
+    let ls = left.schema();
+    let rs = right.schema();
     let l_chunk = left.to_rows_chunk()?;
     let r_chunk = right.to_rows_chunk()?;
     let l_cols: Vec<&Column> = on
@@ -54,95 +53,54 @@ pub fn hash_join(
     // left-major order afterwards, so the result is byte-identical to
     // the build-on-right path — bag *and* order.
     if join_type == JoinType::Inner && !on.is_empty() && l_chunk.len() < r_chunk.len() {
-        let mut table: HashMap<Row, Vec<usize>> = HashMap::new();
-        for i in 0..l_chunk.len() {
-            if let Some(k) = key_at(&l_cols, i) {
-                table.entry(k).or_default().push(i);
-            }
-        }
+        let table = build(&l_cols, l_chunk.len());
         let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for j in 0..r_chunk.len() {
-            if let Some(idxs) = key_at(&r_cols, j).and_then(|k| table.get(&k)) {
-                for &i in idxs {
+        for (j, h) in hash_rows(&r_cols, r_chunk.len()).into_iter().enumerate() {
+            for i in table.chain(h) {
+                if rows_eq(&l_cols, i, &r_cols, j) {
                     pairs.push((i, j));
                 }
             }
         }
         pairs.sort_unstable();
-        let (l_take, r_take) = pairs.into_iter().unzip();
-        return assemble(
-            &l_chunk,
-            &r_chunk,
-            &rs,
-            join_type,
-            out_schema,
-            l_take,
-            r_take,
-            Vec::new(),
-        );
+        let (l_take, r_take): (Vec<_>, Vec<_>) = pairs.into_iter().unzip();
+        return assemble(&l_chunk, &r_chunk, join_type, out_schema, &l_take, &r_take);
     }
 
     // Build side: right.
-    let mut table: HashMap<Row, Vec<usize>> = HashMap::new();
-    if on.is_empty() {
-        // Cross join: every right row under the unit key.
-        table.insert(Row::new(), (0..r_chunk.len()).collect());
-    } else {
-        for i in 0..r_chunk.len() {
-            if let Some(k) = key_at(&r_cols, i) {
-                table.entry(k).or_default().push(i);
-            }
-        }
-    }
-
-    let mut l_take: Vec<usize> = Vec::new();
-    let mut r_take: Vec<usize> = Vec::new(); // parallel to l_take (inner/left matches)
+    let table = build(&r_cols, r_chunk.len());
+    let mut l_take: Vec<usize> = Vec::with_capacity(l_chunk.len());
+    let mut r_take: Vec<usize> = Vec::with_capacity(l_chunk.len()); // inner/left matches
     let mut l_unmatched: Vec<usize> = Vec::new();
-    let empty_key = Row::new();
-    for i in 0..l_chunk.len() {
-        let key = if on.is_empty() {
-            Some(empty_key.clone())
-        } else {
-            key_at(&l_cols, i)
-        };
-        let matches = key.as_ref().and_then(|k| table.get(k));
+    for (i, h) in hash_rows(&l_cols, l_chunk.len()).into_iter().enumerate() {
+        let mut matches = table.chain(h).filter(|&j| rows_eq(&l_cols, i, &r_cols, j));
         match join_type {
-            JoinType::Inner | JoinType::Left => match matches {
-                Some(idxs) if !idxs.is_empty() => {
-                    for &j in idxs {
-                        l_take.push(i);
-                        r_take.push(j);
-                    }
+            JoinType::Inner | JoinType::Left => {
+                let before = r_take.len();
+                for j in matches {
+                    l_take.push(i);
+                    r_take.push(j);
                 }
-                _ => {
-                    if join_type == JoinType::Left {
-                        l_unmatched.push(i);
-                    }
+                if join_type == JoinType::Left && r_take.len() == before {
+                    l_unmatched.push(i);
                 }
-            },
+            }
             JoinType::Semi => {
-                if matches.map(|m| !m.is_empty()).unwrap_or(false) {
+                if matches.next().is_some() {
                     l_take.push(i);
                 }
             }
             JoinType::Anti => {
-                if !matches.map(|m| !m.is_empty()).unwrap_or(false) {
+                if matches.next().is_none() {
                     l_take.push(i);
                 }
             }
         }
     }
 
-    assemble(
-        &l_chunk,
-        &r_chunk,
-        &rs,
-        join_type,
-        out_schema,
-        l_take,
-        r_take,
-        l_unmatched,
-    )
+    // Matched pairs first, then the unmatched left rows.
+    l_take.append(&mut l_unmatched);
+    assemble(&l_chunk, &r_chunk, join_type, out_schema, &l_take, &r_take)
 }
 
 /// Sort-merge equi-join on a single key pair (inner only); results are
@@ -155,8 +113,8 @@ pub fn merge_join(
     on: &(String, String),
     out_schema: Schema,
 ) -> Result<DataSet> {
-    let ls = left.schema().clone();
-    let rs = right.schema().clone();
+    let ls = left.schema();
+    let rs = right.schema();
     let l_chunk = left.to_rows_chunk()?;
     let r_chunk = right.to_rows_chunk()?;
     let lk = l_chunk.column(ls.index_of(&on.0)?);
@@ -199,55 +157,34 @@ pub fn merge_join(
     assemble(
         &l_chunk,
         &r_chunk,
-        &rs,
         JoinType::Inner,
         out_schema,
-        l_take,
-        r_take,
-        Vec::new(),
+        &l_take,
+        &r_take,
     )
 }
 
-/// Build the output chunk from gather lists.
-#[allow(clippy::too_many_arguments)]
+/// Build the output chunk: the left rows at `l_take`, beside (inner and
+/// left joins) the right rows at `r_take`. A left join's `l_take` ends
+/// with its unmatched rows, which `r_take` is too short to reach: their
+/// right columns are nulls.
 fn assemble(
     l_chunk: &RowsChunk,
     r_chunk: &RowsChunk,
-    rs: &Schema,
     join_type: JoinType,
     out_schema: Schema,
-    l_take: Vec<usize>,
-    r_take: Vec<usize>,
-    l_unmatched: Vec<usize>,
+    l_take: &[usize],
+    r_take: &[usize],
 ) -> Result<DataSet> {
-    let mut cols: Vec<Column> = Vec::with_capacity(out_schema.len());
-    match join_type {
-        JoinType::Semi | JoinType::Anti => {
-            for c in l_chunk.columns() {
-                cols.push(c.take(&l_take));
-            }
-        }
-        JoinType::Inner => {
-            for c in l_chunk.columns() {
-                cols.push(c.take(&l_take));
-            }
-            for c in r_chunk.columns() {
-                cols.push(c.take(&r_take));
-            }
-        }
-        JoinType::Left => {
-            // Matched pairs first, then unmatched left rows null-padded.
-            for c in l_chunk.columns() {
-                let mut out = c.take(&l_take);
-                out.extend(&c.take(&l_unmatched)).map_err(CoreError::from)?;
-                cols.push(out);
-            }
-            for (fi, c) in r_chunk.columns().iter().enumerate() {
-                let mut out = c.take(&r_take);
-                let nulls = Column::nulls(rs.field_at(fi).dtype, l_unmatched.len());
+    let mut cols: Vec<Column> = l_chunk.columns().iter().map(|c| c.take(l_take)).collect();
+    if matches!(join_type, JoinType::Inner | JoinType::Left) {
+        for c in r_chunk.columns() {
+            let mut out = c.take(r_take);
+            if join_type == JoinType::Left {
+                let nulls = Column::nulls(c.dtype(), l_take.len() - r_take.len());
                 out.extend(&nulls).map_err(CoreError::from)?;
-                cols.push(out);
             }
+            cols.push(out);
         }
     }
     let chunk = RowsChunk::new(cols).map_err(CoreError::from)?;

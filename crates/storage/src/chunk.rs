@@ -1,5 +1,7 @@
 //! Chunks: the physical batches a dataset is made of.
 
+use std::borrow::Cow;
+
 use crate::column::Column;
 use crate::dense::DenseChunk;
 use crate::error::StorageError;
@@ -105,6 +107,13 @@ impl RowsChunk {
         }
     }
 
+    /// Drop every all-valid validity bitmap ([`Column::normalize`]), so
+    /// a column tracks nulls only when it holds one — as if its rows had
+    /// been pushed one at a time.
+    pub fn normalize(&mut self) {
+        self.columns.iter_mut().for_each(Column::normalize);
+    }
+
     /// Concatenate another chunk (same column types) onto this one.
     pub fn extend(&mut self, other: &RowsChunk) -> Result<()> {
         if self.columns.len() != other.columns.len() {
@@ -148,12 +157,13 @@ impl Chunk {
 
     /// Convert to coordinate-list layout under the given schema.
     ///
-    /// For dense chunks this enumerates present cells in row-major order,
-    /// producing explicit dimension columns.
-    pub fn to_rows(&self, schema: &Schema) -> Result<RowsChunk> {
+    /// A rows chunk is borrowed as is. For dense chunks this enumerates
+    /// present cells in row-major order, producing explicit dimension
+    /// columns.
+    pub fn to_rows(&self, schema: &Schema) -> Result<Cow<'_, RowsChunk>> {
         match self {
-            Chunk::Rows(r) => Ok(r.clone()),
-            Chunk::Dense(d) => d.to_rows(schema),
+            Chunk::Rows(r) => Ok(Cow::Borrowed(r)),
+            Chunk::Dense(d) => d.to_rows(schema).map(Cow::Owned),
         }
     }
 

@@ -6,6 +6,8 @@
 //! is that collection: fully materialized, layout-flexible, directly
 //! iterable.
 
+use std::borrow::Cow;
+
 use crate::chunk::{Chunk, RowsChunk};
 use crate::column::Column;
 use crate::dense::{DenseChunk, DimBox};
@@ -99,20 +101,28 @@ impl DataSet {
         Ok(out)
     }
 
-    /// Collapse all chunks into a single coordinate-list chunk.
-    pub fn to_rows_chunk(&self) -> Result<RowsChunk> {
+    /// The dataset as one coordinate-list chunk. A dataset that already
+    /// is one rows chunk of the schema's types is borrowed in place; any
+    /// other is concatenated once into a new chunk.
+    pub fn to_rows_chunk(&self) -> Result<Cow<'_, RowsChunk>> {
+        if let [Chunk::Rows(r)] = self.chunks.as_slice() {
+            let dtypes = r.columns().iter().map(Column::dtype);
+            if self.schema.fields().iter().map(|f| f.dtype).eq(dtypes) {
+                return Ok(Cow::Borrowed(r));
+            }
+        }
         let mut acc = RowsChunk::empty(&self.schema);
         for c in &self.chunks {
-            acc.extend(&c.to_rows(&self.schema)?)?;
+            acc.extend(&*c.to_rows(&self.schema)?)?;
         }
-        Ok(acc)
+        Ok(Cow::Owned(acc))
     }
 
     /// A dataset identical to `self` but in a single coordinate-list chunk.
     pub fn normalized_rows(&self) -> Result<DataSet> {
         Ok(DataSet {
             schema: self.schema.clone(),
-            chunks: vec![Chunk::Rows(self.to_rows_chunk()?)],
+            chunks: vec![Chunk::Rows(self.to_rows_chunk()?.into_owned())],
         })
     }
 
@@ -455,6 +465,36 @@ mod tests {
         let ds = DataSet::empty(schema);
         assert!(matches!(ds.bounding_box(), Err(StorageError::NotDense(_))));
         assert!(rel().bounding_box().is_err());
+    }
+
+    #[test]
+    fn to_rows_chunk_borrows_one_rows_chunk_and_concatenates_the_rest() {
+        let one = rel();
+        let Cow::Borrowed(r) = one.to_rows_chunk().unwrap() else {
+            panic!("a one-rows-chunk dataset must be borrowed");
+        };
+        let Chunk::Rows(stored) = &one.chunks()[0] else {
+            unreachable!()
+        };
+        assert!(std::ptr::eq(r, stored));
+        let mut two = rel();
+        two.push_chunk(rel().chunks()[0].clone());
+        let Cow::Owned(cat) = two.to_rows_chunk().unwrap() else {
+            panic!("two chunks must be concatenated");
+        };
+        assert_eq!(cat.len(), 6);
+        assert_eq!(cat.row(3), one.rows().unwrap()[0]);
+        let dense = matrix_dataset(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
+        assert!(matches!(dense.to_rows_chunk().unwrap(), Cow::Owned(_)));
+        // A rows chunk whose types disagree with the schema is not
+        // borrowed: the concatenating path refuses it.
+        let mistyped = DataSet::new(
+            Schema::new(vec![Field::value("k", DataType::Utf8)]).unwrap(),
+            vec![Chunk::Rows(
+                RowsChunk::new(vec![Column::from(vec![1i64])]).unwrap(),
+            )],
+        );
+        assert!(mistyped.to_rows_chunk().is_err());
     }
 
     #[test]

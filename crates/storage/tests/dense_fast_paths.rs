@@ -144,7 +144,7 @@ proptest! {
         let ds = case.dataset();
         prop_assert!(ds.dense_in_place().is_some());
         let fast = ds.to_dense().unwrap();
-        let rows = DataSet::new(case.schema(), vec![Chunk::Rows(ds.to_rows_chunk().unwrap())]);
+        let rows = DataSet::new(case.schema(), vec![Chunk::Rows(ds.to_rows_chunk().unwrap().into_owned())]);
         let slow = rows.to_dense().unwrap();
         prop_assert!(fast.same_bag(&slow).unwrap());
         prop_assert!(fast.same_bag(&ds).unwrap());
