@@ -29,7 +29,9 @@ pub fn execute(plan: &Plan, arrays: &BTreeMap<String, DataSet>) -> Result<DataSe
 fn execute_node(plan: &Plan, arrays: &BTreeMap<String, DataSet>) -> Result<DataSet> {
     let out_schema = infer_schema(plan)?;
     match plan {
-        Plan::Scan { dataset, schema } => engine::scan(arrays, dataset, schema),
+        Plan::Scan { dataset, schema } => {
+            engine::scan(arrays.get(dataset), dataset, schema).cloned()
+        }
         Plan::Values { schema, rows } => engine::values(schema, rows),
         Plan::Range { lo, hi, .. } => engine::range(*lo, *hi, out_schema),
         // --- native dense operators ---------------------------------------
@@ -71,7 +73,7 @@ fn execute_node(plan: &Plan, arrays: &BTreeMap<String, DataSet>) -> Result<DataS
         }
         // --- scalar relational core over the coordinate view --------------
         Plan::Select { input, predicate } => {
-            engine::select(&execute(input, arrays)?, predicate, out_schema)
+            engine::select(&execute(input, arrays)?, predicate, &[], out_schema)
         }
         Plan::Project { input, exprs } => {
             engine::project(&execute(input, arrays)?, exprs, out_schema)
@@ -91,8 +93,7 @@ fn execute_node(plan: &Plan, arrays: &BTreeMap<String, DataSet>) -> Result<DataS
             engine::limit(&execute(input, arrays)?, *skip, *fetch, out_schema)
         }
         Plan::Rename { input, .. } | Plan::UntagDims { input } | Plan::TagDims { input, .. } => {
-            let in_ds = execute(input, arrays)?;
-            let chunk = in_ds.to_rows_chunk()?.into_owned();
+            let chunk = execute(input, arrays)?.into_rows_chunk()?;
             // Re-densify under the new schema when bounded (validates
             // coordinates as a side effect).
             let ds = DataSet::new(out_schema.clone(), vec![Chunk::Rows(chunk)]);

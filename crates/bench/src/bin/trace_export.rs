@@ -15,7 +15,7 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "bda-trace.json".to_string());
     let (fed, plan) = observed_federation(64);
-    let tracer = Tracer::new(bda_obs::trace_seed_from_env(0xBDA));
+    let tracer = Tracer::new(0xBDA);
     let (_, metrics) = fed.run_traced(&plan, &tracer).expect("traced run");
     let trace = tracer.finish();
     if let Some(parent) = std::path::Path::new(&out).parent() {

@@ -5,7 +5,8 @@
 //! common with other engines is the same everywhere, so it lives here
 //! once:
 //!
-//! * [`Datasets`] — the named-dataset map behind every engine's catalog;
+//! * [`Datasets`] — the named-dataset map behind an engine's catalog (the
+//!   relational engine keeps each table beside its metadata instead);
 //! * the leaf kernels [`scan`], [`values`] and [`range`];
 //! * the scalar relational core over the coordinate-list view —
 //!   [`select`], [`project`], [`union`], [`limit`], [`distinct`] and
@@ -74,16 +75,15 @@ impl Datasets {
     }
 }
 
-/// `Scan`: the stored dataset, refused when the plan was bound against a
-/// different schema than the one stored.
-pub fn scan(
-    datasets: &BTreeMap<String, DataSet>,
+/// `Scan`: the dataset stored as `dataset`, borrowed in place, refused
+/// when the plan was bound against a different schema than the one
+/// stored.
+pub fn scan<'a>(
+    stored: Option<&'a DataSet>,
     dataset: &str,
     schema: &Schema,
-) -> Result<DataSet> {
-    let ds = datasets
-        .get(dataset)
-        .ok_or_else(|| CoreError::UnknownDataset(dataset.to_string()))?;
+) -> Result<&'a DataSet> {
+    let ds = stored.ok_or_else(|| CoreError::UnknownDataset(dataset.to_string()))?;
     if ds.schema() != schema {
         return Err(CoreError::Plan(format!(
             "scan `{dataset}`: bound schema {} does not match stored schema {}",
@@ -91,7 +91,7 @@ pub fn scan(
             ds.schema()
         )));
     }
-    Ok(ds.clone())
+    Ok(ds)
 }
 
 /// `Values`: an inline literal relation.
@@ -111,15 +111,35 @@ pub fn range(lo: i64, hi: i64, out_schema: Schema) -> Result<DataSet> {
     Ok(DataSet::new(out_schema, vec![Chunk::Rows(chunk)]))
 }
 
-/// `Select`: evaluate the predicate column-at-a-time and keep the rows
-/// where it is a valid `true`.
-pub fn select(input: &DataSet, predicate: &Expr, out_schema: Schema) -> Result<DataSet> {
-    let in_schema = input.schema().clone();
-    let chunk = input.to_rows_chunk()?;
-    let mask_col = eval_chunk(predicate, &in_schema, &chunk)?;
-    let mask = truth_mask(&mask_col)?;
-    let filtered = chunk.filter(&mask);
-    Ok(DataSet::new(out_schema, vec![Chunk::Rows(filtered)]))
+/// `Select`: evaluate the predicate column-at-a-time over each chunk in
+/// place and keep the rows where it is a valid `true`. A chunk whose
+/// `skip` entry is `true` is never read (zone maps proved none of its
+/// rows can match); a `skip` shorter than the chunk list reads the rest.
+/// The kept rows form one chunk, exactly as if the read chunks had been
+/// concatenated and then filtered.
+pub fn select(
+    input: &DataSet,
+    predicate: &Expr,
+    skip: &[bool],
+    out_schema: Schema,
+) -> Result<DataSet> {
+    let schema = input.schema();
+    let mut out: Option<RowsChunk> = None;
+    for (ci, chunk) in input.chunks().iter().enumerate() {
+        if skip.get(ci) == Some(&true) {
+            continue;
+        }
+        let rows = chunk.to_rows(schema)?;
+        let mask = truth_mask(&eval_chunk(predicate, schema, &rows)?)?;
+        let kept = rows.filter(&mask);
+        // The first read chunk's rows move in; later ones are appended.
+        match &mut out {
+            Some(out) => out.extend(&kept)?,
+            None => out = Some(kept),
+        }
+    }
+    let out = out.unwrap_or_else(|| RowsChunk::empty(schema));
+    Ok(DataSet::new(out_schema, vec![Chunk::Rows(out)]))
 }
 
 /// A boolean column interpreted as a filter mask: `true` where the slot is
@@ -340,13 +360,14 @@ mod tests {
         let d = Datasets::new();
         d.insert("t", input());
         let stored = input().schema().clone();
-        assert_eq!(scan(&d.read(), "t", &stored).unwrap().num_rows(), 4);
+        let map = d.read();
+        assert_eq!(scan(map.get("t"), "t", &stored).unwrap().num_rows(), 4);
         assert!(matches!(
-            scan(&d.read(), "nope", &stored),
+            scan(map.get("nope"), "nope", &stored),
             Err(CoreError::UnknownDataset(_))
         ));
         let other = Schema::new(vec![Field::value("g", DataType::Utf8)]).unwrap();
-        let err = scan(&d.read(), "t", &other).unwrap_err();
+        let err = scan(map.get("t"), "t", &other).unwrap_err();
         assert!(
             err.to_string().contains("does not match stored schema"),
             "{err}"

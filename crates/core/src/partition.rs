@@ -6,14 +6,12 @@
 //! many workers later consume them. That property is what makes
 //! partition-parallel kernels deterministic.
 //!
-//! Three strategies cover the engines' needs:
+//! Two strategies cover the engines' needs:
 //!
 //! - **hash**: route each row by a deterministic hash of one or more key
 //!   columns. Co-partitions join inputs and disjointly partitions
 //!   group-by keys. Rows whose key is entirely null go to partition 0
 //!   (they still have to appear in e.g. left-join output).
-//! - **range**: equal-width numeric ranges over a key column between the
-//!   observed min and max. Nulls go to partition 0.
 //! - **block**: contiguous row blocks, ignoring values entirely. Used
 //!   for dense array/matrix row-band splitting and cross joins.
 //!
@@ -39,13 +37,6 @@ pub enum Partitioner {
         /// Number of partitions (>= 1).
         parts: usize,
     },
-    /// Equal-width numeric ranges over `key` between observed min/max.
-    Range {
-        /// Key column name (numeric).
-        key: String,
-        /// Number of partitions (>= 1).
-        parts: usize,
-    },
     /// Contiguous row blocks of near-equal size.
     Block {
         /// Number of partitions (>= 1).
@@ -65,26 +56,10 @@ pub fn hash_values(values: &[&Value]) -> u64 {
 }
 
 impl Partitioner {
-    /// Hash partitioner over one key column.
-    pub fn hash(key: impl Into<String>, parts: usize) -> Partitioner {
-        Partitioner::Hash {
-            keys: vec![key.into()],
-            parts,
-        }
-    }
-
     /// Hash partitioner over several key columns (join co-partitioning).
     pub fn hash_keys(keys: &[&str], parts: usize) -> Partitioner {
         Partitioner::Hash {
             keys: keys.iter().map(|k| k.to_string()).collect(),
-            parts,
-        }
-    }
-
-    /// Range partitioner over one numeric key column.
-    pub fn range(key: impl Into<String>, parts: usize) -> Partitioner {
-        Partitioner::Range {
-            key: key.into(),
             parts,
         }
     }
@@ -97,9 +72,7 @@ impl Partitioner {
     /// The number of partitions this partitioner produces.
     pub fn parts(&self) -> usize {
         match self {
-            Partitioner::Hash { parts, .. }
-            | Partitioner::Range { parts, .. }
-            | Partitioner::Block { parts } => *parts,
+            Partitioner::Hash { parts, .. } | Partitioner::Block { parts } => *parts,
         }
     }
 
@@ -149,32 +122,6 @@ impl Partitioner {
                     })
                     .collect()
             }
-            Partitioner::Range { key, .. } => {
-                let j = schema.index_of(key).map_err(|_| {
-                    CoreError::Plan(format!("range partitioner: unknown key column `{key}`"))
-                })?;
-                let keys: Vec<Option<f64>> =
-                    chunk.column(j).iter().map(|v| v.as_float().ok()).collect();
-                let (lo, hi) = keys
-                    .iter()
-                    .flatten()
-                    .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
-                        (lo.min(v), hi.max(v))
-                    });
-                let width = if hi > lo {
-                    (hi - lo) / parts as f64
-                } else {
-                    0.0
-                };
-                keys.iter()
-                    .map(|k| match k {
-                        Some(v) if width > 0.0 => (((v - lo) / width) as usize).min(parts - 1),
-                        // All-equal keys (width 0) collapse into one
-                        // partition; nulls and non-numerics go to 0.
-                        _ => 0,
-                    })
-                    .collect()
-            }
             Partitioner::Block { .. } => bands(n, parts)
                 .into_iter()
                 .enumerate()
@@ -219,9 +166,9 @@ pub fn bands(len: usize, parts: usize) -> Vec<(usize, usize)> {
 pub fn merge_partitions(schema: bda_storage::Schema, parts: Vec<DataSet>) -> Result<DataSet> {
     let mut out = DataSet::empty(schema);
     for p in parts {
-        let chunk = p.to_rows_chunk()?;
+        let chunk = p.into_rows_chunk()?;
         if !chunk.is_empty() {
-            out.push_chunk(Chunk::Rows(chunk.into_owned()));
+            out.push_chunk(Chunk::Rows(chunk));
         }
     }
     Ok(out)
@@ -262,7 +209,7 @@ mod tests {
     #[test]
     fn hash_split_is_exhaustive_and_deterministic() {
         let ds = dataset(&kv_rows(57));
-        let p = Partitioner::hash("k", 4);
+        let p = Partitioner::hash_keys(&["k"], 4);
         let a = p.split(&ds).unwrap();
         let b = p.split(&ds).unwrap();
         assert_eq!(a.len(), 4);
@@ -285,11 +232,7 @@ mod tests {
     #[test]
     fn empty_input_yields_all_empty_partitions() {
         let ds = dataset(&[]);
-        for p in [
-            Partitioner::hash("k", 3),
-            Partitioner::range("v", 3),
-            Partitioner::block(3),
-        ] {
+        for p in [Partitioner::hash_keys(&["k"], 3), Partitioner::block(3)] {
             let parts = p.split(&ds).unwrap();
             assert_eq!(parts.len(), 3);
             assert_eq!(total_rows(&parts), 0);
@@ -299,7 +242,7 @@ mod tests {
     #[test]
     fn singleton_input_leaves_empty_partitions() {
         let ds = dataset(&kv_rows(1));
-        let parts = Partitioner::hash("k", 7).split(&ds).unwrap();
+        let parts = Partitioner::hash_keys(&["k"], 7).split(&ds).unwrap();
         assert_eq!(parts.len(), 7);
         assert_eq!(total_rows(&parts), 1);
         assert_eq!(parts.iter().filter(|p| p.num_rows() == 0).count(), 6);
@@ -311,16 +254,13 @@ mod tests {
             .map(|i| Row(vec![Value::Int(42), Value::Float(i as f64)]))
             .collect();
         let ds = dataset(&rows);
-        let parts = Partitioner::hash("k", 4).split(&ds).unwrap();
+        let parts = Partitioner::hash_keys(&["k"], 4).split(&ds).unwrap();
         assert_eq!(total_rows(&parts), 20);
         assert_eq!(
             parts.iter().filter(|p| p.num_rows() == 20).count(),
             1,
             "all-equal keys must all land in exactly one partition"
         );
-        // Range split over all-equal numeric keys likewise collapses.
-        let parts = Partitioner::range("k", 4).split(&ds).unwrap();
-        assert_eq!(parts[0].num_rows(), 20);
     }
 
     #[test]
@@ -330,7 +270,9 @@ mod tests {
             Row(vec![Value::Int(1), Value::Float(2.0)]),
             Row(vec![Value::Null, Value::Float(3.0)]),
         ];
-        let parts = Partitioner::hash("k", 3).split(&dataset(&rows)).unwrap();
+        let parts = Partitioner::hash_keys(&["k"], 3)
+            .split(&dataset(&rows))
+            .unwrap();
         assert_eq!(total_rows(&parts), 3);
         let p0 = parts[0].to_rows_chunk().unwrap();
         let nulls_in_p0 = (0..p0.len())
@@ -370,31 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn range_split_orders_rows_by_key() {
-        let ds = dataset(&kv_rows(40));
-        let parts = Partitioner::range("v", 4).split(&ds).unwrap();
-        assert_eq!(total_rows(&parts), 40);
-        // Every value in partition i is <= every value in partition i+1.
-        let max_of = |p: &DataSet| -> f64 {
-            let c = p.to_rows_chunk().unwrap();
-            (0..c.len())
-                .map(|i| c.row(i).get(1).as_float().unwrap())
-                .fold(f64::NEG_INFINITY, f64::max)
-        };
-        let min_of = |p: &DataSet| -> f64 {
-            let c = p.to_rows_chunk().unwrap();
-            (0..c.len())
-                .map(|i| c.row(i).get(1).as_float().unwrap())
-                .fold(f64::INFINITY, f64::min)
-        };
-        for w in parts.windows(2) {
-            if w[0].num_rows() > 0 && w[1].num_rows() > 0 {
-                assert!(max_of(&w[0]) <= min_of(&w[1]));
-            }
-        }
-    }
-
-    #[test]
     fn multi_chunk_input_routes_identically_to_single_chunk() {
         let rows = kv_rows(30);
         let single = dataset(&rows);
@@ -406,7 +323,7 @@ mod tests {
             }
             multi.push_chunk(Chunk::Rows(c));
         }
-        let p = Partitioner::hash("k", 4);
+        let p = Partitioner::hash_keys(&["k"], 4);
         let a = p.split(&single).unwrap();
         let b = p.split(&multi).unwrap();
         for (x, y) in a.iter().zip(&b) {
@@ -417,9 +334,8 @@ mod tests {
     #[test]
     fn zero_parts_is_an_error_and_unknown_key_is_an_error() {
         let ds = dataset(&kv_rows(3));
-        assert!(Partitioner::hash("k", 0).split(&ds).is_err());
-        assert!(Partitioner::hash("nope", 2).split(&ds).is_err());
-        assert!(Partitioner::range("nope", 2).split(&ds).is_err());
+        assert!(Partitioner::hash_keys(&["k"], 0).split(&ds).is_err());
+        assert!(Partitioner::hash_keys(&["nope"], 2).split(&ds).is_err());
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! collections. The federation layer composes providers; nothing in this
 //! trait assumes a particular engine technology.
 
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -242,12 +243,13 @@ pub trait Provider: Send + Sync {
 /// [`bda_obs::scope`], recording its output cardinality on success. Every
 /// engine's recursive executor (and the reference evaluator) wraps each
 /// node in this; with no scope installed it is one thread-local check
-/// and `eval` runs bare.
-pub fn trace_op(plan: &Plan, eval: impl FnOnce() -> Result<DataSet>) -> Result<DataSet> {
+/// and `eval` runs bare. `eval` may hand back a borrowed dataset (a
+/// stored table read in place).
+pub fn trace_op<T: Borrow<DataSet>>(plan: &Plan, eval: impl FnOnce() -> Result<T>) -> Result<T> {
     let mut node = bda_obs::scope::enter(|| format!("op:{}", plan.op_kind().name()));
     let out = eval();
     if let (Some(n), Ok(ds)) = (node.as_mut(), &out) {
-        n.rows(ds.num_rows());
+        n.rows(ds.borrow().num_rows());
     }
     out
 }

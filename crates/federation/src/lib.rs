@@ -197,9 +197,9 @@ impl Federation {
     /// `EXPLAIN ANALYZE`: run the plan with tracing enabled and render
     /// the recorded span tree — per-node wall time, rows, bytes, and the
     /// provider that executed each operator — plus the run's metrics.
-    /// The trace id comes from `seed` (overridable via `BDA_TRACE_SEED`).
+    /// The trace id comes from `seed`.
     pub fn explain_analyze(&self, plan: &Plan, seed: u64) -> Result<String, CoreError> {
-        let tracer = bda_obs::Tracer::new(bda_obs::trace_seed_from_env(seed));
+        let tracer = bda_obs::Tracer::new(seed);
         let (_, metrics) = self.run_traced(plan, &tracer)?;
         Ok(explain::render_analyze(&tracer.finish(), &metrics))
     }

@@ -58,7 +58,9 @@ impl GraphEngine {
 
     fn eval_node(&self, plan: &Plan) -> Result<DataSet, CoreError> {
         match plan {
-            Plan::Scan { dataset, schema } => engine::scan(&self.datasets.read(), dataset, schema),
+            Plan::Scan { dataset, schema } => {
+                engine::scan(self.datasets.read().get(dataset), dataset, schema).cloned()
+            }
             Plan::Values { schema, rows } => engine::values(schema, rows),
             Plan::Graph(g) => {
                 bda_core::infer_schema(plan)?;

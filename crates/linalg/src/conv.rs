@@ -195,7 +195,9 @@ pub fn execute(plan: &Plan, matrices: &BTreeMap<String, DataSet>) -> Result<Data
 fn execute_node(plan: &Plan, matrices: &BTreeMap<String, DataSet>) -> Result<DataSet> {
     let out_schema = infer_schema(plan)?;
     match plan {
-        Plan::Scan { dataset, schema } => engine::scan(matrices, dataset, schema),
+        Plan::Scan { dataset, schema } => {
+            engine::scan(matrices.get(dataset), dataset, schema).cloned()
+        }
         Plan::Values { schema, rows } => engine::values(schema, rows),
         Plan::MatMul { left, right } => {
             let (a, _) = to_matrix(&execute(left, matrices)?)?;

@@ -51,18 +51,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Environment variable that seeds trace ids (like `BDA_FAULT_SEED`
-/// seeds fault streams). Tests set it to assert on exact trace ids.
-pub const TRACE_SEED_ENV: &str = "BDA_TRACE_SEED";
-
-/// The trace seed: `BDA_TRACE_SEED` when set and parseable, else `default`.
-pub fn trace_seed_from_env(default: u64) -> u64 {
-    std::env::var(TRACE_SEED_ENV)
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(default)
-}
-
 /// SplitMix64: the seed→trace-id mix (deterministic, well distributed).
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -525,13 +513,5 @@ mod tests {
         let trace = t.finish();
         assert_eq!(trace.spans.len(), cap);
         assert_eq!(trace.dropped, 10);
-    }
-
-    #[test]
-    fn trace_seed_env_override() {
-        std::env::set_var(TRACE_SEED_ENV, "99");
-        assert_eq!(trace_seed_from_env(1), 99);
-        std::env::remove_var(TRACE_SEED_ENV);
-        assert_eq!(trace_seed_from_env(1), 1);
     }
 }

@@ -6,8 +6,11 @@
 //! retagging and `Dice` over the coordinate list, and control iteration.
 //! `Join` and grouped `Aggregate` run partition-parallel at the pool's
 //! width ([`pool::workers`]); see [`crate::parallel`].
-
-use std::collections::BTreeMap;
+//!
+//! The executor is handed the engine's [`Tables`]: each stored table's
+//! rows together with the zone maps and indexes built from exactly
+//! those rows. A `Select` directly over a `Scan` reads the stored chunks
+//! in place and, when statistics are on, consults that table's metadata.
 
 use bda_core::convergence::converged;
 use bda_core::engine;
@@ -17,49 +20,61 @@ use bda_core::provider::trace_op;
 use bda_core::{pool, CoreError, Plan};
 use bda_storage::{Chunk, DataSet, RowsChunk, Schema, Value};
 
+use crate::meta::TableMeta;
 use crate::parallel::{partitioned_aggregate, partitioned_hash_join};
 use crate::sort::sort_exec;
+use crate::Tables;
 
 /// Result alias.
 pub type Result<T> = std::result::Result<T, CoreError>;
 
-/// Execute a plan against the engine's table map.
+/// Execute a plan against the engine's tables; `stats` lets a selection
+/// over a stored table use that table's zone maps and indexes.
 pub fn execute(
     plan: &Plan,
-    tables: &BTreeMap<String, DataSet>,
+    tables: &Tables,
+    stats: bool,
     state: Option<&DataSet>,
 ) -> Result<DataSet> {
-    trace_op(plan, || execute_node(plan, tables, state))
+    trace_op(plan, || execute_node(plan, tables, stats, state))
 }
 
 fn execute_node(
     plan: &Plan,
-    tables: &BTreeMap<String, DataSet>,
+    tables: &Tables,
+    stats: bool,
     state: Option<&DataSet>,
 ) -> Result<DataSet> {
     let out_schema = infer_schema(plan)?;
     match plan {
-        Plan::Scan { dataset, schema } => engine::scan(tables, dataset, schema),
+        Plan::Scan { dataset, schema } => {
+            engine::scan(tables.get(dataset).map(|t| &*t.data), dataset, schema).cloned()
+        }
         Plan::Values { schema, rows } => engine::values(schema, rows),
         Plan::Range { lo, hi, .. } => engine::range(*lo, *hi, out_schema),
         Plan::IterState { .. } => state
             .cloned()
             .ok_or_else(|| CoreError::Plan("iter_state outside of iterate".into())),
-        Plan::Select { input, predicate } => {
-            let in_ds = execute(input, tables, state)?;
-            // Statistics fast path: a selection directly over a stored
-            // table can consult the table's zone maps and indexes. Any
-            // mismatch (no metadata installed, unrecognized predicate,
-            // stale snapshot) falls through to the plain path below.
-            if let Plan::Scan { dataset, .. } = &**input {
-                if let Some(out) = pruned_select(dataset, &in_ds, predicate, &out_schema)? {
-                    return Ok(out);
-                }
+        Plan::Select { input, predicate } => match &**input {
+            // A selection directly over a stored table filters the stored
+            // chunks in place, consulting the table's metadata.
+            Plan::Scan { dataset, schema } => {
+                let table = tables.get(dataset);
+                let ds = trace_op(input, || {
+                    engine::scan(table.map(|t| &*t.data), dataset, schema)
+                })?;
+                let meta = table.filter(|_| stats).map(|t| &t.meta);
+                stored_select(dataset, ds, meta, predicate, out_schema)
             }
-            engine::select(&in_ds, predicate, out_schema)
-        }
+            _ => engine::select(
+                &execute(input, tables, stats, state)?,
+                predicate,
+                &[],
+                out_schema,
+            ),
+        },
         Plan::Project { input, exprs } => {
-            engine::project(&execute(input, tables, state)?, exprs, out_schema)
+            engine::project(&execute(input, tables, stats, state)?, exprs, out_schema)
         }
         Plan::Join {
             left,
@@ -68,8 +83,8 @@ fn execute_node(
             join_type,
             ..
         } => {
-            let l = execute(left, tables, state)?;
-            let r = execute(right, tables, state)?;
+            let l = execute(left, tables, stats, state)?;
+            let r = execute(right, tables, stats, state)?;
             partitioned_hash_join(&l, &r, on, *join_type, pool::workers(), out_schema)
         }
         Plan::Aggregate {
@@ -77,38 +92,41 @@ fn execute_node(
             group_by,
             aggs,
         } => partitioned_aggregate(
-            &execute(input, tables, state)?,
+            &execute(input, tables, stats, state)?,
             group_by,
             aggs,
             pool::workers(),
             out_schema,
         ),
         Plan::Union { left, right } => engine::union(
-            &execute(left, tables, state)?,
-            &execute(right, tables, state)?,
+            &execute(left, tables, stats, state)?,
+            &execute(right, tables, stats, state)?,
             out_schema,
         ),
-        Plan::Distinct { input } => engine::distinct(&execute(input, tables, state)?, out_schema),
+        Plan::Distinct { input } => {
+            engine::distinct(&execute(input, tables, stats, state)?, out_schema)
+        }
         Plan::Sort { input, keys } => {
-            let in_ds = execute(input, tables, state)?;
+            let in_ds = execute(input, tables, stats, state)?;
             sort_exec(&in_ds, keys, out_schema)
         }
-        Plan::Limit { input, skip, fetch } => {
-            engine::limit(&execute(input, tables, state)?, *skip, *fetch, out_schema)
-        }
+        Plan::Limit { input, skip, fetch } => engine::limit(
+            &execute(input, tables, stats, state)?,
+            *skip,
+            *fetch,
+            out_schema,
+        ),
         Plan::Rename { input, .. } | Plan::UntagDims { input } => {
-            let in_ds = execute(input, tables, state)?;
-            let chunk = in_ds.to_rows_chunk()?.into_owned();
+            let chunk = execute(input, tables, stats, state)?.into_rows_chunk()?;
             Ok(DataSet::new(out_schema, vec![Chunk::Rows(chunk)]))
         }
         Plan::TagDims { input, .. } => {
-            let in_ds = execute(input, tables, state)?;
-            let chunk = in_ds.to_rows_chunk()?.into_owned();
+            let chunk = execute(input, tables, stats, state)?.into_rows_chunk()?;
             validate_dims(&out_schema, &chunk)?;
             Ok(DataSet::new(out_schema, vec![Chunk::Rows(chunk)]))
         }
         Plan::Dice { input, ranges } => {
-            let in_ds = execute(input, tables, state)?;
+            let in_ds = execute(input, tables, stats, state)?;
             let in_schema = in_ds.schema();
             let chunk = in_ds.to_rows_chunk()?;
             let mut mask = vec![true; chunk.len()];
@@ -135,9 +153,9 @@ fn execute_node(
             max_iters,
             epsilon,
         } => {
-            let mut cur = execute(init, tables, state)?;
+            let mut cur = execute(init, tables, stats, state)?;
             for _ in 0..*max_iters {
-                let next = execute(body, tables, Some(&cur))?;
+                let next = execute(body, tables, stats, Some(&cur))?;
                 let done = converged(&cur, &next, *epsilon)?;
                 cur = next;
                 if done {
@@ -153,11 +171,10 @@ fn execute_node(
     }
 }
 
-/// Statistics-driven selection over a stored table: serve the predicate
-/// from a secondary index when one covers a comparison conjunct, else
-/// skip chunks whose zone maps disprove a conjunct. Returns `Ok(None)`
-/// whenever the fast path does not apply — including when *every* chunk
-/// survives zone checks, since the plain path then does identical work.
+/// Selection over a stored table `ds`. With metadata, serve the
+/// predicate from a secondary index when one covers a comparison
+/// conjunct, else skip the chunks whose zone maps disprove a conjunct;
+/// every other chunk is filtered in place by [`engine::select`].
 ///
 /// Soundness: `pruning::analyze` only recognizes predicates it can
 /// prove total over the schema (so skipping rows cannot suppress an
@@ -165,25 +182,20 @@ fn execute_node(
 /// order, and index candidates are re-filtered with the full predicate
 /// (indexes promise completeness, not exactness). Candidate positions
 /// are re-sorted ascending so output *order* matches the plain filter
-/// path exactly, not just the output bag.
-fn pruned_select(
+/// path exactly, not just the output bag. `meta` was built from exactly
+/// `ds`'s rows, so its chunk list and row positions line up with them.
+fn stored_select(
     dataset: &str,
-    in_ds: &DataSet,
+    ds: &DataSet,
+    meta: Option<&TableMeta>,
     predicate: &bda_core::Expr,
-    out_schema: &Schema,
-) -> Result<Option<DataSet>> {
+    out_schema: Schema,
+) -> Result<DataSet> {
     use bda_core::pruning::{analyze, may_match_all, Test};
 
-    let Some(meta) = crate::meta::lookup(dataset) else {
-        return Ok(None);
-    };
-    let schema = in_ds.schema();
-    // Stale-snapshot guard: metadata raced a concurrent store.
-    if meta.stats.row_count != in_ds.num_rows() || meta.chunks.len() != in_ds.chunks().len() {
-        return Ok(None);
-    }
-    let Some(tests) = analyze(predicate, schema) else {
-        return Ok(None);
+    let schema = ds.schema();
+    let Some((meta, tests)) = meta.zip(analyze(predicate, schema)) else {
+        return engine::select(ds, predicate, &[], out_schema);
     };
 
     // Index path: the first comparison conjunct a built index can serve.
@@ -194,20 +206,17 @@ fn pruned_select(
         let Some(idx) = meta.indexes.get(column.as_str()) else {
             continue;
         };
-        if idx.rows() != in_ds.num_rows() {
-            continue;
-        }
         let Some(mut positions) = idx.lookup(*op, lit) else {
             continue;
         };
         positions.sort_unstable();
-        // Materialize only the chunks that hold a candidate position —
+        // Gather only from the chunks that hold a candidate position —
         // the whole point of the index is to never touch the rest.
         let candidate_count = positions.len();
         let mut candidates = RowsChunk::empty(schema);
         let mut remaining = positions.iter().map(|&p| p as usize).peekable();
         let mut base = 0usize;
-        for ch in in_ds.chunks() {
+        for ch in ds.chunks() {
             let end = base + ch.len();
             let mut local = Vec::new();
             while let Some(&p) = remaining.peek() {
@@ -222,49 +231,36 @@ fn pruned_select(
             }
             base = end;
         }
-        let mask_col = eval_chunk(predicate, schema, &candidates)?;
-        let mask = engine::truth_mask(&mask_col)?;
+        let mask = engine::truth_mask(&eval_chunk(predicate, schema, &candidates)?)?;
         let filtered = candidates.filter(&mask);
         prune_event(|| {
             format!(
                 "pruning: index {dataset}.{column} ({}) candidates {}/{}",
                 idx.spec().kind.name(),
                 candidate_count,
-                in_ds.num_rows()
+                ds.num_rows()
             )
         });
-        return Ok(Some(DataSet::new(
-            out_schema.clone(),
-            vec![Chunk::Rows(filtered)],
-        )));
+        return Ok(DataSet::new(out_schema, vec![Chunk::Rows(filtered)]));
     }
 
-    // Zone-map path: drop chunks where some conjunct cannot hold.
-    let considered = meta.chunks.len();
-    let survivors: Vec<usize> = (0..considered)
-        .filter(|&ci| {
-            let cs = &meta.chunks[ci];
-            may_match_all(&tests, |name: &str| {
+    // Zone-map path: skip chunks where some conjunct cannot hold.
+    let skip: Vec<bool> = meta
+        .chunks
+        .iter()
+        .map(|cs| {
+            !may_match_all(&tests, |name: &str| {
                 schema.index_of(name).ok().and_then(|i| cs.columns.get(i))
             })
         })
         .collect();
-    let pruned = considered - survivors.len();
-    if pruned == 0 {
-        return Ok(None);
+    let out = engine::select(ds, predicate, &skip, out_schema)?;
+    let pruned = skip.iter().filter(|&&s| s).count();
+    if pruned > 0 {
+        let considered = skip.len();
+        prune_event(|| format!("pruning: zone-map {dataset} chunks {pruned}/{considered}"));
     }
-    let mut kept = RowsChunk::empty(schema);
-    for ci in survivors {
-        kept.extend(&*in_ds.chunks()[ci].to_rows(schema)?)?;
-    }
-    let mask_col = eval_chunk(predicate, schema, &kept)?;
-    let mask = engine::truth_mask(&mask_col)?;
-    let filtered = kept.filter(&mask);
-    prune_event(|| format!("pruning: zone-map {dataset} chunks {pruned}/{considered}"));
-    Ok(Some(DataSet::new(
-        out_schema.clone(),
-        vec![Chunk::Rows(filtered)],
-    )))
+    Ok(out)
 }
 
 /// Attach a pruning decision to the enclosing operator span (the
@@ -313,39 +309,54 @@ pub(crate) fn rows_of(ds: &DataSet) -> Vec<bda_storage::Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::meta::Table;
     use bda_core::reference::evaluate;
     use bda_core::{col, lit, AggExpr, AggFunc};
     use bda_storage::{Column, Row};
     use std::collections::HashMap;
+    use std::sync::Arc;
 
-    fn tables() -> BTreeMap<String, DataSet> {
-        let mut m = BTreeMap::new();
-        m.insert(
-            "t".to_string(),
+    fn stored(name: &str, ds: DataSet) -> Tables {
+        let table = Table::new(Arc::new(ds), &[]).unwrap();
+        Tables::from([(name.to_string(), Arc::new(table))])
+    }
+
+    fn tables() -> Tables {
+        stored(
+            "t",
             DataSet::from_columns(vec![
                 ("k", Column::from(vec![3i64, 1, 2, 1])),
                 ("v", Column::from(vec![1.5f64, -2.0, 0.0, 8.0])),
                 ("s", Column::from(vec!["c", "a", "b", "a"])),
             ])
             .unwrap(),
-        );
-        m
+        )
     }
 
-    fn as_hashmap(t: &BTreeMap<String, DataSet>) -> HashMap<String, DataSet> {
-        t.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
+    fn as_hashmap(t: &Tables) -> HashMap<String, DataSet> {
+        t.iter()
+            .map(|(k, v)| (k.clone(), (*v.data).clone()))
+            .collect()
     }
 
+    /// Runs `plan` with statistics off and on (the plain and the
+    /// stored-table `Select` paths) against the reference evaluator.
     fn check_against_reference(plan: &Plan) {
         let t = tables();
-        let ours = execute(plan, &t, None).expect("engine execution");
         let oracle = evaluate(plan, &as_hashmap(&t)).expect("reference execution");
-        assert_eq!(ours.schema(), oracle.schema());
-        assert_eq!(rows_of(&ours), rows_of(&oracle), "plan:\n{plan}");
+        for stats in [false, true] {
+            let ours = execute(plan, &t, stats, None).expect("engine execution");
+            assert_eq!(ours.schema(), oracle.schema());
+            assert_eq!(
+                rows_of(&ours),
+                rows_of(&oracle),
+                "stats {stats}, plan:\n{plan}"
+            );
+        }
     }
 
     fn scan_t() -> Plan {
-        Plan::scan("t", tables()["t"].schema().clone())
+        Plan::scan("t", tables()["t"].data.schema().clone())
     }
 
     #[test]
@@ -411,7 +422,7 @@ mod tests {
             max_iters: 3,
             epsilon: None,
         };
-        let out = execute(&p, &BTreeMap::new(), None).unwrap();
+        let out = execute(&p, &Tables::new(), true, None).unwrap();
         let x = out.rows().unwrap()[0].get(0).as_float().unwrap();
         assert_eq!(x, 1.0);
     }
@@ -420,13 +431,11 @@ mod tests {
     fn dice_filters_coordinates() {
         let m =
             bda_storage::dataset::matrix_dataset(4, 4, (0..16).map(f64::from).collect()).unwrap();
-        let mut t = BTreeMap::new();
-        t.insert("m".to_string(), m.clone());
         let p = Plan::Dice {
             input: Plan::scan("m", m.schema().clone()).boxed(),
             ranges: vec![("row".into(), 1, 3), ("col".into(), 0, 2)],
         };
-        let out = execute(&p, &t, None).unwrap();
+        let out = execute(&p, &stored("m", m), true, None).unwrap();
         assert_eq!(out.num_rows(), 4);
     }
 }

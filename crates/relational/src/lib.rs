@@ -14,21 +14,25 @@ pub mod meta;
 pub mod parallel;
 pub mod sort;
 
-use bda_core::engine::Datasets;
 use bda_core::{CapabilitySet, CoreError, OpKind, Plan, Provider};
 use bda_storage::{DataSet, IndexKind, IndexSpec, Schema, TableStats};
-use meta::{MetaMap, TableMeta};
+use meta::Table;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+/// Every stored table by name; the executor reads rows and metadata from
+/// this one map.
+pub type Tables = BTreeMap<String, Arc<Table>>;
+
 /// The relational engine.
 pub struct RelationalEngine {
     name: String,
-    tables: Datasets,
-    /// Load-time metadata per table (zone maps, table stats, indexes).
-    metas: RwLock<MetaMap>,
+    /// One lock over one map: a table's rows and metadata are swapped
+    /// together, and one read guard held across `execute` gives every
+    /// scan of the plan the same snapshot.
+    tables: RwLock<Tables>,
     /// Gates *use* of statistics at query time (metadata is always
     /// maintained, so flipping this is purely a planner/executor switch
     /// — the knob the differential harness and F11 ablation turn).
@@ -40,8 +44,7 @@ impl RelationalEngine {
     pub fn new(name: impl Into<String>) -> RelationalEngine {
         RelationalEngine {
             name: name.into(),
-            tables: Datasets::new(),
-            metas: RwLock::new(Arc::new(BTreeMap::new())),
+            tables: RwLock::new(BTreeMap::new()),
             stats_enabled: AtomicBool::new(bda_core::stats_from_env()),
         }
     }
@@ -57,28 +60,31 @@ impl RelationalEngine {
         self.stats_enabled.load(Ordering::Relaxed)
     }
 
-    /// Recompute one table's metadata and publish a fresh snapshot.
-    fn publish_meta(
+    /// Build a new value for `name` from its current entry, outside the
+    /// lock, and swap it in only if the entry is still the one `build`
+    /// read; otherwise build again. So no writer installs metadata made
+    /// from rows that another writer has since replaced.
+    fn replace(
         &self,
         name: &str,
-        data: &DataSet,
-        specs: &[IndexSpec],
+        mut build: impl FnMut(Option<&Table>) -> Result<Table, CoreError>,
     ) -> Result<(), CoreError> {
-        let computed = Arc::new(TableMeta::compute(data, specs)?);
-        let mut metas = self.metas.write();
-        let mut next = (**metas).clone();
-        next.insert(name.to_string(), computed);
-        *metas = Arc::new(next);
-        Ok(())
+        loop {
+            // Holding `seen` keeps its address from being reused by a
+            // newer entry, so equal pointers mean the same value.
+            let seen = self.get(name);
+            let next = Arc::new(build(seen.as_deref())?);
+            let mut tables = self.tables.write();
+            if tables.get(name).map(Arc::as_ptr) == seen.as_ref().map(Arc::as_ptr) {
+                tables.insert(name.to_string(), next);
+                return Ok(());
+            }
+        }
     }
 
-    fn drop_meta(&self, name: &str) {
-        let mut metas = self.metas.write();
-        if metas.contains_key(name) {
-            let mut next = (**metas).clone();
-            next.remove(name);
-            *metas = Arc::new(next);
-        }
+    /// One stored table, if present.
+    fn get(&self, name: &str) -> Option<Arc<Table>> {
+        self.tables.read().get(name).cloned()
     }
 
     /// The capability set of every relational engine instance.
@@ -106,7 +112,7 @@ impl RelationalEngine {
 
     /// Look up a table (cloned snapshot).
     pub fn table(&self, name: &str) -> Option<DataSet> {
-        self.tables.read().get(name).cloned()
+        self.get(name).map(|t| (*t.data).clone())
     }
 }
 
@@ -120,82 +126,66 @@ impl Provider for RelationalEngine {
     }
 
     fn catalog(&self) -> Vec<(String, Schema)> {
-        self.tables.catalog()
+        self.tables
+            .read()
+            .iter()
+            .map(|(n, t)| (n.clone(), t.data.schema().clone()))
+            .collect()
     }
 
     fn execute(&self, plan: &Plan) -> Result<DataSet, CoreError> {
         self.capabilities().check(&self.name, plan)?;
-        let tables = self.tables.read();
-        // Statistics reach the recursive executor through a thread-local
-        // snapshot; when disabled nothing is installed and every scan
-        // takes the plain path.
-        let _meta_scope = self
-            .stats_enabled()
-            .then(|| meta::install(self.metas.read().clone()));
-        exec::execute(plan, &tables, None)
+        exec::execute(plan, &self.tables.read(), self.stats_enabled(), None)
     }
 
     fn store(&self, name: &str, data: DataSet) -> Result<(), CoreError> {
         // Load-time statistics: recompute the table's metadata on every
         // store, carrying existing index specs across the re-store.
-        let specs = self
-            .metas
-            .read()
-            .get(name)
-            .map(|m| m.specs())
-            .unwrap_or_default();
-        self.publish_meta(name, &data, &specs)?;
-        self.tables.insert(name, data);
-        Ok(())
+        let data = Arc::new(data);
+        self.replace(name, |seen| {
+            let specs = seen.map(|t| t.meta.specs()).unwrap_or_default();
+            Ok(Table::new(Arc::clone(&data), &specs)?)
+        })
     }
 
     fn remove(&self, name: &str) {
-        self.tables.remove(name);
-        self.drop_meta(name);
+        self.tables.write().remove(name);
     }
 
     fn table_stats(&self, name: &str) -> Option<TableStats> {
-        self.metas.read().get(name).map(|m| m.stats.clone())
+        self.get(name).map(|t| t.meta.stats.clone())
     }
 
     fn build_index(&self, dataset: &str, column: &str, kind: IndexKind) -> Result<(), CoreError> {
-        let tables = self.tables.read();
-        let ds = tables
-            .get(dataset)
-            .ok_or_else(|| CoreError::UnknownDataset(dataset.to_string()))?;
-        ds.schema().index_of(column)?;
-        let mut specs: Vec<IndexSpec> = self
-            .metas
-            .read()
-            .get(dataset)
-            .map(|m| m.specs())
-            .unwrap_or_default();
-        specs.retain(|s| s.column != column);
-        specs.push(IndexSpec {
-            column: column.to_string(),
-            kind,
-        });
-        self.publish_meta(dataset, ds, &specs)
+        self.replace(dataset, |seen| {
+            let seen = seen.ok_or_else(|| CoreError::UnknownDataset(dataset.to_string()))?;
+            seen.data.schema().index_of(column)?;
+            let mut specs = seen.meta.specs();
+            specs.retain(|s| s.column != column);
+            specs.push(IndexSpec {
+                column: column.to_string(),
+                kind,
+            });
+            Ok(Table::new(Arc::clone(&seen.data), &specs)?)
+        })
     }
 
     fn index_specs(&self, dataset: &str) -> Vec<IndexSpec> {
-        self.metas
-            .read()
-            .get(dataset)
-            .map(|m| m.specs())
+        self.get(dataset)
+            .map(|t| t.meta.specs())
             .unwrap_or_default()
     }
 
     fn index_fingerprint(&self, dataset: &str, column: &str) -> Option<u64> {
-        self.metas
-            .read()
-            .get(dataset)
-            .and_then(|m| m.indexes.get(column))
+        self.get(dataset)?
+            .meta
+            .indexes
+            .get(column)
             .map(|i| i.fingerprint())
     }
 
     fn row_count_of(&self, name: &str) -> Option<usize> {
-        self.tables.row_count_of(name)
+        self.get(name).map(|t| t.data.num_rows())
     }
 }
 

@@ -1,21 +1,36 @@
-//! Load-time table metadata: zone maps, table statistics, and secondary
-//! indexes, computed when a table is stored and consulted at scan time.
+//! Stored tables: the rows plus their load-time metadata — zone maps,
+//! table statistics and secondary indexes — in one [`Table`] value.
 //!
-//! The engine keeps one [`TableMeta`] per table, recomputed on every
-//! `store` (the paper's "load-time statistics": a table mutation is the
-//! one moment the engine sees every row anyway). Because the executor's
-//! recursive `execute` signature takes only the plan and the table map,
-//! metadata reaches the `Select` fast path the same way tracing scopes
-//! do — through a thread-local installed by the engine around each
-//! query ([`install`] / [`lookup`]), so untraced callers and other
-//! engines pay one thread-local check and nothing else.
+//! The metadata is computed when a table is stored (the paper's
+//! "load-time statistics": a table mutation is the one moment the engine
+//! sees every row anyway) and never changes afterwards: a store or index
+//! build makes a new `Table` and swaps it in whole. Whoever holds a
+//! `Table` therefore holds metadata that describes exactly its rows, and
+//! the executor reads both from the one map it is handed.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bda_storage::stats::{self, ChunkStats};
 use bda_storage::{DataSet, IndexSpec, SecondaryIndex, StorageError, TableStats};
+
+/// One stored table: its rows and what the statistics layer knows about
+/// exactly those rows.
+pub struct Table {
+    /// The rows, shared with every value later built from them (an index
+    /// build keeps the rows and replaces only the metadata).
+    pub(crate) data: Arc<DataSet>,
+    /// Zone maps, statistics and indexes of `data`.
+    pub(crate) meta: TableMeta,
+}
+
+impl Table {
+    /// Summarize `data` and build the indexes `specs` ask for.
+    pub fn new(data: Arc<DataSet>, specs: &[IndexSpec]) -> Result<Table, StorageError> {
+        let meta = TableMeta::compute(&data, specs)?;
+        Ok(Table { data, meta })
+    }
+}
 
 /// Everything the statistics layer knows about one stored table.
 pub struct TableMeta {
@@ -55,38 +70,6 @@ impl TableMeta {
     }
 }
 
-/// A snapshot of every table's metadata, shared cheaply across queries.
-pub type MetaMap = Arc<BTreeMap<String, Arc<TableMeta>>>;
-
-thread_local! {
-    static METAS: RefCell<Option<MetaMap>> = const { RefCell::new(None) };
-}
-
-/// The installed metadata snapshot; dropping restores the previous one
-/// (queries nest when an engine executes inside another's callback).
-pub struct Installed {
-    prev: Option<MetaMap>,
-}
-
-impl Drop for Installed {
-    fn drop(&mut self) {
-        METAS.with(|m| *m.borrow_mut() = self.prev.take());
-    }
-}
-
-/// Install a metadata snapshot for the current thread until the guard
-/// drops.
-pub fn install(metas: MetaMap) -> Installed {
-    METAS.with(|m| Installed {
-        prev: m.borrow_mut().replace(metas),
-    })
-}
-
-/// The installed metadata for one table, if any.
-pub fn lookup(table: &str) -> Option<Arc<TableMeta>> {
-    METAS.with(|m| m.borrow().as_ref().and_then(|map| map.get(table).cloned()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,22 +107,5 @@ mod tests {
         assert_eq!(meta.chunks[0].columns[0].max, Some(Value::Int(3)));
         assert_eq!(meta.indexes.len(), 1, "unknown-column spec dropped");
         assert_eq!(meta.specs().len(), 1);
-    }
-
-    #[test]
-    fn install_scopes_nest_and_restore() {
-        assert!(lookup("t").is_none());
-        let meta = Arc::new(TableMeta::compute(&ds(), &[]).unwrap());
-        let outer: MetaMap = Arc::new([("t".to_string(), meta)].into_iter().collect());
-        {
-            let _g = install(Arc::clone(&outer));
-            assert!(lookup("t").is_some());
-            {
-                let _inner = install(Arc::new(BTreeMap::new()));
-                assert!(lookup("t").is_none(), "inner snapshot shadows");
-            }
-            assert!(lookup("t").is_some(), "outer snapshot restored");
-        }
-        assert!(lookup("t").is_none());
     }
 }

@@ -118,6 +118,19 @@ impl DataSet {
         Ok(Cow::Owned(acc))
     }
 
+    /// The dataset as one coordinate-list chunk, consuming it: a dataset
+    /// that is one rows chunk of the schema's types is moved out as is;
+    /// any other is concatenated once, as [`DataSet::to_rows_chunk`] does.
+    pub fn into_rows_chunk(mut self) -> Result<RowsChunk> {
+        if let Cow::Owned(acc) = self.to_rows_chunk()? {
+            return Ok(acc);
+        }
+        match self.chunks.pop() {
+            Some(Chunk::Rows(r)) => Ok(r),
+            _ => unreachable!("to_rows_chunk borrows only a lone rows chunk"),
+        }
+    }
+
     /// A dataset identical to `self` but in a single coordinate-list chunk.
     pub fn normalized_rows(&self) -> Result<DataSet> {
         Ok(DataSet {
@@ -495,6 +508,28 @@ mod tests {
             )],
         );
         assert!(mistyped.to_rows_chunk().is_err());
+    }
+
+    #[test]
+    fn into_rows_chunk_moves_one_rows_chunk_and_concatenates_the_rest() {
+        let one = rel();
+        let buffer = one
+            .to_rows_chunk()
+            .unwrap()
+            .column(0)
+            .i64_data()
+            .unwrap()
+            .as_ptr();
+        let moved = one.into_rows_chunk().unwrap();
+        assert_eq!(moved.column(0).i64_data().unwrap().as_ptr(), buffer);
+        let mut two = rel();
+        two.push_chunk(rel().chunks()[0].clone());
+        let expected = two.to_rows_chunk().unwrap().into_owned();
+        let cat = two.into_rows_chunk().unwrap();
+        assert_eq!(cat.len(), 6);
+        assert_eq!(cat, expected);
+        let dense = matrix_dataset(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
+        assert_eq!(dense.into_rows_chunk().unwrap().len(), 4);
     }
 
     #[test]

@@ -139,11 +139,6 @@ impl SecondaryIndex {
         &self.spec
     }
 
-    /// Rows the indexed dataset had at build time.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
     /// Candidate positions for `column OP lit` (non-null `lit`), sorted
     /// ascending, or `None` when this index shape cannot serve the
     /// operator (the caller falls back to scanning).

@@ -119,7 +119,7 @@ fn recovering_options() -> ExecOptions {
 /// which calls fail.
 fn chaos_tracer() -> bda::obs::Tracer {
     if std::env::var("BDA_TRACE").is_ok_and(|v| !v.is_empty() && v != "0") {
-        bda::obs::Tracer::new(bda::obs::trace_seed_from_env(DEFAULT_SEED))
+        bda::obs::Tracer::new(DEFAULT_SEED)
     } else {
         bda::obs::Tracer::disabled()
     }
