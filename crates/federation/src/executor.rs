@@ -25,7 +25,7 @@ use bda_storage::{DataSet, Row, Value};
 use parking_lot::Mutex;
 
 use crate::metrics::Metrics;
-use crate::optimize::{optimize_with_stats, OptimizerConfig};
+use crate::optimize::{optimize_report, Law, Optimized, OptimizerConfig};
 use crate::planner::{Fragment, Placement, Planner, APP_SITE, FRAG_PREFIX};
 use crate::registry::Registry;
 
@@ -145,34 +145,47 @@ pub fn run_plan_traced(
     tracer: &Tracer,
     parent: Option<u64>,
 ) -> Result<(DataSet, Metrics)> {
-    let (_, fragments_pruned, placement) = plan_and_place(registry, plan, opts)?;
-    if fragments_pruned > 0 {
+    let (optimized, placement) = plan_and_place(registry, plan, opts)?;
+    if optimized.pruned > 0 || !optimized.laws.is_empty() {
         // A dedicated span (rather than an event on `parent`, which is
         // `None` for top-level queries) so `EXPLAIN ANALYZE`'s pruning
-        // section sees statistics-disproved fragments.
+        // section sees statistics-disproved fragments, and its tree names
+        // the laws that rewrote the plan.
         let mut s = tracer.start(parent, || "optimize".into(), "app");
-        s.event(|| format!("pruning: {fragments_pruned} fragment(s) eliminated by table stats"));
+        if optimized.pruned > 0 {
+            let pruned = optimized.pruned;
+            s.event(|| format!("pruning: {pruned} fragment(s) eliminated by table stats"));
+        }
+        if !optimized.laws.is_empty() {
+            s.event(|| laws_line(&optimized.laws));
+        }
         s.finish();
     }
     execute_placement_traced(registry, &placement, opts, tracer, parent)
 }
 
+/// The one line that names the laws that fired, for EXPLAIN and the
+/// `optimize` span.
+pub(crate) fn laws_line(laws: &[Law]) -> String {
+    let names: Vec<&str> = laws.iter().map(|l| l.name()).collect();
+    format!("laws: {}", names.join(", "))
+}
+
 /// The planning pipeline every entry point shares: statistics-aware
 /// optimization, then placement under the options' worker count and
-/// statistics switch. Returns the optimized plan, the number of
-/// fragments table statistics eliminated, and the placement.
+/// statistics switch. Returns the optimization report (plan, fragments
+/// table statistics eliminated, laws that fired) and the placement.
 pub(crate) fn plan_and_place(
     registry: &Registry,
     plan: &Plan,
     opts: &ExecOptions,
-) -> Result<(Plan, usize, Placement)> {
-    let (optimized, pruned) =
-        optimize_with_stats(plan, opts.optimizer, &|name| registry.table_stats(name));
+) -> Result<(Optimized, Placement)> {
+    let optimized = optimize_report(plan, opts.optimizer, &|name| registry.table_stats(name));
     let placement = Planner::new(registry)
         .with_workers(opts.workers)
         .with_stats(opts.optimizer.use_stats)
-        .place(&optimized)?;
-    Ok((optimized, pruned, placement))
+        .place(&optimized.plan)?;
+    Ok((optimized, placement))
 }
 
 /// Execute an already-fragmented plan.

@@ -28,7 +28,7 @@ pub use fault::{
     FAULT_SEED_ENV,
 };
 pub use metrics::{Metrics, TransferRecord};
-pub use optimize::{optimize, OptimizerConfig};
+pub use optimize::{optimize, Law, OptimizerConfig};
 pub use planner::{Fragment, Placement, Planner, APP_SITE, FRAG_PREFIX};
 pub use registry::{
     translatability, BreakerConfig, BreakerState, HealthBoard, MaskedProvider, Registry,
@@ -211,17 +211,23 @@ impl Federation {
     /// statistics enabled (the default), fragments disproved by table
     /// statistics show up as empty `values` leaves and a hash-keyed
     /// fragment's width is capped at its keys' distinct-value estimate.
+    /// When an aggregation law rewrote the plan, one `laws:` line before
+    /// the optimized plan names each law that fired.
     pub fn explain(&self, plan: &Plan) -> Result<String, CoreError> {
-        let (optimized, pruned, placement) =
-            executor::plan_and_place(&self.registry, plan, &self.options)?;
+        let (optimized, placement) = executor::plan_and_place(&self.registry, plan, &self.options)?;
         let mut out = String::new();
-        if pruned > 0 {
+        if optimized.pruned > 0 {
             out.push_str(&format!(
-                "== pruning ==\n{pruned} fragment(s) eliminated by table statistics\n"
+                "== pruning ==\n{} fragment(s) eliminated by table statistics\n",
+                optimized.pruned
             ));
         }
+        if !optimized.laws.is_empty() {
+            out.push_str(&executor::laws_line(&optimized.laws));
+            out.push('\n');
+        }
         out.push_str("== optimized plan ==\n");
-        out.push_str(&optimized.to_string());
+        out.push_str(&optimized.plan.to_string());
         out.push_str("\n== placement ==\n");
         for f in &placement.fragments {
             out.push_str(&format!(

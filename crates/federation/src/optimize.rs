@@ -9,19 +9,25 @@
 //! * **identity-project pruning**,
 //! * **intent recognition** ([`bda_core::recognize`]) so lowered shapes
 //!   regain their intent operators before providers are chosen
-//!   (desideratum 3).
+//!   (desideratum 3),
+//! * two **aggregation laws** ([`Law`]), run with pushdown: an aggregate
+//!   grouped only by dimensions moves below `UntagDims` (L0), and a sum
+//!   over an inner equi-join is pre-aggregated on one side (L1).
 //!
 //! Every pass is semantics-preserving; the crate's property tests compare
-//! optimized and unoptimized plans on the reference evaluator.
+//! optimized and unoptimized plans on the reference evaluator. L1 sums
+//! in a different order and rounds products differently, so it is
+//! confined to Float64 sums over linear-algebra subtrees, which every
+//! engine already matches to the oracle only up to rounding.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 
-use bda_core::eval::eval_row;
+use bda_core::eval::{eval_row, infer_expr};
 use bda_core::infer::infer_schema;
 use bda_core::pruning::{analyze, may_match_all};
-use bda_core::{lit, Expr, JoinType, Plan};
-use bda_storage::{Row, Schema, TableStats};
+use bda_core::{lit, AggExpr, AggFunc, BinOp, Expr, JoinType, OpKind, Plan};
+use bda_storage::{DataType, Row, Schema, TableStats};
 
 /// Which passes to run (all on by default; the ablation bench toggles).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,32 +71,86 @@ impl OptimizerConfig {
 }
 
 /// Optimize a plan under the given configuration, without table
-/// statistics (equivalent to [`optimize_with_stats`] with a source that
-/// knows nothing).
+/// statistics.
 pub fn optimize(plan: &Plan, config: OptimizerConfig) -> Plan {
-    optimize_with_stats(plan, config, &|_| None).0
+    optimize_report(plan, config, &|_| None).plan
+}
+
+/// [`optimize_report`] without the list of laws: the optimized plan and
+/// how many fragments table statistics eliminated. A compatibility shim
+/// for the benchmark harness (`crates/bench/src/bin/bda-bench`), which
+/// calls it; delete it with the next change to that harness, which
+/// should call [`optimize_report`] instead.
+pub fn optimize_with_stats(
+    plan: &Plan,
+    config: OptimizerConfig,
+    stats: &dyn Fn(&str) -> Option<TableStats>,
+) -> (Plan, usize) {
+    let o = optimize_report(plan, config, stats);
+    (o.plan, o.pruned)
+}
+
+/// An algebraic law the optimizer applied; EXPLAIN names each one that
+/// fired.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Law {
+    /// L0: `γ_{D; A}(untag(X)) = untag(γ_{D; A}(X))` when every grouping
+    /// column is a dimension of `X`. Exact: the aggregate reads the same
+    /// rows in the same order.
+    AggregateBelowUntag,
+    /// L1, eager aggregation through an inner equi-join:
+    /// `γ_{k; Σ f(M)·g(L)}(M ⋈_k L) = γ_{k; Σ S·g(L)}(γ_{k; S = Σ f(M)}(M) ⋈_k L)`,
+    /// with a projection between aggregate and join folded into the
+    /// aggregate first, and `count(*)` as a sum of pre-counts. Only a
+    /// grouped aggregate is rewritten: a global one keeps its one group
+    /// over an empty join. Exact over the reals; in floating point it
+    /// regroups the sum, so it fires only on Float64 sums whose `M`
+    /// contains a `MatMul` or `ElemWise`.
+    EagerAggregation,
+}
+
+impl Law {
+    /// How EXPLAIN names the law.
+    pub fn name(self) -> &'static str {
+        match self {
+            Law::AggregateBelowUntag => "L0 aggregate below untag",
+            Law::EagerAggregation => "L1 eager aggregation through a join",
+        }
+    }
+}
+
+/// The outcome of [`optimize_report`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Optimized {
+    /// The optimized plan.
+    pub plan: Plan,
+    /// Fragments eliminated by table statistics.
+    pub pruned: usize,
+    /// The laws that fired, in the order they first fired.
+    pub laws: Vec<Law>,
 }
 
 /// Optimize a plan, consulting `stats` (dataset name → table statistics)
 /// for fragment elimination when `config.use_stats` is on: a selection
 /// directly over a scan whose merged zone maps disprove one conjunct is
 /// replaced by an empty `Values` — the whole fragment (and any transfer
-/// it implied) disappears from the plan. Returns the optimized plan and
-/// how many fragments were eliminated.
+/// it implied) disappears from the plan. Reports how many fragments were
+/// eliminated and which aggregation laws fired.
 ///
 /// The same error-faithfulness gate as scan-time pruning applies:
 /// elimination only happens when `bda_core::pruning::analyze` proves the
 /// whole predicate total over the scan schema.
-pub fn optimize_with_stats(
+pub fn optimize_report(
     plan: &Plan,
     config: OptimizerConfig,
     stats: &dyn Fn(&str) -> Option<TableStats>,
-) -> (Plan, usize) {
+) -> Optimized {
     let mut cur = plan.clone();
     if config.recognize_intents {
         cur = bda_core::recognize::recognize_all(&cur);
     }
     let pruned = Cell::new(0usize);
+    let laws = RefCell::new(Vec::new());
     // Iterate the rewrite passes to a (bounded) fixpoint.
     for _ in 0..8 {
         let mut next = cur.clone();
@@ -98,7 +158,7 @@ pub fn optimize_with_stats(
             next = fold_constants(&next);
         }
         if config.pushdown {
-            next = next.transform_up(&pushdown_step);
+            next = next.transform_up(&|node| aggregate_step(pushdown_step(node), &laws));
         }
         if config.prune_projects {
             next = next.transform_up(&prune_project_step);
@@ -111,7 +171,11 @@ pub fn optimize_with_stats(
         }
         cur = next;
     }
-    (cur, pruned.get())
+    Optimized {
+        plan: cur,
+        pruned: pruned.get(),
+        laws: laws.into_inner(),
+    }
 }
 
 /// Replace `select(scan(t), p)` by an empty `Values` when `t`'s table
@@ -447,6 +511,273 @@ fn push_into_join(
             predicate: Expr::and_all(keep),
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Aggregation laws
+// ---------------------------------------------------------------------------
+
+/// Try L0, then L1, at an `Aggregate`; record the law that fired.
+fn aggregate_step(node: Plan, laws: &RefCell<Vec<Law>>) -> Plan {
+    let Plan::Aggregate {
+        input,
+        group_by,
+        aggs,
+    } = &node
+    else {
+        return node;
+    };
+    let fired = match input.as_ref() {
+        Plan::UntagDims { input } => {
+            aggregate_below_untag(input, group_by, aggs).map(|p| (p, Law::AggregateBelowUntag))
+        }
+        _ => eager_aggregation(input, group_by, aggs).map(|p| (p, Law::EagerAggregation)),
+    };
+    let Some((plan, law)) = fired else {
+        return node;
+    };
+    // A rewrite must keep the output schema; one that does not is dropped.
+    if infer_schema(&plan).ok() != infer_schema(&node).ok() {
+        return node;
+    }
+    let mut laws = laws.borrow_mut();
+    if !laws.contains(&law) {
+        laws.push(law);
+    }
+    plan
+}
+
+/// L0: `γ_{D; A}(untag(X))` → `untag(γ_{D; A}(X))` when every grouping
+/// column is a dimension of `X`.
+fn aggregate_below_untag(input: &Plan, group_by: &[String], aggs: &[AggExpr]) -> Option<Plan> {
+    let schema = infer_schema(input).ok()?;
+    let by_dims = group_by
+        .iter()
+        .all(|g| schema.field(g).is_ok_and(|f| f.is_dimension()));
+    by_dims.then(|| Plan::UntagDims {
+        input: Plan::Aggregate {
+            input: Box::new(input.clone()),
+            group_by: group_by.to_vec(),
+            aggs: aggs.to_vec(),
+        }
+        .boxed(),
+    })
+}
+
+/// L1: pre-aggregate the side of an inner equi-join that holds the
+/// linear algebra. `input` is the join, or a projection over it that is
+/// folded into the aggregate's arguments. Returns `None` when any side
+/// condition fails (see [`Law::EagerAggregation`]); also when that side
+/// is already an aggregate, so the law fires once.
+fn eager_aggregation(input: &Plan, group_by: &[String], aggs: &[AggExpr]) -> Option<Plan> {
+    // Fold a projection: arguments read the join's columns, and each
+    // grouping column must pass through under its own name.
+    let (join, aggs) = match input {
+        Plan::Project { input, exprs } => {
+            let map: HashMap<String, Expr> = exprs.iter().cloned().collect();
+            let passes = group_by
+                .iter()
+                .all(|g| matches!(map.get(g), Some(Expr::Column(c)) if c == g));
+            if !passes {
+                return None;
+            }
+            let folded = aggs
+                .iter()
+                .map(|a| AggExpr {
+                    arg: a.arg.as_ref().map(|e| subst(e, &map)),
+                    ..a.clone()
+                })
+                .collect();
+            (input.as_ref(), folded)
+        }
+        _ => (input, aggs.to_vec()),
+    };
+    let Plan::Join {
+        left,
+        right,
+        on,
+        join_type: JoinType::Inner,
+        suffix,
+    } = join
+    else {
+        return None;
+    };
+    let linear = |p: &Plan| {
+        p.op_kinds()
+            .iter()
+            .any(|k| matches!(k, OpKind::MatMul | OpKind::ElemWise))
+    };
+    // M is the side with the linear algebra (the left when both have it).
+    let m_left = if linear(left) {
+        true
+    } else if linear(right) {
+        false
+    } else {
+        return None;
+    };
+    let (m, l) = if m_left { (left, right) } else { (right, left) };
+    let mut bare = m.as_ref();
+    if let Plan::UntagDims { input } = bare {
+        bare = input;
+    }
+    // A global aggregate keeps its one group over an empty join, where
+    // `count(*)` is 0 but a sum of no pre-counts is null: only grouped
+    // aggregates are rewritten.
+    if on.is_empty() || group_by.is_empty() || matches!(bare, Plan::Aggregate { .. }) {
+        return None;
+    }
+    let (ls, rs) = (infer_schema(left).ok()?, infer_schema(right).ok()?);
+    let joined = infer_schema(join).ok()?;
+    let (m_schema, l_schema) = if m_left { (&ls, &rs) } else { (&rs, &ls) };
+    // Each joined column's origin: (from M?, its name on its side).
+    let origin = join_origins(&ls, &rs, suffix, m_left)?;
+    let side_of = |e: &Expr, from_m: bool| {
+        e.referenced_columns()
+            .iter()
+            .all(|c| origin.get(c).is_some_and(|(mside, _)| *mside == from_m))
+    };
+    let to_side = |e: &Expr| e.rename_columns(&|c| origin[c].1.clone());
+
+    // Split every aggregate into its M part (pre-aggregated as `S`) and
+    // the L factor `g` the outer sum keeps (`Σ S · g`; none: `Σ S`).
+    let mut pre = Vec::with_capacity(aggs.len());
+    let mut factors: Vec<Option<Expr>> = Vec::with_capacity(aggs.len());
+    for a in &aggs {
+        let (f, factor) = match (a.func, &a.arg) {
+            (AggFunc::Count, None) => {
+                pre.push(AggExpr::count_star(a.name.clone()));
+                factors.push(None);
+                continue;
+            }
+            (AggFunc::Sum, Some(e)) if side_of(e, true) => (e, None),
+            (
+                AggFunc::Sum,
+                Some(Expr::Binary {
+                    op: BinOp::Mul,
+                    left: x,
+                    right: y,
+                }),
+            ) => {
+                if side_of(x, true) && side_of(y, false) {
+                    (x.as_ref(), Some(y.as_ref().clone()))
+                } else if side_of(y, true) && side_of(x, false) {
+                    (y.as_ref(), Some(x.as_ref().clone()))
+                } else {
+                    return None;
+                }
+            }
+            _ => return None,
+        };
+        let f = to_side(f);
+        let float = |e: &Expr, s: &Schema| infer_expr(e, s).ok() == Some(Some(DataType::Float64));
+        if !float(&f, m_schema) || !float(a.arg.as_ref()?, &joined) {
+            return None;
+        }
+        pre.push(AggExpr::new(AggFunc::Sum, f, a.name.clone()));
+        factors.push(factor);
+    }
+
+    // M groups by its join keys plus the grouping columns it owns.
+    let mut pre_group: Vec<String> = on
+        .iter()
+        .map(|(lk, rk)| if m_left { lk } else { rk }.clone())
+        .collect();
+    for g in group_by {
+        match origin.get(g) {
+            Some((true, name)) if !pre_group.contains(name) => pre_group.push(name.clone()),
+            Some(_) => {}
+            None => return None,
+        }
+    }
+    if pre.iter().any(|a| pre_group.contains(&a.name)) {
+        return None;
+    }
+    let pre_agg = Plan::Aggregate {
+        input: m.clone(),
+        group_by: pre_group,
+        aggs: pre,
+    };
+    let p_schema = infer_schema(&pre_agg).ok()?;
+    let (new_left, new_right, new_ls, new_rs) = if m_left {
+        (pre_agg, l.as_ref().clone(), &p_schema, l_schema)
+    } else {
+        (l.as_ref().clone(), pre_agg, l_schema, &p_schema)
+    };
+    // Names in the new join: L's columns may lose or gain a suffix, so
+    // translate through each column's origin.
+    let new_name: HashMap<(bool, String), String> = join_origins(new_ls, new_rs, suffix, m_left)?
+        .into_iter()
+        .map(|(out, from)| (from, out))
+        .collect();
+    let rename = |e: &Expr| {
+        e.rename_columns(&|c| {
+            origin
+                .get(c)
+                .and_then(|from| new_name.get(from))
+                .cloned()
+                .unwrap_or_else(|| c.to_string())
+        })
+    };
+    if group_by
+        .iter()
+        .any(|g| rename(&Expr::Column(g.clone())) != Expr::Column(g.clone()))
+    {
+        return None;
+    }
+    let outer = aggs
+        .iter()
+        .zip(factors)
+        .map(|(a, factor)| {
+            let s = Expr::Column(new_name.get(&(true, a.name.clone()))?.clone());
+            // Float multiplication commutes exactly, so `g · S` may be
+            // written `S · g`.
+            let arg = match factor {
+                Some(g) => s.mul(rename(&g)),
+                None => s,
+            };
+            Some(AggExpr::new(AggFunc::Sum, arg, a.name.clone()))
+        })
+        .collect::<Option<_>>()?;
+    Some(Plan::Aggregate {
+        input: Plan::Join {
+            left: new_left.boxed(),
+            right: new_right.boxed(),
+            on: on.clone(),
+            join_type: JoinType::Inner,
+            suffix: suffix.clone(),
+        }
+        .boxed(),
+        group_by: group_by.to_vec(),
+        aggs: outer,
+    })
+}
+
+/// Each output column of `left ⋈ right` (a right name that clashes with
+/// an earlier column gains the suffix, as [`Schema::join`] does) mapped
+/// to its origin: whether it comes from M (the left side when `m_left`)
+/// and its name on that side. `None` when a suffixed name clashes again,
+/// which [`Schema::join`] refuses too.
+fn join_origins(
+    left: &Schema,
+    right: &Schema,
+    suffix: &str,
+    m_left: bool,
+) -> Option<HashMap<String, (bool, String)>> {
+    let mut out: HashMap<String, (bool, String)> = left
+        .names()
+        .iter()
+        .map(|n| (n.to_string(), (m_left, n.to_string())))
+        .collect();
+    for n in right.names() {
+        let mut name = n.to_string();
+        if out.contains_key(&name) {
+            name.push_str(suffix);
+        }
+        if out.insert(name, (!m_left, n.to_string())).is_some() {
+            return None;
+        }
+    }
+    Some(out)
 }
 
 // ---------------------------------------------------------------------------

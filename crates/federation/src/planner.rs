@@ -18,7 +18,8 @@
 //! 3. **Assignment & cutting** (top-down): where a subtree has candidates
 //!    it stays whole at the preferred site, else the one holding the
 //!    most scanned rows; where it has none, the node executes at a site
-//!    chosen from its operator's supporters and each child becomes its
+//!    chosen from its operator's supporters (those that also support
+//!    each child's top operator, when any do) and each child becomes its
 //!    own fragment, shipped in.
 //!
 //! `Iterate` nodes that no single provider can host become **app-driven**
@@ -359,7 +360,26 @@ impl<'a> Planner<'a> {
                 ),
             });
         }
-        let site = self.pick(&supporters, preferred, plan);
+        // Prefer a site that could run each child's top operator: one
+        // that cannot is likely unable to read that child's output (a
+        // linear-algebra engine handed a table). Capabilities are local,
+        // so this costs no request; with no such site, any supporter will
+        // do.
+        let fitting: Vec<String> = supporters
+            .iter()
+            .filter(|s| {
+                plan.children()
+                    .iter()
+                    .all(|c| self.registry.supporters_of(c.op_kind()).contains(s))
+            })
+            .cloned()
+            .collect();
+        let pool = if fitting.is_empty() {
+            &supporters
+        } else {
+            &fitting
+        };
+        let site = self.pick(pool, preferred, plan);
         let mut new_children = Vec::new();
         for child in plan.children() {
             let (child_plan, child_site) = self.assign(child, Some(&site), fragments, counter)?;
@@ -628,6 +648,61 @@ mod tests {
         let placement = Planner::new(&r).with_workers(4).place(&plan).unwrap();
         assert_eq!(placement.root().site, APP_SITE);
         assert_eq!(placement.root().parts, 1);
+    }
+
+    #[test]
+    fn a_cut_never_hands_linalg_a_table() {
+        // The `cross_engine` shape, unoptimized: linalg supports the root
+        // `Aggregate` and holds the most scanned rows, but its child is a
+        // projection of a join, which only rel can produce or read.
+        let la = LinAlgEngine::new("la");
+        la.store("a", matrix_dataset(2, 2, vec![1., 2., 3., 4.]).unwrap())
+            .unwrap();
+        la.store("b", matrix_dataset(2, 2, vec![5., 6., 7., 8.]).unwrap())
+            .unwrap();
+        let rel = RelationalEngine::new("rel");
+        rel.store(
+            "lookup",
+            DataSet::from_columns(vec![
+                ("row", Column::from(vec![0i64, 1])),
+                ("weight", Column::from(vec![0.5f64, 2.0])),
+            ])
+            .unwrap(),
+        )
+        .unwrap();
+        let mut r = Registry::new();
+        r.register(Arc::new(la));
+        r.register(Arc::new(rel));
+        assert!(r
+            .supporters_of(bda_core::OpKind::Aggregate)
+            .contains(&"la".to_string()));
+        let scan = |name: &str| Plan::scan(name, r.schema_of(name).unwrap());
+        let plan = Plan::UntagDims {
+            input: scan("a").matmul(scan("b")).boxed(),
+        }
+        .join(scan("lookup"), vec![("row", "row")])
+        .project(vec![
+            ("row", col("row")),
+            ("vw", col("v").mul(col("weight"))),
+        ])
+        .aggregate(
+            vec!["row"],
+            vec![bda_core::AggExpr::new(
+                bda_core::AggFunc::Sum,
+                col("vw"),
+                "s",
+            )],
+        );
+        let placement = Planner::new(&r).place(&plan).unwrap();
+        for f in &placement.fragments {
+            if f.plan.op_kinds().contains(&bda_core::OpKind::MatMul) {
+                assert_eq!(f.site, "la", "{placement:?}");
+                assert_eq!(f.plan.op_kind(), bda_core::OpKind::MatMul, "{placement:?}");
+            } else {
+                assert_eq!(f.site, "rel", "{placement:?}");
+            }
+        }
+        assert_eq!(placement.root().site, "rel");
     }
 
     #[test]

@@ -17,13 +17,16 @@
 //!   and [`from_matrix`] wraps a kernel's buffer without a copy. Only
 //!   other layouts are densified through coordinate rows.
 //!
-//! Leaves are the shared [`bda_core::engine`] kernels. `MatMul` and
-//! `ElemWise` run at the pool's width ([`pool::workers`]): wider than
-//! one, they split the left matrix into row bands ([`bands`]) and run
-//! each band as a traced partition ([`run_partitions`]) under the
-//! operator's own `op:` span. Each output row is computed by the same
-//! scalar code at every width, so results are bitwise identical.
+//! Leaves are the shared [`bda_core::engine`] kernels; a `Scan` under an
+//! operator is read in place, not copied. `MatMul`, `ElemWise` and the
+//! row sums of a product under `Aggregate` run at the pool's width
+//! ([`pool::workers`]): wider than one, they split the left matrix into
+//! row bands ([`bands`]) and run each band as a traced partition
+//! ([`run_partitions`]) under the operator's own `op:` span. Each output
+//! row is computed by the same scalar code at every width, so results
+//! are bitwise identical.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use bda_core::engine;
@@ -31,7 +34,7 @@ use bda_core::infer::infer_schema;
 use bda_core::partition::bands;
 use bda_core::pool::{self, run_partitions};
 use bda_core::provider::trace_op;
-use bda_core::{BinOp, CoreError, Plan};
+use bda_core::{AggExpr, AggFunc, BinOp, CoreError, Expr, Plan};
 use bda_storage::{Bitmap, Chunk, Column, DataSet, DenseChunk, DimBox, Schema};
 
 use crate::matrix::Matrix;
@@ -62,18 +65,42 @@ pub fn check_matrix_schema(schema: &Schema) -> Result<()> {
     Ok(())
 }
 
+/// The cells of a matrix dataset that is one dense chunk over its
+/// schema's box with every cell present and valid, borrowed in place:
+/// the row-major values, the shape and the box origin. `None` for any
+/// other layout.
+fn dense_cells(ds: &DataSet) -> Option<(&[f64], [usize; 2], [i64; 2])> {
+    let chunk = ds.dense_in_place()?;
+    let col = chunk.columns().first()?;
+    if chunk.present().is_some() || col.validity().is_some() || chunk.bounds().ndims() != 2 {
+        return None;
+    }
+    let b = chunk.bounds();
+    let data = col.f64_data().ok()?;
+    Some((data, [b.extent(0), b.extent(1)], [b.lo[0], b.lo[1]]))
+}
+
 /// Convert a matrix dataset into a dense [`Matrix`] plus the box origin
 /// (`lo` per axis). Absent/null cells become `0.0`.
 ///
-/// [`DataSet::to_dense`] returns already-dense data (every stored matrix
-/// and every kernel result) as is, and its value column is then copied
-/// once.
+/// Already-dense data (every stored matrix and every kernel result) is
+/// read in place and its value column copied once; other layouts are
+/// densified first.
 pub fn to_matrix(ds: &DataSet) -> Result<(Matrix, [i64; 2])> {
     check_matrix_schema(ds.schema())?;
-    let dense = ds.to_dense()?;
-    let chunk = match dense.chunks() {
-        [Chunk::Dense(d)] => d,
-        _ => return Err(CoreError::Plan("expected one dense chunk".into())),
+    if let Some((data, [rows, cols], lo)) = dense_cells(ds) {
+        return Ok((Matrix::from_vec(rows, cols, data.to_vec()), lo));
+    }
+    let owned;
+    let chunk = match ds.dense_in_place() {
+        Some(d) => d,
+        None => {
+            owned = ds.to_dense()?;
+            match owned.chunks() {
+                [Chunk::Dense(d)] => d,
+                _ => return Err(CoreError::Plan("expected one dense chunk".into())),
+            }
+        }
     };
     let b = chunk.bounds();
     let col = &chunk.columns()[0];
@@ -153,10 +180,10 @@ fn elemwise(
     out_schema: Schema,
 ) -> Result<DataSet> {
     if a_lo == b_lo && (a.rows(), a.cols()) == (b.rows(), b.cols()) {
-        let m = block_parallel(a.rows(), parts, |(s, e)| {
-            a.row_band(s, e).zip_with(&b.row_band(s, e), f)
+        let data = row_bands(a.rows(), parts, |(s, e)| {
+            a.row_band(s, e).zip_with(&b.row_band(s, e), f).into_data()
         });
-        return from_matrix(m, out_schema);
+        return from_matrix(Matrix::from_vec(a.rows(), a.cols(), data), out_schema);
     }
     let out_box = schema_box(&out_schema)?;
     let box_of = |m: &Matrix, lo: [i64; 2]| {
@@ -192,6 +219,18 @@ pub fn execute(plan: &Plan, matrices: &BTreeMap<String, DataSet>) -> Result<Data
     trace_op(plan, || execute_node(plan, matrices))
 }
 
+/// An operator's input: a `Scan` is the stored matrix borrowed in place
+/// (still traced as its own `op:scan`), anything else is executed.
+fn operand<'a>(plan: &Plan, matrices: &'a BTreeMap<String, DataSet>) -> Result<Cow<'a, DataSet>> {
+    match plan {
+        Plan::Scan { dataset, schema } => trace_op(plan, || {
+            engine::scan(matrices.get(dataset), dataset, schema)
+        })
+        .map(Cow::Borrowed),
+        _ => execute(plan, matrices).map(Cow::Owned),
+    }
+}
+
 fn execute_node(plan: &Plan, matrices: &BTreeMap<String, DataSet>) -> Result<DataSet> {
     let out_schema = infer_schema(plan)?;
     match plan {
@@ -200,32 +239,29 @@ fn execute_node(plan: &Plan, matrices: &BTreeMap<String, DataSet>) -> Result<Dat
         }
         Plan::Values { schema, rows } => engine::values(schema, rows),
         Plan::MatMul { left, right } => {
-            let (a, _) = to_matrix(&execute(left, matrices)?)?;
-            let (b, _) = to_matrix(&execute(right, matrices)?)?;
-            if a.cols() != b.rows() {
-                return Err(CoreError::Plan(format!(
-                    "matmul inner dimension mismatch: {} vs {}",
-                    a.cols(),
-                    b.rows()
-                )));
-            }
-            from_matrix(
-                block_parallel(a.rows(), pool::workers(), |(s, e)| {
-                    a.row_band(s, e).matmul(&b)
-                }),
-                out_schema,
-            )
+            let (a, _) = to_matrix(operand(left, matrices)?.as_ref())?;
+            let (b, _) = to_matrix(operand(right, matrices)?.as_ref())?;
+            check_inner(a.cols(), b.rows())?;
+            let data = row_bands(a.rows(), pool::workers(), |(s, e)| {
+                a.row_band(s, e).matmul(&b).into_data()
+            });
+            from_matrix(Matrix::from_vec(a.rows(), b.cols(), data), out_schema)
         }
         Plan::ElemWise { op, left, right } => {
             let f = elemwise_fn(*op)?;
-            let a = to_matrix(&execute(left, matrices)?)?;
-            let b = to_matrix(&execute(right, matrices)?)?;
+            let a = to_matrix(operand(left, matrices)?.as_ref())?;
+            let b = to_matrix(operand(right, matrices)?.as_ref())?;
             elemwise(a, b, f, pool::workers(), out_schema)
         }
+        Plan::Aggregate {
+            input,
+            group_by,
+            aggs,
+        } => aggregate(input, group_by, aggs, out_schema, matrices),
         Plan::Permute { input, .. } => {
             // 2-D permutation is either identity or transpose; the output
             // schema's dimension order tells us which.
-            let in_ds = execute(input, matrices)?;
+            let in_ds = operand(input, matrices)?;
             let in_dims: Vec<String> = in_ds
                 .schema()
                 .dimensions()
@@ -245,8 +281,7 @@ fn execute_node(plan: &Plan, matrices: &BTreeMap<String, DataSet>) -> Result<Dat
             }
         }
         Plan::Dice { input, .. } => {
-            let in_ds = execute(input, matrices)?;
-            let (m, lo) = to_matrix(&in_ds)?;
+            let (m, lo) = to_matrix(operand(input, matrices)?.as_ref())?;
             let dims = out_schema.dimensions();
             let (r0, r1) = dims[0].extent().expect("bounded by infer");
             let (c0, c1) = dims[1].extent().expect("bounded by infer");
@@ -269,18 +304,120 @@ fn execute_node(plan: &Plan, matrices: &BTreeMap<String, DataSet>) -> Result<Dat
     }
 }
 
+/// A product's operands must agree on the contracted dimension.
+fn check_inner(a_cols: usize, b_rows: usize) -> Result<()> {
+    if a_cols != b_rows {
+        return Err(CoreError::Plan(format!(
+            "matmul inner dimension mismatch: {a_cols} vs {b_rows}"
+        )));
+    }
+    Ok(())
+}
+
+/// A matrix operand's row-major cells, row count and column count:
+/// borrowed when it is one dense chunk with every cell present and
+/// valid, else densified ([`to_matrix`]: absent and null cells read
+/// `0.0`).
+fn cells(ds: &DataSet) -> Result<(Cow<'_, [f64]>, usize, usize)> {
+    if let Some((data, [rows, cols], _)) = dense_cells(ds) {
+        return Ok((Cow::Borrowed(data), rows, cols));
+    }
+    let (m, _) = to_matrix(ds)?;
+    let (rows, cols) = (m.rows(), m.cols());
+    Ok((Cow::Owned(m.into_data()), rows, cols))
+}
+
+/// Whether an `Aggregate` over a matrix with this schema is a row sum:
+/// it groups by the row dimension alone, and every aggregate is a `sum`
+/// of the value attribute.
+fn is_row_sum(input: &Schema, group_by: &[String], aggs: &[AggExpr]) -> bool {
+    if check_matrix_schema(input).is_err() || aggs.is_empty() {
+        return false;
+    }
+    let value = &input.values()[0].name;
+    let sums_value = aggs
+        .iter()
+        .all(|a| a.func == AggFunc::Sum && matches!(&a.arg, Some(Expr::Column(c)) if c == value));
+    sums_value && matches!(group_by, [g] if *g == input.dimensions()[0].name)
+}
+
+/// `Aggregate` over a matrix. The row sums of a product are computed
+/// without forming it, as `A·(B·1)`: two matrix-vector products instead
+/// of the `n³` product. Every other aggregate runs the shared
+/// [`engine::aggregate`] over the input.
+fn aggregate(
+    input: &Plan,
+    group_by: &[String],
+    aggs: &[AggExpr],
+    out_schema: Schema,
+    matrices: &BTreeMap<String, DataSet>,
+) -> Result<DataSet> {
+    if let Plan::MatMul { left, right } = input {
+        if is_row_sum(&infer_schema(input)?, group_by, aggs) {
+            let (a_ds, b_ds) = (operand(left, matrices)?, operand(right, matrices)?);
+            let ((a, a_rows, a_cols), (b, b_rows, b_cols)) = (cells(&a_ds)?, cells(&b_ds)?);
+            check_inner(a_cols, b_rows)?;
+            if a_rows > 0 && b_cols > 0 {
+                let sums = matvec((&*a, a_rows, a_cols), &row_sums((&*b, b_rows, b_cols)));
+                return row_sums_dataset(sums, out_schema);
+            }
+        }
+    }
+    let in_ds = operand(input, matrices)?;
+    engine::aggregate(&in_ds, group_by, aggs, out_schema)
+}
+
+/// A row-major matrix's cells, row count and column count.
+type Cells<'a> = (&'a [f64], usize, usize);
+
+/// Row `i` of `m`.
+fn row<'a>((data, _, cols): Cells<'a>, i: usize) -> &'a [f64] {
+    &data[i * cols..(i + 1) * cols]
+}
+
+/// Each row's sum, folded left to right from `0.0`, in row bands at the
+/// pool's width.
+fn row_sums(m: Cells<'_>) -> Vec<f64> {
+    row_bands(m.1, pool::workers(), |(s, e)| {
+        (s..e)
+            .map(|i| row(m, i).iter().fold(0.0, |acc, x| acc + x))
+            .collect()
+    })
+}
+
+/// `m · x`, in row bands at the pool's width.
+fn matvec(m: Cells<'_>, x: &[f64]) -> Vec<f64> {
+    row_bands(m.1, pool::workers(), |(s, e)| {
+        (s..e)
+            .map(|i| row(m, i).iter().zip(x).fold(0.0, |acc, (a, b)| acc + a * b))
+            .collect()
+    })
+}
+
+/// Wrap row sums under the aggregate's output schema: a 1-D dense chunk
+/// over the row dimension's extent. Every aggregate column holds the
+/// same sums.
+fn row_sums_dataset(sums: Vec<f64>, out_schema: Schema) -> Result<DataSet> {
+    let columns = vec![Column::from(sums); out_schema.values().len()];
+    let (lo, hi) = out_schema.dimensions()[0]
+        .extent()
+        .expect("a matrix dimension is bounded");
+    let chunk = DenseChunk::new(DimBox::new(vec![lo], vec![hi])?, columns, None)?;
+    Ok(DataSet::new(out_schema, vec![Chunk::Dense(chunk)]))
+}
+
 /// Split `rows` output rows into `parts` near-equal bands, run `kernel`
 /// on each band's `[start, end)` as a traced partition
-/// ([`run_partitions`]), and stack the output bands. At `parts <= 1` (or
-/// a single row) `kernel` runs once over `[0, rows)` on the calling
-/// thread, with no partition span. Because each output row is produced
-/// by the same scalar code on the same inputs at every width, the result
-/// is bitwise identical.
-fn block_parallel(
+/// ([`run_partitions`]), and concatenate the bands' row-major outputs. At
+/// `parts <= 1` (or a single row) `kernel` runs once over `[0, rows)` on
+/// the calling thread, with no partition span. Because each output row
+/// is produced by the same scalar code on the same inputs at every
+/// width, the result is bitwise identical.
+fn row_bands(
     rows: usize,
     parts: usize,
-    kernel: impl Fn((usize, usize)) -> Matrix + Sync,
-) -> Matrix {
+    kernel: impl Fn((usize, usize)) -> Vec<f64> + Sync,
+) -> Vec<f64> {
     let parts = parts.min(rows);
     if parts <= 1 {
         return kernel((0, rows));
@@ -290,19 +427,7 @@ fn block_parallel(
         .into_iter()
         .map(|band| move || kernel(band))
         .collect();
-    let bands = run_partitions(tasks, |m: &Matrix| Some(m.rows() * m.cols()));
-    let cols = bands.first().map(Matrix::cols).unwrap_or(0);
-    let mut data = Vec::with_capacity(rows * cols);
-    for band in bands {
-        data.extend(band.into_data());
-    }
-    Matrix::from_vec(rows, cols, data)
-}
-
-/// Convenience: read a matrix dataset's cell (used in tests/examples).
-pub fn cell(ds: &DataSet, i: i64, j: i64) -> Result<f64> {
-    let (m, lo) = to_matrix(ds)?;
-    Ok(m.get((i - lo[0]) as usize, (j - lo[1]) as usize))
+    run_partitions(tasks, |band: &Vec<f64>| Some(band.len())).concat()
 }
 
 #[cfg(test)]

@@ -9,11 +9,14 @@
 //!
 //! Capabilities: `Scan`, `Values` (an inlined literal, e.g. the state of an
 //! app-driven iteration round), `MatMul`, `ElemWise`, `Permute` (transpose),
-//! `Dice` (submatrix). `MatMul` and `ElemWise` split into row bands on
-//! the worker pool at the pool's width ([`bda_core::pool::workers`]).
-//! Nothing relational — a plan that needs filters or joins must involve
-//! another server, which in turn exercises multi-server planning
-//! (desideratum 4).
+//! `Dice` (submatrix) and `Aggregate`. `MatMul` and `ElemWise` split into
+//! row bands on the worker pool at the pool's width
+//! ([`bda_core::pool::workers`]). `Aggregate` is here for dimension
+//! reductions: the row sums of a product run as two matrix-vector
+//! products without forming the product; any other aggregate runs the
+//! shared kernel. Nothing else relational — a plan that needs filters or
+//! joins must involve another server, which in turn exercises
+//! multi-server planning (desideratum 4).
 //!
 //! Matrices are densified once, at `store`; from then on every kernel reads
 //! the stored dense chunk's value column directly ([`conv::to_matrix`]) and
@@ -52,6 +55,7 @@ impl LinAlgEngine {
             OpKind::ElemWise,
             OpKind::Permute,
             OpKind::Dice,
+            OpKind::Aggregate,
         ])
     }
 }

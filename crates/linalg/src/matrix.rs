@@ -141,10 +141,9 @@ impl Matrix {
                         let a_row = &self.data[i * m..(i + 1) * m];
                         let out_row = &mut out[i * p..(i + 1) * p];
                         for k in kb..k_end {
+                            // No skip on a zero `a_ik`: `0 · NaN` and
+                            // `0 · ∞` are NaN, as in the reference.
                             let a_ik = a_row[k];
-                            if a_ik == 0.0 {
-                                continue;
-                            }
                             let b_row = &other.data[k * p..(k + 1) * p];
                             for j in jb..j_end {
                                 out_row[j] += a_ik * b_row[j];

@@ -48,6 +48,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         result.num_rows(),
         metrics.real_wire_bytes
     );
+    // The demo `sales` holds v = 10, 20, 30, 40.
+    assert_eq!(result.num_rows(), 3, "three demo sales exceed 15.0");
+    assert!(metrics.real_wire_bytes > 0, "the query crossed a socket");
 
     // Desideratum 4 on a real socket: the linalg server pushes its demo
     // matrix directly to the relational server — the bytes never pass
@@ -58,5 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .expect("remote providers support push")?;
     let copied = rel.schema_of("m_from_la").expect("matrix landed on rel");
     println!("push: {pushed} bytes moved la -> rel directly; rel now stores m_from_la ({copied})");
+    assert_eq!(copied, la.schema_of("m").expect("demo matrix on la"));
+    assert_eq!(copied.to_string(), "([row]=0..2, [col]=0..3, v: f64)");
     Ok(())
 }

@@ -12,8 +12,8 @@ use std::sync::Arc;
 
 use bda::core::reference::evaluate;
 use bda::core::{col, lit, Provider};
-use bda::federation::{ExecOptions, Federation, TransferMode};
-use bda::lang::Query;
+use bda::federation::{ExecOptions, Federation, OptimizerConfig, TransferMode};
+use bda::lang::{parse_query, Query};
 use bda::linalg::LinAlgEngine;
 use bda::relational::RelationalEngine;
 use bda::storage::{Column, DataSet};
@@ -67,6 +67,18 @@ fn join_matmul_plan(fed: &Federation) -> bda::core::Plan {
         .clone()
 }
 
+/// The bench's `cross_engine` shape: the product, joined to `lookup`,
+/// weighted and summed per row.
+fn cross_engine_plan(fed: &Federation) -> bda::core::Plan {
+    let lookup = |name: &str| fed.registry().schema_of(name).ok();
+    parse_query(
+        "scan a | matmul (scan b) | untag | join (scan lookup) on row = row \
+         | select row, v * weight as vw | groupby row: sum(vw) as s",
+        &lookup,
+    )
+    .unwrap()
+}
+
 /// The in-process oracle for the same data.
 fn oracle() -> HashMap<String, DataSet> {
     let mut src = HashMap::new();
@@ -107,6 +119,100 @@ fn cross_server_join_matmul_over_tcp_matches_reference() {
         metrics.real_wire_bytes > 0,
         "expected nonzero real wire bytes: {metrics}"
     );
+}
+
+/// Floats within 1e-9 of the oracle's, as bags.
+fn approx_same(got: &DataSet, want: &DataSet) -> bool {
+    let (x, y) = (got.sorted_rows().unwrap(), want.sorted_rows().unwrap());
+    x.len() == y.len()
+        && x.iter().zip(&y).all(|(rx, ry)| {
+            rx.0.iter()
+                .zip(&ry.0)
+                .all(|(vx, vy)| match (vx.as_float(), vy.as_float()) {
+                    (Ok(p), Ok(q)) => (p - q).abs() < 1e-9,
+                    _ => vx == vy,
+                })
+        })
+}
+
+#[test]
+fn cross_engine_pushes_row_sums_not_the_product() {
+    let (mut fed, _servers) = remote_federation();
+    fed.options_mut().transfer = TransferMode::RemoteTcp;
+    // One partition per fragment on the client. This fixes only the
+    // client's placement width: the servers still partition at their own
+    // `BDA_WORKERS` (see the byte pin below).
+    fed.options_mut().workers = 1;
+    let plan = cross_engine_plan(&fed);
+    let expected = evaluate(&plan, &oracle()).unwrap();
+
+    let tracer = bda::obs::Tracer::new(11);
+    let (out, metrics) = fed.run_traced(&plan, &tracer).unwrap();
+    assert!(approx_same(&out, &expected), "{:?}", out.sorted_rows());
+    assert_eq!(out.num_rows(), 8);
+    assert_eq!(metrics.degraded_transfers, 0, "{metrics}");
+    assert_eq!(metrics.fragments, 2, "{metrics}");
+    // The product's 8 row sums are what leaves `la`; the 64-cell
+    // product is never formed.
+    let trace = tracer.finish();
+    let on_la: Vec<_> = trace
+        .spans_named("op:aggregate")
+        .into_iter()
+        .filter(|s| s.site == "la")
+        .collect();
+    assert_eq!(on_la.len(), 1, "{:#?}", trace.spans);
+    assert_eq!(on_la[0].rows, Some(8));
+    assert!(trace.spans_named("op:matmul").is_empty());
+    let pushed: Vec<_> = metrics
+        .transfers
+        .iter()
+        .filter(|t| t.from == "la" && t.to == "rel")
+        .collect();
+    assert_eq!(pushed.len(), 1, "{metrics}");
+
+    // A warm op's client traffic (plans, planner metadata and the
+    // answer; the push is server to server), pinned exactly.
+    let clients: Vec<_> = ["la", "rel"]
+        .iter()
+        .map(|n| fed.registry().provider(n).unwrap())
+        .collect();
+    let wire = || -> u64 {
+        clients
+            .iter()
+            .map(|p| {
+                let (sent, received) = p.wire_bytes();
+                sent + received
+            })
+            .sum()
+    };
+    let warm_op = || {
+        let before = wire();
+        let (warm, _) = fed.run(&plan).unwrap();
+        assert!(approx_same(&warm, &expected));
+        wire() - before
+    };
+    let warm = warm_op();
+    assert_eq!(warm_op(), warm, "client bytes repeat op to op");
+    // A server partitions at its own `BDA_WORKERS`, which changes the
+    // answer's chunking, so the figure is pinned at the default width.
+    if bda::core::pool::workers_from_env() == 1 {
+        assert_eq!(warm, 3_882, "client bytes of one warm op");
+    }
+
+    // Unoptimized, linalg could host the root aggregate; placement must
+    // still keep every relational operator on `rel`.
+    let (out, metrics) = fed
+        .run_with(
+            &plan,
+            &ExecOptions {
+                transfer: TransferMode::RemoteTcp,
+                optimizer: OptimizerConfig::disabled(),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+    assert!(approx_same(&out, &expected));
+    assert_eq!(metrics.degraded_transfers, 0, "{metrics}");
 }
 
 #[test]
