@@ -14,7 +14,10 @@
 //!    translatability as a planning fallback).
 //! 2. **Candidate analysis** (bottom-up): the set of providers able to run
 //!    each subtree in one piece, considering capabilities and data
-//!    locality.
+//!    locality. Data locality comes from each provider's catalog, read at
+//!    most once per planner and only when a scan first needs it; an
+//!    open-circuit provider's catalog is read only when no available
+//!    provider holds the scanned dataset.
 //! 3. **Assignment & cutting** (top-down): where a subtree has candidates
 //!    it stays whole at the preferred site, else the one holding the
 //!    most scanned rows; where it has none, the node executes at a site
@@ -26,6 +29,9 @@
 //! fragments (site [`APP_SITE`]): the executor itself drives the loop,
 //! shipping loop state every iteration — the expensive baseline that
 //! experiment F4 compares against server-side iteration.
+
+use std::cell::OnceCell;
+use std::collections::HashSet;
 
 use bda_core::infer::infer_schema;
 use bda_core::lower::lower_node;
@@ -97,6 +103,10 @@ pub struct Planner<'a> {
     /// choosing a fragment's partition width. Off by default so the bare
     /// planner stays byte-identical to the pre-statistics one.
     use_stats: bool,
+    /// The dataset names in each provider's catalog (registration order),
+    /// read on first need and then kept for the life of the planner. Only
+    /// what a catalog says: health is checked live on every lookup.
+    catalogs: Vec<OnceCell<HashSet<String>>>,
 }
 
 impl<'a> Planner<'a> {
@@ -106,6 +116,7 @@ impl<'a> Planner<'a> {
             registry,
             workers: 1,
             use_stats: false,
+            catalogs: vec![OnceCell::new(); registry.providers().len()],
         }
     }
 
@@ -265,23 +276,56 @@ impl<'a> Planner<'a> {
     /// beats failing the query outright).
     fn candidates(&self, plan: &Plan) -> Vec<String> {
         match plan {
-            Plan::Scan { dataset, .. } => {
-                let available = self.registry.available_locations_of(dataset);
-                if available.is_empty() {
-                    self.registry.locations_of(dataset)
-                } else {
-                    available
-                }
-            }
+            Plan::Scan { dataset, .. } => self.holders(dataset),
             _ => {
                 let mut cands = self.healthy_supporters(plan.op_kind());
                 for c in plan.children() {
+                    // No site can host the node, so no child's holders
+                    // are needed: do not read their catalogs.
+                    if cands.is_empty() {
+                        break;
+                    }
                     let child = self.candidates(c);
                     cands.retain(|s| child.contains(s));
                 }
                 cands
             }
         }
+    }
+
+    /// Providers holding `dataset`, preferring those with a closed
+    /// breaker. Only an available provider's catalog is read, unless no
+    /// available provider holds the dataset: then every holder is
+    /// returned, health aside, and an open-circuit provider's catalog is
+    /// read too.
+    fn holders(&self, dataset: &str) -> Vec<String> {
+        let providers = self.registry.providers();
+        let health = self.registry.health();
+        let holds = |i: usize| self.catalog(i).contains(dataset);
+        let name = |i: usize| providers[i].name().to_string();
+        let available: Vec<String> = (0..providers.len())
+            .filter(|&i| health.is_available(providers[i].name()) && holds(i))
+            .map(name)
+            .collect();
+        if !available.is_empty() {
+            return available;
+        }
+        (0..providers.len())
+            .filter(|&i| holds(i))
+            .map(name)
+            .collect()
+    }
+
+    /// The dataset names of the `i`-th registered provider, from one
+    /// [`bda_core::Provider::catalog`] read per planner.
+    fn catalog(&self, i: usize) -> &HashSet<String> {
+        self.catalogs[i].get_or_init(|| {
+            self.registry.providers()[i]
+                .catalog()
+                .into_iter()
+                .map(|(name, _)| name)
+                .collect()
+        })
     }
 
     /// Supporters of `op`, preferring those with a closed breaker.
@@ -294,13 +338,17 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// Pick an execution site, preferring `preferred`, then the site
-    /// holding the most scanned rows, then registration order.
+    /// Pick an execution site, preferring `preferred`, then a lone
+    /// candidate, then the site holding the most scanned rows, then
+    /// registration order.
     fn pick(&self, cands: &[String], preferred: Option<&str>, plan: &Plan) -> String {
         if let Some(p) = preferred {
             if cands.iter().any(|c| c == p) {
                 return p.to_string();
             }
+        }
+        if let [only] = cands {
+            return only.clone();
         }
         let scanned = plan.scanned_datasets();
         let mut best: Option<(usize, &String)> = None;
@@ -565,6 +613,42 @@ mod tests {
             r.health().record_failure("la2");
         }
         assert!(Planner::new(&r).place(&plan).is_ok());
+    }
+
+    #[test]
+    fn holders_prefer_available_providers_and_fall_back_to_all() {
+        let replica = |name: &str| {
+            let p = bda_core::ReferenceProvider::new(name);
+            p.store(
+                "t",
+                DataSet::from_columns(vec![("k", Column::from(vec![1i64]))]).unwrap(),
+            )
+            .unwrap();
+            Arc::new(p)
+        };
+        let mut r = Registry::new();
+        r.register(replica("ref"));
+        r.register(replica("ref2"));
+        let planner = Planner::new(&r);
+        assert_eq!(planner.holders("t"), vec!["ref", "ref2"], "present");
+        assert!(planner.holders("absent").is_empty(), "absent");
+        let threshold = r.health().config().failure_threshold;
+        for _ in 0..threshold {
+            r.health().record_failure("ref");
+        }
+        assert_eq!(
+            planner.holders("t"),
+            vec!["ref2"],
+            "open breaker filtered out"
+        );
+        for _ in 0..threshold {
+            r.health().record_failure("ref2");
+        }
+        assert_eq!(
+            planner.holders("t"),
+            vec!["ref", "ref2"],
+            "the fallback ignores health"
+        );
     }
 
     #[test]

@@ -241,15 +241,6 @@ impl Registry {
             .ok_or_else(|| CoreError::Plan(format!("unknown provider `{name}`")))
     }
 
-    /// Names of providers holding the named dataset.
-    pub fn locations_of(&self, dataset: &str) -> Vec<String> {
-        self.providers
-            .iter()
-            .filter(|p| p.schema_of(dataset).is_some())
-            .map(|p| p.name().to_string())
-            .collect()
-    }
-
     /// Schema of a dataset wherever it lives first.
     pub fn schema_of(&self, dataset: &str) -> Result<Schema> {
         self.providers
@@ -267,15 +258,6 @@ impl Registry {
             .collect()
     }
 
-    /// Like [`Registry::locations_of`], restricted to providers whose
-    /// circuit breaker currently admits traffic.
-    pub fn available_locations_of(&self, dataset: &str) -> Vec<String> {
-        self.locations_of(dataset)
-            .into_iter()
-            .filter(|n| self.health.is_available(n))
-            .collect()
-    }
-
     /// Like [`Registry::supporters_of`], restricted to providers whose
     /// circuit breaker currently admits traffic.
     pub fn available_supporters_of(&self, op: OpKind) -> Vec<String> {
@@ -286,12 +268,10 @@ impl Registry {
     }
 
     /// Table statistics for a dataset from the first provider that both
-    /// holds it and keeps statistics.
+    /// holds it and keeps statistics. A provider that does not hold the
+    /// dataset has no statistics for it, so no catalog is read.
     pub fn table_stats(&self, dataset: &str) -> Option<bda_storage::TableStats> {
-        self.providers
-            .iter()
-            .filter(|p| p.schema_of(dataset).is_some())
-            .find_map(|p| p.table_stats(dataset))
+        self.providers.iter().find_map(|p| p.table_stats(dataset))
     }
 
     /// The union of all capability sets.
@@ -533,12 +513,10 @@ mod tests {
     }
 
     #[test]
-    fn lookup_and_locations() {
+    fn provider_and_schema_lookup() {
         let r = registry();
         assert!(r.provider("ref").is_ok());
         assert!(r.provider("nope").is_err());
-        assert_eq!(r.locations_of("t"), vec!["ref"]);
-        assert!(r.locations_of("absent").is_empty());
         assert!(r.schema_of("t").is_ok());
         assert!(r.schema_of("absent").is_err());
     }
@@ -648,17 +626,16 @@ mod tests {
     }
 
     #[test]
-    fn availability_filters_registry_lookups() {
+    fn availability_filters_supporter_lookups() {
         let r = registry(); // holds "ref" with dataset "t"
-        assert_eq!(r.available_locations_of("t"), vec!["ref"]);
+        assert_eq!(r.available_supporters_of(OpKind::Select), vec!["ref"]);
         let threshold = r.health().config().failure_threshold;
         for _ in 0..threshold {
             r.health().record_failure("ref");
         }
-        assert!(r.available_locations_of("t").is_empty());
         assert!(r.available_supporters_of(OpKind::Select).is_empty());
-        // The raw lookups ignore health (capability truth is static).
-        assert_eq!(r.locations_of("t"), vec!["ref"]);
+        // The raw lookup ignores health (capability truth is static).
+        assert_eq!(r.supporters_of(OpKind::Select), vec!["ref"]);
     }
 
     #[test]

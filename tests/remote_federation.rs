@@ -53,6 +53,18 @@ fn remote_federation() -> (Federation, Vec<ServerHandle>) {
     (fed, vec![server_la, server_rel])
 }
 
+/// `bda_net_requests_total{kind="catalog"}` as the server reports it,
+/// read over a connection of its own (Hello and Metrics requests only).
+fn catalog_requests(server: &ServerHandle) -> u64 {
+    let text = RemoteProvider::connect(server.addr().to_string())
+        .unwrap()
+        .metrics_text()
+        .unwrap();
+    text.lines()
+        .find_map(|l| l.strip_prefix("bda_net_requests_total{kind=\"catalog\"} "))
+        .map_or(0, |n| n.trim().parse().unwrap())
+}
+
 /// The cross-server plan: matmul on the linalg server, join on the
 /// relational server.
 fn join_matmul_plan(fed: &Federation) -> bda::core::Plan {
@@ -137,7 +149,7 @@ fn approx_same(got: &DataSet, want: &DataSet) -> bool {
 
 #[test]
 fn cross_engine_pushes_row_sums_not_the_product() {
-    let (mut fed, _servers) = remote_federation();
+    let (mut fed, servers) = remote_federation();
     fed.options_mut().transfer = TransferMode::RemoteTcp;
     // One partition per fragment on the client. This fixes only the
     // client's placement width: the servers still partition at their own
@@ -192,11 +204,22 @@ fn cross_engine_pushes_row_sums_not_the_product() {
         wire() - before
     };
     let warm = warm_op();
+    // Placement reads each server's catalog once per op, and nothing else
+    // of its metadata.
+    let before = servers.iter().map(catalog_requests).collect::<Vec<_>>();
     assert_eq!(warm_op(), warm, "client bytes repeat op to op");
+    for (server, before) in servers.iter().zip(before) {
+        assert_eq!(
+            catalog_requests(server) - before,
+            1,
+            "catalog requests one warm op sends to {}",
+            server.addr()
+        );
+    }
     // A server partitions at its own `BDA_WORKERS`, which changes the
     // answer's chunking, so the figure is pinned at the default width.
     if bda::core::pool::workers_from_env() == 1 {
-        assert_eq!(warm, 3_882, "client bytes of one warm op");
+        assert_eq!(warm, 866, "client bytes of one warm op");
     }
 
     // Unoptimized, linalg could host the root aggregate; placement must
