@@ -8,7 +8,10 @@
 //! set covers the fragment (staged inputs are re-shipped), and transfer
 //! failures walk a degradation ladder (`RemoteTcp` push → store-based
 //! `Direct` → `AppRouted`). Provider health feeds the registry's circuit
-//! breakers, which the planner consults on the next placement.
+//! breakers, which the planner consults on the next placement; a failed
+//! call also drops the site's memoized catalog, and a query placed from a
+//! catalog that turns out stale is placed and run once more
+//! ([`run_plan_traced`]).
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -138,6 +141,12 @@ pub fn run_plan(
 /// [`run_plan`], recording spans into `tracer`. `parent` is the span the
 /// query hangs under (`None` for a top-level query; app-driven iteration
 /// nests its inner queries under the iterating fragment's span).
+///
+/// A query placed from a memoized catalog that then fails for good is
+/// checked against fresh catalogs: when a fragment's site no longer lists
+/// a base dataset the fragment scans, the query is placed and run once
+/// more (a `replan:stale-catalog` event on the second `query` span and a
+/// flight-recorder line mark it). Otherwise the original error surfaces.
 pub fn run_plan_traced(
     registry: &Registry,
     plan: &Plan,
@@ -145,7 +154,34 @@ pub fn run_plan_traced(
     tracer: &Tracer,
     parent: Option<u64>,
 ) -> Result<(DataSet, Metrics)> {
-    let (optimized, placement) = plan_and_place(registry, plan, opts)?;
+    let (placement, used_memo) = place_traced(registry, plan, opts, tracer, parent)?;
+    let progress = enter_query(&placement, tracer);
+    let (mut metrics, mut outcome) =
+        run_placement(registry, &placement, opts, tracer, parent, &progress, false);
+    if let Err(e) = &outcome {
+        if used_memo && !e.is_transient() && placed_on_stale_catalog(registry, &placement) {
+            flight::global().record("app", || format!("replan:stale-catalog after: {e}"));
+            outcome = place_traced(registry, plan, opts, tracer, parent).and_then(|(p, _)| {
+                let (m, rerun) = run_placement(registry, &p, opts, tracer, parent, &progress, true);
+                metrics.absorb(m);
+                rerun
+            });
+        }
+    }
+    leave_query(progress, tracer, outcome).map(|ds| (ds, metrics))
+}
+
+/// Optimize and place `plan`, recording an `optimize` span when table
+/// statistics pruned fragments or a law rewrote the plan. The flag is
+/// [`Planner::used_memo`].
+fn place_traced(
+    registry: &Registry,
+    plan: &Plan,
+    opts: &ExecOptions,
+    tracer: &Tracer,
+    parent: Option<u64>,
+) -> Result<(Placement, bool)> {
+    let (optimized, placement, used_memo) = plan_and_place(registry, plan, opts)?;
     if optimized.pruned > 0 || !optimized.laws.is_empty() {
         // A dedicated span (rather than an event on `parent`, which is
         // `None` for top-level queries) so `EXPLAIN ANALYZE`'s pruning
@@ -161,7 +197,23 @@ pub fn run_plan_traced(
         }
         s.finish();
     }
-    execute_placement_traced(registry, &placement, opts, tracer, parent)
+    Ok((placement, used_memo))
+}
+
+/// After a failure, read every catalog again and say whether some
+/// fragment's site no longer lists a base dataset the fragment scans: the
+/// placement then rested on a stale catalog, and a fresh one differs.
+fn placed_on_stale_catalog(registry: &Registry, placement: &Placement) -> bool {
+    let fresh: HashMap<&str, _> = registry
+        .providers()
+        .iter()
+        .map(|p| (p.name(), registry.read_catalog(p.as_ref())))
+        .collect();
+    placement.fragments.iter().any(|f| {
+        fresh
+            .get(f.site.as_str())
+            .is_some_and(|names| base_scans(&f.plan).iter().any(|d| !names.contains(d)))
+    })
 }
 
 /// The one line that names the laws that fired, for EXPLAIN and the
@@ -174,18 +226,19 @@ pub(crate) fn laws_line(laws: &[Law]) -> String {
 /// The planning pipeline every entry point shares: statistics-aware
 /// optimization, then placement under the options' worker count and
 /// statistics switch. Returns the optimization report (plan, fragments
-/// table statistics eliminated, laws that fired) and the placement.
+/// table statistics eliminated, laws that fired), the placement and
+/// whether it was placed from a catalog memoized by an earlier op.
 pub(crate) fn plan_and_place(
     registry: &Registry,
     plan: &Plan,
     opts: &ExecOptions,
-) -> Result<(Optimized, Placement)> {
+) -> Result<(Optimized, Placement, bool)> {
     let optimized = optimize_report(plan, opts.optimizer, &|name| registry.table_stats(name));
-    let placement = Planner::new(registry)
+    let planner = Planner::new(registry)
         .with_workers(opts.workers)
-        .with_stats(opts.optimizer.use_stats)
-        .place(&optimized.plan)?;
-    Ok((optimized, placement))
+        .with_stats(opts.optimizer.use_stats);
+    let placement = planner.place(&optimized.plan)?;
+    Ok((optimized, placement, planner.used_memo()))
 }
 
 /// Execute an already-fragmented plan.
@@ -221,7 +274,28 @@ pub fn execute_placement_traced(
             "empty placement: no fragments to execute".into(),
         ));
     }
-    let query_span = tracer.start(parent, || "query".into(), "app");
+    let progress = enter_query(placement, tracer);
+    let (metrics, outcome) =
+        run_placement(registry, placement, opts, tracer, parent, &progress, false);
+    leave_query(progress, tracer, outcome).map(|ds| (ds, metrics))
+}
+
+/// One run of a placement under its own `query` span, staged
+/// intermediates cleaned up whatever the outcome. `replan` marks the
+/// span as the rerun of a query placed from a stale catalog.
+fn run_placement(
+    registry: &Registry,
+    placement: &Placement,
+    opts: &ExecOptions,
+    tracer: &Tracer,
+    parent: Option<u64>,
+    progress: &ProgressHandle,
+    replan: bool,
+) -> (Metrics, Result<DataSet>) {
+    let mut query_span = tracer.start(parent, || "query".into(), "app");
+    if replan {
+        query_span.event(|| "replan:stale-catalog".into());
+    }
     let exec = Exec {
         registry,
         placement,
@@ -231,12 +305,8 @@ pub fn execute_placement_traced(
         staged: Mutex::new(Vec::new()),
         cache: Mutex::new(HashMap::new()),
     };
-    // Only the outermost placement on this thread registers on the
-    // progress board; app-driven iteration re-enters the executor per
-    // round and those inner queries ride the outer query's entry.
-    let progress = enter_query(placement, tracer);
     let mut metrics = Metrics::default();
-    let outcome = exec.run_fragments(&mut metrics, &progress);
+    let outcome = exec.run_fragments(&mut metrics, progress);
 
     // Clean up staged intermediates regardless of success.
     for (site, name) in exec.staged.into_inner() {
@@ -244,7 +314,7 @@ pub fn execute_placement_traced(
             p.remove(&name);
         }
     }
-    leave_query(progress, tracer, outcome).map(|ds| (ds, metrics))
+    (metrics, outcome)
 }
 
 /// One placement in flight: what every fragment shares — where and how to
@@ -817,6 +887,9 @@ impl Exec<'_> {
                 Call::Store(name) => format!("store {name}@{site} attempt {n} failed: {e}"),
                 Call::Push(id) => format!("push fragment:{id}@{site} failed: {e}"),
             });
+            // The failure may be the site refusing a dataset it no longer
+            // holds: its catalog is read again before it is trusted.
+            self.registry.forget_catalog(site);
             if health.record_failure(site) {
                 metrics.breaker_trips += 1;
                 trace(&|| format!("breaker:trip:{site}"));
@@ -847,22 +920,33 @@ enum Call<'a> {
 /// Providers able to take over `frag` after its pinned site failed for
 /// good: breaker-available, capability-covering, and already holding every
 /// base dataset the fragment scans (staged inputs are re-shipped, base
-/// data is not).
+/// data is not). Recovery must see current state, so each remaining
+/// candidate's catalog is read fresh, once, which also refreshes the
+/// registry's memo for the next op.
 fn failover_candidates(registry: &Registry, frag: &Fragment) -> Vec<String> {
-    let base_scans: Vec<String> = frag
-        .plan
-        .scanned_datasets()
-        .into_iter()
-        .filter(|d| !d.starts_with(FRAG_PREFIX))
-        .collect();
+    let scans = base_scans(&frag.plan);
     registry
         .providers()
         .iter()
         .filter(|p| p.name() != frag.site)
         .filter(|p| registry.health().is_available(p.name()))
         .filter(|p| p.capabilities().supports_plan(&frag.plan))
-        .filter(|p| base_scans.iter().all(|d| p.schema_of(d).is_some()))
+        .filter(|p| {
+            // A fragment that scans only staged inputs needs no catalog.
+            scans.is_empty() || {
+                let names = registry.read_catalog(p.as_ref());
+                scans.iter().all(|d| names.contains(d))
+            }
+        })
         .map(|p| p.name().to_string())
+        .collect()
+}
+
+/// The base (not staged) datasets a plan scans.
+fn base_scans(plan: &Plan) -> Vec<String> {
+    plan.scanned_datasets()
+        .into_iter()
+        .filter(|d| !d.starts_with(FRAG_PREFIX))
         .collect()
 }
 

@@ -214,7 +214,8 @@ impl Federation {
     /// When an aggregation law rewrote the plan, one `laws:` line before
     /// the optimized plan names each law that fired.
     pub fn explain(&self, plan: &Plan) -> Result<String, CoreError> {
-        let (optimized, placement) = executor::plan_and_place(&self.registry, plan, &self.options)?;
+        let (optimized, placement, _) =
+            executor::plan_and_place(&self.registry, plan, &self.options)?;
         let mut out = String::new();
         if optimized.pruned > 0 {
             out.push_str(&format!(

@@ -14,10 +14,14 @@
 //!    translatability as a planning fallback).
 //! 2. **Candidate analysis** (bottom-up): the set of providers able to run
 //!    each subtree in one piece, considering capabilities and data
-//!    locality. Data locality comes from each provider's catalog, read at
-//!    most once per planner and only when a scan first needs it; an
-//!    open-circuit provider's catalog is read only when no available
-//!    provider holds the scanned dataset.
+//!    locality. Data locality comes from the registry's catalog memo,
+//!    which keeps each provider's dataset names across placements; a
+//!    provider the memo lacks is read when a scan first needs it, and an
+//!    open-circuit provider only when no available provider holds the
+//!    scanned dataset. A dataset no catalog lists makes the planner
+//!    re-read every catalog it has not read itself and look again, so
+//!    data stored out of band is found by the next placement. One planner
+//!    reads each provider's catalog at most once; a warm one reads none.
 //! 3. **Assignment & cutting** (top-down): where a subtree has candidates
 //!    it stays whole at the preferred site, else the one holding the
 //!    most scanned rows; where it has none, the node executes at a site
@@ -30,8 +34,7 @@
 //! shipping loop state every iteration — the expensive baseline that
 //! experiment F4 compares against server-side iteration.
 
-use std::cell::OnceCell;
-use std::collections::HashSet;
+use std::cell::{Cell, RefCell};
 
 use bda_core::infer::infer_schema;
 use bda_core::lower::lower_node;
@@ -103,10 +106,13 @@ pub struct Planner<'a> {
     /// choosing a fragment's partition width. Off by default so the bare
     /// planner stays byte-identical to the pre-statistics one.
     use_stats: bool,
-    /// The dataset names in each provider's catalog (registration order),
-    /// read on first need and then kept for the life of the planner. Only
-    /// what a catalog says: health is checked live on every lookup.
-    catalogs: Vec<OnceCell<HashSet<String>>>,
+    /// Providers (registration index) whose catalog this planner read: it
+    /// reads each at most once, an empty one (which the memo does not
+    /// keep) included.
+    read_here: RefCell<Vec<usize>>,
+    /// Set when a lookup was answered from a catalog memoized before this
+    /// planner asked.
+    memo_hit: Cell<bool>,
 }
 
 impl<'a> Planner<'a> {
@@ -116,7 +122,8 @@ impl<'a> Planner<'a> {
             registry,
             workers: 1,
             use_stats: false,
-            catalogs: vec![OnceCell::new(); registry.providers().len()],
+            read_here: RefCell::new(Vec::new()),
+            memo_hit: Cell::new(false),
         }
     }
 
@@ -294,14 +301,48 @@ impl<'a> Planner<'a> {
     }
 
     /// Providers holding `dataset`, preferring those with a closed
-    /// breaker. Only an available provider's catalog is read, unless no
-    /// available provider holds the dataset: then every holder is
-    /// returned, health aside, and an open-circuit provider's catalog is
-    /// read too.
+    /// breaker. When no catalog lists the dataset, every catalog this
+    /// planner has not read yet is read, and the lookup repeated.
     fn holders(&self, dataset: &str) -> Vec<String> {
+        let found = self.memoized_holders(dataset);
+        if !found.is_empty() {
+            return found;
+        }
+        for (i, p) in self.registry.providers().iter().enumerate() {
+            if !self.read_here.borrow().contains(&i) {
+                self.read_here.borrow_mut().push(i);
+                self.registry.read_catalog(p.as_ref());
+            }
+        }
+        self.memoized_holders(dataset)
+    }
+
+    /// [`Planner::holders`] from the registry's catalog memo. Only an
+    /// available provider's catalog is read, unless no available provider
+    /// holds the dataset: then every holder is returned, health aside, and
+    /// an open-circuit provider's catalog is read too.
+    fn memoized_holders(&self, dataset: &str) -> Vec<String> {
         let providers = self.registry.providers();
         let health = self.registry.health();
-        let holds = |i: usize| self.catalog(i).contains(dataset);
+        let holds = |i: usize| {
+            let p = providers[i].as_ref();
+            let read_here = self.read_here.borrow().contains(&i);
+            let names = match self.registry.memoized_catalog(p.name()) {
+                Some(names) => {
+                    if !read_here {
+                        self.memo_hit.set(true);
+                    }
+                    names
+                }
+                // Read by this planner and not kept: it was empty.
+                None if read_here => return false,
+                None => {
+                    self.read_here.borrow_mut().push(i);
+                    self.registry.read_catalog(p)
+                }
+            };
+            names.contains(dataset)
+        };
         let name = |i: usize| providers[i].name().to_string();
         let available: Vec<String> = (0..providers.len())
             .filter(|&i| health.is_available(providers[i].name()) && holds(i))
@@ -316,16 +357,11 @@ impl<'a> Planner<'a> {
             .collect()
     }
 
-    /// The dataset names of the `i`-th registered provider, from one
-    /// [`bda_core::Provider::catalog`] read per planner.
-    fn catalog(&self, i: usize) -> &HashSet<String> {
-        self.catalogs[i].get_or_init(|| {
-            self.registry.providers()[i]
-                .catalog()
-                .into_iter()
-                .map(|(name, _)| name)
-                .collect()
-        })
+    /// Whether some lookup of this planner was answered from a catalog
+    /// memoized before it started: such a placement may rest on a catalog
+    /// that has gone stale.
+    pub(crate) fn used_memo(&self) -> bool {
+        self.memo_hit.get()
     }
 
     /// Supporters of `op`, preferring those with a closed breaker.

@@ -1,7 +1,17 @@
 //! The provider registry: who exists, what they can do, where data
 //! lives — and, for fault tolerance, who is currently *healthy*.
+//!
+//! Where data lives comes from a catalog memo that lives as long as the
+//! registry and is shared by its clones: for each provider, the dataset
+//! names its last [`Provider::catalog`] read listed. Planning answers
+//! "who holds `d`?" from it without a round trip. The memo is repaired by
+//! what goes wrong, not by an epoch: an entry is dropped when a call to
+//! that provider fails or a provider registers under its name, a read
+//! that comes back empty is never kept, and the planner and executor
+//! re-read catalogs when a dataset is listed nowhere, when failover looks
+//! for a new site and when a query placed from the memo fails for good.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -187,19 +197,21 @@ impl BreakerState {
     }
 }
 
+/// The dataset names each provider's catalog listed when last read, by
+/// provider name.
+type CatalogMemo = Mutex<HashMap<String, Arc<HashSet<String>>>>;
+
 /// A shared, ordered collection of providers.
 #[derive(Clone)]
 pub struct Registry {
     providers: Vec<Arc<dyn Provider>>,
     health: Arc<HealthBoard>,
+    catalogs: Arc<CatalogMemo>,
 }
 
 impl Default for Registry {
     fn default() -> Self {
-        Registry {
-            providers: Vec::new(),
-            health: Arc::new(HealthBoard::default()),
-        }
+        Registry::with_breaker_config(BreakerConfig::default())
     }
 }
 
@@ -214,6 +226,7 @@ impl Registry {
         Registry {
             providers: Vec::new(),
             health: Arc::new(HealthBoard::new(config)),
+            catalogs: Arc::default(),
         }
     }
 
@@ -222,9 +235,39 @@ impl Registry {
         &self.health
     }
 
-    /// Register a provider (order matters only for tie-breaking).
+    /// Register a provider (order matters only for tie-breaking). A
+    /// memoized catalog under the same name is dropped.
     pub fn register(&mut self, p: Arc<dyn Provider>) {
+        self.forget_catalog(p.name());
         self.providers.push(p);
+    }
+
+    /// The dataset names `provider`'s catalog listed when last read, if
+    /// the memo has them.
+    pub(crate) fn memoized_catalog(&self, provider: &str) -> Option<Arc<HashSet<String>>> {
+        self.catalogs.lock().get(provider).cloned()
+    }
+
+    /// Read `provider`'s catalog now and memoize the names it lists. An
+    /// empty read drops the entry instead: a remote provider answers a
+    /// transport error with an empty catalog, so the next lookup reads
+    /// again rather than trusting it.
+    pub(crate) fn read_catalog(&self, provider: &dyn Provider) -> Arc<HashSet<String>> {
+        // The read may be a round trip: never hold the lock across it.
+        let names: HashSet<String> = provider.catalog().into_iter().map(|(n, _)| n).collect();
+        let names = Arc::new(names);
+        let mut memo = self.catalogs.lock();
+        if names.is_empty() {
+            memo.remove(provider.name());
+        } else {
+            memo.insert(provider.name().to_string(), Arc::clone(&names));
+        }
+        names
+    }
+
+    /// Drop `provider`'s memoized catalog; the next lookup reads it again.
+    pub(crate) fn forget_catalog(&self, provider: &str) {
+        self.catalogs.lock().remove(provider);
     }
 
     /// All providers, in registration order.
@@ -647,6 +690,24 @@ mod tests {
             clone.health().record_failure("ref");
         }
         assert_eq!(r.health().state("ref"), BreakerState::Open);
+    }
+
+    #[test]
+    fn clones_share_the_catalog_memo_and_register_drops_an_entry() {
+        let mut r = registry();
+        let p = r.provider("ref").unwrap();
+        r.read_catalog(p.as_ref());
+        let clone = r.clone();
+        assert!(clone.memoized_catalog("ref").unwrap().contains("t"));
+        // A provider registered under the same name is read afresh.
+        r.register(Arc::new(ReferenceProvider::new("ref")));
+        assert!(clone.memoized_catalog("ref").is_none());
+        // An empty read is not kept.
+        assert!(r.read_catalog(r.providers()[1].as_ref()).is_empty());
+        assert!(r.memoized_catalog("ref").is_none());
+        r.read_catalog(p.as_ref());
+        clone.forget_catalog("ref");
+        assert!(r.memoized_catalog("ref").is_none());
     }
 
     #[test]

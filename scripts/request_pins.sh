@@ -13,7 +13,7 @@
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
-pins=(point_lookup=2 star_join=2 cross_engine=5 iterate_power=50)
+pins=(point_lookup=1 star_join=1 cross_engine=3 iterate_power=25)
 status=0
 for pin in "${pins[@]}"; do
     workload=${pin%=*} want=${pin#*=}

@@ -182,8 +182,8 @@ fn cross_engine_pushes_row_sums_not_the_product() {
         .collect();
     assert_eq!(pushed.len(), 1, "{metrics}");
 
-    // A warm op's client traffic (plans, planner metadata and the
-    // answer; the push is server to server), pinned exactly.
+    // A warm op's client traffic (plans and the answer; the push is
+    // server to server), pinned exactly.
     let clients: Vec<_> = ["la", "rel"]
         .iter()
         .map(|n| fed.registry().provider(n).unwrap())
@@ -204,14 +204,14 @@ fn cross_engine_pushes_row_sums_not_the_product() {
         wire() - before
     };
     let warm = warm_op();
-    // Placement reads each server's catalog once per op, and nothing else
-    // of its metadata.
+    // A warm op is placed from the registry's catalog memo: it reads no
+    // server's metadata.
     let before = servers.iter().map(catalog_requests).collect::<Vec<_>>();
     assert_eq!(warm_op(), warm, "client bytes repeat op to op");
     for (server, before) in servers.iter().zip(before) {
         assert_eq!(
             catalog_requests(server) - before,
-            1,
+            0,
             "catalog requests one warm op sends to {}",
             server.addr()
         );
@@ -219,7 +219,7 @@ fn cross_engine_pushes_row_sums_not_the_product() {
     // A server partitions at its own `BDA_WORKERS`, which changes the
     // answer's chunking, so the figure is pinned at the default width.
     if bda::core::pool::workers_from_env() == 1 {
-        assert_eq!(warm, 866, "client bytes of one warm op");
+        assert_eq!(warm, 620, "client bytes of one warm op");
     }
 
     // Unoptimized, linalg could host the root aggregate; placement must
