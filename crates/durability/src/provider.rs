@@ -5,17 +5,16 @@
 //!
 //! `store`/`remove` take the WAL lock, apply to the wrapped engine (so
 //! shape validation happens before anything touches disk), append a WAL
-//! record and fsync per policy, publish the change delta, and only then
-//! release the lock and return. Engine apply, log order, and change
-//! streams therefore always agree on which of two racing mutations won,
-//! and the acknowledgement the caller sees implies the record is
-//! durable: *never ack-then-lose*. The failure window is the converse —
-//! a mutation that reached memory but whose append failed is reported
-//! as an error (or, for `remove`, rescued by an immediate snapshot),
-//! may still be present until restart, and may become durable at the
-//! next snapshot; that is at-least-once, which the idempotent record
-//! design (full-dataset stores, plain removes) makes harmless on
-//! replay.
+//! record and fsync per policy, and only then release the lock and
+//! return. Engine state and log order therefore always agree on which
+//! of two racing mutations won, and the acknowledgement the caller sees
+//! implies the record is durable: *never ack-then-lose*. The failure
+//! window is the converse — a mutation that reached memory but whose
+//! append failed is reported as an error (or, for `remove`, rescued by
+//! an immediate snapshot), may still be present until restart, and may
+//! become durable at the next snapshot; that is at-least-once, which
+//! the idempotent record design (full-dataset stores, plain removes)
+//! makes harmless on replay.
 //!
 //! ## Recovery sequence (on [`DurableProvider::open`])
 //!
@@ -25,15 +24,14 @@
 //!    final record, refusing interior corruption (see [`crate::wal`]).
 //! 3. Open the log for appending at the next sequence number.
 //!
-//! The report of what happened — and per-dataset `recovery:{name}`
-//! spans when a tracer is supplied — comes back in
-//! [`RecoveryReport`].
+//! The report of what happened comes back in [`RecoveryReport`];
+//! `bda-served` prints it.
 //!
 //! ## Ephemeral names
 //!
-//! Datasets whose name starts with the configured ephemeral prefix
-//! (the federation's staged-fragment prefix by default) are never
-//! logged or snapshotted: they are scratch space for in-flight queries.
+//! Datasets whose name starts with [`DEFAULT_EPHEMERAL_PREFIX`] (the
+//! federation's staged-fragment prefix) are never logged or
+//! snapshotted: they are scratch space for in-flight queries.
 //! The background thread garbage-collects any that outlive their TTL —
 //! the leak path is a query that died permanently between staging and
 //! cleanup.
@@ -46,14 +44,17 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bda_core::{CapabilitySet, CoreError, Plan, Provider};
-use bda_obs::{MetricsHub, Tracer};
+use bda_obs::MetricsHub;
 use bda_storage::{DataSet, IndexKind, Schema};
 
-use crate::changes::{ChangeHub, ChangeStream, Delta};
 use crate::record::{self, WalOp};
 use crate::snapshot;
 use crate::wal::{self, Wal};
-use crate::{Options, Result};
+use crate::{Options, Result, DEFAULT_EPHEMERAL_PREFIX};
+
+/// Snapshot generations kept on disk: the newest is the only one
+/// recovery reads; the older one is a manual-restore spare.
+const KEEP_SNAPSHOTS: usize = 2;
 
 /// What recovery found and did, for logs, tests, and the readiness gate.
 #[derive(Debug, Clone, Default)]
@@ -76,9 +77,7 @@ struct Shared {
     inner: Arc<dyn Provider>,
     options: Options,
     metrics: MetricsHub,
-    changes: ChangeHub,
-    /// Orders commits: engine apply, appends, delta publication,
-    /// rotation.
+    /// Orders commits: engine apply, appends, rotation.
     wal: Mutex<Wal>,
     /// Serializes whole snapshot cycles (background thread + public
     /// API). Without it, two concurrent cycles could interleave so that
@@ -94,7 +93,7 @@ struct Shared {
 
 impl Shared {
     fn is_ephemeral(&self, name: &str) -> bool {
-        name.starts_with(&self.options.ephemeral_prefix)
+        name.starts_with(DEFAULT_EPHEMERAL_PREFIX)
     }
 
     /// The durable (non-ephemeral) catalog, read back through the engine.
@@ -139,7 +138,7 @@ impl Shared {
             &indexes,
             &self.options.faults,
         )?;
-        snapshot::prune(&self.options.snapshot_dir(), self.options.keep_snapshots)?;
+        snapshot::prune(&self.options.snapshot_dir(), KEEP_SNAPSHOTS)?;
         // Drop only below the index recorded at *our* rotation — the
         // current index may already belong to a later cycle.
         self.wal
@@ -200,23 +199,10 @@ pub struct DurableProvider {
 
 impl DurableProvider {
     /// Recover state from `options.dir` into `inner`, then wrap it so
-    /// every later mutation is logged. `tracer` (optional) receives one
-    /// `recovery:{dataset}` span per restored dataset plus a parent
-    /// `recovery` span.
+    /// every later mutation is logged.
     pub fn open(inner: Arc<dyn Provider>, options: Options) -> Result<DurableProvider> {
-        DurableProvider::open_traced(inner, options, &Tracer::disabled())
-    }
-
-    /// [`DurableProvider::open`] with recovery spans.
-    pub fn open_traced(
-        inner: Arc<dyn Provider>,
-        options: Options,
-        tracer: &Tracer,
-    ) -> Result<DurableProvider> {
         let started = Instant::now();
         let metrics = options.metrics.clone().unwrap_or_default();
-        let site = inner.name().to_string();
-        let mut root = tracer.start(None, || "recovery".to_string(), &site);
 
         // 1. Snapshot.
         let snap = snapshot::load_latest(&options.snapshot_dir())?;
@@ -226,10 +212,7 @@ impl DurableProvider {
         };
         if let Some(s) = snap {
             for (name, data) in s.datasets {
-                let mut span = tracer.start(root.id(), || format!("recovery:{name}"), &site);
-                span.set_rows(data.num_rows());
                 inner.store(&name, data)?;
-                span.finish();
             }
             // Rebuild snapshotted index specs from the recovered data;
             // the bytes are deterministic, so this matches the
@@ -248,18 +231,13 @@ impl DurableProvider {
         replayed.next_seq = replayed.next_seq.max(snapshot_seq + 1);
         let wal_records_replayed = replayed.records.len();
         for (_, op) in std::mem::take(&mut replayed.records) {
-            let mut span = tracer.start(root.id(), || format!("recovery:{}", op.name()), &site);
             match op {
-                WalOp::Store { name, data } => {
-                    span.set_rows(data.num_rows());
-                    inner.store(&name, data)?;
-                }
+                WalOp::Store { name, data } => inner.store(&name, data)?,
                 WalOp::Remove { name } => inner.remove(&name),
                 WalOp::BuildIndex { name, column, kind } => {
                     inner.build_index(&name, &column, kind)?;
                 }
             }
-            span.finish();
         }
 
         // 3. Open for appending.
@@ -284,14 +262,6 @@ impl DurableProvider {
                 "WAL records applied during recovery.",
             )
             .add(wal_records_replayed as u64);
-        root.event(|| {
-            format!(
-                "snapshot seq {snapshot_seq} ({snapshot_datasets} datasets), \
-                 {wal_records_replayed} wal records, torn tail: {}",
-                replayed.torn_tail
-            )
-        });
-        root.finish();
 
         let report = RecoveryReport {
             snapshot_seq,
@@ -310,7 +280,6 @@ impl DurableProvider {
             inner,
             options,
             metrics,
-            changes: ChangeHub::new(),
             wal: Mutex::new(wal),
             snapshots: Mutex::new(()),
             bytes_since_snapshot: AtomicU64::new(0),
@@ -329,16 +298,6 @@ impl DurableProvider {
     /// What recovery found and did.
     pub fn report(&self) -> &RecoveryReport {
         &self.report
-    }
-
-    /// Subscribe to committed changes of one dataset.
-    pub fn subscribe(&self, dataset: &str) -> ChangeStream {
-        self.shared.changes.subscribe(dataset)
-    }
-
-    /// Subscribe to every committed change.
-    pub fn subscribe_all(&self) -> ChangeStream {
-        self.shared.changes.subscribe_all()
     }
 
     /// Force a snapshot + WAL truncation now (the background thread does
@@ -440,25 +399,21 @@ impl Provider for DurableProvider {
                 .insert(name.to_string(), Instant::now());
             return Ok(());
         }
-        // Engine apply, WAL append, and delta publication all happen
-        // under the WAL lock: the lock order *is* the commit order, so
-        // live state, the log, and change streams can never disagree
-        // about which of two racing stores won. Apply still precedes
-        // append (shape validation — an engine that refuses the dataset
-        // must not leave a log record); the ack below implies the
-        // record is on disk. The record is encoded first, so the engine
-        // takes the dataset itself rather than a copy.
+        // Engine apply and WAL append both happen under the WAL lock:
+        // the lock order *is* the commit order, so live state and the
+        // log can never disagree about which of two racing stores won.
+        // Apply precedes append (shape validation — an engine that
+        // refuses the dataset must not leave a log record); the ack
+        // below implies the record is on disk. The record is encoded
+        // first, so the engine takes the dataset itself rather than a
+        // copy.
         let payload = record::encode_store(name, &data);
         let mut wal = self.shared.wal.lock().expect("wal lock poisoned");
         self.shared.inner.store(name, data)?;
-        let (seq, bytes) = wal.append_payload(&payload)?;
+        let (_, bytes) = wal.append_payload(&payload)?;
         self.shared
             .bytes_since_snapshot
             .fetch_add(bytes, Ordering::Relaxed);
-        self.shared.changes.publish_with(|| {
-            let op = record::decode_op(&payload).expect("a record this store just encoded");
-            Delta::from_op(seq, op)
-        });
         Ok(())
     }
 
@@ -481,11 +436,10 @@ impl Provider for DurableProvider {
             let mut wal = self.shared.wal.lock().expect("wal lock poisoned");
             self.shared.inner.remove(name);
             match wal.append(&op) {
-                Ok((seq, bytes)) => {
+                Ok((_, bytes)) => {
                     self.shared
                         .bytes_since_snapshot
                         .fetch_add(bytes, Ordering::Relaxed);
-                    self.shared.changes.publish_with(|| Delta::from_op(seq, op));
                     false
                 }
                 Err(_) => {
@@ -539,8 +493,7 @@ impl Provider for DurableProvider {
             return self.shared.inner.build_index(dataset, column, kind);
         }
         // Same commit protocol as `store`: apply under the WAL lock,
-        // then log the spec (not the bytes — replay rebuilds). No delta:
-        // change streams carry data, and an index changes none.
+        // then log the spec (not the bytes — replay rebuilds).
         let mut wal = self.shared.wal.lock().expect("wal lock poisoned");
         self.shared.inner.build_index(dataset, column, kind)?;
         let op = WalOp::BuildIndex {
@@ -791,23 +744,6 @@ mod tests {
         assert_eq!(p.gc_staged_now(), ["__bda_frag_dead.p0"]);
         assert!(p.staged_names().is_empty());
         assert!(p.catalog().is_empty(), "engine-side copy collected too");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn change_stream_sees_commit_order_only_for_committed_ops() {
-        let dir = tmp();
-        let p = open(&dir);
-        let stream = p.subscribe_all();
-        let one = p.subscribe("t");
-        p.store("t", ds(1)).unwrap();
-        p.store("u", ds(2)).unwrap();
-        p.remove("t");
-        p.store("__bda_frag_x", ds(3)).unwrap(); // ephemeral: no delta
-        let seqs: Vec<u64> = stream.drain().iter().map(|d| d.seq).collect();
-        assert_eq!(seqs, [1, 2, 3]);
-        let t_only: Vec<u64> = one.drain().iter().map(|d| d.seq).collect();
-        assert_eq!(t_only, [1, 3]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -46,7 +46,7 @@ pub enum TransferMode {
     /// Server → server over a real TCP transport: the executing provider
     /// pushes its result straight to the consuming provider's endpoint
     /// (`Provider::execute_push`), so the intermediate bytes never reach
-    /// the application tier even physically. Falls back to [`Direct`]
+    /// the application tier even physically. Falls back to [`TransferMode::Direct`]
     /// hop-by-hop when a provider has no network endpoint.
     RemoteTcp,
 }

@@ -373,7 +373,7 @@ mod tests {
     }
 
     #[test]
-    fn durability_ephemeral_prefix_matches_staging_prefix() {
+    fn durable_scratch_prefix_matches_staging_prefix() {
         // The durability layer excludes staged fragments from WAL and
         // snapshots by name prefix; if the planner's staging prefix ever
         // drifts, staged intermediates would silently become durable.

@@ -37,14 +37,8 @@ pub use handler::RequestHandler;
 pub use pipeline::{Pending, PipelinedClient};
 pub use proto::{CatalogEntry, Request, Response};
 pub use server::{
-    serve, serve_durable_with_faults, serve_with, serve_with_faults, LogSink, NetFaults,
-    ServeOptions, ServerHandle,
+    serve, serve_with, serve_with_faults, LogSink, NetFaults, ServeOptions, ServerHandle,
 };
-
-// The disk half of the chaos surface, re-exported so chaos tests
-// configure transport and disk faults from one import.
-pub use bda_durability::Options as DurabilityOptions;
-pub use bda_durability::{DiskFaults, DurableProvider, FsyncPolicy, RecoveryReport};
 
 /// Result alias matching the rest of the workspace.
 pub type Result<T> = std::result::Result<T, bda_core::CoreError>;

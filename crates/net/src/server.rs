@@ -5,17 +5,23 @@
 //! `bda-reactor`; both cores mount the same [`RequestHandler`], so
 //! request semantics and observability are identical.)
 //!
+//! The server serves whatever `Provider` it is handed. A durable server
+//! is a `bda_durability::DurableProvider` served like any other engine:
+//! the caller (`bda-served --data-dir`) recovers it first, then serves
+//! it, and keeps the wrapper for its recovery report.
+//!
 //! Observability (see DESIGN.md, "Observability"):
 //!
 //! * Every server keeps a [`MetricsHub`] — request counts, errors,
 //!   latency histogram, wire bytes — rendered in Prometheus text format
-//!   by a [`Request::Metrics`] message (the `GET /metrics` of this
-//!   protocol).
-//! * A [`Request::Traced`] wrapper makes the server record spans
-//!   (`serve:<kind>` plus the engine's per-operator spans) and return
-//!   them in [`Response::Traced`], so the client can stitch one
-//!   cross-process timeline. A traced push forwards the trace to the
-//!   peer server, whose spans flow back the same way.
+//!   by a [`Request::Metrics`](crate::Request::Metrics) message (the
+//!   `GET /metrics` of this protocol).
+//! * A [`Request::Traced`](crate::Request::Traced) wrapper makes the
+//!   server record spans (`serve:<kind>` plus the engine's per-operator
+//!   spans) and return them in
+//!   [`Response::Traced`](crate::Response::Traced), so the client can
+//!   stitch one cross-process timeline. A traced push forwards the
+//!   trace to the peer server, whose spans flow back the same way.
 //! * [`ServeOptions::log`] emits one structured line per request (kind,
 //!   duration, bytes, outcome) to stderr or a file.
 //!
@@ -32,7 +38,6 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bda_core::Provider;
-use bda_durability::{DurableProvider, RecoveryReport};
 use bda_obs::MetricsHub;
 
 use rand::rngs::StdRng;
@@ -53,7 +58,6 @@ pub struct ServerHandle {
     metrics: MetricsHub,
     shutdown: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
-    durable: Option<Arc<DurableProvider>>,
 }
 
 /// Seeded transport-level fault injection for a server (chaos testing).
@@ -91,12 +95,6 @@ pub struct ServeOptions {
     /// the HTTP ops server (`bda-served --http`) passes the same hub so
     /// `GET /metrics` scrapes this server's request metrics.
     pub metrics: Option<MetricsHub>,
-    /// Make the served engine durable: recover prior state from this
-    /// data directory before binding, then WAL every acknowledged
-    /// mutation (staged fragment outputs excepted: the durability layer
-    /// classifies them by name). Disk-fault injection rides in
-    /// [`bda_durability::Options::faults`].
-    pub durability: Option<bda_durability::Options>,
 }
 
 /// The shared fault stream: one RNG across all of a server's connections
@@ -151,27 +149,6 @@ pub fn serve_with_faults(
     )
 }
 
-/// [`serve_with_faults`] plus a durable engine: recovers from the
-/// durability options' data directory, then injects *both* transport
-/// faults and the disk faults carried in `durability.faults` — the full
-/// chaos surface a provider must survive.
-pub fn serve_durable_with_faults(
-    engine: Arc<dyn Provider>,
-    bind: &str,
-    faults: NetFaults,
-    durability: bda_durability::Options,
-) -> std::io::Result<ServerHandle> {
-    serve_with(
-        engine,
-        bind,
-        ServeOptions {
-            faults: Some(faults),
-            durability: Some(durability),
-            ..ServeOptions::default()
-        },
-    )
-}
-
 /// [`serve`] with full [`ServeOptions`].
 pub fn serve_with(
     engine: Arc<dyn Provider>,
@@ -184,18 +161,6 @@ pub fn serve_with(
             faults,
         })
     });
-    // Recovery happens before the listener binds: a durable server is
-    // only reachable once it serves its recovered catalog.
-    let mut durable = None;
-    let engine: Arc<dyn Provider> = match opts.durability {
-        Some(durability) => {
-            let p =
-                Arc::new(DurableProvider::open(engine, durability).map_err(std::io::Error::other)?);
-            durable = Some(Arc::clone(&p));
-            p
-        }
-        None => engine,
-    };
     let handler = Arc::new(RequestHandler::new(
         engine,
         opts.metrics.unwrap_or_default(),
@@ -214,7 +179,6 @@ pub fn serve_with(
         metrics,
         shutdown,
         accept_thread: Some(accept_thread),
-        durable,
     })
 }
 
@@ -230,20 +194,8 @@ impl ServerHandle {
         self.metrics.clone()
     }
 
-    /// The durable wrapper, when the server was started with
-    /// [`ServeOptions::durability`] — gives access to change streams,
-    /// `snapshot_now`, and staged-dataset inspection.
-    pub fn durable(&self) -> Option<&Arc<DurableProvider>> {
-        self.durable.as_ref()
-    }
-
-    /// What recovery found when the server (re)started, when durable.
-    pub fn recovery_report(&self) -> Option<&RecoveryReport> {
-        self.durable.as_ref().map(|d| d.report())
-    }
-
     /// Stop accepting, wake the accept thread, and join it. Connection
-    /// handlers notice the flag within [`POLL_INTERVAL`] and exit.
+    /// handlers notice the flag within one read poll (100 ms) and exit.
     pub fn shutdown(&mut self) {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;

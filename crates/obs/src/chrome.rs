@@ -1,4 +1,4 @@
-//! Chrome-trace-format export: render a [`Trace`](crate::Trace) as the
+//! Chrome-trace-format export: render a [`Trace`] as the
 //! JSON array `chrome://tracing` / Perfetto load directly.
 //!
 //! Each span becomes a complete event (`"ph":"X"`) with microsecond

@@ -15,9 +15,9 @@
 //!   new records overwrite the oldest. A dump is therefore always a
 //!   "last few seconds" view, which is exactly what a post-mortem wants.
 //! * **Label closures.** Like the tracer, labels are closures so a
-//!   disabled recorder ([`set_enabled`]) formats nothing.
+//!   disabled recorder ([`FlightRecorder::set_enabled`]) formats nothing.
 //!
-//! [`dump_for_failure`] writes the current ring to a file (directory
+//! [`FlightRecorder::dump_for_failure`] writes the current ring to a file (directory
 //! from `BDA_FLIGHT_DIR`, else the system temp dir) and returns the
 //! path; the federation executor calls it when a query fails permanently
 //! and attaches the path to the error it surfaces.

@@ -11,7 +11,7 @@
 //! | `/healthz`      | `200 ok` while the process serves                |
 //! | `/readyz`       | `200 ready`, or `503` + detail when the health  |
 //! |                 | source reports tripped circuit breakers          |
-//! | `/progress`     | JSON of in-flight queries ([`progress`] module) |
+//! | `/progress`     | JSON of in-flight queries ([`crate::progress`]) |
 //! | `/traces/<id>`  | Chrome-trace JSON of a traced query in the log  |
 //! | `/flight`       | the flight recorder's current ring, as text     |
 //! | `/queries`      | JSON of the recent query-profile log            |

@@ -48,7 +48,7 @@ const BUCKET_BOUNDS_S: &[f64] = &[
     5.0, 10.0,
 ];
 
-/// A latency histogram over fixed buckets ([`BUCKET_BOUNDS_S`]) plus a
+/// A latency histogram over fixed buckets (100 µs to 10 s) plus a
 /// terminal overflow bucket, fed in nanoseconds. Cloning shares the
 /// underlying cells.
 #[derive(Clone)]

@@ -7,10 +7,10 @@
 //! is the production-shaped alternative — the same wire protocol, the
 //! same [`bda_net::RequestHandler`] semantics, mounted on:
 //!
-//! * **Sharded readiness event loops** ([`shard`]) over the vendored
-//!   `polling` crate (real epoll on Linux, reached by raw syscalls):
-//!   each shard owns a set of non-blocking connections and parses
-//!   frames incrementally as bytes arrive.
+//! * **Sharded readiness event loops** (the `shard` module) over the
+//!   vendored `polling` crate (real epoll on Linux, reached by raw
+//!   syscalls): each shard owns a set of non-blocking connections and
+//!   parses frames incrementally as bytes arrive.
 //! * **Request pipelining**: a connection may have many requests in
 //!   flight; tagged ([`bda_net::Request::Pipelined`]) responses return
 //!   as they finish, untagged ones release in order, so both pipelining

@@ -21,8 +21,9 @@ use bda::linalg::LinAlgEngine;
 use bda::relational::RelationalEngine;
 use bda::storage::{Column, DataSet};
 use bda::workloads::random_matrix;
-use bda_durability::{is_durability_error, DiskFaults, DurableProvider};
-use bda_net::{serve_durable_with_faults, DurabilityOptions, NetFaults, RemoteProvider};
+use bda_durability::record::WalOp;
+use bda_durability::{is_durability_error, DiskFaults, DurableProvider, Options};
+use bda_net::{serve_with_faults, NetFaults, RemoteProvider, ServerHandle};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -53,12 +54,30 @@ fn dataset(i: i64) -> DataSet {
 
 /// Short snapshot cadence so tests exercise compaction; the byte
 /// threshold stays tiny so the background thread actually snapshots.
-fn durable_options(dir: &std::path::Path) -> DurabilityOptions {
-    DurabilityOptions {
+fn durable_options(dir: &std::path::Path) -> Options {
+    Options {
         snapshot_every_bytes: u64::MAX, // only explicit snapshot_now()
         snapshot_interval: Duration::from_millis(50),
-        ..DurabilityOptions::new(dir)
+        ..Options::new(dir)
     }
+}
+
+/// Serve `engine` made durable over `dir`, the way `bda-served
+/// --data-dir` does: recover first, then serve the wrapper. The caller
+/// keeps the wrapper for its report and maintenance calls.
+fn serve_durable(
+    engine: Arc<dyn Provider>,
+    dir: &std::path::Path,
+    faults: NetFaults,
+) -> (ServerHandle, Arc<DurableProvider>) {
+    let durable = Arc::new(DurableProvider::open(engine, durable_options(dir)).unwrap());
+    let server = serve_with_faults(
+        Arc::clone(&durable) as Arc<dyn Provider>,
+        "127.0.0.1:0",
+        faults,
+    )
+    .unwrap();
+    (server, durable)
 }
 
 #[test]
@@ -70,13 +89,7 @@ fn killed_durable_server_rejoins_the_federation_with_its_data() {
     // any explicit flush — acknowledged writes are already on disk).
     {
         let rel: Arc<dyn Provider> = Arc::new(RelationalEngine::new("rel"));
-        let server = serve_durable_with_faults(
-            rel,
-            "127.0.0.1:0",
-            NetFaults::new(0xBDA, 0.0),
-            durable_options(&dir),
-        )
-        .unwrap();
+        let (server, _durable) = serve_durable(rel, &dir, NetFaults::new(0xBDA, 0.0));
         let remote = RemoteProvider::connect(server.addr().to_string()).unwrap();
         remote.store("lookup", lookup_table()).unwrap();
     }
@@ -85,16 +98,9 @@ fn killed_durable_server_rejoins_the_federation_with_its_data() {
     // recovered server rejoins the federation and the cross-server
     // join+matmul plan matches the reference evaluator exactly.
     let rel: Arc<dyn Provider> = Arc::new(RelationalEngine::new("rel"));
-    let server = serve_durable_with_faults(
-        rel,
-        "127.0.0.1:0",
-        NetFaults::new(0xBDA, 0.0),
-        durable_options(&dir),
-    )
-    .unwrap();
-    let report = server.recovery_report().expect("durable server");
+    let (server, durable) = serve_durable(rel, &dir, NetFaults::new(0xBDA, 0.0));
     assert_eq!(
-        report.datasets,
+        durable.report().datasets,
         vec!["lookup".to_string()],
         "recovery found the acked ingest"
     );
@@ -141,7 +147,6 @@ fn killed_durable_server_rejoins_the_federation_with_its_data() {
     // Staged-partition hygiene: the query shipped fragments to the
     // durable site; none may linger in its catalog, its staged map, or
     // (because staged names are never logged) its next incarnation.
-    let durable = server.durable().expect("durable server");
     let leaked = durable.gc_staged_now();
     assert!(leaked.is_empty(), "staged {leaked:?} outlived their query");
     assert!(durable.staged_names().is_empty());
@@ -154,6 +159,7 @@ fn killed_durable_server_rejoins_the_federation_with_its_data() {
     durable.snapshot_now().expect("snapshot");
     drop(fed);
     drop(server);
+    drop(durable);
 
     // Phase 3: one more reopen proves fragments never reach the disk —
     // and that recovery now reads the compacted snapshot.
@@ -243,36 +249,33 @@ fn every_seeded_disk_fault_plan_preserves_acknowledged_writes() {
 }
 
 #[test]
-fn change_stream_follows_remote_ingest_in_commit_order() {
+fn remote_ingest_is_logged_in_commit_order() {
     let dir = tmp_dir();
-    let rel: Arc<dyn Provider> = Arc::new(ReferenceProvider::new("ref"));
-    let server = serve_durable_with_faults(
-        rel,
-        "127.0.0.1:0",
-        NetFaults::new(1, 0.0),
-        durable_options(&dir),
-    )
-    .unwrap();
-    let stream = server.durable().unwrap().subscribe_all();
-    let remote = RemoteProvider::connect(server.addr().to_string()).unwrap();
-    for i in 0..4i64 {
-        remote.store(&format!("d{i}"), dataset(i)).unwrap();
+    {
+        let rel: Arc<dyn Provider> = Arc::new(ReferenceProvider::new("ref"));
+        let (server, _durable) = serve_durable(rel, &dir, NetFaults::new(1, 0.0));
+        let remote = RemoteProvider::connect(server.addr().to_string()).unwrap();
+        for i in 0..4i64 {
+            remote.store(&format!("d{i}"), dataset(i)).unwrap();
+        }
+        remote.remove("d1");
     }
-    remote.remove("d1");
 
-    let mut seqs = Vec::new();
-    let mut names = Vec::new();
-    for _ in 0..5 {
-        let delta = stream
-            .next_timeout(Duration::from_secs(5))
-            .expect("committed delta arrives");
-        seqs.push(delta.seq);
-        names.push(delta.name.clone());
-    }
+    // Each acknowledged remote mutation is one record, in the order the
+    // server committed it.
+    let replayed = bda_durability::wal::replay_dir(&durable_options(&dir).wal_dir()).unwrap();
+    let seqs: Vec<u64> = replayed.records.iter().map(|(seq, _)| *seq).collect();
+    let names: Vec<&str> = replayed.records.iter().map(|(_, op)| op.name()).collect();
+    assert_eq!(seqs, [1, 2, 3, 4, 5]);
     assert_eq!(names, ["d0", "d1", "d2", "d3", "d1"]);
     assert!(
-        seqs.windows(2).all(|w| w[0] < w[1]),
-        "commit order: {seqs:?}"
+        matches!(replayed.records[4].1, WalOp::Remove { .. }),
+        "the last record is the remove"
     );
+
+    let rel: Arc<dyn Provider> = Arc::new(ReferenceProvider::new("ref"));
+    let reopened = DurableProvider::open(rel, durable_options(&dir)).unwrap();
+    assert_eq!(reopened.report().datasets, ["d0", "d2", "d3"]);
+    drop(reopened);
     std::fs::remove_dir_all(&dir).unwrap();
 }
